@@ -65,6 +65,7 @@ from .estimator import (
     KoopmanModel,
     RRRConfig,
     adjoint_coeffs,
+    assemble_grams,
     empirical_risk,
     fit_koopman,
     fit_zubov_koopman,

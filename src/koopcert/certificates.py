@@ -19,9 +19,9 @@ from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
 from .estimator import (
     EtaSpec,
     KoopmanModel,
-    adjoint_coeffs,
     forward_coeffs,
     heldout_risk,
+    operator_norm_bound,
 )
 from .kernels import WeightSpec, gram, weight_values
 
@@ -56,20 +56,28 @@ class LyapunovEstimate:
     alpha is the geometric factor that chose the horizon; alpha_source is
     "op_norm" when the fitted norm certified it and "decay_ratio" when the
     observed per-step weight decay on the anchors stood in for a fitted
-    norm at or above one.
+    norm at or above one. P is the r x r series form
+    sum_{t < horizon} (H')^t Q H^t, so v(x) = k_w(x, x) + z' P z with
+    z = U' k_w(anchors_x, x).
     """
 
     model: KoopmanModel
     horizon: int
     tail_bound: float
     tol: float
+    P: np.ndarray = field(repr=False)
     alpha: float = 0.0
     alpha_source: str = "op_norm"
-    _quad: dict = field(default_factory=dict, repr=False)
+
+
+def _anchor_decay_ratio(model: KoopmanModel) -> float:
+    """Observed one-step weight decay on the training anchors, damped as fitted."""
+    anchors = SnapshotDataset(X=model.anchors_x, Y=model.anchors_y, dt=0.0, seed=0)
+    return check_decay_ratio(anchors, model.kw.weight, eta=model.eta)
 
 
 def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None = None) -> LyapunovEstimate:
-    """Choose the truncation horizon from a contraction factor.
+    """Choose the truncation horizon from a contraction factor and sum the series.
 
     The factor is the fitted operator norm when that is below one. A norm
     at or above one does not by itself make the series diverge (the series
@@ -81,14 +89,7 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
     alpha = model.diagnostics.op_norm
     source = "op_norm"
     if alpha >= 1.0:
-        train_ds = SnapshotDataset(
-            X=model.anchors_x,
-            Y=model.anchors_y,
-            dt=0.0,
-            seed=0,
-            eta_x=None if model.eta is None else model.eta.values(model.anchors_x),
-        )
-        alpha = check_decay_ratio(train_ds, model.kw.weight, eta=model.eta)
+        alpha = _anchor_decay_ratio(model)
         source = "decay_ratio"
         if alpha >= 1.0:
             raise ContractionViolatedError(
@@ -100,11 +101,18 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
         horizon = truncation_horizon(alpha, c_max, tol)
     a2 = alpha * alpha
     tail = a2 ** (horizon + 1) * c_max / (1.0 - a2) if alpha > 0 else 0.0
+    # The t-th term is b_t' L b_t with b_t = W H^(t-1) z, i.e. z' (H')^(t-1) Q H^(t-1) z.
+    P = np.zeros_like(model.Q)
+    S = model.Q
+    for _ in range(horizon):
+        P = P + S
+        S = model.H.T @ S @ model.H
     return LyapunovEstimate(
         model=model,
         horizon=horizon,
         tail_bound=tail,
         tol=tol,
+        P=P,
         alpha=alpha,
         alpha_source=source,
     )
@@ -112,52 +120,16 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
 
 def lyapunov_value(est: LyapunovEstimate, x: np.ndarray) -> float:
     """k_w(x, x) plus the truncated sum of adjoint-pushed section norms."""
-    model = est.model
-    x = np.asarray(x, dtype=float)
-    w2 = float(weight_values(model.kw.weight, x[None, :])[0] ** 2)
-    total = w2
-    if est.horizon >= 1:
-        kx = gram(model.kw, model.anchors_x, x[None, :])[:, 0]
-        b = model.theta.T @ kx
-        E = model.cross_xy if model.damping is None else model.cross_xy * model.damping[None, :]
-        Lt = model.gram_target
-        for t in range(1, est.horizon + 1):
-            if t > 1:
-                b = model.theta.T @ (E @ b)
-            total += float(b @ (Lt @ b))
-    return total
-
-
-def _series_quadratic(est: LyapunovEstimate) -> np.ndarray:
-    """Anchor-space quadratic form P with v(x) = k_w(x,x) + k_x' P k_x.
-
-    The t-th series term is b_t' L b_t with b_t = G^(t-1) theta' k_x and
-    G = theta' E, so P = theta (sum_t (G')^(t-1) L G^(t-1)) theta'.
-    """
-    key = est.horizon
-    if key not in est._quad:
-        model = est.model
-        E = model.cross_xy if model.damping is None else model.cross_xy * model.damping[None, :]
-        G = model.theta.T @ E
-        S = model.gram_target
-        acc = S.copy()
-        for t in range(2, est.horizon + 1):
-            S = G.T @ S @ G
-            acc = acc + S
-        est._quad[key] = model.theta @ acc @ model.theta.T
-    return est._quad[key]
+    return float(lyapunov_values(est, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def lyapunov_values(est: LyapunovEstimate, X: np.ndarray) -> np.ndarray:
-    """Vectorized lyapunov_value over rows of X via a cached quadratic form."""
+    """Series value at each row of X through the precomputed r x r form."""
     model = est.model
     X = np.asarray(X, dtype=float)
     w2 = weight_values(model.kw.weight, X) ** 2
-    if est.horizon < 1:
-        return w2
-    P = _series_quadratic(est)
-    Kx = gram(model.kw, model.anchors_x, X)
-    return w2 + np.sum(Kx * (P @ Kx), axis=0)
+    Z = model.U.T @ gram(model.kw, model.anchors_x, X)
+    return w2 + np.sum(Z * (est.P @ Z), axis=0)
 
 
 @dataclass(frozen=True)
@@ -197,11 +169,7 @@ def _saturating_observable(weight: WeightSpec, X: np.ndarray, nu: float, varsigm
 
 def zubov_value(est: ZubovEstimate, x: np.ndarray) -> float:
     """Estimated t-step damped stability value at a single state."""
-    x = np.asarray(x, dtype=float)
-    if est.steps == 0:
-        return float(_saturating_observable(est.model.kw.weight, x[None, :], est.nu, est.varsigma)[0])
-    kx = gram(est.model.kw, est.model.anchors_x, x[None, :])[:, 0]
-    return float(est.coeffs @ kx)
+    return float(zubov_values(est, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
@@ -454,22 +422,11 @@ def bound_report(
     varsigma: float = 0.1,
 ) -> BoundReport:
     """Assemble every closed-form bound for a fitted model."""
-    from .dynsys import check_decay_ratio
-    from .estimator import operator_norm_bound
-
     m = len(model)
     gamma = model.diagnostics.hs_norm
     eps_x, eps_y = concentration_epsilons(m, delta)
     rho_check = generalization_bound(m, gamma, model.rank, delta)
-    train_ds = SnapshotDataset(
-        X=model.anchors_x,
-        Y=model.anchors_y,
-        dt=0.0,
-        seed=0,
-        eta_x=None if model.eta is None else model.eta.values(model.anchors_x),
-    )
-    alpha_hat = check_decay_ratio(train_ds, model.kw.weight, eta=model.eta)
-    alpha = max(model.diagnostics.op_norm, alpha_hat)
+    alpha = max(model.diagnostics.op_norm, _anchor_decay_ratio(model))
     h_risk = None if heldout is None else heldout_risk(model, heldout)
     lyap_const = (
         2.0 * alpha / (1.0 - alpha * alpha) ** 2 if alpha < 1 else float("inf")

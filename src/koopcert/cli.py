@@ -119,8 +119,6 @@ def _fit(cfg: RunConfig, ds):
 
 
 def cmd_fit(args) -> int:
-    from .estimator import operator_norm_bound
-
     cfg = _load(args)
     out = _outdir(args, cfg)
     ds_path = Path(args.dataset) if args.dataset else out / "dataset.csv"
@@ -133,7 +131,7 @@ def cmd_fit(args) -> int:
     _say(args, f"empirical risk   = {fmt(d.risk)}")
     _say(args, f"hs norm          = {fmt(d.hs_norm)}")
     _say(args, f"operator norm    = {fmt(d.op_norm)}")
-    _say(args, f"norm bound       = {fmt(operator_norm_bound(model))}")
+    _say(args, f"norm bound       = {fmt(d.norm_bound)}")
     head = ", ".join(fmt(v) for v in d.sigma_sq[:5])
     _say(args, f"sigma^2 head     = {head}")
     if d.op_norm >= 1:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .dynsys import DomainSpec, SystemSpec
 from .errors import InvalidInputError
-from .estimator import NORMALIZATIONS, EtaSpec, RRRConfig
+from .estimator import EtaSpec, RRRConfig
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
@@ -155,7 +155,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             rank=cp.getint("rrr", "rank"),
             beta=float(beta_raw) if beta_raw else None,
             beta_scale=cp.getfloat("rrr", "beta_scale", fallback=0.01),
-            normalization=cp.get("rrr", "normalization", fallback=NORMALIZATIONS[0]),
         )
         eta = None
         if cp.has_section("eta"):

@@ -3,10 +3,11 @@
 Snapshot pairs (x_i, y_i) define input sections k_w(x_i, .) and target
 sections k_w(y_i, .); in damped mode the targets are scaled by
 exp(-eta(x_i)). The fitted operator is A = sum_ij theta_ij
-k_w(x_i, .) (x) psi_j with a rank-r coefficient matrix theta obtained from
-a generalized eigenproblem over the two Gram matrices. Coefficient
-recursions push kernel sections through powers of A and its adjoint
-without ever leaving the m-dimensional sample coordinates.
+k_w(x_i, .) (x) psi_j with a rank-r coefficient matrix theta = U W',
+W = K U / m, obtained from a generalized eigenproblem over the Gram
+matrices. The model keeps only these factors and two r x r matrices,
+H = U' E W and Q = W' L W, so the coefficient recursions that push kernel
+sections through powers of A and its adjoint run in rank-r coordinates.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .dynsys import SnapshotDataset
 from .eigsolve import Pencil, generalized_eig_topr, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
 from .kernels import WeightedKernelSpec, gram, weight_values
-
-NORMALIZATIONS = ("scale-consistent", "unscaled")
 
 
 @dataclass(frozen=True)
@@ -52,19 +51,12 @@ class RRRConfig:
     """Hyperparameters of the reduced-rank fit.
 
     beta is the ridge strength; when None it is resolved to
-    beta_scale * lam_max((1/m) K_w) at fit time. The normalization flag
-    picks the eigenvector scaling: "scale-consistent"
-    (u' K_w ((1/m) K_w + beta I) u = 1) is the variational minimizer of the
-    regularized empirical risk and the default; "unscaled"
-    (u' K_w (K_w + beta I) u = 1) drops the 1/m and systematically shrinks
-    the fitted operator, and is kept only for comparison.
+    beta_scale * lam_max((1/m) K_w) at fit time.
     """
 
     rank: int
     beta: float | None = None
     beta_scale: float = 0.01
-    normalization: str = "scale-consistent"
-    realness_tol: float = 1e-6
 
     def __post_init__(self):
         if self.rank < 1:
@@ -73,53 +65,79 @@ class RRRConfig:
             raise InvalidInputError("beta must be positive when given")
         if self.beta is None and (not np.isfinite(self.beta_scale) or self.beta_scale <= 0):
             raise InvalidInputError("beta_scale must be positive")
-        if self.normalization not in NORMALIZATIONS:
-            raise InvalidInputError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """Retained pencil eigenvalues, empirical risk, HS and operator norms of
+    the fitted operator, and the a-priori norm bound lam_max(L) / (beta m)."""
+
     sigma_sq: np.ndarray
     risk: float
     hs_norm: float
     op_norm: float
-    op_norm_gram_variant: float
+    norm_bound: float
 
 
 @dataclass(frozen=True)
 class KoopmanModel:
-    """Fitted finite-rank transfer operator in sample coordinates."""
+    """Fitted finite-rank transfer operator held as its rank-r factors.
+
+    U and W = K U / m are m x r; H = U' E W and Q = W' L W are r x r, where
+    K is the input Gram, E the damped cross Gram and L the damped target
+    Gram. damping holds exp(-eta(x_i)) in zubov mode and is None otherwise.
+    """
 
     anchors_x: np.ndarray
     anchors_y: np.ndarray
-    theta: np.ndarray
     kw: WeightedKernelSpec
     mode: str
     eta: EtaSpec | None
     beta: float
     rank: int
-    normalization: str
-    gram_x: np.ndarray
-    gram_target: np.ndarray
-    cross_xy: np.ndarray
+    U: np.ndarray
+    W: np.ndarray
+    H: np.ndarray
+    Q: np.ndarray
     damping: np.ndarray | None
     diagnostics: FitDiagnostics
 
     def __len__(self) -> int:
         return len(self.anchors_x)
 
+    @property
+    def theta(self) -> np.ndarray:
+        """Dense m x m coefficient matrix U W'; costs O(m^2 r), for inspection."""
+        return self.U @ self.W.T
 
-def normalize_columns(
-    U: np.ndarray, gram_x: np.ndarray, beta: float, m: int, normalization: str
-) -> np.ndarray:
-    """Rescale eigenvector columns to the chosen unit quadratic form."""
-    if normalization == "scale-consistent":
-        Q = gram_x @ (gram_x / m + beta * np.eye(m))
-    elif normalization == "unscaled":
-        Q = gram_x @ (gram_x + beta * np.eye(m))
-    else:
-        raise InvalidInputError(f"unknown normalization {normalization!r}")
-    nrm_sq = np.einsum("ji,jk,ki->i", U, Q, U)
+
+def assemble_grams(
+    kw: WeightedKernelSpec, X: np.ndarray, Y: np.ndarray, eta: EtaSpec | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Input Gram K, target Gram L, cross Gram E and the damping vector.
+
+    In damped mode target section j carries exp(-eta(x_j)), which scales
+    both indices of L and the target (column) index of E; the damping
+    vector is None in plain mode.
+    """
+    K = gram(kw, X, X)
+    L = gram(kw, Y, Y)
+    E = gram(kw, X, Y)
+    if eta is None:
+        return K, L, E, None
+    damping = np.exp(-eta.values(X))
+    return K, damping[:, None] * L * damping[None, :], E * damping[None, :], damping
+
+
+def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
+    """Rescale eigenvector columns to u' K_w ((1/m) K_w + beta I) u = 1.
+
+    This scaling makes theta = (1/m) U U' K_w the minimizer of the
+    regularized empirical risk.
+    """
+    m = gram_x.shape[0]
+    KU = gram_x @ U
+    nrm_sq = np.sum(KU * KU, axis=0) / m + beta * np.sum(U * KU, axis=0)
     if np.any(nrm_sq <= 0) or not np.all(np.isfinite(nrm_sq)):
         raise SolverFailureError(
             "an eigenvector has vanishing Gram seminorm; rank exceeds the "
@@ -134,6 +152,70 @@ def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:
     return (U @ (U.T @ gram_x)) / m
 
 
+def _section_risk(Z: np.ndarray, Q: np.ndarray, WG: np.ndarray, target_sq: np.ndarray) -> float:
+    """Mean squared section error |A* k_w(x_i, .) - target_i|^2 over points i.
+
+    Column i of Z is U' k_w(anchors_x, x_i), column i of WG is W' times the
+    damped Gram column of target i against the anchor targets, and
+    target_sq[i] is that target's squared norm.
+    """
+    per_point = np.sum(Z * (Q @ Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + target_sq
+    return max(float(np.mean(per_point)), 0.0)
+
+
+def factor_model(
+    kw: WeightedKernelSpec,
+    X: np.ndarray,
+    Y: np.ndarray,
+    eta: EtaSpec | None,
+    grams: tuple,
+    beta: float,
+    U: np.ndarray,
+    sigma_sq: np.ndarray,
+) -> KoopmanModel:
+    """Model from normalized eigenvectors U and the Grams of assemble_grams.
+
+    Builds W, H and Q and every fit diagnostic. The fit and read_model both
+    come through here, so a reloaded model is bit-identical to the fitted
+    one. The only m x m eigensolve is lam_max(L) for the a-priori bound; the
+    operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U.
+    """
+    K, L, E, damping = grams
+    m = len(K)
+    U = np.ascontiguousarray(U)
+    Z = U.T @ K
+    W = Z.T / m
+    WL = W.T @ L
+    Q = WL @ W
+    H = (U.T @ E) @ W
+    M = Z @ U
+    vals, vecs = symmetric_eig((M + M.T) / 2.0)
+    Mh = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
+    S = Mh @ Q @ Mh
+    diagnostics = FitDiagnostics(
+        sigma_sq=sigma_sq,
+        risk=_section_risk(Z, Q, WL, np.diag(L)),
+        hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
+        op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
+        norm_bound=float(symmetric_eig(L)[0][0]) / (beta * m),
+    )
+    return KoopmanModel(
+        anchors_x=X,
+        anchors_y=Y,
+        kw=kw,
+        mode="koopman" if eta is None else "zubov",
+        eta=eta,
+        beta=float(beta),
+        rank=U.shape[1],
+        U=U,
+        W=W,
+        H=H,
+        Q=Q,
+        damping=damping,
+        diagnostics=diagnostics,
+    )
+
+
 def _fit(
     ds: SnapshotDataset,
     kw: WeightedKernelSpec,
@@ -144,49 +226,22 @@ def _fit(
     m = len(X)
     if cfg.rank > m:
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
-    K = gram(kw, X, X)
+    if eta is not None:
+        if ds.eta_x is None:
+            raise InvalidInputError("damped fit needs eta values stored in the dataset")
+        if np.max(np.abs(ds.eta_x - eta.values(X))) > 1e-12:
+            raise EtaMismatchError("dataset eta values disagree with the eta spec")
+    grams = assemble_grams(kw, X, Y, eta)
+    K, L, _, _ = grams
     if float(np.max(np.abs(K))) == 0.0:
         raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
-    Lp = gram(kw, Y, Y)
-    damping = None
-    if eta is not None:
-        stored = ds.eta_x
-        recomputed = eta.values(X)
-        if stored is None:
-            raise InvalidInputError("damped fit needs eta values stored in the dataset")
-        if np.max(np.abs(stored - recomputed)) > 1e-12:
-            raise EtaMismatchError("dataset eta values disagree with the eta spec")
-        damping = np.exp(-recomputed)
-        Lt = damping[:, None] * Lp * damping[None, :]
-        mode = "zubov"
-    else:
-        Lt = Lp
-        mode = "koopman"
     beta = cfg.beta
     if beta is None:
         beta = cfg.beta_scale * float(symmetric_eig(K)[0][0]) / m
-    pencil = Pencil(left=(Lt @ K) / (m * m), right=K / m + beta * np.eye(m))
-    sigma_sq, U = generalized_eig_topr(pencil, cfg.rank, realness_tol=cfg.realness_tol)
-    U = normalize_columns(U, K, beta, m, cfg.normalization)
-    theta = theta_from_factors(U, K)
-    cross = gram(kw, X, Y)
-    diag = _diagnostics(theta, K, Lt, sigma_sq, m)
-    return KoopmanModel(
-        anchors_x=X,
-        anchors_y=Y,
-        theta=theta,
-        kw=kw,
-        mode=mode,
-        eta=eta,
-        beta=float(beta),
-        rank=cfg.rank,
-        normalization=cfg.normalization,
-        gram_x=K,
-        gram_target=Lt,
-        cross_xy=cross,
-        damping=damping,
-        diagnostics=diag,
-    )
+    pencil = Pencil(left=(L @ K) / (m * m), right=K / m + beta * np.eye(m))
+    sigma_sq, U = generalized_eig_topr(pencil, cfg.rank)
+    U = normalize_columns(U, K, beta)
+    return factor_model(kw, X, Y, eta, grams, beta, U, sigma_sq)
 
 
 def fit_koopman(ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig) -> KoopmanModel:
@@ -208,109 +263,57 @@ def fit_zubov_koopman(
     return _fit(ds, kw, cfg, eta=eta)
 
 
-def _sym_sqrt_psd(S: np.ndarray) -> np.ndarray:
-    vals, vecs = symmetric_eig(S)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)[None, :]) @ vecs.T
-
-
-def _diagnostics(theta, K, Lt, sigma_sq, m) -> FitDiagnostics:
-    C = theta.T @ K
-    R = C - np.eye(m)
-    risk = max(float(np.sum(R * (Lt @ R))) / m, 0.0)
-    quad = theta.T @ K @ theta
-    hs = float(np.sqrt(max(np.sum(quad * Lt), 0.0)))
-    Lh = _sym_sqrt_psd(Lt)
-    S = Lh @ quad @ Lh
-    S = (S + S.T) / 2.0
-    opn = float(np.sqrt(max(symmetric_eig(S)[0][0], 0.0)))
-    # The source analysis states the operator norm through a congruence by
-    # the input Gram instead (and without the square root); both forms are
-    # reported so they can be compared.
-    kvals, kvecs = symmetric_eig(K)
-    cut = 1e-12 * max(kvals[0], 0.0)
-    inv_half = np.where(kvals > cut, 1.0 / np.sqrt(np.clip(kvals, cut, None)), 0.0)
-    Kih = (kvecs * inv_half[None, :]) @ kvecs.T
-    G = Kih @ Lt @ quad @ Lt @ Kih
-    G = (G + G.T) / 2.0
-    gram_variant = float(max(symmetric_eig(G)[0][0], 0.0))
-    return FitDiagnostics(
-        sigma_sq=sigma_sq,
-        risk=risk,
-        hs_norm=hs,
-        op_norm=opn,
-        op_norm_gram_variant=gram_variant,
-    )
-
-
 def empirical_risk(model: KoopmanModel) -> float:
     """Mean squared section error (1/m) sum_i |A* k_w(x_i,.) - target_i|^2."""
-    m = len(model)
-    C = model.theta.T @ model.gram_x
-    R = C - np.eye(m)
-    return max(float(np.sum(R * (model.gram_target @ R))) / m, 0.0)
+    return model.diagnostics.risk
 
 
 def hs_norm(model: KoopmanModel) -> float:
     """Hilbert-Schmidt norm sqrt(trace(theta' K_w theta L_w))."""
-    quad = model.theta.T @ model.gram_x @ model.theta
-    return float(np.sqrt(max(np.sum(quad * model.gram_target), 0.0)))
+    return model.diagnostics.hs_norm
 
 
 def op_norm(model: KoopmanModel) -> float:
     """Operator norm sqrt(lam_max(L^1/2 theta' K theta L^1/2))."""
-    quad = model.theta.T @ model.gram_x @ model.theta
-    Lh = _sym_sqrt_psd(model.gram_target)
-    S = Lh @ quad @ Lh
-    S = (S + S.T) / 2.0
-    return float(np.sqrt(max(symmetric_eig(S)[0][0], 0.0)))
+    return model.diagnostics.op_norm
 
 
-def operator_norm_bound(model: KoopmanModel, beta: float | None = None) -> float:
+def operator_norm_bound(model: KoopmanModel) -> float:
     """A-priori operator norm bound lam_max(L_w) / (beta m)."""
-    if beta is None:
-        beta = model.beta
-    if beta <= 0:
-        raise InvalidInputError("beta must be positive")
-    lam = float(symmetric_eig(model.gram_target)[0][0])
-    return lam / (beta * len(model))
+    return model.diagnostics.norm_bound
 
 
 def regularized_objective(model: KoopmanModel, theta: np.ndarray | None = None) -> float:
-    """Empirical risk plus beta times squared HS norm, for any theta."""
+    """Empirical risk plus beta times squared HS norm, for any theta.
+
+    Dense O(m^3) reference: the Grams are reassembled from the anchors.
+    """
     if theta is None:
         theta = model.theta
     m = len(model)
-    C = theta.T @ model.gram_x
+    K, L, _, _ = assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+    C = theta.T @ K
     R = C - np.eye(m)
-    risk = float(np.sum(R * (model.gram_target @ R))) / m
-    quad = theta.T @ model.gram_x @ theta
-    hs_sq = float(np.sum(quad * model.gram_target))
+    risk = float(np.sum(R * (L @ R))) / m
+    quad = theta.T @ K @ theta
+    hs_sq = float(np.sum(quad * L))
     return risk + model.beta * hs_sq
-
-
-def _adjoint_transfer(model: KoopmanModel) -> np.ndarray:
-    """Matrix E with b_{t+1} = theta' E b_t; damped on the target index."""
-    if model.damping is None:
-        return model.cross_xy
-    return model.cross_xy * model.damping[None, :]
 
 
 def adjoint_coeffs(model: KoopmanModel, x: np.ndarray, t: int) -> np.ndarray:
     """Target-basis coefficients of (A*)^t k_w(x, .).
 
     The returned vector b satisfies (A*)^t k_w(x,.) = sum_j b_j psi_j,
-    where psi_j is the (possibly damped) j-th target section.
+    where psi_j is the (possibly damped) j-th target section; in rank
+    coordinates b = W H^(t-1) U' k_x.
     """
     if t < 1:
         raise InvalidInputError("adjoint power t must be >= 1")
     x = np.asarray(x, dtype=float)
-    kx = gram(model.kw, model.anchors_x, x[None, :])[:, 0]
-    b = model.theta.T @ kx
-    E = _adjoint_transfer(model)
+    z = model.U.T @ gram(model.kw, model.anchors_x, x[None, :])[:, 0]
     for _ in range(t - 1):
-        b = model.theta.T @ (E @ b)
-    return b
+        z = model.H @ z
+    return model.W @ z
 
 
 def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
@@ -318,7 +321,8 @@ def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
 
     g0 holds the raw values of the weighted observable at the anchors_y;
     in damped mode the exp(-eta) factors are applied internally, matching
-    the fitted targets. A^t h = sum_i a_i k_w(x_i, .).
+    the fitted targets. A^t h = sum_i a_i k_w(x_i, .) with
+    a = U (H')^(t-1) W' g0.
     """
     if t < 1:
         raise InvalidInputError("forward power t must be >= 1")
@@ -326,12 +330,10 @@ def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
     if g0.shape != (len(model),):
         raise InvalidInputError("g0 must hold one value per anchor")
     d = model.damping
-    a = model.theta @ (g0 if d is None else d * g0)
-    K_yx = model.cross_xy.T
+    s = model.W.T @ (g0 if d is None else d * g0)
     for _ in range(t - 1):
-        v = K_yx @ a
-        a = model.theta @ (v if d is None else d * v)
-    return a
+        s = model.H.T @ s
+    return model.U @ s
 
 
 def predict_observable(model: KoopmanModel, g, x: np.ndarray, t: int) -> float:
@@ -352,7 +354,7 @@ def predict_observable(model: KoopmanModel, g, x: np.ndarray, t: int) -> float:
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs."""
     Xh, Yh = ds.X, ds.Y
-    Cb = model.theta.T @ gram(model.kw, model.anchors_x, Xh)
+    Z = model.U.T @ gram(model.kw, model.anchors_x, Xh)
     G = gram(model.kw, model.anchors_y, Yh)
     # k_w(y, y) = w(y)^2 since the base kernel is 1 on the diagonal.
     t_norm = weight_values(model.kw.weight, Yh) ** 2
@@ -364,7 +366,4 @@ def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
         dh = np.exp(-ds.eta_x)
         G = model.damping[:, None] * G * dh[None, :]
         t_norm = dh**2 * t_norm
-    quad = np.sum(Cb * (model.gram_target @ Cb), axis=0)
-    cross = np.sum(Cb * G, axis=0)
-    per_point = quad - 2.0 * cross + t_norm
-    return max(float(np.mean(per_point)), 0.0)
+    return _section_risk(Z, model.Q, model.W.T @ G, t_norm)

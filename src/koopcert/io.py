@@ -19,12 +19,14 @@ from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
 from .estimator import (
     EtaSpec,
-    FitDiagnostics,
     KoopmanModel,
-    RRRConfig,
+    assemble_grams,
     empirical_risk,
+    factor_model,
 )
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
+
+CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
 
 
 def fmt(x: float) -> str:
@@ -63,9 +65,16 @@ def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
         meta.write(fh)
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_dataset(path: str | Path) -> SnapshotDataset:
     path = Path(path)
-    text = path.read_text().strip().split("\n")
+    text = _read_text(path, "dataset file").strip().split("\n")
     header = text[0].split(",")
     has_eta = header[-1] == "eta"
     n = (len(header) - (1 if has_eta else 0)) // 2
@@ -79,10 +88,13 @@ def read_dataset(path: str | Path) -> SnapshotDataset:
     meta_path = path.with_suffix(path.suffix + ".meta")
     seed, dt, rejected = 0, 0.0, 0
     if meta_path.exists():
-        meta.read(meta_path)
-        seed = meta.getint("dataset", "seed", fallback=0)
-        dt = meta.getfloat("dataset", "dt", fallback=0.0)
-        rejected = meta.getint("dataset", "rejected_count", fallback=0)
+        try:
+            meta.read(meta_path)
+            seed = meta.getint("dataset", "seed", fallback=0)
+            dt = meta.getfloat("dataset", "dt", fallback=0.0)
+            rejected = meta.getint("dataset", "rejected_count", fallback=0)
+        except (ValueError, configparser.Error) as exc:
+            raise InvalidInputError(f"malformed dataset metadata {meta_path}: {exc}") from exc
     return SnapshotDataset(
         X=rows[:, :n],
         Y=rows[:, n : 2 * n],
@@ -100,14 +112,17 @@ def _write_matrix(out: list[str], name: str, M: np.ndarray) -> None:
 
 
 def write_model(model: KoopmanModel, path: str | Path) -> None:
-    """Sectioned text format holding the specs, anchors, and coefficients."""
-    out = ["# koopcert model v1", "[meta]"]
+    """Sectioned text format: specs, diagnostics, anchors and the factor U.
+
+    The Grams, W, H and Q are not stored; read_model rebuilds them from the
+    anchors and U.
+    """
+    out = ["# koopcert model v2", "[meta]"]
     out.append(f"mode={model.mode}")
     out.append(f"m={len(model)}")
     out.append(f"dim={model.anchors_x.shape[1]}")
     out.append(f"rank={model.rank}")
     out.append(f"beta={fmt(model.beta)}")
-    out.append(f"normalization={model.normalization}")
     out.append("[kernel]")
     out.append(f"kind={model.kw.kernel.kind}")
     out.append(f"gamma={fmt(model.kw.kernel.gamma)}")
@@ -120,15 +135,12 @@ def write_model(model: KoopmanModel, path: str | Path) -> None:
         out.append(f"kind={model.eta.kind}")
         out.append(f"scale={fmt(model.eta.scale)}")
     out.append("[diagnostics]")
-    d = model.diagnostics
-    out.append(f"risk={fmt(d.risk)}")
-    out.append(f"hs_norm={fmt(d.hs_norm)}")
-    out.append(f"op_norm={fmt(d.op_norm)}")
-    out.append(f"op_norm_gram_variant={fmt(d.op_norm_gram_variant)}")
-    out.append(f"sigma_sq={_fmt_row(d.sigma_sq)}")
+    for name in CHECKED_DIAGNOSTICS:
+        out.append(f"{name}={fmt(getattr(model.diagnostics, name))}")
+    out.append(f"sigma_sq={_fmt_row(model.diagnostics.sigma_sq)}")
     _write_matrix(out, "anchors_x", model.anchors_x)
     _write_matrix(out, "anchors_y", model.anchors_y)
-    _write_matrix(out, "theta", model.theta)
+    _write_matrix(out, "U", model.U)
     Path(path).write_text("\n".join(out) + "\n")
 
 
@@ -157,68 +169,74 @@ def _kv(lines: list[str]) -> dict[str, str]:
     return out
 
 
-def read_model(path: str | Path) -> KoopmanModel:
-    """Rebuild a fitted model; Gram caches are recomputed from the anchors."""
-    from .kernels import gram
+def _matrix(lines: list[str]) -> np.ndarray:
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
 
-    sections = _parse_sections(Path(path).read_text())
-    for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "theta"):
+
+def read_model(path: str | Path) -> KoopmanModel:
+    """Rebuild a fitted model from its file.
+
+    The Grams are reassembled from the anchors and the factors and
+    diagnostics recomputed by the same code as the fit. A file whose stored
+    diagnostics differ from the recomputed ones at 17 digits is rejected,
+    and so is a v1 file, which held the dense theta instead of U.
+    """
+    path = Path(path)
+    sections = _parse_sections(_read_text(path, "model file"))
+    if "theta" in sections and "U" not in sections:
+        raise InvalidInputError(
+            f"{path} is a v1 model file (dense theta); refit it with this version"
+        )
+    for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "U"):
         if needed not in sections:
             raise InvalidInputError(f"model file is missing the [{needed}] section")
-    meta = _kv(sections["meta"])
-    kern = _kv(sections["kernel"])
-    wspec = _kv(sections["weight"])
-    diag = _kv(sections["diagnostics"])
-    kw = WeightedKernelSpec(
-        KernelSpec(kind=kern["kind"], gamma=float(kern["gamma"])),
-        WeightSpec(kind=wspec["kind"], exponent=float(wspec["exponent"]), floor=float(wspec["floor"])),
-    )
-    eta = None
-    if "eta" in sections:
-        e = _kv(sections["eta"])
-        eta = EtaSpec(kind=e["kind"], scale=float(e["scale"]))
-    X = np.array([[float(v) for v in line.split(",")] for line in sections["anchors_x"]])
-    Y = np.array([[float(v) for v in line.split(",")] for line in sections["anchors_y"]])
-    theta = np.array([[float(v) for v in line.split(",")] for line in sections["theta"]])
-    m = int(meta["m"])
-    if X.shape != (m, int(meta["dim"])) or theta.shape != (m, m):
+    try:
+        meta = _kv(sections["meta"])
+        kern = _kv(sections["kernel"])
+        wspec = _kv(sections["weight"])
+        diag = _kv(sections["diagnostics"])
+        kw = WeightedKernelSpec(
+            KernelSpec(kind=kern["kind"], gamma=float(kern["gamma"])),
+            WeightSpec(
+                kind=wspec["kind"],
+                exponent=float(wspec["exponent"]),
+                floor=float(wspec["floor"]),
+            ),
+        )
+        eta = None
+        if "eta" in sections:
+            e = _kv(sections["eta"])
+            eta = EtaSpec(kind=e["kind"], scale=float(e["scale"]))
+        X = _matrix(sections["anchors_x"])
+        Y = _matrix(sections["anchors_y"])
+        U = _matrix(sections["U"])
+        m, dim, rank = int(meta["m"]), int(meta["dim"]), int(meta["rank"])
+        beta = float(meta["beta"])
+        mode = meta["mode"]
+        sigma_sq = np.array([float(v) for v in diag["sigma_sq"].split(",")])
+        stored = {name: float(diag[name]) for name in CHECKED_DIAGNOSTICS}
+    except KeyError as exc:
+        raise InvalidInputError(f"model file {path} lacks the {exc.args[0]}= entry") from exc
+    except ValueError as exc:
+        if isinstance(exc, InvalidInputError):
+            raise
+        raise InvalidInputError(f"malformed model file {path}: {exc}") from exc
+    shapes = (X.shape, Y.shape, U.shape, sigma_sq.shape)
+    if shapes != ((m, dim), (m, dim), (m, rank), (rank,)):
         raise InvalidInputError("model file arrays disagree with the declared sizes")
-    K = gram(kw, X, X)
-    Lp = gram(kw, Y, Y)
-    damping = None
-    mode = meta["mode"]
-    if mode == "zubov":
-        if eta is None:
-            raise InvalidInputError("zubov-mode model file lacks an [eta] section")
-        damping = np.exp(-eta.values(X))
-        Lt = damping[:, None] * Lp * damping[None, :]
-    elif mode == "koopman":
-        Lt = Lp
-    else:
-        raise InvalidInputError(f"unknown model mode {mode!r}")
-    diagnostics = FitDiagnostics(
-        sigma_sq=np.array([float(v) for v in diag["sigma_sq"].split(",")]),
-        risk=float(diag["risk"]),
-        hs_norm=float(diag["hs_norm"]),
-        op_norm=float(diag["op_norm"]),
-        op_norm_gram_variant=float(diag["op_norm_gram_variant"]),
-    )
-    return KoopmanModel(
-        anchors_x=X,
-        anchors_y=Y,
-        theta=theta,
-        kw=kw,
-        mode=mode,
-        eta=eta,
-        beta=float(meta["beta"]),
-        rank=int(meta["rank"]),
-        normalization=meta["normalization"],
-        gram_x=K,
-        gram_target=Lt,
-        cross_xy=gram(kw, X, Y),
-        damping=damping,
-        diagnostics=diagnostics,
-    )
+    if mode != ("koopman" if eta is None else "zubov"):
+        raise InvalidInputError(f"model mode {mode!r} does not match its [eta] section")
+    if not (np.isfinite(beta) and beta > 0):
+        raise InvalidInputError("model file beta must be positive")
+    model = factor_model(kw, X, Y, eta, assemble_grams(kw, X, Y, eta), beta, U, sigma_sq)
+    for name, value in stored.items():
+        recomputed = getattr(model.diagnostics, name)
+        if fmt(recomputed) != fmt(value):
+            raise InvalidInputError(
+                f"model file {path} stores {name}={fmt(value)} "
+                f"but its factors give {fmt(recomputed)}"
+            )
+    return model
 
 
 def write_grid(coords: np.ndarray, values: np.ndarray, path: str | Path) -> None:
@@ -260,6 +278,6 @@ def write_report(report: BoundReport, path: str | Path) -> None:
 
 
 def roundtrip_check(model: KoopmanModel, path: str | Path) -> bool:
-    """True when the reloaded model reproduces the stored risk exactly."""
+    """True when the reloaded model reproduces the fitted risk exactly."""
     loaded = read_model(path)
     return fmt(empirical_risk(loaded)) == fmt(model.diagnostics.risk)

@@ -20,10 +20,13 @@ from koopcert import (
     SystemSpec,
     WeightSpec,
     WeightedKernelSpec,
+    assemble_grams,
     fit_koopman,
     fit_zubov_koopman,
+    gram,
     make_dataset,
     step,
+    weight_values,
 )
 
 
@@ -87,6 +90,69 @@ def model_matrix():
     models = [example1_model()[2], example2_model()[3]]
     models.extend(model for _, _, model in random_linear_models())
     return models
+
+
+def dense_reference_fits():
+    """The two fits the rank-space algebra is checked on against the dense formulas."""
+    return [linear_model(0.5, 40, 6, 3)[2], example2_model()[3]]
+
+
+def dense_grams(model):
+    """The m x m Grams of a fitted model: K, damped target L, damped cross E."""
+    return assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+
+
+def dense_diagnostics(model) -> dict[str, float]:
+    """Risk, HS norm, operator norm and a-priori bound from m x m formulas."""
+    K, L, _, _ = dense_grams(model)
+    m = len(model)
+    theta = model.theta
+    R = theta.T @ K - np.eye(m)
+    quad = theta.T @ K @ theta
+    vals, vecs = np.linalg.eigh(L)
+    Lh = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
+    S = Lh @ quad @ Lh
+    return {
+        "risk": max(float(np.sum(R * (L @ R))) / m, 0.0),
+        "hs_norm": math.sqrt(max(float(np.sum(quad * L)), 0.0)),
+        "op_norm": math.sqrt(max(float(np.linalg.eigvalsh((S + S.T) / 2.0)[-1]), 0.0)),
+        "norm_bound": float(vals[-1]) / (model.beta * m),
+    }
+
+
+def dense_heldout_risk(model, ds) -> float:
+    """Held-out section error with the m-dimensional coefficients theta' k_x."""
+    _, L, _, _ = dense_grams(model)
+    C = model.theta.T @ gram(model.kw, model.anchors_x, ds.X)
+    G = gram(model.kw, model.anchors_y, ds.Y)
+    t_norm = weight_values(model.kw.weight, ds.Y) ** 2
+    if model.eta is not None:
+        dh = np.exp(-model.eta.values(ds.X))
+        G = model.damping[:, None] * G * dh[None, :]
+        t_norm = dh**2 * t_norm
+    per_point = np.sum(C * (L @ C), axis=0) - 2.0 * np.sum(C * G, axis=0) + t_norm
+    return float(np.mean(per_point))
+
+
+def dense_lyapunov_value(model, x, horizon: int) -> float:
+    """k_w(x, x) + sum_{t=1..horizon} b_t' L b_t, b_1 = theta' k_x, b_{t+1} = theta' E b_t."""
+    _, L, E, _ = dense_grams(model)
+    x = np.asarray(x, dtype=float)[None, :]
+    total = float(weight_values(model.kw.weight, x)[0] ** 2)
+    b = model.theta.T @ gram(model.kw, model.anchors_x, x)[:, 0]
+    for _ in range(horizon):
+        total += float(b @ (L @ b))
+        b = model.theta.T @ (E @ b)
+    return total
+
+
+def dense_forward_coeffs(model, g0: np.ndarray, t: int) -> np.ndarray:
+    """a_1 = theta (d * g0), a_{s+1} = theta E' a_s, d the target damping."""
+    _, _, E, d = dense_grams(model)
+    a = model.theta @ (g0 if d is None else d * g0)
+    for _ in range(t - 1):
+        a = model.theta @ (E.T @ a)
+    return a
 
 
 def ring_points(n: int, r_lo: float, r_hi: float, seed: int) -> np.ndarray:

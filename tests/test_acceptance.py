@@ -16,6 +16,7 @@ from koopcert import (
     RRRConfig,
     SnapshotDataset,
     SystemSpec,
+    assemble_grams,
     bound_report,
     build_lyapunov,
     build_zubov,
@@ -132,20 +133,21 @@ def test_criterion_05_perturbations_never_improve(acceptance):
     worst = np.inf
     for idx, model in enumerate(model_matrix()):
         m = len(model)
+        K, L, _, _ = assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
         pencil = Pencil(
-            left=(model.gram_target @ model.gram_x) / (m * m),
-            right=model.gram_x / m + model.beta * np.eye(m),
+            left=(L @ K) / (m * m),
+            right=K / m + model.beta * np.eye(m),
         )
         _, U = generalized_eig_topr(pencil, model.rank)
-        U = normalize_columns(U, model.gram_x, model.beta, m, model.normalization)
+        U = normalize_columns(U, K, model.beta)
         np.testing.assert_allclose(
-            theta_from_factors(U, model.gram_x), model.theta, atol=1e-10
+            theta_from_factors(U, K), model.theta, atol=1e-10
         )
         obj0 = regularized_objective(model)
         rng = np.random.default_rng(5000 + idx)
         for _ in range(100):
             U_p = U + 1e-3 * rng.standard_normal(U.shape)
-            obj_p = regularized_objective(model, theta=theta_from_factors(U_p, model.gram_x))
+            obj_p = regularized_objective(model, theta=theta_from_factors(U_p, K))
             worst = min(worst, obj_p - obj0)
     acceptance(
         5,

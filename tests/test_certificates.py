@@ -35,6 +35,10 @@ from koopcert import (
 )
 
 from helpers import (
+    dense_forward_coeffs,
+    dense_grams,
+    dense_lyapunov_value,
+    dense_reference_fits,
     example1_model,
     example2_model,
     linear_lyapunov_truth,
@@ -121,11 +125,20 @@ def test_lyapunov_series_matches_term_recursion():
     _, kw, model = linear_model(0.5, 200, 20, 11)
     est = build_lyapunov(model, horizon=12)
     x = np.array([0.9, -0.2])
+    _, L, _, _ = dense_grams(model)
     total = float(weight_values(kw.weight, x[None, :])[0] ** 2)
     for t in range(1, 13):
         b = adjoint_coeffs(model, x, t)
-        total += float(b @ (model.gram_target @ b))
+        total += float(b @ (L @ b))
     np.testing.assert_allclose(lyapunov_value(est, x), total, rtol=1e-10)
+    # the r x r series form against the dense theta recursion
+    for ref in dense_reference_fits():
+        for horizon in (1, 12, 60):
+            est = build_lyapunov(ref, horizon=horizon)
+            for p in ring_points(3, 0.3, 1.8, seed=horizon):
+                np.testing.assert_allclose(
+                    lyapunov_value(est, p), dense_lyapunov_value(ref, p, horizon), rtol=1e-12
+                )
 
 
 def test_lyapunov_close_to_linear_truth():
@@ -159,6 +172,11 @@ def test_zubov_batch_matches_scalar():
     batch = zubov_values(est, pts)
     for i, p in enumerate(pts):
         np.testing.assert_allclose(zubov_value(est, p), batch[i], rtol=1e-10)
+    # Zubov coefficients against the dense theta recursion
+    for steps in (1, 6, 40):
+        coeffs = build_zubov(model, steps=steps, nu=1.0, varsigma=0.1).coeffs
+        dense = dense_forward_coeffs(model, est.g0, steps)
+        np.testing.assert_allclose(coeffs, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
 
 
 def test_zubov_invalid_parameters():

@@ -9,10 +9,12 @@ from koopcert import (
     InvalidInputError,
     RRRConfig,
     SnapshotDataset,
+    assemble_grams,
     empirical_risk,
     eval_weighted_kernel,
     fit_koopman,
     fit_zubov_koopman,
+    forward_coeffs,
     gram,
     heldout_risk,
     hs_norm,
@@ -26,7 +28,16 @@ from koopcert import (
 )
 from koopcert import DomainSpec, SystemSpec
 
-from helpers import kw_gaussian, linear_model
+from helpers import (
+    dense_diagnostics,
+    dense_forward_coeffs,
+    dense_grams,
+    dense_heldout_risk,
+    dense_reference_fits,
+    example2_model,
+    kw_gaussian,
+    linear_model,
+)
 
 
 def one_point_dataset(x, y):
@@ -52,7 +63,8 @@ def test_fit_is_exact_minimizer_dense_reference():
     # rebuild the rank-r minimizer by whitened SVD and compare objectives
     ds, kw, model = linear_model(0.5, 40, 6, 3)
     m = len(ds)
-    K, L, beta = model.gram_x, model.gram_target, model.beta
+    K, L, _, _ = dense_grams(model)
+    beta = model.beta
 
     def psd_power(S, p, cut=1e-12):
         vals, vecs = np.linalg.eigh(S)
@@ -79,13 +91,9 @@ def test_normalize_columns_unit_quadratic_forms():
     K = gram(kw_gaussian(), rng.normal(size=(m, 2)))
     U = rng.normal(size=(m, 5))
     beta = 0.05
-    for normalization, B in (
-        ("scale-consistent", K @ (K / m + beta * np.eye(m))),
-        ("unscaled", K @ (K + beta * np.eye(m))),
-    ):
-        V = normalize_columns(U, K, beta, m, normalization)
-        forms = np.einsum("ji,jk,ki->i", V, B, V)
-        np.testing.assert_allclose(forms, np.ones(5), rtol=1e-10)
+    V = normalize_columns(U, K, beta)
+    forms = np.einsum("ji,jk,ki->i", V, K @ (K / m + beta * np.eye(m)), V)
+    np.testing.assert_allclose(forms, np.ones(5), rtol=1e-10)
 
 
 def test_rank_exceeding_samples_raises():
@@ -116,21 +124,39 @@ def test_zero_scale_damping_matches_plain_fit():
     damped = fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=8))
     reference = fit_koopman(plain, kw, RRRConfig(rank=8))
     np.testing.assert_array_equal(damped.theta, reference.theta)
+    for name in ("U", "W", "H", "Q"):
+        np.testing.assert_array_equal(getattr(damped, name), getattr(reference, name))
     assert damped.mode == "zubov" and reference.mode == "koopman"
 
 
 def test_diagnostics_accessors_match():
-    _, _, model = linear_model(0.5, 40, 6, 3)
-    np.testing.assert_allclose(empirical_risk(model), model.diagnostics.risk, rtol=1e-12)
-    np.testing.assert_allclose(hs_norm(model), model.diagnostics.hs_norm, rtol=1e-12)
-    np.testing.assert_allclose(op_norm(model), model.diagnostics.op_norm, rtol=1e-12)
-    assert model.diagnostics.op_norm <= model.diagnostics.hs_norm + 1e-12
-    assert model.diagnostics.op_norm <= operator_norm_bound(model) + 1e-12
+    # the rank-space diagnostics against the dense m x m formulas
+    for model in dense_reference_fits():
+        dense = dense_diagnostics(model)
+        np.testing.assert_allclose(empirical_risk(model), dense["risk"], rtol=1e-12)
+        np.testing.assert_allclose(hs_norm(model), dense["hs_norm"], rtol=1e-12)
+        np.testing.assert_allclose(op_norm(model), dense["op_norm"], rtol=1e-12)
+        np.testing.assert_allclose(operator_norm_bound(model), dense["norm_bound"], rtol=1e-12)
+        assert model.diagnostics.op_norm <= model.diagnostics.hs_norm + 1e-12
+        assert model.diagnostics.op_norm <= operator_norm_bound(model) + 1e-12
 
 
 def test_heldout_risk_on_training_data_is_empirical_risk():
     ds, _, model = linear_model(0.5, 40, 6, 3)
     np.testing.assert_allclose(heldout_risk(model, ds), model.diagnostics.risk, rtol=1e-10)
+    fresh = make_dataset(
+        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 40, 1.0, 1003, model.kw.weight
+    )
+    np.testing.assert_allclose(
+        heldout_risk(model, fresh), dense_heldout_risk(model, fresh), rtol=1e-12
+    )
+    ds2, _, eta, model2 = example2_model()
+    np.testing.assert_allclose(heldout_risk(model2, ds2), model2.diagnostics.risk, rtol=1e-10)
+    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    fresh2 = make_dataset(SystemSpec.example2(), box, 200, 0.025, 43, model2.kw.weight, eta=eta)
+    np.testing.assert_allclose(
+        heldout_risk(model2, fresh2), dense_heldout_risk(model2, fresh2), rtol=1e-12
+    )
 
 
 def test_predict_observable_linear_one_step():
@@ -146,9 +172,23 @@ def test_predict_observable_linear_one_step():
         truth = float(weight_values(kw.weight, fx[None, :])[0] * g(fx[None, :])[0])
         got = predict_observable(model, g, x, 1)
         assert abs(got - truth) <= 0.05 * max(1.0, abs(truth))
+    # the rank-space recursion against the dense theta recursion
+    x = np.array([0.6, -0.3])
+    for ref in dense_reference_fits():
+        wy = weight_values(ref.kw.weight, ref.anchors_y)
+        g0 = wy * g(ref.anchors_y)
+        kx = gram(ref.kw, ref.anchors_x, x[None, :])[:, 0]
+        for t in (1, 2, 7, 30):
+            dense = dense_forward_coeffs(ref, g0, t)
+            scale = np.max(np.abs(dense))
+            np.testing.assert_allclose(
+                forward_coeffs(ref, g0, t), dense, rtol=0, atol=1e-12 * scale
+            )
+            np.testing.assert_allclose(predict_observable(ref, g, x, t), dense @ kx, rtol=1e-12)
 
 
 def test_beta_resolution_from_scale():
     ds, _, model = linear_model(0.5, 40, 6, 3)
-    lam_max = float(np.linalg.eigvalsh(model.gram_x).max())
+    K = assemble_grams(model.kw, model.anchors_x, model.anchors_y)[0]
+    lam_max = float(np.linalg.eigvalsh(K).max())
     np.testing.assert_allclose(model.beta, 0.01 * lam_max / len(ds), rtol=1e-10)

@@ -1,10 +1,16 @@
 """Persistence round trips, config parsing, and the command line flows."""
 
 import configparser
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopcert
 from koopcert import (
     CertificateConfig,
     InvalidInputError,
@@ -68,6 +74,15 @@ def test_read_dataset_rejects_malformed(tmp_path):
         read_dataset(path)
 
 
+def assert_same_factors(back, model):
+    """The reloaded model holds bit-equal factors and diagnostics."""
+    for name in ("U", "W", "H", "Q"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
+    for name in ("risk", "hs_norm", "op_norm", "norm_bound"):
+        assert getattr(back.diagnostics, name) == getattr(model.diagnostics, name)
+    np.testing.assert_array_equal(back.diagnostics.sigma_sq, model.diagnostics.sigma_sq)
+
+
 def test_model_round_trip_koopman(tmp_path):
     _, _, model = linear_model(a=0.5, m=30, rank=6, seed=2)
     path = tmp_path / "model.txt"
@@ -81,7 +96,7 @@ def test_model_round_trip_koopman(tmp_path):
     assert back.mode == "koopman"
     assert back.kw == model.kw
     assert back.diagnostics.risk == model.diagnostics.risk
-    np.testing.assert_array_equal(back.gram_x, model.gram_x)
+    assert_same_factors(back, model)
     assert roundtrip_check(model, path)
     # the reloaded model reproduces its stored risk from scratch
     assert fmt(empirical_risk(back)) == fmt(model.diagnostics.risk)
@@ -95,7 +110,7 @@ def test_model_round_trip_zubov(tmp_path):
     assert back.mode == "zubov"
     assert back.eta is not None and back.eta.scale == model.eta.scale
     np.testing.assert_array_equal(back.damping, model.damping)
-    np.testing.assert_array_equal(back.gram_target, model.gram_target)
+    assert_same_factors(back, model)
     assert roundtrip_check(model, path)
 
 
@@ -104,9 +119,9 @@ def test_read_model_missing_section(tmp_path):
     path = tmp_path / "model.txt"
     write_model(model, path)
     text = path.read_text()
-    start = text.index("[theta]")
+    start = text.index("[U]")
     (tmp_path / "broken.txt").write_text(text[:start])
-    with pytest.raises(InvalidInputError, match="theta"):
+    with pytest.raises(InvalidInputError, match=r"\[U\]"):
         read_model(tmp_path / "broken.txt")
 
 
@@ -210,7 +225,6 @@ def test_config_defaults_and_seed_override(tmp_path):
     cfg = load_config(path)
     assert cfg.kw.kernel.gamma == 4.0
     assert cfg.kw.weight.floor == 1e-8
-    assert cfg.rrr.normalization == "scale-consistent"
     assert cfg.certificate.delta == 0.05
     assert load_config(path, seed_override=99).sampling.seed == 99
 
@@ -298,6 +312,65 @@ def test_cli_contraction_violated_exits_3(tmp_path):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     assert main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert main(["lyapunov", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+
+
+def _edited_model(edit):
+    """Report on the reference model file after a text edit."""
+
+    def prepare(tmp_path):
+        _, _, model = linear_model(a=0.5, m=10, rank=3, seed=4)
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        path.write_text(edit(path.read_text()))
+        return ["report", str(path)]
+
+    return prepare
+
+
+def _dataset_with_bad_meta(tmp_path):
+    ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
+    write_dataset(ds, tmp_path / "dataset.csv")
+    (tmp_path / "dataset.csv.meta").write_text("[dataset]\nseed = abc\n")
+    return ["fit", str(tmp_path / "dataset.csv")]
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        _edited_model(lambda text: re.sub(r"^beta=.*$", "beta=abc", text, flags=re.M)),
+        _edited_model(lambda text: re.sub(r"^rank=.*\n", "", text, flags=re.M)),
+        lambda tmp_path: ["report", str(tmp_path / "absent.txt")],
+        lambda tmp_path: ["fit", str(tmp_path / "absent.csv")],
+        _edited_model(lambda text: text.replace("model v2", "model v1").replace("[U]", "[theta]")),
+        _edited_model(lambda text: re.sub(r"^risk=.*$", "risk=0.5", text, flags=re.M)),
+        _dataset_with_bad_meta,
+    ],
+    ids=[
+        "model-beta-not-a-number",
+        "model-rank-missing",
+        "model-path-missing",
+        "dataset-path-missing",
+        "model-v1",
+        "model-risk-tampered",
+        "dataset-meta-malformed",
+    ],
+)
+def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare):
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+    command, path = prepare(tmp_path)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", path]
+    env = {**os.environ, "PYTHONPATH": str(Path(koopcert.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "koopcert.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    lines = proc.stderr.strip().split("\n")
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_reproduce_smoke(tmp_path):
