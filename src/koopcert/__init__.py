@@ -76,6 +76,7 @@ from .estimator import (
     op_norm,
     operator_norm_bound,
     predict_observable,
+    predict_observables,
     regularized_objective,
     theta_from_factors,
 )

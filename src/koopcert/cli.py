@@ -42,7 +42,7 @@ from .errors import (
     InvalidInputError,
     KoopcertError,
 )
-from .estimator import fit_koopman, fit_zubov_koopman, predict_observable
+from .estimator import fit_koopman, fit_zubov_koopman, predict_observables
 from .io import (
     fmt,
     read_dataset,
@@ -240,13 +240,13 @@ def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
         "q2": lambda pts: (pts[..., 0] - pts[..., 1]) ** 2,
     }
     w_traj = weight_values(cfg.kw.weight, traj)
+    preds = {name: predict_observables(model, q, x0, horizon) for name, q in quads.items()}
     lines = ["step,time," + ",".join(f"truth_{n},pred_{n}" for n in quads)]
     for t in range(horizon + 1):
         cells = [str(t), fmt(t * cfg.sampling.dt)]
         for name, q in quads.items():
             truth = float(w_traj[t] * q(traj[t]))
-            pred = predict_observable(model, lambda pts, q=q: q(pts), x0, t)
-            cells.extend([fmt(truth), fmt(pred)])
+            cells.extend([fmt(truth), fmt(preds[name][t])])
         lines.append(",".join(cells))
     (out / "observables.csv").write_text("\n".join(lines) + "\n")
     _say(args, f"wrote observables.csv (start {fmt(x0[0])}, {fmt(x0[1])})")

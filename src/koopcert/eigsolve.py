@@ -1,13 +1,17 @@
 """Dense symmetric and pencil eigensolvers used by the operator fit.
 
-The regression step needs the top eigenpairs of M u = lam B u where B is
-symmetric positive definite but M is a product of two Gram matrices and
-therefore not symmetric. The pencil is reduced by Cholesky congruence,
-C = L^-1 M L^-T with B = L L^T, and C is handed to a general dense
-(Hessenberg-QR) eigensolver. True eigenvalues of such pencils are real
-and nonnegative; a materially complex value in the retained block means
-the matrices are inconsistent and is reported as an anomaly rather than
-silently truncated.
+The regression step needs the top eigenpairs of the pencil
+(L K / m^2) u = s (K / m + beta I) u, whose left side is a product of two
+Gram matrices and therefore not symmetric. reduced_rank_eig solves it as a
+symmetric problem: in the eigenbasis of K = V diag(lam) V' the congruence
+by diag(sqrt(lam / (lam / m + beta))) turns it into a symmetric matrix
+whose top eigenpairs give s and, after one back-substitution, u.
+
+generalized_eig_topr is the general solver for any pencil with a symmetric
+positive definite right side: a Cholesky congruence C = L^-1 M L^-T handed
+to a dense nonsymmetric eigensolver. True eigenvalues of such pencils are
+real; a materially complex value in the retained block is reported as an
+anomaly rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
 
 REALNESS_TOL = 1e-6
 TIE_TOL = 1e-12
+NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,18 +69,64 @@ def cholesky_spd(B: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def symmetric_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of symmetric S."""
+def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of symmetric S.
+
+    With top = k only the k largest eigenpairs are computed. Only the lower
+    triangle of S is read.
+    """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError("symmetric_eig needs a square matrix")
     if not np.all(np.isfinite(S)):
         raise InvalidInputError("symmetric_eig input contains non-finite entries")
+    m = S.shape[0]
+    if top is not None and not 1 <= top <= m:
+        raise InvalidInputError(f"top={top} must lie in [1, {m}]")
+    subset = None if top is None else [m - top, m - 1]
     try:
-        vals, vecs = scipy.linalg.eigh(S)
+        vals, vecs = scipy.linalg.eigh(S, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:
         raise SolverFailureError(str(exc)) from exc
     return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def _warn_on_rank_tie(vals: np.ndarray, r: int) -> None:
+    """Warn when the r-th and (r+1)-th of the descending vals tie."""
+    if len(vals) > r and abs(vals[r - 1] - vals[r]) <= TIE_TOL * (1.0 + abs(vals[r - 1])):
+        warnings.warn(
+            f"eigenvalues {r - 1} and {r} tie within {TIE_TOL:g}; "
+            "retention order falls back to index order",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def reduced_rank_eig(
+    lam: np.ndarray, V: np.ndarray, L: np.ndarray, beta: float, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
+
+    K = V diag(lam) V' comes as its eigendecomposition; L is the symmetric
+    target Gram. With G = V' L V, b = lam / m + beta and d = sqrt(lam / b),
+    each eigenpair (s, y) of the symmetric diag(d) G diag(d) / m^2 gives the
+    eigenvector u = V (G (d * y) / b). Returns s descending and the m x r
+    eigenvectors, unnormalized. Raises SolverFailureError when a retained s
+    is numerically zero: r exceeds the effective rank of the data.
+    """
+    m = len(lam)
+    G = V.T @ (L @ V)
+    b = lam / m + beta
+    d = np.sqrt(np.clip(lam, 0.0, None) / b)
+    s, Y = symmetric_eig(d[:, None] * G * d[None, :] / (m * m), top=min(r + 1, m))
+    if not s[r - 1] > NULL_TOL * s[0]:
+        raise SolverFailureError(
+            f"rank {r} exceeds the effective rank of the data: retained "
+            f"eigenvalue {r - 1} is {s[r - 1]:.3g} against a top eigenvalue of {s[0]:.3g}"
+        )
+    _warn_on_rank_tie(s, r)
+    U = V @ ((G @ (d[:, None] * Y[:, :r])) / b[:, None])
+    return s[:r], U
 
 
 def generalized_eig_topr(
@@ -112,13 +163,7 @@ def generalized_eig_topr(
             f"retained eigenvalue {i} is complex: {top[i]:.6g} "
             "(matrices are inconsistent with a definite pencil)"
         )
-    if r < m and abs(vals[r - 1].real - vals[r].real) <= TIE_TOL * (1.0 + abs(vals[r - 1].real)):
-        warnings.warn(
-            f"eigenvalues {r - 1} and {r} tie within {TIE_TOL:g}; "
-            "retention order falls back to index order",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_on_rank_tie(vals.real, r)
     lam = np.clip(top.real, 0.0, None)
     Zr = Z[:, :r].real
     U = scipy.linalg.solve_triangular(L, Zr, lower=True, trans="T")

@@ -23,7 +23,8 @@ class NotPositiveDefiniteError(KoopcertError):
 
 
 class SolverFailureError(KoopcertError):
-    """An iterative LAPACK eigensolver failed to converge."""
+    """An eigensolver failed to converge, or the requested rank exceeds the
+    effective rank of the data."""
 
 
 class SpectralAnomalyError(KoopcertError):

@@ -4,20 +4,24 @@ Snapshot pairs (x_i, y_i) define input sections k_w(x_i, .) and target
 sections k_w(y_i, .); in damped mode the targets are scaled by
 exp(-eta(x_i)). The fitted operator is A = sum_ij theta_ij
 k_w(x_i, .) (x) psi_j with a rank-r coefficient matrix theta = U W',
-W = K U / m, obtained from a generalized eigenproblem over the Gram
-matrices. The model keeps only these factors and two r x r matrices,
-H = U' E W and Q = W' L W, so the coefficient recursions that push kernel
-sections through powers of A and its adjoint run in rank-r coordinates.
+W = K U / m. The columns of U are the top eigenvectors of the pencil
+(L K / m^2) u = s (K / m + beta I) u over the Gram matrices, found as a
+symmetric top-r eigenproblem in the eigenbasis of K (one full eigensolve
+of K, which also sets the default beta). The model keeps only these
+factors and two r x r matrices, H = U' E W and Q = W' L W, so the
+coefficient recursions that push kernel sections through powers of A and
+its adjoint run in rank-r coordinates.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynsys import SnapshotDataset
-from .eigsolve import Pencil, generalized_eig_topr, symmetric_eig
+from .eigsolve import reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
 from .kernels import WeightedKernelSpec, gram, weight_values
 
@@ -79,13 +83,14 @@ class FitDiagnostics:
     norm_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KoopmanModel:
     """Fitted finite-rank transfer operator held as its rank-r factors.
 
     U and W = K U / m are m x r; H = U' E W and Q = W' L W are r x r, where
     K is the input Gram, E the damped cross Gram and L the damped target
     Gram. damping holds exp(-eta(x_i)) in zubov mode and is None otherwise.
+    Models compare and hash by identity.
     """
 
     anchors_x: np.ndarray
@@ -177,8 +182,9 @@ def factor_model(
 
     Builds W, H and Q and every fit diagnostic. The fit and read_model both
     come through here, so a reloaded model is bit-identical to the fitted
-    one. The only m x m eigensolve is lam_max(L) for the a-priori bound; the
-    operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U.
+    one. The only m x m eigensolve is the top-1 solve for lam_max(L) in the
+    a-priori bound; the operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with
+    M = U' K U.
     """
     K, L, E, damping = grams
     m = len(K)
@@ -197,7 +203,7 @@ def factor_model(
         risk=_section_risk(Z, Q, WL, np.diag(L)),
         hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
         op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
-        norm_bound=float(symmetric_eig(L)[0][0]) / (beta * m),
+        norm_bound=float(symmetric_eig(L, top=1)[0][0]) / (beta * m),
     )
     return KoopmanModel(
         anchors_x=X,
@@ -235,11 +241,11 @@ def _fit(
     K, L, _, _ = grams
     if float(np.max(np.abs(K))) == 0.0:
         raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
+    lam, V = symmetric_eig(K)
     beta = cfg.beta
     if beta is None:
-        beta = cfg.beta_scale * float(symmetric_eig(K)[0][0]) / m
-    pencil = Pencil(left=(L @ K) / (m * m), right=K / m + beta * np.eye(m))
-    sigma_sq, U = generalized_eig_topr(pencil, cfg.rank)
+        beta = cfg.beta_scale * float(lam[0]) / m
+    sigma_sq, U = reduced_rank_eig(lam, V, L, beta, cfg.rank)
     U = normalize_columns(U, K, beta)
     return factor_model(kw, X, Y, eta, grams, beta, U, sigma_sq)
 
@@ -283,15 +289,23 @@ def operator_norm_bound(model: KoopmanModel) -> float:
     return model.diagnostics.norm_bound
 
 
+# K and L of the models regularized_objective has seen, dropped with the model.
+_OBJECTIVE_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def regularized_objective(model: KoopmanModel, theta: np.ndarray | None = None) -> float:
     """Empirical risk plus beta times squared HS norm, for any theta.
 
-    Dense O(m^3) reference: the Grams are reassembled from the anchors.
+    Dense O(m^3) reference. The Grams are assembled from the anchors on the
+    first call for a model and reused while the model is alive.
     """
     if theta is None:
         theta = model.theta
     m = len(model)
-    K, L, _, _ = assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+    if model not in _OBJECTIVE_GRAMS:
+        grams = assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+        _OBJECTIVE_GRAMS[model] = grams[:2]
+    K, L = _OBJECTIVE_GRAMS[model]
     C = theta.T @ K
     R = C - np.eye(m)
     risk = float(np.sum(R * (L @ R))) / m
@@ -316,6 +330,20 @@ def adjoint_coeffs(model: KoopmanModel, x: np.ndarray, t: int) -> np.ndarray:
     return model.W @ z
 
 
+def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
+    """Rows s_1..s_t with s_1 = W' (d * g0) and s_(k+1) = H' s_k.
+
+    A^k h = sum_i (U s_k)_i k_w(x_i, .) for the observable h with section
+    values g0 at the anchors_y; d is the damping (1 in plain mode).
+    """
+    d = model.damping
+    S = np.empty((t, model.rank))
+    S[0] = model.W.T @ (g0 if d is None else d * g0)
+    for k in range(1, t):
+        S[k] = model.H.T @ S[k - 1]
+    return S
+
+
 def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
     """Input-basis coefficients of A^t h for h with section values g0.
 
@@ -329,26 +357,31 @@ def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (len(model),):
         raise InvalidInputError("g0 must hold one value per anchor")
-    d = model.damping
-    s = model.W.T @ (g0 if d is None else d * g0)
-    for _ in range(t - 1):
-        s = model.H.T @ s
-    return model.U @ s
+    return model.U @ _forward_rank_coeffs(model, g0, t)[-1]
+
+
+def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> np.ndarray:
+    """Estimates of (w g)(f^t(x)) for t = 0..horizon from the fitted operator.
+
+    g maps a batch of states, shape (k, n), to k reals; it is evaluated
+    once at x and once on all anchors_y. t = 0 gives w(x) g(x) itself, and
+    t >= 1 gives (A^t (w g))(x) = s_t' U' k_x in rank coordinates.
+    """
+    if horizon < 0:
+        raise InvalidInputError("prediction horizon must be >= 0")
+    x = np.asarray(x, dtype=float)[None, :]
+    out = np.empty(horizon + 1)
+    out[0] = weight_values(model.kw.weight, x)[0] * g(x)[0]
+    if horizon >= 1:
+        g0 = weight_values(model.kw.weight, model.anchors_y) * g(model.anchors_y)
+        z = model.U.T @ gram(model.kw, model.anchors_x, x)[:, 0]
+        out[1:] = _forward_rank_coeffs(model, g0, horizon) @ z
+    return out
 
 
 def predict_observable(model: KoopmanModel, g, x: np.ndarray, t: int) -> float:
-    """Estimate of (w g)(f^t(x)) pushed through the fitted operator.
-
-    g maps a single state to a real; t = 0 returns w(x) g(x) directly.
-    """
-    x = np.asarray(x, dtype=float)
-    if t == 0:
-        return float(weight_values(model.kw.weight, x[None, :])[0] * g(x))
-    wy = weight_values(model.kw.weight, model.anchors_y)
-    g0 = wy * np.array([g(y) for y in model.anchors_y])
-    a = forward_coeffs(model, g0, t)
-    kx = gram(model.kw, model.anchors_x, x[None, :])[:, 0]
-    return float(a @ kx)
+    """Estimate of (w g)(f^t(x)); see predict_observables, which g must suit."""
+    return float(predict_observables(model, g, x, t)[t])
 
 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:

@@ -98,11 +98,17 @@ def base_gram(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Squared distances are formed by direct differencing (not the expanded
     dot-product identity) so that transposing the arguments gives the
-    bit-identical transposed matrix.
+    bit-identical transposed matrix. They are summed one coordinate at a
+    time into a single len(A) x len(B) array, so no (m, m, n) difference
+    array is built.
     """
-    D = A[:, None, :] - B[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", D, D)
-    return np.exp(-k.gamma * sq)
+    sq = np.zeros((len(A), len(B)))
+    for j in range(A.shape[1]):
+        d = A[:, j, None] - B[:, j]
+        d *= d
+        sq += d
+    sq *= -k.gamma
+    return np.exp(sq, out=sq)
 
 
 def eval_weighted_kernel(kw: WeightedKernelSpec, x: np.ndarray, y: np.ndarray) -> float:

@@ -155,6 +155,13 @@ def dense_forward_coeffs(model, g0: np.ndarray, t: int) -> np.ndarray:
     return a
 
 
+def einsum_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances [|a_i - b_j|^2] by one einsum over the full
+    (len(A), len(B), n) difference array; base_gram's reference."""
+    D = A[:, None, :] - B[None, :, :]
+    return np.einsum("ijk,ijk->ij", D, D)
+
+
 def ring_points(n: int, r_lo: float, r_hi: float, seed: int) -> np.ndarray:
     """n planar points with radius uniform in [r_lo, r_hi], seeded."""
     rng = np.random.default_rng(seed)

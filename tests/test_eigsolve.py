@@ -47,6 +47,13 @@ def test_symmetric_eig_reconstructs_descending():
     vals, vecs = symmetric_eig(S)
     assert np.all(np.diff(vals) <= 0)
     np.testing.assert_allclose((vecs * vals[None, :]) @ vecs.T, S, atol=1e-12)
+    for k in (1, 4, 9):
+        top_vals, top_vecs = symmetric_eig(S, top=k)
+        np.testing.assert_allclose(top_vals, vals[:k], rtol=1e-13)
+        np.testing.assert_allclose(S @ top_vecs, top_vecs * top_vals[None, :], atol=1e-12)
+    for bad in (0, 10):
+        with pytest.raises(InvalidInputError):
+            symmetric_eig(S, top=bad)
 
 
 def test_generalized_eig_recovers_planted_spectrum():

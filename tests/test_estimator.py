@@ -1,5 +1,9 @@
 """Reduced-rank operator fit: closed forms, optimality, and predictions."""
 
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,14 +11,17 @@ from koopcert import (
     EtaMismatchError,
     EtaSpec,
     InvalidInputError,
+    Pencil,
     RRRConfig,
     SnapshotDataset,
+    SolverFailureError,
     assemble_grams,
     empirical_risk,
     eval_weighted_kernel,
     fit_koopman,
     fit_zubov_koopman,
     forward_coeffs,
+    generalized_eig_topr,
     gram,
     heldout_risk,
     hs_norm,
@@ -23,7 +30,9 @@ from koopcert import (
     op_norm,
     operator_norm_bound,
     predict_observable,
+    predict_observables,
     regularized_objective,
+    theta_from_factors,
     weight_values,
 )
 from koopcert import DomainSpec, SystemSpec
@@ -83,6 +92,76 @@ def test_fit_is_exact_minimizer_dense_reference():
     np.testing.assert_allclose(
         regularized_objective(model), regularized_objective(model, theta_ref), rtol=1e-9
     )
+
+
+def general_pencil_fit(model):
+    """sigma_sq and theta of a model's pencil (L K / m^2, K / m + beta I)
+    from the general Cholesky and nonsymmetric eigensolver."""
+    K, L, _, _ = dense_grams(model)
+    m = len(model)
+    pencil = Pencil(left=(L @ K) / (m * m), right=K / m + model.beta * np.eye(m))
+    sigma_sq, U = generalized_eig_topr(pencil, model.rank)
+    return sigma_sq, theta_from_factors(normalize_columns(U, K, model.beta), K)
+
+
+def test_fit_matches_general_pencil_solver():
+    kw = kw_gaussian()
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    ds = make_dataset(
+        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 8, 1.0, 5, kw.weight, eta=eta
+    )
+    plain = SnapshotDataset(X=ds.X, Y=ds.Y, dt=ds.dt, seed=ds.seed)
+    models = list(dense_reference_fits())
+    for rank in (3, 8):
+        for beta in (None, 0.02):
+            cfg = RRRConfig(rank=rank, beta=beta)
+            models += [fit_koopman(plain, kw, cfg), fit_zubov_koopman(ds, kw, eta, cfg)]
+    for model in models:
+        sigma_sq, theta = general_pencil_fit(model)
+        np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-10)
+
+
+def test_rank_tie_warns_from_fit():
+    # the square's symmetry gives sigma_sq[1] == sigma_sq[2]
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    ds = SnapshotDataset(X=X, Y=0.5 * X, dt=1.0, seed=0)
+    with pytest.warns(RuntimeWarning, match="tie"):
+        fit_koopman(ds, kw_gaussian(), RRRConfig(rank=2))
+
+
+def test_rank_above_effective_rank_raises():
+    X = np.array([[0.5, 0.1], [1.0, -0.3], [-0.7, 0.4], [0.2, 0.9]])
+    # targets at the origin give L = 0; one shared target gives rank(L) = 1
+    for Y, rank in ((np.zeros_like(X), 1), (np.full_like(X, 0.3), 2)):
+        ds = SnapshotDataset(X=X, Y=Y, dt=1.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverFailureError, match="effective rank"):
+                fit_koopman(ds, kw_gaussian(), RRRConfig(rank=rank))
+
+
+def test_regularized_objective_reuses_grams_per_model():
+    def dense_objective(model):
+        K, L, _, _ = dense_grams(model)
+        R = model.theta.T @ K - np.eye(len(model))
+        quad = model.theta.T @ K @ model.theta
+        return float(np.sum(R * (L @ R))) / len(model) + model.beta * float(np.sum(quad * L))
+
+    kw = kw_gaussian()
+    models = []
+    for seed in (3, 4):
+        ds = make_dataset(SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 40, 1.0, seed, kw.weight)
+        models.append(fit_koopman(ds, kw, RRRConfig(rank=6)))
+    expected = [dense_objective(model) for model in models]
+    for _ in range(2):
+        for model, value in zip(models, expected):
+            np.testing.assert_allclose(regularized_objective(model), value, rtol=1e-12)
+    # the kept Grams do not keep the model alive
+    ref = weakref.ref(models[0])
+    del model, models
+    gc.collect()
+    assert ref() is None
 
 
 def test_normalize_columns_unit_quadratic_forms():
@@ -185,6 +264,14 @@ def test_predict_observable_linear_one_step():
                 forward_coeffs(ref, g0, t), dense, rtol=0, atol=1e-12 * scale
             )
             np.testing.assert_allclose(predict_observable(ref, g, x, t), dense @ kx, rtol=1e-12)
+        # the batch path against one dense recursion per step, t = 0..30
+        batch = predict_observables(ref, g, x, 30)
+        dense = [float(weight_values(ref.kw.weight, x[None, :])[0] * g(x[None, :])[0])]
+        dense += [dense_forward_coeffs(ref, g0, t) @ kx for t in range(1, 31)]
+        np.testing.assert_allclose(batch, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+        assert predict_observable(ref, g, x, 0) == batch[0]
+    with pytest.raises(InvalidInputError):
+        predict_observables(model, g, x, -1)
 
 
 def test_beta_resolution_from_scale():

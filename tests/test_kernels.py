@@ -17,7 +17,7 @@ from koopcert import (
     weight_values,
 )
 
-from helpers import kw_gaussian, scalar_weighted_kernel
+from helpers import einsum_sq_dists, kw_gaussian, scalar_weighted_kernel
 
 
 def test_weight_norm_power_hand_values():
@@ -71,6 +71,25 @@ def test_base_gram_unit_diagonal():
     X = rng.normal(size=(10, 2))
     K = base_gram(KernelSpec(kind="gaussian", gamma=4.0), X, X)
     np.testing.assert_allclose(np.diag(K), np.ones(10), atol=1e-15)
+
+
+def test_base_gram_matches_einsum_reference():
+    rng = np.random.default_rng(17)
+    k = KernelSpec(kind="gaussian", gamma=2.5)
+    for n in (1, 2, 5):
+        A = rng.normal(size=(30, n))
+        B = rng.normal(size=(20, n))
+        G = base_gram(k, A, B)
+        np.testing.assert_array_equal(base_gram(k, B, A), G.T)
+        sq = einsum_sq_dists(A, B)
+        ref = np.exp(-k.gamma * sq)
+        if n <= 2:
+            np.testing.assert_array_equal(G, ref)
+        else:
+            # Summation order differs past two coordinates, so the squared
+            # distances agree to 1e-15 relative; exp scales that by gamma |a-b|^2.
+            tol = 1e-15 * ref * np.maximum(1.0, k.gamma * sq)
+            assert np.all(np.abs(G - ref) <= tol)
 
 
 def test_weight_floor_not_applied_by_kernel():
