@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynsys import DomainSpec, SnapshotDataset, SystemSpec, check_decay_ratio, step
+from .dynsys import (
+    DomainSpec,
+    SnapshotDataset,
+    SystemSpec,
+    _escaped,
+    check_decay_ratio,
+    sample_uniform,
+    saturating,
+    step,
+)
 from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
 from .estimator import (
     EtaSpec,
@@ -156,15 +165,9 @@ def build_zubov(model: KoopmanModel, steps: int, nu: float = 1.0, varsigma: floa
         raise InvalidInputError("steps must be >= 0")
     if nu < 1 or varsigma <= 0:
         raise InvalidInputError("need nu >= 1 and varsigma > 0")
-    wy = weight_values(model.kw.weight, model.anchors_y)
-    g0 = wy**nu / (wy**nu + varsigma**nu)
+    g0 = saturating(weight_values(model.kw.weight, model.anchors_y), nu, varsigma)
     coeffs = forward_coeffs(model, g0, steps) if steps >= 1 else np.zeros(len(model))
     return ZubovEstimate(model=model, steps=steps, nu=nu, varsigma=varsigma, g0=g0, coeffs=coeffs)
-
-
-def _saturating_observable(weight: WeightSpec, X: np.ndarray, nu: float, varsigma: float) -> np.ndarray:
-    wv = weight_values(weight, X)
-    return wv**nu / (wv**nu + varsigma**nu)
 
 
 def zubov_value(est: ZubovEstimate, x: np.ndarray) -> float:
@@ -176,7 +179,7 @@ def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
     """Vectorized zubov_value over rows of X."""
     X = np.asarray(X, dtype=float)
     if est.steps == 0:
-        return _saturating_observable(est.model.kw.weight, X, est.nu, est.varsigma)
+        return saturating(weight_values(est.model.kw.weight, X), est.nu, est.varsigma)
     Kx = gram(est.model.kw, est.model.anchors_x, X)
     return est.coeffs @ Kx
 
@@ -306,8 +309,6 @@ def estimate_mu_table(
     drop below tail_tol. The table is monotone in a by construction
     (larger levels include all smaller-level samples).
     """
-    from .dynsys import sample_uniform
-
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0) or not np.all(np.diff(levels) > 0):
         raise InvalidInputError("levels must be positive and strictly increasing")
@@ -333,17 +334,12 @@ def accumulated_costs(
 
     Points that escape or fail to contract within the cap get +inf: their
     level cannot certify anything. Finite entries mark attracted starts."""
-    from .dynsys import GUARD_RADIUS
-
     state = np.asarray(X, dtype=float).copy()
     total = np.zeros(len(state))
     dead = np.zeros(len(state), dtype=bool)
     prev = None
     for t in range(step_cap):
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.all(np.isfinite(state), axis=1)
-            bad |= np.sqrt(np.sum(np.where(np.isfinite(state), state, 0.0) ** 2, axis=1)) > GUARD_RADIUS
-        dead |= bad
+        dead |= _escaped(state)
         state[dead] = 0.0
         alive = ~dead
         if not np.any(alive):

@@ -85,26 +85,24 @@ def _load(args) -> RunConfig:
     return load_config(args.config, seed_override=args.seed)
 
 
-def _sample(cfg: RunConfig):
-    eta = cfg.eta if cfg.certificate.mode == "zubov" else None
+def _draw(cfg: RunConfig, seed: int, eta):
     return make_dataset(
-        cfg.system,
-        cfg.domain,
-        cfg.sampling.m,
-        cfg.sampling.dt,
-        cfg.sampling.seed,
-        cfg.kw.weight,
-        eta=eta,
+        cfg.system, cfg.domain, cfg.sampling.m, cfg.sampling.dt, seed, cfg.kw.weight, eta=eta
     )
+
+
+def _sample(cfg: RunConfig, path: Path):
+    """Draw the training pairs, write them, and return them with their decay ratio."""
+    eta = cfg.eta if cfg.certificate.mode == "zubov" else None
+    ds = _draw(cfg, cfg.sampling.seed, eta)
+    write_dataset(ds, path)
+    return ds, check_decay_ratio(ds, cfg.kw.weight, eta=eta)
 
 
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    out = _outdir(args, cfg)
-    ds = _sample(cfg)
-    path = out / "dataset.csv"
-    write_dataset(ds, path)
-    alpha = check_decay_ratio(ds, cfg.kw.weight, eta=cfg.eta if ds.eta_x is not None else None)
+    path = _outdir(args, cfg) / "dataset.csv"
+    ds, alpha = _sample(cfg, path)
     _say(args, f"wrote {path} ({len(ds)} pairs, {ds.rejected_count} rejected)")
     _say(args, f"decay ratio alpha_hat = {fmt(alpha)}")
     if alpha >= 1:
@@ -112,20 +110,21 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _fit(cfg: RunConfig, ds):
+def _fit(cfg: RunConfig, ds, path: Path):
     if cfg.certificate.mode == "zubov":
-        return fit_zubov_koopman(ds, cfg.kw, cfg.eta, cfg.rrr)
-    return fit_koopman(ds, cfg.kw, cfg.rrr)
+        model = fit_zubov_koopman(ds, cfg.kw, cfg.eta, cfg.rrr)
+    else:
+        model = fit_koopman(ds, cfg.kw, cfg.rrr)
+    write_model(model, path)
+    return model
 
 
 def cmd_fit(args) -> int:
     cfg = _load(args)
     out = _outdir(args, cfg)
-    ds_path = Path(args.dataset) if args.dataset else out / "dataset.csv"
-    ds = read_dataset(ds_path)
-    model = _fit(cfg, ds)
+    ds = read_dataset(Path(args.dataset) if args.dataset else out / "dataset.csv")
     path = out / "model.txt"
-    write_model(model, path)
+    model = _fit(cfg, ds, path)
     d = model.diagnostics
     _say(args, f"wrote {path} (mode={model.mode}, m={len(model)}, rank={model.rank})")
     _say(args, f"empirical risk   = {fmt(d.risk)}")
@@ -139,44 +138,68 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_lyapunov(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args, cfg)
-    model = read_model(Path(args.model) if args.model else out / "model.txt")
-    est = build_lyapunov(model, tol=cfg.certificate.tol, horizon=cfg.certificate.horizon)
-    coords, vals = grid_eval(
-        lambda pts: lyapunov_values(est, pts), cfg.domain, cfg.output.grid_resolution
+def _read_model(args, out: Path):
+    return read_model(Path(args.model) if args.model else out / "model.txt")
+
+
+def _report(cfg: RunConfig, model, path: Path, heldout: bool = False):
+    """Write the bound report, with the held-out risk on a fresh draw if asked."""
+    cert = cfg.certificate
+    sample = _draw(cfg, cfg.sampling.seed + 1, model.eta) if heldout else None
+    report = bound_report(
+        model, delta=cert.delta, heldout=sample, nu=cert.nu, varsigma=cert.varsigma
     )
-    grid_path = out / "lyapunov_grid.csv"
-    write_grid(coords, vals, grid_path)
-    report = bound_report(model, delta=cfg.certificate.delta)
-    report_path = out / "report.txt"
-    write_report(report, report_path)
-    _say(args, f"wrote {grid_path} and {report_path}")
-    _say(args, f"series horizon = {est.horizon}, tail bound = {fmt(est.tail_bound)}")
+    write_report(report, path)
+    return report
+
+
+def _lyapunov_grid(cfg: RunConfig, model, path: Path):
+    """Build the series certificate and write its grid; returns it and the grid points."""
+    est = build_lyapunov(model, tol=cfg.certificate.tol, horizon=cfg.certificate.horizon)
     if est.alpha_source != "op_norm":
         _warn(
             f"fitted operator norm {fmt(model.diagnostics.op_norm)} >= 1; horizon "
             f"chosen from the observed decay ratio {fmt(est.alpha)} instead"
         )
-    return 0
+    coords, vals = grid_eval(
+        lambda pts: lyapunov_values(est, pts), cfg.domain, cfg.output.grid_resolution
+    )
+    write_grid(coords, vals, path)
+    return est, coords
 
 
-def cmd_zubov(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args, cfg)
-    model = read_model(Path(args.model) if args.model else out / "model.txt")
+def _zubov_grid(cfg: RunConfig, model, path: Path):
+    """Build the t-step indicator and write its grid; returns t and the grid points."""
     cert = cfg.certificate
     steps = cert.zubov_steps(cfg.sampling.dt)
     est = build_zubov(model, steps, nu=cert.nu, varsigma=cert.varsigma)
     coords, vals = grid_eval(
         lambda pts: zubov_values(est, pts), cfg.domain, cfg.output.grid_resolution
     )
-    grid_path = out / "zubov_grid.csv"
-    write_grid(coords, vals, grid_path)
-    report = bound_report(model, delta=cert.delta, nu=cert.nu, varsigma=cert.varsigma)
-    report_path = out / "report.txt"
-    write_report(report, report_path)
+    write_grid(coords, vals, path)
+    return steps, coords
+
+
+def cmd_lyapunov(args) -> int:
+    cfg = _load(args)
+    out = _outdir(args, cfg)
+    model = _read_model(args, out)
+    grid_path, report_path = out / "lyapunov_grid.csv", out / "report.txt"
+    est, _ = _lyapunov_grid(cfg, model, grid_path)
+    _report(cfg, model, report_path)
+    _say(args, f"wrote {grid_path} and {report_path}")
+    _say(args, f"series horizon = {est.horizon}, tail bound = {fmt(est.tail_bound)}")
+    return 0
+
+
+def cmd_zubov(args) -> int:
+    cfg = _load(args)
+    out = _outdir(args, cfg)
+    model = _read_model(args, out)
+    grid_path, report_path = out / "zubov_grid.csv", out / "report.txt"
+    steps, _ = _zubov_grid(cfg, model, grid_path)
+    report = _report(cfg, model, report_path)
+    cert = cfg.certificate
     err = zubov_error_bound(
         steps, report.alpha_plug, report.empirical_risk, cert.nu, cert.varsigma
     )
@@ -188,25 +211,8 @@ def cmd_zubov(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load(args)
     out = _outdir(args, cfg)
-    model = read_model(Path(args.model) if args.model else out / "model.txt")
-    heldout = make_dataset(
-        cfg.system,
-        cfg.domain,
-        cfg.sampling.m,
-        cfg.sampling.dt,
-        cfg.sampling.seed + 1,
-        cfg.kw.weight,
-        eta=model.eta,
-    )
-    report = bound_report(
-        model,
-        delta=cfg.certificate.delta,
-        heldout=heldout,
-        nu=cfg.certificate.nu,
-        varsigma=cfg.certificate.varsigma,
-    )
     path = out / "report.txt"
-    write_report(report, path)
+    report = _report(cfg, _read_model(args, out), path, heldout=True)
     _say(args, f"wrote {path}")
     _say(args, f"empirical risk = {fmt(report.empirical_risk)}")
     _say(args, f"held-out risk  = {fmt(report.heldout_risk)}")
@@ -216,17 +222,10 @@ def cmd_report(args) -> int:
 
 
 def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
-    est = build_lyapunov(model, tol=cfg.certificate.tol)
-    if est.alpha_source != "op_norm":
-        _warn(
-            f"fitted operator norm {fmt(model.diagnostics.op_norm)} >= 1; horizon "
-            f"chosen from the observed decay ratio {fmt(est.alpha)} instead"
-        )
-    res = cfg.output.grid_resolution
-    coords, vals = grid_eval(lambda pts: lyapunov_values(est, pts), cfg.domain, res)
-    write_grid(coords, vals, out / "lyapunov_grid.csv")
+    est, coords = _lyapunov_grid(cfg, model, out / "lyapunov_grid.csv")
     oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, coords, cfg.sampling.dt, tail_tol=1e-10)
     write_grid(coords, oracle, out / "lyapunov_oracle_grid.csv")
+    res = cfg.output.grid_resolution
     _say(args, f"wrote lyapunov grids ({res}x{res}, horizon {est.horizon})")
 
     # Observable tracking from one seeded start: truth w(x_t) q(x_t) against
@@ -254,15 +253,12 @@ def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
 
 def _reproduce_zubov(args, cfg: RunConfig, model, out: Path) -> None:
     cert = cfg.certificate
-    steps = cert.zubov_steps(cfg.sampling.dt)
-    est = build_zubov(model, steps, nu=cert.nu, varsigma=cert.varsigma)
-    res = cfg.output.grid_resolution
-    coords, vals = grid_eval(lambda pts: zubov_values(est, pts), cfg.domain, res)
-    write_grid(coords, vals, out / "zubov_grid.csv")
+    steps, coords = _zubov_grid(cfg, model, out / "zubov_grid.csv")
     oracle = oracle_zubov_batch(
         cfg.system, cfg.kw.weight, cfg.eta, coords, cfg.sampling.dt, steps, cert.nu, cert.varsigma
     )
     write_grid(coords, oracle, out / "zubov_oracle_grid.csv")
+    res = cfg.output.grid_resolution
     _say(args, f"wrote zubov grids ({res}x{res}, {steps} steps)")
 
     # Attraction-level certificate: estimate the cost table and the decay
@@ -312,32 +308,11 @@ def cmd_reproduce(args) -> int:
     cfg_path.write_text(text)
     cfg = load_config(cfg_path, seed_override=args.seed)
 
-    ds = _sample(cfg)
-    write_dataset(ds, out / "dataset.csv")
-    alpha = check_decay_ratio(ds, cfg.kw.weight, eta=cfg.eta if ds.eta_x is not None else None)
+    ds, alpha = _sample(cfg, out / "dataset.csv")
     _say(args, f"sampled {len(ds)} pairs, alpha_hat = {fmt(alpha)}")
-
-    model = _fit(cfg, ds)
-    write_model(model, out / "model.txt")
+    model = _fit(cfg, ds, out / "model.txt")
     _say(args, f"fit: risk = {fmt(model.diagnostics.risk)}, op norm = {fmt(model.diagnostics.op_norm)}")
-
-    heldout = make_dataset(
-        cfg.system,
-        cfg.domain,
-        cfg.sampling.m,
-        cfg.sampling.dt,
-        cfg.sampling.seed + 1,
-        cfg.kw.weight,
-        eta=model.eta,
-    )
-    report = bound_report(
-        model,
-        delta=cfg.certificate.delta,
-        heldout=heldout,
-        nu=cfg.certificate.nu,
-        varsigma=cfg.certificate.varsigma,
-    )
-    write_report(report, out / "report.txt")
+    _report(cfg, model, out / "report.txt", heldout=True)
 
     if args.example == "example1":
         _reproduce_lyapunov(args, cfg, model, out)

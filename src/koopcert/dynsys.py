@@ -4,6 +4,10 @@ The discrete map under study is the fixed-step RK4 flow of a stable ODE.
 Everything here is deterministic given the seed, and the oracles evaluate
 the true Lyapunov / stability-boundary series by direct simulation so the
 operator-based estimates elsewhere can be checked against ground truth.
+Each oracle is one batch simulation over the rows of X; the scalar forms
+take one row of it. `_escaped` is the one escape test (non-finite, or past
+GUARD_RADIUS) for orbits here and in the cost accumulation, and
+`saturating` is the one form of the observable w^nu / (w^nu + varsigma^nu).
 """
 
 from __future__ import annotations
@@ -167,9 +171,17 @@ def step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_state(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)) or np.any(np.sqrt(np.sum(x * x, axis=-1)) > GUARD_RADIUS):
-        raise IntegrationBlowupError("trajectory escaped the guard radius 1e6")
+def _escaped(x: np.ndarray) -> np.ndarray:
+    """Mask over the last axis: states that are non-finite or beyond GUARD_RADIUS."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(x)
+        radius = np.sqrt(np.sum(np.where(finite, x, 0.0) ** 2, axis=-1))
+    return ~np.all(finite, axis=-1) | (radius > GUARD_RADIUS)
+
+
+def saturating(w: np.ndarray, nu: float, varsigma: float) -> np.ndarray:
+    """The saturating observable w^nu / (w^nu + varsigma^nu) of weight values w."""
+    return w**nu / (w**nu + varsigma**nu)
 
 
 def trajectory(sys: SystemSpec, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -179,10 +191,11 @@ def trajectory(sys: SystemSpec, x0: np.ndarray, dt: float, steps: int) -> np.nda
         raise InvalidInputError("steps must be >= 0")
     out = np.empty((steps + 1,) + x0.shape)
     out[0] = x0
-    _check_state(x0)
-    for t in range(steps):
-        out[t + 1] = step(sys, out[t], dt)
-        _check_state(out[t + 1])
+    for t in range(steps + 1):
+        if np.any(_escaped(out[t])):
+            raise IntegrationBlowupError("trajectory escaped the guard radius 1e6")
+        if t < steps:
+            out[t + 1] = step(sys, out[t], dt)
     return out
 
 
@@ -254,35 +267,21 @@ def check_decay_ratio(ds: SnapshotDataset, weight: WeightSpec, eta=None) -> floa
 def oracle_lyapunov(
     sys: SystemSpec, kw: WeightedKernelSpec, x: np.ndarray, dt: float, tail_tol: float = 1e-10
 ) -> float:
-    """True Lyapunov value sum_t k_w(x_t, x_t) by direct simulation.
-
-    The series is truncated once the running term and its geometric tail
-    estimate both fall below tail_tol. Identity observable matrix assumed,
-    matching the estimator side.
-    """
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    prev = None
-    alpha = 0.0
-    for t in range(STEP_CAP):
-        _check_state(x)
-        term = float(weight_values(kw.weight, x[None, :])[0] ** 2)
-        total += term
-        if prev is not None and prev > 0:
-            alpha = max(alpha, np.sqrt(term / prev))
-        if term < tail_tol and alpha < 1 and term / (1.0 - alpha**2) < tail_tol:
-            return total
-        if term == 0.0:
-            return total
-        prev = term
-        x = step(sys, x, dt)
-    raise DivergenceError("weight did not decay within the step cap")
+    """oracle_lyapunov_batch at a single state."""
+    return float(oracle_lyapunov_batch(sys, kw, np.asarray(x, dtype=float)[None, :], dt, tail_tol)[0])
 
 
 def oracle_lyapunov_batch(
     sys: SystemSpec, kw: WeightedKernelSpec, X: np.ndarray, dt: float, tail_tol: float = 1e-10
 ) -> np.ndarray:
-    """Vectorized oracle_lyapunov over rows of X (for grid comparisons)."""
+    """True Lyapunov value sum_t k_w(x_t, x_t) at each row of X by direct simulation.
+
+    The series is truncated once the largest running term and its geometric
+    tail estimate both fall below tail_tol; the tail factor is the largest
+    observed one-step ratio over the rows. Identity observable matrix
+    assumed, matching the estimator side. An orbit that reaches a
+    non-finite state raises IntegrationBlowupError.
+    """
     X = np.asarray(X, dtype=float)
     state = X.copy()
     total = np.zeros(len(X))
@@ -317,29 +316,9 @@ def oracle_zubov(
     nu: float,
     varsigma: float,
 ) -> float:
-    """True t-step damped stability value by direct simulation.
-
-    Returns exp(-sum_{s<t} eta(x_s)) * g(x_t) with
-    g(z) = w(z)^nu / (w(z)^nu + varsigma^nu). Trajectories that escape the
-    guard radius contribute zero: the accumulated cost has already driven
-    the damping factor below double precision by then.
-    """
-    x = np.asarray(x, dtype=float)
-    if steps < 0:
-        raise InvalidInputError("steps must be >= 0")
-    cost = 0.0
-    for s in range(steps):
-        if not np.all(np.isfinite(x)) or np.sqrt(np.sum(x * x)) > GUARD_RADIUS:
-            return 0.0
-        cost += float(eta.values(x[None, :])[0])
-        if cost > 745.0:
-            return 0.0
-        x = step(sys, x, dt)
-    if not np.all(np.isfinite(x)) or np.sqrt(np.sum(x * x)) > GUARD_RADIUS:
-        return 0.0
-    wv = float(weight_values(weight, x[None, :])[0])
-    g = wv**nu / (wv**nu + varsigma**nu)
-    return float(np.exp(-cost) * g)
+    """oracle_zubov_batch at a single state."""
+    x = np.asarray(x, dtype=float)[None, :]
+    return float(oracle_zubov_batch(sys, weight, eta, x, dt, steps, nu, varsigma)[0])
 
 
 def oracle_zubov_batch(
@@ -352,29 +331,28 @@ def oracle_zubov_batch(
     nu: float,
     varsigma: float,
 ) -> np.ndarray:
-    """Vectorized oracle_zubov over rows of X."""
-    X = np.asarray(X, dtype=float)
-    state = X.copy()
-    cost = np.zeros(len(X))
-    dead = np.zeros(len(X), dtype=bool)
+    """True t-step damped stability value at each row of X by direct simulation.
 
-    def _mark_dead():
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.all(np.isfinite(state), axis=1)
-            bad |= np.sqrt(np.sum(np.where(np.isfinite(state), state, 0.0) ** 2, axis=1)) > GUARD_RADIUS
-        dead[bad] = True
+    Returns exp(-sum_{s<t} eta(x_s)) * saturating(w(x_t), nu, varsigma).
+    Trajectories that escape the guard radius contribute zero: the
+    accumulated cost has already driven the damping factor below double
+    precision by then. Rows are simulated independently.
+    """
+    if steps < 0:
+        raise InvalidInputError("steps must be >= 0")
+    state = np.array(X, dtype=float)
+    cost = np.zeros(len(state))
+    dead = np.zeros(len(state), dtype=bool)
+    for _ in range(steps):
+        dead |= _escaped(state)
         state[dead] = 0.0
-
-    for s in range(steps):
-        _mark_dead()
         alive = ~dead
         if np.any(alive):
             cost[alive] += eta.values(state[alive])
-        dead[cost > 745.0] = True
+        dead |= cost > 745.0
         state = step(sys, state, dt)
-    _mark_dead()
-    wv = weight_values(weight, state)
-    g = wv**nu / (wv**nu + varsigma**nu)
-    out = np.exp(-cost) * g
+    dead |= _escaped(state)
+    state[dead] = 0.0
+    out = np.exp(-cost) * saturating(weight_values(weight, state), nu, varsigma)
     out[dead] = 0.0
     return out

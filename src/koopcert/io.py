@@ -27,6 +27,10 @@ from .estimator import (
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
+# Stored and recomputed diagnostics must agree to this relative error. The
+# risk is a difference of nearly equal terms, so its last digits move with
+# the BLAS build and summation order.
+DIAGNOSTICS_RTOL = 1e-10
 
 
 def fmt(x: float) -> str:
@@ -34,8 +38,9 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_row(row) -> str:
-    return ",".join(fmt(v) for v in row)
+def _write_rows(target, header: str, rows: np.ndarray) -> None:
+    """Header line, then one comma-separated 17-digit line per row."""
+    np.savetxt(target, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
@@ -43,15 +48,11 @@ def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
     path = Path(path)
     n = ds.X.shape[1]
     cols = [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)]
+    data = [ds.X, ds.Y]
     if ds.eta_x is not None:
         cols.append("eta")
-    lines = [",".join(cols)]
-    for i in range(len(ds)):
-        row = list(ds.X[i]) + list(ds.Y[i])
-        if ds.eta_x is not None:
-            row.append(ds.eta_x[i])
-        lines.append(_fmt_row(row))
-    path.write_text("\n".join(lines) + "\n")
+        data.append(ds.eta_x[:, None])
+    _write_rows(path, ",".join(cols), np.hstack(data))
 
     meta = configparser.ConfigParser()
     meta["dataset"] = {
@@ -105,12 +106,6 @@ def read_dataset(path: str | Path) -> SnapshotDataset:
     )
 
 
-def _write_matrix(out: list[str], name: str, M: np.ndarray) -> None:
-    out.append(f"[{name}]")
-    for row in np.atleast_2d(M):
-        out.append(_fmt_row(row))
-
-
 def write_model(model: KoopmanModel, path: str | Path) -> None:
     """Sectioned text format: specs, diagnostics, anchors and the factor U.
 
@@ -137,11 +132,12 @@ def write_model(model: KoopmanModel, path: str | Path) -> None:
     out.append("[diagnostics]")
     for name in CHECKED_DIAGNOSTICS:
         out.append(f"{name}={fmt(getattr(model.diagnostics, name))}")
-    out.append(f"sigma_sq={_fmt_row(model.diagnostics.sigma_sq)}")
-    _write_matrix(out, "anchors_x", model.anchors_x)
-    _write_matrix(out, "anchors_y", model.anchors_y)
-    _write_matrix(out, "U", model.U)
-    Path(path).write_text("\n".join(out) + "\n")
+    out.append("sigma_sq=" + ",".join(fmt(v) for v in model.diagnostics.sigma_sq))
+    buf = _io.StringIO()
+    buf.write("\n".join(out) + "\n")
+    for name in ("anchors_x", "anchors_y", "U"):
+        _write_rows(buf, f"[{name}]", getattr(model, name))
+    Path(path).write_text(buf.getvalue())
 
 
 def _parse_sections(text: str) -> dict[str, list[str]]:
@@ -178,8 +174,9 @@ def read_model(path: str | Path) -> KoopmanModel:
 
     The Grams are reassembled from the anchors and the factors and
     diagnostics recomputed by the same code as the fit. A file whose stored
-    diagnostics differ from the recomputed ones at 17 digits is rejected,
-    and so is a v1 file, which held the dense theta instead of U.
+    diagnostics differ from the recomputed ones by more than DIAGNOSTICS_RTOL
+    is rejected, and so are non-finite arrays and a v1 file, which held the
+    dense theta instead of U.
     """
     path = Path(path)
     sections = _parse_sections(_read_text(path, "model file"))
@@ -224,14 +221,23 @@ def read_model(path: str | Path) -> KoopmanModel:
     shapes = (X.shape, Y.shape, U.shape, sigma_sq.shape)
     if shapes != ((m, dim), (m, dim), (m, rank), (rank,)):
         raise InvalidInputError("model file arrays disagree with the declared sizes")
+    for name, A in (("anchors_x", X), ("anchors_y", Y), ("U", U), ("sigma_sq", sigma_sq)):
+        if not np.all(np.isfinite(A)):
+            raise InvalidInputError(f"model file {path} has non-finite {name} entries")
     if mode != ("koopman" if eta is None else "zubov"):
         raise InvalidInputError(f"model mode {mode!r} does not match its [eta] section")
     if not (np.isfinite(beta) and beta > 0):
         raise InvalidInputError("model file beta must be positive")
-    model = factor_model(kw, X, Y, eta, assemble_grams(kw, X, Y, eta), beta, U, sigma_sq)
+    # A genuine fit rebuilds without overflow; one that overflows cannot
+    # reproduce its stored diagnostics, so refuse it here without the warnings.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            model = factor_model(kw, X, Y, eta, assemble_grams(kw, X, Y, eta), beta, U, sigma_sq)
+    except FloatingPointError as exc:
+        raise InvalidInputError(f"model file {path} does not rebuild: {exc}") from exc
     for name, value in stored.items():
         recomputed = getattr(model.diagnostics, name)
-        if fmt(recomputed) != fmt(value):
+        if not abs(recomputed - value) <= DIAGNOSTICS_RTOL * abs(recomputed):
             raise InvalidInputError(
                 f"model file {path} stores {name}={fmt(value)} "
                 f"but its factors give {fmt(recomputed)}"
@@ -241,11 +247,8 @@ def read_model(path: str | Path) -> KoopmanModel:
 
 def write_grid(coords: np.ndarray, values: np.ndarray, path: str | Path) -> None:
     """CSV with one row per grid point: coordinates then the value."""
-    n = coords.shape[1]
-    lines = [",".join([f"x{i+1}" for i in range(n)] + ["value"])]
-    for c, v in zip(coords, values):
-        lines.append(_fmt_row(list(c) + [v]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ",".join([f"x{i+1}" for i in range(coords.shape[1])] + ["value"])
+    _write_rows(path, header, np.column_stack([coords, values]))
 
 
 def write_report(report: BoundReport, path: str | Path) -> None:

@@ -160,3 +160,13 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     val = oracle_zubov(sys, w, eta, np.array([1.9, 1.9]), 0.025, 400, 1.0, 0.1)
     assert val == 0.0
+    # The scalar oracle is one row of the batch, and rows are simulated
+    # independently, so mixed attracted and escaping starts agree exactly.
+    X = np.array([[1.9, 1.9], [0.5, -0.3], [1.5, 1.6], [-1.2, 0.8], [2.5, 1.0], [0.0, 0.0]])
+    for steps in (0, 1, 6, 400):
+        batch = oracle_zubov_batch(sys, w, eta, X, 0.025, steps, 1.0, 0.1)
+        assert [oracle_zubov(sys, w, eta, x, 0.025, steps, 1.0, 0.1) for x in X] == list(batch)
+        if steps == 400:
+            assert np.any(batch == 0.0) and np.any(batch > 0.0)
+    with pytest.raises(IntegrationBlowupError):
+        oracle_lyapunov(sys, kw_gaussian(), np.array([1.9, 1.9]), 0.025)

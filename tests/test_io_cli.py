@@ -100,6 +100,12 @@ def test_model_round_trip_koopman(tmp_path):
     assert roundtrip_check(model, path)
     # the reloaded model reproduces its stored risk from scratch
     assert fmt(empirical_risk(back)) == fmt(model.diagnostics.risk)
+    # a stored diagnostic that differs from the recomputed one in its last
+    # digit, as another BLAS build may round it, still loads
+    nudged = fmt(np.nextafter(model.diagnostics.norm_bound, np.inf))
+    text = re.sub(r"^norm_bound=.*$", f"norm_bound={nudged}", path.read_text(), flags=re.M)
+    path.write_text(text)
+    assert_same_factors(read_model(path), model)
 
 
 def test_model_round_trip_zubov(tmp_path):
@@ -343,6 +349,15 @@ def _dataset_with_bad_meta(tmp_path):
         lambda tmp_path: ["fit", str(tmp_path / "absent.csv")],
         _edited_model(lambda text: text.replace("model v2", "model v1").replace("[U]", "[theta]")),
         _edited_model(lambda text: re.sub(r"^risk=.*$", "risk=0.5", text, flags=re.M)),
+        _edited_model(
+            lambda text: re.sub(
+                r"^norm_bound=(.*)$",
+                lambda mo: f"norm_bound={fmt(float(mo.group(1)) * (1 + 1e-9))}",
+                text,
+                flags=re.M,
+            )
+        ),
+        _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
         _dataset_with_bad_meta,
     ],
     ids=[
@@ -352,6 +367,8 @@ def _dataset_with_bad_meta(tmp_path):
         "dataset-path-missing",
         "model-v1",
         "model-risk-tampered",
+        "model-norm-bound-off-1e-9",
+        "model-U-infinite",
         "dataset-meta-malformed",
     ],
 )
@@ -370,6 +387,7 @@ def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare):
     lines = proc.stderr.strip().split("\n")
     assert proc.returncode == 1, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert path in lines[0], proc.stderr
     assert "Traceback" not in proc.stderr
 
 
