@@ -17,16 +17,11 @@ from koopcert import (
     SystemSpec,
     WeightSpec,
     WeightedKernelSpec,
-    accumulated_costs,
     build_zubov,
-    doa_level_threshold,
-    estimate_mu_table,
+    estimate_doa,
     fit_zubov_koopman,
     make_dataset,
     mu_from_table,
-    sample_uniform,
-    step,
-    weight_values,
     zubov_values,
 )
 
@@ -53,20 +48,8 @@ print(f"mean indicator near the equilibrium:         {zubov_values(est, inside).
 
 # Certify a weight sublevel set. The cost table mu(a) comes from simulated
 # trajectories, the decay floor alpha and the escape rate floor eta come
-# from a fresh sample of the box.
-levels = np.linspace(0.1, 1.0, 10)
-table = estimate_mu_table(sys, dom, kw.weight, eta, levels, 500, dt, 44)
-pool = sample_uniform(dom, 500, 44)
-costs = accumulated_costs(sys, eta, pool, dt)
-attracted = np.isfinite(costs)
-eta_lower = float(np.min(eta.values(pool)[~attracted]))
-wx = weight_values(kw.weight, pool)
-wy = weight_values(kw.weight, step(sys, pool, dt))
-alpha_lower = min(float(np.min(wy[attracted] / wx[attracted])), 1.0)
-print(f"eta floor off the basin {eta_lower:.4f}, weight decay floor {alpha_lower:.4f}")
-
-a_star = doa_level_threshold(
-    eta_lower, mu_from_table(table), alpha_lower, 0.1, bracket=(0.1, 1.0)
-)
-print(f"certified weight level a* = {a_star}")
-print(f"largest simulated cost inside that level: {mu_from_table(table)(a_star):.4f}")
+# from the same simulation of a sample of the box.
+doa = estimate_doa(sys, dom, kw.weight, eta, np.linspace(0.1, 1.0, 10), 500, dt, 44, 0.1)
+print(f"eta floor off the basin {doa.eta_lower:.4f}, weight decay floor {doa.alpha_lower:.4f}")
+print(f"certified weight level a* = {doa.a_star}")
+print(f"largest simulated cost inside that level: {mu_from_table(doa.table)(doa.a_star):.4f}")

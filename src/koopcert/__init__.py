@@ -9,6 +9,7 @@ bounds for all of them.
 
 from .certificates import (
     BoundReport,
+    DoaEstimate,
     LyapunovEstimate,
     ZubovEstimate,
     accumulated_costs,
@@ -18,7 +19,7 @@ from .certificates import (
     c_nu,
     concentration_epsilons,
     doa_level_threshold,
-    estimate_mu_table,
+    estimate_doa,
     generalization_bound,
     grid_eval,
     lyapunov_error_bound,

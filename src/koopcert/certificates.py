@@ -289,42 +289,59 @@ def doa_level_threshold(
     return a_ok
 
 
-def estimate_mu_table(
+@dataclass(frozen=True)
+class DoaEstimate:
+    """Simulated cost table, escape and decay floors, and certified level a*."""
+
+    table: dict[float, float]
+    eta_lower: float
+    alpha_lower: float
+    a_star: float | None
+
+
+def estimate_doa(
     sys: SystemSpec,
     dom: DomainSpec,
     weight: WeightSpec,
     eta: EtaSpec,
     levels: np.ndarray,
-    samples_per_level: int,
+    samples: int,
     dt: float,
     seed: int,
-    tail_tol: float = 1e-6,
-    step_cap: int = 10_000,
-) -> dict[float, float]:
-    """Empirical table a -> mu_a = max over sampled sublevel states of the
-    accumulated trajectory cost sum_t eta(x_t).
+    varsigma: float,
+) -> DoaEstimate:
+    """Attraction-level certificate from one simulation of sampled states.
 
-    States are drawn uniformly from the domain and kept when w(x) <= a;
-    each cost series is truncated once its running term and geometric tail
-    drop below tail_tol. The table is monotone in a by construction
-    (larger levels include all smaller-level samples).
+    From one pool of 4 * samples states drawn at seed, level a takes the
+    first samples states with w(x) <= a and the floors take the first
+    samples states; one accumulated_costs run simulates them all. mu_a is
+    the running maximum over levels up to a of a level's largest cost (a
+    capped level need not hold a smaller level's states). eta_lower is the
+    least state cost off the basin, alpha_lower the least one-step weight
+    ratio on it, capped at 1; a_star bisects over (levels[0], levels[-1]).
     """
     levels = np.asarray(levels, dtype=float)
-    if np.any(levels <= 0) or not np.all(np.diff(levels) > 0):
-        raise InvalidInputError("levels must be positive and strictly increasing")
-    pool = sample_uniform(dom, samples_per_level * 4, seed)
+    if not levels.size or np.any(levels <= 0) or not np.all(np.diff(levels) > 0):
+        raise InvalidInputError("levels must be nonempty, positive and strictly increasing")
+    pool = sample_uniform(dom, samples * 4, seed)
     wv = weight_values(weight, pool)
-    table: dict[float, float] = {}
-    prev_mu = 0.0
-    for a in levels:
-        pts = pool[wv <= a][:samples_per_level]
-        mu = prev_mu
-        if len(pts):
-            costs = accumulated_costs(sys, eta, pts, dt, tail_tol, step_cap)
-            mu = max(mu, float(np.max(costs)))
-        table[float(a)] = mu
-        prev_mu = mu
-    return table
+    picks = [np.flatnonzero(wv <= a)[:samples] for a in levels]
+    sim = np.union1d(np.arange(samples), np.concatenate(picks))
+    costs = np.zeros(len(pool))
+    costs[sim] = accumulated_costs(sys, eta, pool[sim], dt)
+    level_max = [np.max(costs[pick], initial=0.0) for pick in picks]
+    table = dict(zip(levels.tolist(), np.maximum.accumulate(level_max).tolist()))
+
+    floor, wx, attracted = pool[:samples], wv[:samples], np.isfinite(costs[:samples])
+    eta_lower = float(np.min(eta.values(floor[~attracted]), initial=np.inf))
+    ok = attracted & (wx > 0)
+    ratios = weight_values(weight, step(sys, floor[ok], dt)) / wx[ok] if np.any(ok) else []
+    alpha_lower = float(np.min(ratios, initial=1.0))
+    a_star = None
+    if alpha_lower > 0 and math.isfinite(eta_lower):
+        bracket = (levels[0], levels[-1])
+        a_star = doa_level_threshold(eta_lower, mu_from_table(table), alpha_lower, varsigma, bracket)
+    return DoaEstimate(table, eta_lower, alpha_lower, a_star)
 
 
 def accumulated_costs(

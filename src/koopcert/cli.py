@@ -13,15 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import (
-    accumulated_costs,
     bound_report,
     build_lyapunov,
     build_zubov,
-    doa_level_threshold,
-    estimate_mu_table,
+    estimate_doa,
     grid_eval,
     lyapunov_values,
-    mu_from_table,
     zubov_error_bound,
     zubov_values,
 )
@@ -32,7 +29,6 @@ from .dynsys import (
     oracle_lyapunov_batch,
     oracle_zubov_batch,
     sample_uniform,
-    step,
     trajectory,
 )
 from .errors import (
@@ -263,41 +259,22 @@ def _reproduce_zubov(args, cfg: RunConfig, model, out: Path) -> None:
 
     # Attraction-level certificate: estimate the cost table and the decay
     # floor from simulation, then bisect for the largest certified level.
-    seed = cfg.sampling.seed + 2
-    levels = np.linspace(0.1, 1.0, 10)
-    table = estimate_mu_table(
-        cfg.system, cfg.domain, cfg.kw.weight, cfg.eta, levels, 500, cfg.sampling.dt, seed
+    doa = estimate_doa(
+        cfg.system, cfg.domain, cfg.kw.weight, cfg.eta, np.linspace(0.1, 1.0, 10), 500,
+        cfg.sampling.dt, cfg.sampling.seed + 2, cert.varsigma,
     )
-    pool = sample_uniform(cfg.domain, 500, seed)
-    costs = accumulated_costs(cfg.system, cfg.eta, pool, cfg.sampling.dt)
-    attracted = np.isfinite(costs)
-    eta_pool = cfg.eta.values(pool)
-    eta_lower = float(np.min(eta_pool[~attracted])) if np.any(~attracted) else float("inf")
-    wx = weight_values(cfg.kw.weight, pool)
-    wy = weight_values(cfg.kw.weight, step(cfg.system, pool, cfg.sampling.dt))
-    ok = attracted & (wx > 0)
-    alpha_lower = min(float(np.min(wy[ok] / wx[ok])), 1.0) if np.any(ok) else 1.0
-    a_star = None
-    if alpha_lower > 0 and np.isfinite(eta_lower):
-        a_star = doa_level_threshold(
-            eta_lower,
-            mu_from_table(table),
-            alpha_lower,
-            cert.varsigma,
-            bracket=(float(levels[0]), float(levels[-1])),
-        )
     lines = ["[doa]"]
-    lines.append(f"eta_lower={fmt(eta_lower)}")
-    lines.append(f"alpha_lower={fmt(alpha_lower)}")
-    lines.append(f"a_star={'none' if a_star is None else fmt(a_star)}")
+    lines.append(f"eta_lower={fmt(doa.eta_lower)}")
+    lines.append(f"alpha_lower={fmt(doa.alpha_lower)}")
+    lines.append(f"a_star={'none' if doa.a_star is None else fmt(doa.a_star)}")
     lines.append("[mu_table]")
-    for a, mu in table.items():
+    for a, mu in doa.table.items():
         lines.append(f"{fmt(a)}={fmt(mu)}")
     (out / "doa.txt").write_text("\n".join(lines) + "\n")
-    if a_star is None:
+    if doa.a_star is None:
         _say(args, "doa: no level in the bracket certified")
     else:
-        _say(args, f"doa: certified weight level a* = {fmt(a_star)}")
+        _say(args, f"doa: certified weight level a* = {fmt(doa.a_star)}")
 
 
 def cmd_reproduce(args) -> int:
@@ -325,24 +302,25 @@ def cmd_reproduce(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="koopcert", description=__doc__)
     common = _Parser(add_help=False)
-    common.add_argument("--config", help="run configuration file")
     common.add_argument("--seed", type=int, help="override the sampling seed")
     common.add_argument("--out", help="output directory (default from config)")
     common.add_argument("--quiet", action="store_true", help="suppress status lines")
+    configured = _Parser(add_help=False, parents=[common])
+    configured.add_argument("--config", required=True, help="run configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", parents=[common], help="draw a snapshot dataset")
+    p = sub.add_parser("sample", parents=[configured], help="draw a snapshot dataset")
     p.set_defaults(func=cmd_sample)
-    p = sub.add_parser("fit", parents=[common], help="fit the operator from a dataset")
+    p = sub.add_parser("fit", parents=[configured], help="fit the operator from a dataset")
     p.add_argument("dataset", nargs="?", help="dataset CSV (default <out>/dataset.csv)")
     p.set_defaults(func=cmd_fit)
-    p = sub.add_parser("lyapunov", parents=[common], help="evaluate the stability certificate grid")
+    p = sub.add_parser("lyapunov", parents=[configured], help="evaluate the stability certificate grid")
     p.add_argument("model", nargs="?", help="model file (default <out>/model.txt)")
     p.set_defaults(func=cmd_lyapunov)
-    p = sub.add_parser("zubov", parents=[common], help="evaluate the attraction indicator grid")
+    p = sub.add_parser("zubov", parents=[configured], help="evaluate the attraction indicator grid")
     p.add_argument("model", nargs="?", help="model file (default <out>/model.txt)")
     p.set_defaults(func=cmd_zubov)
-    p = sub.add_parser("report", parents=[common], help="write the bound report")
+    p = sub.add_parser("report", parents=[configured], help="write the bound report")
     p.add_argument("model", nargs="?", help="model file (default <out>/model.txt)")
     p.set_defaults(func=cmd_report)
     p = sub.add_parser("reproduce", parents=[common], help="run a benchmark pipeline end to end")
@@ -354,10 +332,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func in (cmd_sample, cmd_fit, cmd_lyapunov, cmd_zubov, cmd_report) and not args.config:
-        parser.error(f"{args.command} requires --config")
     try:
-        return args.func(args)
+        with np.errstate(over="raise"):
+            return args.func(args)
     except (InvalidInputError, EtaMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -368,7 +345,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: raise beta (rrr.beta_scale) or enlarge the sample", file=sys.stderr)
         return 3
-    except KoopcertError as exc:
+    except (KoopcertError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -279,8 +279,8 @@ def oracle_lyapunov_batch(
     The series is truncated once the largest running term and its geometric
     tail estimate both fall below tail_tol; the tail factor is the largest
     observed one-step ratio over the rows. Identity observable matrix
-    assumed, matching the estimator side. An orbit that reaches a
-    non-finite state raises IntegrationBlowupError.
+    assumed, matching the estimator side. An orbit whose weight overflows
+    or that reaches a non-finite state raises IntegrationBlowupError.
     """
     X = np.asarray(X, dtype=float)
     state = X.copy()
@@ -288,7 +288,11 @@ def oracle_lyapunov_batch(
     prev = None
     alpha = 0.0
     for t in range(STEP_CAP):
-        term = weight_values(kw.weight, state) ** 2
+        try:
+            with np.errstate(over="raise"):
+                term = weight_values(kw.weight, state) ** 2
+        except FloatingPointError as exc:
+            raise IntegrationBlowupError("a grid trajectory overflowed the weight") from exc
         total += term
         worst = float(np.max(term))
         if prev is not None:

@@ -80,7 +80,7 @@ def read_dataset(path: str | Path) -> SnapshotDataset:
     has_eta = header[-1] == "eta"
     n = (len(header) - (1 if has_eta else 0)) // 2
     try:
-        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]], dtype=float)
+        rows = _matrix(text[1:])
     except ValueError as exc:
         raise InvalidInputError(f"malformed dataset file {path}: {exc}") from exc
     if rows.ndim != 2 or rows.shape[1] != 2 * n + (1 if has_eta else 0):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from koopcert import certificates
 from koopcert import (
     ContractionViolatedError,
     DivergenceError,
@@ -20,13 +21,15 @@ from koopcert import (
     c_nu,
     concentration_epsilons,
     doa_level_threshold,
-    estimate_mu_table,
+    estimate_doa,
     generalization_bound,
     grid_eval,
     lyapunov_error_bound,
     lyapunov_value,
     lyapunov_values,
     mu_from_table,
+    sample_uniform,
+    step,
     truncation_horizon,
     weight_values,
     zubov_error_bound,
@@ -41,6 +44,7 @@ from helpers import (
     dense_reference_fits,
     example1_model,
     example2_model,
+    kw_gaussian,
     linear_lyapunov_truth,
     linear_model,
     mp_generalization_bound,
@@ -296,17 +300,54 @@ def test_accumulated_costs_divergent_orbit_is_infinite():
 
 def test_estimate_mu_table_monotone_and_bounded():
     sys = SystemSpec.linear_contraction(0.6)
-    from helpers import kw_gaussian
-
     weight = kw_gaussian().weight
     eta = EtaSpec(kind="quadratic-norm", scale=0.25)
     levels = np.linspace(0.25, 1.0, 4)
-    table = estimate_mu_table(sys, DomainSpec.ball(1.0), weight, eta, levels, 50, 1.0, seed=3)
+    table = estimate_doa(sys, DomainSpec.ball(1.0), weight, eta, levels, 50, 1.0, 3, 0.1).table
     vals = [table[a] for a in sorted(table)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     # sup over the sublevel set w <= a is 0.25 a^2 / (1 - 0.36)
     for a in sorted(table):
         assert table[a] <= 0.25 * a * a / (1.0 - 0.36) + 1e-9
+
+
+def test_estimate_doa_one_simulation_matches_per_level_runs(monkeypatch):
+    sys, eta = SystemSpec.example2(), EtaSpec(kind="quadratic-norm", scale=0.5)
+    dom, weight = DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), kw_gaussian(power=0.5).weight
+    levels, samples, dt, seed = np.linspace(0.1, 1.0, 10), 200, 0.025, 44
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return accumulated_costs(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "accumulated_costs", counting)
+    doa = estimate_doa(sys, dom, weight, eta, levels, samples, dt, seed, 0.1)
+    assert len(calls) == 1
+
+    # The floors on the box, computed directly on a fresh draw of samples states.
+    pool = sample_uniform(dom, samples, seed)
+    attracted = np.isfinite(accumulated_costs(sys, eta, pool, dt))
+    wx, wy = weight_values(weight, pool), weight_values(weight, step(sys, pool, dt))
+    ok = attracted & (wx > 0)
+    assert doa.eta_lower == float(np.min(eta.values(pool)[~attracted]))
+    assert doa.alpha_lower == min(float(np.min(wy[ok] / wx[ok])), 1.0)
+
+    # One run per level: the joint run stops no earlier than any of them,
+    # so each entry may only gain terms below the truncation tolerance.
+    big = sample_uniform(dom, 4 * samples, seed)
+    wv = weight_values(weight, big)
+    ref, mu = [], 0.0
+    for a in levels:
+        pts = big[wv <= a][:samples]
+        if len(pts):
+            mu = max(mu, float(np.max(accumulated_costs(sys, eta, pts, dt))))
+        ref.append(mu)
+    got = [doa.table[a] for a in levels.tolist()]
+    assert all(r <= g <= r + 1e-6 for r, g in zip(ref, got)), (ref, got)
+    assert doa.a_star == doa_level_threshold(
+        doa.eta_lower, mu_from_table(dict(zip(levels.tolist(), ref))), doa.alpha_lower, 0.1, (0.1, 1.0)
+    )
 
 
 def test_mu_from_table_step_semantics():

@@ -1,6 +1,7 @@
 """Built-in systems, sampling, and trajectory oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,5 +169,10 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
         assert [oracle_zubov(sys, w, eta, x, 0.025, steps, 1.0, 0.1) for x in X] == list(batch)
         if steps == 400:
             assert np.any(batch == 0.0) and np.any(batch > 0.0)
-    with pytest.raises(IntegrationBlowupError):
-        oracle_lyapunov(sys, kw_gaussian(), np.array([1.9, 1.9]), 0.025)
+    # The second start's weight overflows while its state is still finite;
+    # it must raise the same error without a RuntimeWarning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x0, power in (([1.9, 1.9], 1.0), ([1.62000904, 0.90343163], 0.5)):
+            with pytest.raises(IntegrationBlowupError):
+                oracle_lyapunov(sys, kw_gaussian(power=power), np.array(x0), 0.025)

@@ -287,10 +287,12 @@ def test_cli_zubov_pipeline(tmp_path):
     assert (tmp_path / "out" / "zubov_grid.csv").exists()
 
 
-def test_cli_missing_config_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["fit"])
-    assert exc.value.code == 1
+def test_cli_missing_config_is_usage_error(tmp_path):
+    # reproduce writes its built-in config, so it takes no --config at all.
+    for argv in (["fit"], ["reproduce", "example2", "--config", str(tmp_path / "absent.ini")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_cli_invalid_config_exits_1(tmp_path):
