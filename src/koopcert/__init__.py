@@ -23,12 +23,10 @@ from .certificates import (
     generalization_bound,
     grid_eval,
     lyapunov_error_bound,
-    lyapunov_value,
     lyapunov_values,
     mu_from_table,
     truncation_horizon,
     zubov_error_bound,
-    zubov_value,
     zubov_values,
 )
 from .config import CertificateConfig, OutputConfig, RunConfig, SamplingConfig, load_config
@@ -38,9 +36,7 @@ from .dynsys import (
     SystemSpec,
     check_decay_ratio,
     make_dataset,
-    oracle_lyapunov,
     oracle_lyapunov_batch,
-    oracle_zubov,
     oracle_zubov_batch,
     sample_uniform,
     step,
@@ -65,18 +61,13 @@ from .estimator import (
     FitDiagnostics,
     KoopmanModel,
     RRRConfig,
-    adjoint_coeffs,
     assemble_grams,
-    empirical_risk,
     fit_koopman,
     fit_zubov_koopman,
     forward_coeffs,
     heldout_risk,
-    hs_norm,
     normalize_columns,
-    op_norm,
     operator_norm_bound,
-    predict_observable,
     predict_observables,
     regularized_objective,
     theta_from_factors,
@@ -85,7 +76,6 @@ from .io import (
     fmt,
     read_dataset,
     read_model,
-    roundtrip_check,
     write_dataset,
     write_grid,
     write_model,
@@ -96,7 +86,6 @@ from .kernels import (
     WeightedKernelSpec,
     WeightSpec,
     base_gram,
-    eval_weight,
     eval_weighted_kernel,
     gram,
     weight_values,

@@ -35,6 +35,8 @@ from .estimator import (
 from .kernels import WeightSpec, gram, weight_values
 
 HORIZON_CAP = 100_000
+COST_STEP_CAP = 10_000
+DOA_LEVEL_TOL = 1e-10
 
 
 def truncation_horizon(alpha: float, c_max: float, tol: float) -> int:
@@ -127,11 +129,6 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
     )
 
 
-def lyapunov_value(est: LyapunovEstimate, x: np.ndarray) -> float:
-    """k_w(x, x) plus the truncated sum of adjoint-pushed section norms."""
-    return float(lyapunov_values(est, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def lyapunov_values(est: LyapunovEstimate, X: np.ndarray) -> np.ndarray:
     """Series value at each row of X through the precomputed r x r form."""
     model = est.model
@@ -170,13 +167,8 @@ def build_zubov(model: KoopmanModel, steps: int, nu: float = 1.0, varsigma: floa
     return ZubovEstimate(model=model, steps=steps, nu=nu, varsigma=varsigma, g0=g0, coeffs=coeffs)
 
 
-def zubov_value(est: ZubovEstimate, x: np.ndarray) -> float:
-    """Estimated t-step damped stability value at a single state."""
-    return float(zubov_values(est, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
-    """Vectorized zubov_value over rows of X."""
+    """Estimated t-step damped stability value at each row of X."""
     X = np.asarray(X, dtype=float)
     if est.steps == 0:
         return saturating(weight_values(est.model.kw.weight, X), est.nu, est.varsigma)
@@ -198,28 +190,19 @@ def c_nu(nu: float, varsigma: float) -> float:
 
 
 def generalization_bound(m: int, gamma: float, r: int, delta: float) -> float:
-    """High-probability excess-risk radius for the rank-r fit.
+    """High-probability excess-risk radius eps_y + gamma (gamma + 2 sqrt(r)) eps_x.
 
     Valid for any fitted operator with HS norm at most gamma; decreasing
-    in m, increasing in gamma and r. All logarithms are natural.
+    in m, increasing in gamma and r. The radii are concentration_epsilons.
     """
-    if m < 1 or r < 1:
-        raise InvalidInputError("need m >= 1 and r >= 1")
-    if not 0 < delta < 1:
-        raise InvalidInputError("delta must lie in (0, 1)")
-    if gamma < 0:
-        raise InvalidInputError("gamma must be nonnegative")
-    l6 = math.log(6.0 / delta)
-    l12 = math.log(12.0 * m * m / delta)
-    return (
-        l6 / m
-        + math.sqrt(8.0 * l6 / m)
-        + gamma * (gamma + 2.0 * math.sqrt(r)) * (6.0 * l12 / m + math.sqrt(9.0 * l12 / m))
-    )
+    if r < 1 or gamma < 0:
+        raise InvalidInputError("need r >= 1 and gamma >= 0")
+    eps_x, eps_y = concentration_epsilons(m, delta)
+    return eps_y + gamma * (gamma + 2.0 * math.sqrt(r)) * eps_x
 
 
 def concentration_epsilons(m: int, delta: float) -> tuple[float, float]:
-    """The two concentration radii feeding the excess-risk bound."""
+    """The two concentration radii feeding the excess-risk bound (natural logs)."""
     if m < 1:
         raise InvalidInputError("need m >= 1")
     if not 0 < delta < 1:
@@ -255,14 +238,13 @@ def doa_level_threshold(
     alpha_lower: float,
     varsigma: float,
     bracket: tuple[float, float],
-    tol: float = 1e-10,
 ) -> float | None:
     """Largest weight level a certified to sit inside the attraction basin.
 
     A level a is feasible when log(alpha_lower * a / varsigma) >=
     (mu_fn(a) + log 2) / eta_lower * log(1 / alpha_lower). Returns the
-    supremum of feasible levels inside the bracket by bisection, or None
-    when no bracket point is feasible.
+    supremum of feasible levels inside the bracket, bisected to DOA_LEVEL_TOL
+    relative, or None when no bracket point is feasible.
     """
     if eta_lower <= 0 or varsigma <= 0 or not 0 < alpha_lower <= 1:
         raise InvalidInputError("need eta_lower > 0, varsigma > 0, alpha_lower in (0, 1]")
@@ -280,7 +262,7 @@ def doa_level_threshold(
     if not feasible(lo):
         return None
     a_ok, a_bad = lo, hi
-    while a_bad - a_ok > tol * max(1.0, a_ok):
+    while a_bad - a_ok > DOA_LEVEL_TOL * max(1.0, a_ok):
         mid = 0.5 * (a_ok + a_bad)
         if feasible(mid):
             a_ok = mid
@@ -344,18 +326,17 @@ def estimate_doa(
     return DoaEstimate(table, eta_lower, alpha_lower, a_star)
 
 
-def accumulated_costs(
-    sys, eta, X, dt, tail_tol: float = 1e-6, step_cap: int = 10_000
-) -> np.ndarray:
+def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
     """Per-point accumulated cost sum_t eta(x_t) along simulated orbits.
 
-    Points that escape or fail to contract within the cap get +inf: their
-    level cannot certify anything. Finite entries mark attracted starts."""
+    Points that escape or fail to contract within COST_STEP_CAP steps get
+    +inf: their level cannot certify anything. Finite entries mark
+    attracted starts."""
     state = np.asarray(X, dtype=float).copy()
     total = np.zeros(len(state))
     dead = np.zeros(len(state), dtype=bool)
     prev = None
-    for t in range(step_cap):
+    for t in range(COST_STEP_CAP):
         dead |= _escaped(state)
         state[dead] = 0.0
         alive = ~dead
@@ -387,15 +368,14 @@ def accumulated_costs(
 
 
 def mu_from_table(table: dict[float, float]):
-    """Monotone step interpolant of an estimated mu table."""
+    """Upper step interpolant of an estimated mu table: mu is nondecreasing,
+    so the value at the next table level bounds it. Levels above the table raise."""
     levels = np.array(sorted(table))
     values = np.array([table[a] for a in levels])
 
     def mu_fn(a: float) -> float:
-        idx = np.searchsorted(levels, a, side="right") - 1
-        if idx < 0:
-            return float(values[0])
-        if a > levels[-1]:
+        idx = np.searchsorted(levels, a, side="left")
+        if idx == len(levels):
             raise InvalidInputError(f"mu table does not cover level {a:g}")
         return float(values[idx])
 
@@ -441,12 +421,11 @@ def bound_report(
     rho_check = generalization_bound(m, gamma, model.rank, delta)
     alpha = max(model.diagnostics.op_norm, _anchor_decay_ratio(model))
     h_risk = None if heldout is None else heldout_risk(model, heldout)
-    lyap_const = (
-        2.0 * alpha / (1.0 - alpha * alpha) ** 2 if alpha < 1 else float("inf")
-    )
+    # The constants are the error bounds at unit norm and risk (and t = 1).
+    lyap_const = lyapunov_error_bound(alpha, 1.0, 1.0) if alpha < 1 else float("inf")
     zub_const = None
     if model.mode == "zubov":
-        zub_const = c_nu(nu, varsigma) / varsigma
+        zub_const = zubov_error_bound(1, alpha, 1.0, nu, varsigma)
     return BoundReport(
         m=m,
         gamma=gamma,

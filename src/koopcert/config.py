@@ -6,12 +6,16 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .certificates import HORIZON_CAP
 from .dynsys import DomainSpec, SystemSpec
 from .errors import InvalidInputError
 from .estimator import EtaSpec, RRRConfig
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
+# Largest dense float64 array a run may ask for: the m x m Grams of the fit
+# or the m x resolution^dim Gram of a grid (see README, "Work-size cap").
+WORK_BYTES_CAP = 512 * 2**20
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,26 @@ def _domain(cp: configparser.ConfigParser, dim: int) -> DomainSpec:
     raise InvalidInputError(f"unknown domain kind {kind!r}")
 
 
+def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig, res: int) -> None:
+    """Refuse a Gram above WORK_BYTES_CAP bytes or a horizon outside [0, HORIZON_CAP] steps."""
+    m = sampling.m
+    need = 8 * m * max(m, res ** min(dim, 32))  # 2^32 grid points already pass the cap
+    if need > WORK_BYTES_CAP:
+        raise InvalidInputError(
+            f"m = {m} with a {res}^{dim} grid needs a {need}-byte Gram, over the "
+            f"{WORK_BYTES_CAP}-byte cap"
+        )
+    steps = cert.horizon if cert.horizon is not None else (cert.time or 0.0) / sampling.dt
+    if not 0 <= steps <= HORIZON_CAP:
+        raise InvalidInputError(f"certificate horizon {steps:g} is not in [0, {HORIZON_CAP}] steps")
+
+
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Any rule violation raises InvalidInputError so the CLI can map the whole
-    class to a single exit code.
+    class to a single exit code. That includes a run larger than
+    WORK_BYTES_CAP or HORIZON_CAP, refused before any state is built.
     """
     path = Path(path)
     if not path.exists():
@@ -133,7 +152,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
     try:
         system = _system(cp)
-        domain = _domain(cp, system.dim)
         sampling = SamplingConfig(
             m=cp.getint("sampling", "m"),
             seed=cp.getint("sampling", "seed", fallback=0),
@@ -177,6 +195,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
             dir=cp.get("output", "dir", fallback="out"),
             grid_resolution=cp.getint("output", "grid_resolution", fallback=101),
         ) if cp.has_section("output") else OutputConfig()
+        _check_work_size(system.dim, sampling, certificate, output.grid_resolution)
+        domain = _domain(cp, system.dim)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, InvalidInputError):
             raise

@@ -4,9 +4,9 @@ The discrete map under study is the fixed-step RK4 flow of a stable ODE.
 Everything here is deterministic given the seed, and the oracles evaluate
 the true Lyapunov / stability-boundary series by direct simulation so the
 operator-based estimates elsewhere can be checked against ground truth.
-Each oracle is one batch simulation over the rows of X; the scalar forms
-take one row of it. `_escaped` is the one escape test (non-finite, or past
-GUARD_RADIUS) for orbits here and in the cost accumulation, and
+Each oracle is one batch simulation over the rows of X, and rows are
+simulated independently. `_escaped` is the one escape test (non-finite,
+or past GUARD_RADIUS) for orbits here and in the cost accumulation, and
 `saturating` is the one form of the observable w^nu / (w^nu + varsigma^nu).
 """
 
@@ -264,13 +264,6 @@ def check_decay_ratio(ds: SnapshotDataset, weight: WeightSpec, eta=None) -> floa
     return float(np.max(ratios))
 
 
-def oracle_lyapunov(
-    sys: SystemSpec, kw: WeightedKernelSpec, x: np.ndarray, dt: float, tail_tol: float = 1e-10
-) -> float:
-    """oracle_lyapunov_batch at a single state."""
-    return float(oracle_lyapunov_batch(sys, kw, np.asarray(x, dtype=float)[None, :], dt, tail_tol)[0])
-
-
 def oracle_lyapunov_batch(
     sys: SystemSpec, kw: WeightedKernelSpec, X: np.ndarray, dt: float, tail_tol: float = 1e-10
 ) -> np.ndarray:
@@ -308,21 +301,6 @@ def oracle_lyapunov_batch(
         if not np.all(np.isfinite(state)):
             raise IntegrationBlowupError("a grid trajectory produced non-finite state")
     raise DivergenceError("weight did not decay within the step cap")
-
-
-def oracle_zubov(
-    sys: SystemSpec,
-    weight: WeightSpec,
-    eta,
-    x: np.ndarray,
-    dt: float,
-    steps: int,
-    nu: float,
-    varsigma: float,
-) -> float:
-    """oracle_zubov_batch at a single state."""
-    x = np.asarray(x, dtype=float)[None, :]
-    return float(oracle_zubov_batch(sys, weight, eta, x, dt, steps, nu, varsigma)[0])
 
 
 def oracle_zubov_batch(

@@ -222,6 +222,15 @@ def factor_model(
     )
 
 
+def _checked_eta(ds: SnapshotDataset, eta: EtaSpec) -> np.ndarray:
+    """The dataset's stored eta values, once they are checked against the spec."""
+    if ds.eta_x is None:
+        raise InvalidInputError("damped mode needs eta values stored in the dataset")
+    if np.max(np.abs(ds.eta_x - eta.values(ds.X))) > 1e-12:
+        raise EtaMismatchError("dataset eta values disagree with the eta spec")
+    return ds.eta_x
+
+
 def _fit(
     ds: SnapshotDataset,
     kw: WeightedKernelSpec,
@@ -233,10 +242,7 @@ def _fit(
     if cfg.rank > m:
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
     if eta is not None:
-        if ds.eta_x is None:
-            raise InvalidInputError("damped fit needs eta values stored in the dataset")
-        if np.max(np.abs(ds.eta_x - eta.values(X))) > 1e-12:
-            raise EtaMismatchError("dataset eta values disagree with the eta spec")
+        _checked_eta(ds, eta)
     grams = assemble_grams(kw, X, Y, eta)
     K, L, _, _ = grams
     if float(np.max(np.abs(K))) == 0.0:
@@ -269,21 +275,6 @@ def fit_zubov_koopman(
     return _fit(ds, kw, cfg, eta=eta)
 
 
-def empirical_risk(model: KoopmanModel) -> float:
-    """Mean squared section error (1/m) sum_i |A* k_w(x_i,.) - target_i|^2."""
-    return model.diagnostics.risk
-
-
-def hs_norm(model: KoopmanModel) -> float:
-    """Hilbert-Schmidt norm sqrt(trace(theta' K_w theta L_w))."""
-    return model.diagnostics.hs_norm
-
-
-def op_norm(model: KoopmanModel) -> float:
-    """Operator norm sqrt(lam_max(L^1/2 theta' K theta L^1/2))."""
-    return model.diagnostics.op_norm
-
-
 def operator_norm_bound(model: KoopmanModel) -> float:
     """A-priori operator norm bound lam_max(L_w) / (beta m)."""
     return model.diagnostics.norm_bound
@@ -312,22 +303,6 @@ def regularized_objective(model: KoopmanModel, theta: np.ndarray | None = None) 
     quad = theta.T @ K @ theta
     hs_sq = float(np.sum(quad * L))
     return risk + model.beta * hs_sq
-
-
-def adjoint_coeffs(model: KoopmanModel, x: np.ndarray, t: int) -> np.ndarray:
-    """Target-basis coefficients of (A*)^t k_w(x, .).
-
-    The returned vector b satisfies (A*)^t k_w(x,.) = sum_j b_j psi_j,
-    where psi_j is the (possibly damped) j-th target section; in rank
-    coordinates b = W H^(t-1) U' k_x.
-    """
-    if t < 1:
-        raise InvalidInputError("adjoint power t must be >= 1")
-    x = np.asarray(x, dtype=float)
-    z = model.U.T @ gram(model.kw, model.anchors_x, x[None, :])[:, 0]
-    for _ in range(t - 1):
-        z = model.H @ z
-    return model.W @ z
 
 
 def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
@@ -379,11 +354,6 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
     return out
 
 
-def predict_observable(model: KoopmanModel, g, x: np.ndarray, t: int) -> float:
-    """Estimate of (w g)(f^t(x)); see predict_observables, which g must suit."""
-    return float(predict_observables(model, g, x, t)[t])
-
-
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs."""
     Xh, Yh = ds.X, ds.Y
@@ -392,11 +362,7 @@ def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     # k_w(y, y) = w(y)^2 since the base kernel is 1 on the diagonal.
     t_norm = weight_values(model.kw.weight, Yh) ** 2
     if model.mode == "zubov":
-        if ds.eta_x is None:
-            raise InvalidInputError("held-out risk in damped mode needs eta values")
-        if np.max(np.abs(ds.eta_x - model.eta.values(Xh))) > 1e-12:
-            raise EtaMismatchError("held-out eta values disagree with the model eta")
-        dh = np.exp(-ds.eta_x)
+        dh = np.exp(-_checked_eta(ds, model.eta))
         G = model.damping[:, None] * G * dh[None, :]
         t_norm = dh**2 * t_norm
     return _section_risk(Z, model.Q, model.W.T @ G, t_norm)

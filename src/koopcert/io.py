@@ -17,13 +17,7 @@ import numpy as np
 from .certificates import BoundReport
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
-from .estimator import (
-    EtaSpec,
-    KoopmanModel,
-    assemble_grams,
-    empirical_risk,
-    factor_model,
-)
+from .estimator import EtaSpec, KoopmanModel, assemble_grams, factor_model
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
@@ -279,8 +273,3 @@ def write_report(report: BoundReport, path: str | Path) -> None:
     cp.write(buf)
     Path(path).write_text(buf.getvalue())
 
-
-def roundtrip_check(model: KoopmanModel, path: str | Path) -> bool:
-    """True when the reloaded model reproduces the fitted risk exactly."""
-    loaded = read_model(path)
-    return fmt(empirical_risk(loaded)) == fmt(model.diagnostics.risk)

@@ -88,11 +88,6 @@ def weight_values(w: WeightSpec, X: np.ndarray) -> np.ndarray:
     return np.expm1(r**w.exponent)
 
 
-def eval_weight(w: WeightSpec, x: np.ndarray) -> float:
-    """Evaluate the weight at a single state."""
-    return float(weight_values(w, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def base_gram(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Unweighted kernel matrix [k(a_i, b_j)].
 

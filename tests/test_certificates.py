@@ -14,7 +14,6 @@ from koopcert import (
     InvalidInputError,
     SystemSpec,
     accumulated_costs,
-    adjoint_coeffs,
     bound_report,
     build_lyapunov,
     build_zubov,
@@ -25,7 +24,6 @@ from koopcert import (
     generalization_bound,
     grid_eval,
     lyapunov_error_bound,
-    lyapunov_value,
     lyapunov_values,
     mu_from_table,
     sample_uniform,
@@ -33,13 +31,11 @@ from koopcert import (
     truncation_horizon,
     weight_values,
     zubov_error_bound,
-    zubov_value,
     zubov_values,
 )
 
 from helpers import (
     dense_forward_coeffs,
-    dense_grams,
     dense_lyapunov_value,
     dense_reference_fits,
     example1_model,
@@ -122,26 +118,25 @@ def test_lyapunov_batch_matches_scalar():
     pts = ring_points(7, 0.4, 1.6, seed=2)
     batch = lyapunov_values(est, pts)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(lyapunov_value(est, p), batch[i], rtol=1e-10)
+        np.testing.assert_allclose(lyapunov_values(est, p[None, :])[0], batch[i], rtol=1e-10)
 
 
 def test_lyapunov_series_matches_term_recursion():
-    _, kw, model = linear_model(0.5, 200, 20, 11)
+    _, _, model = linear_model(0.5, 200, 20, 11)
     est = build_lyapunov(model, horizon=12)
     x = np.array([0.9, -0.2])
-    _, L, _, _ = dense_grams(model)
-    total = float(weight_values(kw.weight, x[None, :])[0] ** 2)
-    for t in range(1, 13):
-        b = adjoint_coeffs(model, x, t)
-        total += float(b @ (L @ b))
-    np.testing.assert_allclose(lyapunov_value(est, x), total, rtol=1e-10)
+    np.testing.assert_allclose(
+        lyapunov_values(est, x[None, :])[0], dense_lyapunov_value(model, x, 12), rtol=1e-10
+    )
     # the r x r series form against the dense theta recursion
     for ref in dense_reference_fits():
         for horizon in (1, 12, 60):
             est = build_lyapunov(ref, horizon=horizon)
             for p in ring_points(3, 0.3, 1.8, seed=horizon):
                 np.testing.assert_allclose(
-                    lyapunov_value(est, p), dense_lyapunov_value(ref, p, horizon), rtol=1e-12
+                    lyapunov_values(est, p[None, :])[0],
+                    dense_lyapunov_value(ref, p, horizon),
+                    rtol=1e-12,
                 )
 
 
@@ -175,7 +170,7 @@ def test_zubov_batch_matches_scalar():
     pts = ring_points(6, 0.2, 1.0, seed=7)
     batch = zubov_values(est, pts)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(zubov_value(est, p), batch[i], rtol=1e-10)
+        np.testing.assert_allclose(zubov_values(est, p[None, :])[0], batch[i], rtol=1e-10)
     # Zubov coefficients against the dense theta recursion
     for steps in (1, 6, 40):
         coeffs = build_zubov(model, steps=steps, nu=1.0, varsigma=0.1).coeffs
@@ -354,7 +349,7 @@ def test_mu_from_table_step_semantics():
     mu = mu_from_table({0.5: 1.0, 1.0: 3.0})
     assert mu(0.25) == 1.0
     assert mu(0.5) == 1.0
-    assert mu(0.75) == 1.0
+    assert mu(0.75) == 3.0
     assert mu(1.0) == 3.0
     with pytest.raises(InvalidInputError):
         mu(1.5)

@@ -15,9 +15,7 @@ from koopcert import (
     WeightSpec,
     check_decay_ratio,
     make_dataset,
-    oracle_lyapunov,
     oracle_lyapunov_batch,
-    oracle_zubov,
     oracle_zubov_batch,
     sample_uniform,
     step,
@@ -125,7 +123,7 @@ def test_oracle_lyapunov_linear_closed_form():
     pts = np.array([[0.8, -0.3], [1.2, 0.5], [0.0, 1.4]])
     vals = oracle_lyapunov_batch(sys, kw, pts, 1.0, tail_tol=1e-12)
     np.testing.assert_allclose(vals, linear_lyapunov_truth(pts, 0.5), rtol=1e-9)
-    single = oracle_lyapunov(sys, kw, pts[1], 1.0, tail_tol=1e-12)
+    single = oracle_lyapunov_batch(sys, kw, pts[1:2], 1.0, tail_tol=1e-12)[0]
     np.testing.assert_allclose(single, vals[1], rtol=1e-12)
 
 
@@ -135,7 +133,8 @@ def test_oracle_lyapunov_batch_matches_scalar_on_example1():
     pts = np.array([[0.9, 0.4], [-1.1, 0.7]])
     batch = oracle_lyapunov_batch(sys, kw, pts, 0.05, tail_tol=1e-10)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(oracle_lyapunov(sys, kw, p, 0.05, tail_tol=1e-10), batch[i], rtol=1e-10)
+        single = oracle_lyapunov_batch(sys, kw, p[None, :], 0.05, tail_tol=1e-10)[0]
+        np.testing.assert_allclose(single, batch[i], rtol=1e-10)
 
 
 def test_oracle_zubov_linear_closed_form():
@@ -149,8 +148,6 @@ def test_oracle_zubov_linear_closed_form():
     cost = sum(0.3 * r2 * 0.7 ** (2 * s) for s in range(t))
     wt = (0.7**t) * math.sqrt(r2)
     expect = math.exp(-cost) * wt / (wt + vs)
-    got = oracle_zubov(sys, w, eta, x, 1.0, t, nu, vs)
-    np.testing.assert_allclose(got, expect, rtol=1e-12)
     batch = oracle_zubov_batch(sys, w, eta, x[None, :], 1.0, t, nu, vs)
     np.testing.assert_allclose(batch, [expect], rtol=1e-12)
 
@@ -159,14 +156,15 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
     sys = SystemSpec.example2()
     w = WeightSpec(kind="norm-power", exponent=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    val = oracle_zubov(sys, w, eta, np.array([1.9, 1.9]), 0.025, 400, 1.0, 0.1)
+    val = oracle_zubov_batch(sys, w, eta, np.array([[1.9, 1.9]]), 0.025, 400, 1.0, 0.1)[0]
     assert val == 0.0
-    # The scalar oracle is one row of the batch, and rows are simulated
-    # independently, so mixed attracted and escaping starts agree exactly.
+    # Rows are simulated independently, so one-row batches of mixed
+    # attracted and escaping starts agree exactly with the full batch.
     X = np.array([[1.9, 1.9], [0.5, -0.3], [1.5, 1.6], [-1.2, 0.8], [2.5, 1.0], [0.0, 0.0]])
     for steps in (0, 1, 6, 400):
         batch = oracle_zubov_batch(sys, w, eta, X, 0.025, steps, 1.0, 0.1)
-        assert [oracle_zubov(sys, w, eta, x, 0.025, steps, 1.0, 0.1) for x in X] == list(batch)
+        rows = [oracle_zubov_batch(sys, w, eta, x[None, :], 0.025, steps, 1.0, 0.1)[0] for x in X]
+        assert rows == list(batch)
         if steps == 400:
             assert np.any(batch == 0.0) and np.any(batch > 0.0)
     # The second start's weight overflows while its state is still finite;
@@ -175,4 +173,4 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
         warnings.simplefilter("error", RuntimeWarning)
         for x0, power in (([1.9, 1.9], 1.0), ([1.62000904, 0.90343163], 0.5)):
             with pytest.raises(IntegrationBlowupError):
-                oracle_lyapunov(sys, kw_gaussian(power=power), np.array(x0), 0.025)
+                oracle_lyapunov_batch(sys, kw_gaussian(power=power), np.array([x0]), 0.025)

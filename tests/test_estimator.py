@@ -16,7 +16,6 @@ from koopcert import (
     SnapshotDataset,
     SolverFailureError,
     assemble_grams,
-    empirical_risk,
     eval_weighted_kernel,
     fit_koopman,
     fit_zubov_koopman,
@@ -24,12 +23,9 @@ from koopcert import (
     generalized_eig_topr,
     gram,
     heldout_risk,
-    hs_norm,
     make_dataset,
     normalize_columns,
-    op_norm,
     operator_norm_bound,
-    predict_observable,
     predict_observables,
     regularized_objective,
     theta_from_factors,
@@ -212,9 +208,9 @@ def test_diagnostics_accessors_match():
     # the rank-space diagnostics against the dense m x m formulas
     for model in dense_reference_fits():
         dense = dense_diagnostics(model)
-        np.testing.assert_allclose(empirical_risk(model), dense["risk"], rtol=1e-12)
-        np.testing.assert_allclose(hs_norm(model), dense["hs_norm"], rtol=1e-12)
-        np.testing.assert_allclose(op_norm(model), dense["op_norm"], rtol=1e-12)
+        np.testing.assert_allclose(model.diagnostics.risk, dense["risk"], rtol=1e-12)
+        np.testing.assert_allclose(model.diagnostics.hs_norm, dense["hs_norm"], rtol=1e-12)
+        np.testing.assert_allclose(model.diagnostics.op_norm, dense["op_norm"], rtol=1e-12)
         np.testing.assert_allclose(operator_norm_bound(model), dense["norm_bound"], rtol=1e-12)
         assert model.diagnostics.op_norm <= model.diagnostics.hs_norm + 1e-12
         assert model.diagnostics.op_norm <= operator_norm_bound(model) + 1e-12
@@ -249,7 +245,7 @@ def test_predict_observable_linear_one_step():
     for x in pts:
         fx = 0.5 * x
         truth = float(weight_values(kw.weight, fx[None, :])[0] * g(fx[None, :])[0])
-        got = predict_observable(model, g, x, 1)
+        got = predict_observables(model, g, x, 1)[1]
         assert abs(got - truth) <= 0.05 * max(1.0, abs(truth))
     # the rank-space recursion against the dense theta recursion
     x = np.array([0.6, -0.3])
@@ -263,13 +259,13 @@ def test_predict_observable_linear_one_step():
             np.testing.assert_allclose(
                 forward_coeffs(ref, g0, t), dense, rtol=0, atol=1e-12 * scale
             )
-            np.testing.assert_allclose(predict_observable(ref, g, x, t), dense @ kx, rtol=1e-12)
+            np.testing.assert_allclose(predict_observables(ref, g, x, t)[t], dense @ kx, rtol=1e-12)
         # the batch path against one dense recursion per step, t = 0..30
         batch = predict_observables(ref, g, x, 30)
         dense = [float(weight_values(ref.kw.weight, x[None, :])[0] * g(x[None, :])[0])]
         dense += [dense_forward_coeffs(ref, g0, t) @ kx for t in range(1, 31)]
         np.testing.assert_allclose(batch, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
-        assert predict_observable(ref, g, x, 0) == batch[0]
+        assert predict_observables(ref, g, x, 0)[0] == batch[0]
     with pytest.raises(InvalidInputError):
         predict_observables(model, g, x, -1)
 

@@ -20,14 +20,14 @@ from koopcert import (
     load_config,
     read_dataset,
     read_model,
-    roundtrip_check,
     write_dataset,
     write_grid,
     write_model,
     write_report,
 )
+from koopcert.certificates import HORIZON_CAP
 from koopcert.cli import main
-from koopcert.estimator import empirical_risk
+from koopcert.config import WORK_BYTES_CAP
 
 from helpers import example2_model, kw_gaussian, linear_model
 
@@ -97,9 +97,6 @@ def test_model_round_trip_koopman(tmp_path):
     assert back.kw == model.kw
     assert back.diagnostics.risk == model.diagnostics.risk
     assert_same_factors(back, model)
-    assert roundtrip_check(model, path)
-    # the reloaded model reproduces its stored risk from scratch
-    assert fmt(empirical_risk(back)) == fmt(model.diagnostics.risk)
     # a stored diagnostic that differs from the recomputed one in its last
     # digit, as another BLAS build may round it, still loads
     nudged = fmt(np.nextafter(model.diagnostics.norm_bound, np.inf))
@@ -117,7 +114,6 @@ def test_model_round_trip_zubov(tmp_path):
     assert back.eta is not None and back.eta.scale == model.eta.scale
     np.testing.assert_array_equal(back.damping, model.damping)
     assert_same_factors(back, model)
-    assert roundtrip_check(model, path)
 
 
 def test_read_model_missing_section(tmp_path):
@@ -245,6 +241,43 @@ def test_config_validation_errors(tmp_path):
         load_config(path)
     with pytest.raises(InvalidInputError, match="not found"):
         load_config(tmp_path / "absent.ini")
+
+
+def test_config_work_size_caps(tmp_path):
+    # m = 8192 makes the m x m Gram exactly WORK_BYTES_CAP; a 90 x 90 grid is smaller
+    path = tmp_path / "run.ini"
+    at_cap = LINEAR_CONFIG.replace("m = 60", "m = 8192")
+    at_cap = at_cap.replace("resolution = 5", "resolution = 90")
+    at_cap = at_cap.replace("tol = 1e-6", f"tol = 1e-6\nhorizon = {HORIZON_CAP}")
+    path.write_text(at_cap)
+    cfg = load_config(path)
+    assert 8 * cfg.sampling.m**2 == WORK_BYTES_CAP and cfg.certificate.horizon == HORIZON_CAP
+    for over in (("m = 8192", "m = 8193"), ("resolution = 90", "resolution = 8193")):
+        path.write_text(at_cap.replace(*over))
+        with pytest.raises(InvalidInputError, match="cap"):
+            load_config(path)
+    for horizon in (HORIZON_CAP + 1, -1):
+        path.write_text(at_cap.replace(f"horizon = {HORIZON_CAP}", f"horizon = {horizon}"))
+        with pytest.raises(InvalidInputError, match="horizon"):
+            load_config(path)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("lyapunov", LINEAR_CONFIG.replace("grid_resolution = 5", "grid_resolution = 99999999999")),
+        ("sample", LINEAR_CONFIG.replace("m = 60", "m = 99999999999")),
+        ("zubov", ZUBOV_CONFIG.replace("horizon = 3", "horizon = 99999999999")),
+        ("zubov", ZUBOV_CONFIG.replace("horizon = 3", "time = 1e300")),
+        ("zubov", ZUBOV_CONFIG.replace("horizon = 3", "time = nan")),
+    ],
+    ids=["grid-gram", "fit-gram", "horizon", "time-over-dt", "time-nan"],
+)
+def test_cli_oversized_run_exits_1_with_one_error_line(tmp_path, capsys, command, text):
+    cfg = _write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 def test_zubov_steps_resolution():

@@ -11,7 +11,6 @@ from koopcert import (
     WeightSpec,
     WeightedKernelSpec,
     base_gram,
-    eval_weight,
     eval_weighted_kernel,
     gram,
     weight_values,
@@ -25,15 +24,15 @@ def test_weight_norm_power_hand_values():
     vals = weight_values(w, np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_allclose(vals, [5.0, 0.0, 1.0], rtol=0.0, atol=0.0)
     w_half = WeightSpec(kind="norm-power", exponent=0.5)
-    np.testing.assert_allclose(eval_weight(w_half, np.array([3.0, 4.0])), math.sqrt(5.0))
+    np.testing.assert_allclose(weight_values(w_half, np.array([[3.0, 4.0]]))[0], math.sqrt(5.0))
 
 
 def test_weight_exp_norm_power_hand_value():
     w = WeightSpec(kind="exp-norm-power", exponent=0.5)
-    val = eval_weight(w, np.array([3.0, 4.0]))
+    val = weight_values(w, np.array([[3.0, 4.0]]))[0]
     np.testing.assert_allclose(val, 8.356469016601148, rtol=1e-15)
     # expm1 keeps precision near the origin where exp(x) - 1 cancels
-    tiny = eval_weight(w, np.array([1e-20, 0.0]))
+    tiny = weight_values(w, np.array([[1e-20, 0.0]]))[0]
     np.testing.assert_allclose(tiny, 1e-10, rtol=1e-9)
 
 
@@ -95,7 +94,7 @@ def test_base_gram_matches_einsum_reference():
 def test_weight_floor_not_applied_by_kernel():
     # the raw weight is reported exactly; flooring is a sampling concern
     w = WeightSpec(kind="norm-power", exponent=1.0)
-    assert eval_weight(w, np.array([1e-12, 0.0])) == 1e-12
+    assert weight_values(w, np.array([[1e-12, 0.0]]))[0] == 1e-12
 
 
 def test_invalid_specs_raise():
