@@ -18,7 +18,9 @@ from .dynsys import (
     DomainSpec,
     SnapshotDataset,
     SystemSpec,
-    _escaped,
+    _orbit_start,
+    _rk4,
+    _settle,
     check_decay_ratio,
     sample_uniform,
     saturating,
@@ -37,6 +39,9 @@ from .kernels import WeightSpec, gram, weight_values
 HORIZON_CAP = 100_000
 COST_STEP_CAP = 10_000
 DOA_LEVEL_TOL = 1e-10
+# States per grid_eval call: the m x rows Gram of a block is 8 MB at the
+# examples' m = 500 anchors (8 * 500 * 2048 bytes).
+GRID_BLOCK_ROWS = 2048
 
 
 def truncation_horizon(alpha: float, c_max: float, tol: float) -> int:
@@ -332,38 +337,26 @@ def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
     Points that escape or fail to contract within COST_STEP_CAP steps get
     +inf: their level cannot certify anything. Finite entries mark
     attracted starts."""
-    state = np.asarray(X, dtype=float).copy()
-    total = np.zeros(len(state))
-    dead = np.zeros(len(state), dtype=bool)
-    prev = None
+    xs = _orbit_start(sys, X, dt)
+    total = np.zeros(len(xs[0]))
+    dead = np.zeros(len(total), dtype=bool)
+    prev = np.zeros(len(total))
     for t in range(COST_STEP_CAP):
-        dead |= _escaped(state)
-        state[dead] = 0.0
-        alive = ~dead
-        if not np.any(alive):
+        term = eta.of_sq_norm(_settle(xs, dead))  # zero on dead orbits
+        if np.all(dead):
             break
-        term = np.zeros(len(state))
-        term[alive] = eta.values(state[alive])
-        total[alive] += term[alive]
-        worst = float(np.max(term[alive]))
-        ratio = 0.0
-        if prev is not None:
-            pos = alive & (prev > 0)
-            if np.any(pos):
-                ratio = float(np.max(term[pos] / prev[pos]))
+        total += term
+        worst = float(np.max(term))
+        ratio = float(np.max(np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)))
         tail = worst * ratio / (1.0 - ratio) if 0 < ratio < 1 else (0.0 if worst == 0.0 else np.inf)
         if worst < tail_tol and tail < tail_tol:
             total[dead] = np.inf
             return total
         prev = term
-        state = step(sys, state, dt)
-    total[dead] = np.inf
-    if prev is not None and np.any(~dead):
-        # Hitting the cap without contracting means the level's cost
-        # supremum is not finite as far as we can tell.
-        alive = ~dead
-        if float(np.max(prev[alive])) >= tail_tol:
-            total[alive & (prev >= tail_tol)] = np.inf
+        xs = _rk4(sys, xs, dt)
+    # Hitting the cap without contracting means the level's cost supremum
+    # is not finite as far as we can tell.
+    total[dead | (prev >= tail_tol)] = np.inf
     return total
 
 
@@ -449,7 +442,8 @@ def grid_eval(fn, dom: DomainSpec, resolution: int = 101) -> tuple[np.ndarray, n
 
     fn maps an (N, n) array of states to an (N,) array of values. Returns
     (coords, values) with coords in row-major order (first axis slowest),
-    covering the bounding box of the domain.
+    covering the bounding box of the domain. fn sees blocks of at most
+    GRID_BLOCK_ROWS states, so its m x rows Gram does not grow with the grid.
     """
     if resolution < 2:
         raise InvalidInputError("grid resolution must be >= 2")
@@ -457,7 +451,11 @@ def grid_eval(fn, dom: DomainSpec, resolution: int = 101) -> tuple[np.ndarray, n
     axes = [np.linspace(lo[i], hi[i], resolution) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = np.asarray(fn(coords), dtype=float)
-    if values.shape != (len(coords),):
-        raise InvalidInputError("grid function must return one value per state")
+    values = np.empty(len(coords))
+    for start in range(0, len(coords), GRID_BLOCK_ROWS):
+        block = coords[start : start + GRID_BLOCK_ROWS]
+        vals = np.asarray(fn(block), dtype=float)
+        if vals.shape != (len(block),):
+            raise InvalidInputError("grid function must return one value per state")
+        values[start : start + len(block)] = vals
     return coords, values

@@ -4,9 +4,12 @@ The discrete map under study is the fixed-step RK4 flow of a stable ODE.
 Everything here is deterministic given the seed, and the oracles evaluate
 the true Lyapunov / stability-boundary series by direct simulation so the
 operator-based estimates elsewhere can be checked against ground truth.
-Each oracle is one batch simulation over the rows of X, and rows are
-simulated independently. `_escaped` is the one escape test (non-finite,
-or past GUARD_RADIUS) for orbits here and in the cost accumulation, and
+A batch of N orbits is held as one contiguous length-N array per state
+component; `_rk4` steps it with the stacked (N, n) step's operations in
+the same order, so every row is bit-identical, and `step`/`vector_field`
+are stacked wrappers of the same kernel. The oracles and the cost
+accumulation take the weight, the state cost and the escape test
+(non-finite, or past GUARD_RADIUS) from one sum of squares per step.
 `saturating` is the one form of the observable w^nu / (w^nu + varsigma^nu).
 """
 
@@ -22,7 +25,7 @@ from .errors import (
     IntegrationBlowupError,
     InvalidInputError,
 )
-from .kernels import WeightedKernelSpec, WeightSpec, weight_values
+from .kernels import WeightedKernelSpec, WeightSpec, _check_points, weight_values
 
 SYSTEM_KINDS = ("example1", "example2", "linear-contraction")
 DOMAIN_KINDS = ("ball", "box")
@@ -137,46 +140,78 @@ class SnapshotDataset:
         return len(self.X)
 
 
+def _field(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side (d1, d2) of a planar ODE, one array per component."""
+    if sys.kind == "example1":
+        return -3.0 * x1 + x2 + np.sin(2.0 * np.pi * x1) / (2.0 * np.pi), x1 - x2
+    s = x1 * x2 - 1.0
+    return -x1, s * x2**3 + (s + x1**2) * x2
+
+
+def _rk4(sys: SystemSpec, xs: list, dt: float) -> list:
+    """One step of the discrete map on a list of component arrays.
+
+    Each element goes through x + 0.5*dt*k1, ..., x + (dt/6)*(k1 + 2k2 +
+    2k3 + k4) with that association, so a row's bits do not depend on the
+    batch it is stepped in or on its layout.
+    """
+    if sys.kind == "linear-contraction":
+        return [sys.a * x for x in xs]
+    # Diverging orbits (example2 outside its basin) can overflow inside a
+    # single RK4 cascade; the callers' escape checks catch the inf/nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _field(sys, *xs)
+        k2 = _field(sys, *[x + 0.5 * dt * k for x, k in zip(xs, k1)])
+        k3 = _field(sys, *[x + 0.5 * dt * k for x, k in zip(xs, k2)])
+        k4 = _field(sys, *[x + dt * k for x, k in zip(xs, k3)])
+        return [x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+
+
+def _sq_norm(xs: list) -> np.ndarray:
+    """Squared state norms from component arrays, in np.sum's order (pairwise from 8 terms)."""
+    if len(xs) < 8:
+        return sum(x * x for x in xs)
+    return np.sum(np.square(np.stack(xs, axis=-1)), axis=-1)
+
+
+def _escaped(sq: np.ndarray) -> np.ndarray:
+    """Mask of states, given their squared norms, that are non-finite or beyond GUARD_RADIUS."""
+    return ~(np.sqrt(sq) <= GUARD_RADIUS)
+
+
+def _orbit_start(sys: SystemSpec, X: np.ndarray, dt: float) -> list:
+    """Contiguous copies of the components of a nonempty (N, n) batch of states."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise InvalidInputError("states must be a nonempty (N, n) array")
+    if sys.kind != "linear-contraction" and dt <= 0:
+        raise InvalidInputError("dt must be positive")
+    return [X[:, i].copy() for i in range(X.shape[1])]
+
+
+def _settle(xs: list, dead: np.ndarray) -> np.ndarray:
+    """Squared norms, after adding escaped orbits to dead and parking dead ones at the origin."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = _sq_norm(xs)
+    dead |= _escaped(sq)
+    for x in xs + [sq]:
+        np.copyto(x, 0.0, where=dead)
+    return sq
+
+
 def vector_field(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     """Right-hand side of the ODE, broadcast over leading axes of x."""
     x = np.asarray(x, dtype=float)
     if sys.kind == "linear-contraction":
         raise InvalidInputError("the linear contraction is a discrete map, not a flow")
-    x1 = x[..., 0]
-    x2 = x[..., 1]
-    if sys.kind == "example1":
-        d1 = -3.0 * x1 + x2 + np.sin(2.0 * np.pi * x1) / (2.0 * np.pi)
-        d2 = x1 - x2
-    else:
-        s = x1 * x2 - 1.0
-        d1 = -x1
-        d2 = s * x2**3 + (s + x1**2) * x2
-    return np.stack([d1, d2], axis=-1)
+    return np.stack(_field(sys, x[..., 0], x[..., 1]), axis=-1)
 
 
 def step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:
     """One step of the discrete map: classical RK4 for the ODE systems."""
     x = np.asarray(x, dtype=float)
-    if sys.kind == "linear-contraction":
-        return sys.a * x
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
-    # Diverging orbits (example2 outside its basin) can overflow inside a
-    # single RK4 cascade; the guard checks afterwards catch the inf/nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = vector_field(sys, x)
-        k2 = vector_field(sys, x + 0.5 * dt * k1)
-        k3 = vector_field(sys, x + 0.5 * dt * k2)
-        k4 = vector_field(sys, x + dt * k3)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _escaped(x: np.ndarray) -> np.ndarray:
-    """Mask over the last axis: states that are non-finite or beyond GUARD_RADIUS."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(x)
-        radius = np.sqrt(np.sum(np.where(finite, x, 0.0) ** 2, axis=-1))
-    return ~np.all(finite, axis=-1) | (radius > GUARD_RADIUS)
+    xs = _orbit_start(sys, x.reshape(-1, x.shape[-1]), dt)
+    return np.stack(_rk4(sys, xs, dt), axis=-1).reshape(x.shape)
 
 
 def saturating(w: np.ndarray, nu: float, varsigma: float) -> np.ndarray:
@@ -192,8 +227,9 @@ def trajectory(sys: SystemSpec, x0: np.ndarray, dt: float, steps: int) -> np.nda
     out = np.empty((steps + 1,) + x0.shape)
     out[0] = x0
     for t in range(steps + 1):
-        if np.any(_escaped(out[t])):
-            raise IntegrationBlowupError("trajectory escaped the guard radius 1e6")
+        with np.errstate(over="ignore"):
+            if np.any(_escaped(np.sum(out[t] * out[t], axis=-1))):
+                raise IntegrationBlowupError("trajectory escaped the guard radius 1e6")
         if t < steps:
             out[t + 1] = step(sys, out[t], dt)
     return out
@@ -275,31 +311,27 @@ def oracle_lyapunov_batch(
     assumed, matching the estimator side. An orbit whose weight overflows
     or that reaches a non-finite state raises IntegrationBlowupError.
     """
-    X = np.asarray(X, dtype=float)
-    state = X.copy()
-    total = np.zeros(len(X))
-    prev = None
+    xs = _orbit_start(sys, _check_points(X, "X"), dt)
+    total = np.zeros(len(xs[0]))
+    prev = np.zeros(len(total))
     alpha = 0.0
     for t in range(STEP_CAP):
         try:
             with np.errstate(over="raise"):
-                term = weight_values(kw.weight, state) ** 2
+                sq = _sq_norm(xs)
+                if not np.all(np.isfinite(sq)):
+                    raise IntegrationBlowupError("a grid trajectory produced non-finite state")
+                term = kw.weight.of_sq_norm(sq) ** 2
         except FloatingPointError as exc:
             raise IntegrationBlowupError("a grid trajectory overflowed the weight") from exc
         total += term
         worst = float(np.max(term))
-        if prev is not None:
-            pos = prev > 0
-            if np.any(pos):
-                alpha = max(alpha, float(np.sqrt(np.max(term[pos] / prev[pos]))))
-        if worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol:
-            return total
-        if worst == 0.0:
+        ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
+        alpha = max(alpha, float(np.sqrt(np.max(ratio))))
+        if worst == 0.0 or (worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol):
             return total
         prev = term
-        state = step(sys, state, dt)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationBlowupError("a grid trajectory produced non-finite state")
+        xs = _rk4(sys, xs, dt)
     raise DivergenceError("weight did not decay within the step cap")
 
 
@@ -322,19 +354,13 @@ def oracle_zubov_batch(
     """
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
-    state = np.array(X, dtype=float)
-    cost = np.zeros(len(state))
-    dead = np.zeros(len(state), dtype=bool)
+    xs = _orbit_start(sys, X, dt)
+    cost = np.zeros(len(xs[0]))
+    dead = np.zeros(len(cost), dtype=bool)
     for _ in range(steps):
-        dead |= _escaped(state)
-        state[dead] = 0.0
-        alive = ~dead
-        if np.any(alive):
-            cost[alive] += eta.values(state[alive])
+        cost += eta.of_sq_norm(_settle(xs, dead))
         dead |= cost > 745.0
-        state = step(sys, state, dt)
-    dead |= _escaped(state)
-    state[dead] = 0.0
-    out = np.exp(-cost) * saturating(weight_values(weight, state), nu, varsigma)
+        xs = _rk4(sys, xs, dt)
+    out = np.exp(-cost) * saturating(weight.of_sq_norm(_settle(xs, dead)), nu, varsigma)
     out[dead] = 0.0
     return out

@@ -47,7 +47,11 @@ class EtaSpec:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        return self.scale * np.sum(X * X, axis=-1)
+        return self.of_sq_norm(np.sum(X * X, axis=-1))
+
+    def of_sq_norm(self, sq: np.ndarray) -> np.ndarray:
+        """The cost of states whose squared norms are sq."""
+        return self.scale * sq
 
 
 @dataclass(frozen=True)

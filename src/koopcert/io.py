@@ -33,8 +33,14 @@ def fmt(x: float) -> str:
 
 
 def _write_rows(target, header: str, rows: np.ndarray) -> None:
-    """Header line, then one comma-separated 17-digit line per row."""
-    np.savetxt(target, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    """Header line, then one comma-separated 17-digit line per row (np.savetxt's
+    text for fmt="%.17g"); target is a path or an open text stream."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    text = header + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text)
+    else:
+        target.write(text)
 
 
 def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:

@@ -45,6 +45,11 @@ class WeightSpec:
         if not np.isfinite(self.floor) or self.floor < 0:
             raise InvalidInputError("weight floor must be nonnegative")
 
+    def of_sq_norm(self, sq: np.ndarray) -> np.ndarray:
+        """The weight of states whose squared norms are sq."""
+        r = np.sqrt(sq)
+        return r**self.exponent if self.kind == "norm-power" else np.expm1(r**self.exponent)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -82,10 +87,7 @@ def _check_points(X: np.ndarray, name: str) -> np.ndarray:
 def weight_values(w: WeightSpec, X: np.ndarray) -> np.ndarray:
     """Evaluate the weight on a batch of states, shape (m, n) -> (m,)."""
     X = _check_points(X, "X")
-    r = np.sqrt(np.sum(X * X, axis=-1))
-    if w.kind == "norm-power":
-        return r**w.exponent
-    return np.expm1(r**w.exponent)
+    return w.of_sq_norm(np.sum(X * X, axis=-1))
 
 
 def base_gram(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -128,4 +130,6 @@ def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> 
         raise InvalidInputError("A and B must have matching state dimension")
     wa = weight_values(kw.weight, A)
     wb = weight_values(kw.weight, B)
-    return (wa[:, None] * wb[None, :]) * base_gram(kw.kernel, A, B)
+    out = base_gram(kw.kernel, A, B)
+    out *= wa[:, None] * wb[None, :]  # k (wa wb); (k wa) wb would round differently
+    return out

@@ -384,3 +384,20 @@ def test_grid_eval_row_major_coords():
         grid_eval(lambda pts: pts[:, 0], dom, resolution=1)
     with pytest.raises(InvalidInputError):
         grid_eval(lambda pts: np.zeros((3, 3)), dom, resolution=2)
+
+
+def test_grid_eval_blocks_match_one_call():
+    dom = DomainSpec.ball(2.0)
+    seen = []
+
+    def fn(pts):
+        seen.append(len(pts))
+        return np.sin(pts[:, 0]) * pts[:, 1]
+
+    coords, vals = grid_eval(fn, dom, resolution=101)
+    assert len(coords) == 101**2 > certificates.GRID_BLOCK_ROWS
+    assert max(seen) <= certificates.GRID_BLOCK_ROWS and sum(seen) == len(coords)
+    assert np.array_equal(vals, fn(coords))
+    est = build_lyapunov(example1_model()[2], tol=1e-6)
+    _, lyap = grid_eval(lambda pts: lyapunov_values(est, pts), dom, resolution=101)
+    np.testing.assert_allclose(lyap, lyapunov_values(est, coords), rtol=1e-12)

@@ -14,6 +14,7 @@ from koopcert import (
     SystemSpec,
     WeightSpec,
     check_decay_ratio,
+    grid_eval,
     make_dataset,
     oracle_lyapunov_batch,
     oracle_zubov_batch,
@@ -21,8 +22,15 @@ from koopcert import (
     step,
     trajectory,
 )
+from koopcert.dynsys import _rk4
 
-from helpers import fine_step, kw_gaussian, linear_lyapunov_truth
+from helpers import (
+    fine_step,
+    kw_gaussian,
+    linear_lyapunov_truth,
+    stacked_oracle_lyapunov,
+    stacked_step,
+)
 
 
 W1 = WeightSpec(kind="norm-power", exponent=1.0)
@@ -174,3 +182,41 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
         for x0, power in (([1.9, 1.9], 1.0), ([1.62000904, 0.90343163], 0.5)):
             with pytest.raises(IntegrationBlowupError):
                 oracle_lyapunov_batch(sys, kw_gaussian(power=power), np.array([x0]), 0.025)
+
+
+@pytest.mark.parametrize(
+    "sys, dt, starts",
+    [
+        (SystemSpec.example1(), 0.05, [[1.5, -1.0], [-2.0, 2.0], [0.0, 0.0], [0.3, 1e-9]]),
+        # The last example2 start escapes within the 50 steps: [3, 3] to x2 = inf,
+        # and [0, -4] at the coarse dt = 0.25 to nan.
+        (SystemSpec.example2(), 0.025, [[1.9, 1.9], [0.5, -0.3], [-1.2, 0.8], [3.0, 3.0]]),
+        (SystemSpec.example2(), 0.25, [[0.5, -0.3], [0.0, -4.0]]),
+        (SystemSpec.linear_contraction(0.7, dim=1), 1.0, [[1.0], [-0.4], [2.5]]),
+        (SystemSpec.linear_contraction(0.7, dim=3), 1.0, [[1.0, -2.0, 4.0], [0.1, 0.2, -0.3]]),
+    ],
+)
+def test_component_kernel_bit_identical_to_stacked_step(sys, dt, starts):
+    ref = np.array(starts, dtype=float)
+    comps = [c.copy() for c in ref.T]
+    for _ in range(50):
+        ref = stacked_step(sys, ref, dt)
+        comps = _rk4(sys, comps, dt)
+        assert np.array_equal(np.stack(comps, axis=-1), ref, equal_nan=True)
+    x0 = np.array(starts, dtype=float)
+    assert np.array_equal(step(sys, x0, dt), stacked_step(sys, x0, dt))
+    if sys.kind == "example2":
+        assert not np.all(np.isfinite(ref[-1]))
+
+
+def test_oracle_lyapunov_bit_identical_to_stacked_loop():
+    kw = kw_gaussian()
+    coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 21)
+    new = oracle_lyapunov_batch(SystemSpec.example1(), kw, coords, 0.05, tail_tol=1e-10)
+    assert np.array_equal(new, stacked_oracle_lyapunov(SystemSpec.example1(), kw, coords, 0.05))
+    # Squared norms keep np.sum's order: sequential below 8 components, pairwise from 8.
+    for dim in (3, 9):
+        sys = SystemSpec.linear_contraction(0.8, dim=dim)
+        X = np.random.default_rng(dim).uniform(-2.0, 2.0, (50, dim))
+        new = oracle_lyapunov_batch(sys, kw, X, 1.0, tail_tol=1e-10)
+        assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, 1.0))

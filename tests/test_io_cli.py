@@ -28,6 +28,7 @@ from koopcert import (
 from koopcert.certificates import HORIZON_CAP
 from koopcert.cli import main
 from koopcert.config import WORK_BYTES_CAP
+from koopcert.io import _write_rows
 
 from helpers import example2_model, kw_gaussian, linear_model
 
@@ -439,3 +440,15 @@ def test_cli_reproduce_smoke(tmp_path):
         "observables.csv",
     ):
         assert (out / name).exists()
+
+
+def test_write_rows_matches_savetxt(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((40, 3)) * np.exp(rng.uniform(-300, 300, (40, 3)))
+    rows[0] = [np.nan, np.inf, -np.inf]
+    rows[1] = [-0.0, 0.0, 5e-324]
+    for i, block in enumerate([rows, rows[:, :1], rows[:0]]):
+        ref, new = tmp_path / f"ref{i}.csv", tmp_path / f"new{i}.csv"
+        np.savetxt(ref, block, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+        _write_rows(new, "a,b,c", block)
+        assert new.read_bytes() == ref.read_bytes()
