@@ -69,8 +69,6 @@ from .estimator import (
     normalize_columns,
     operator_norm_bound,
     predict_observables,
-    regularized_objective,
-    theta_from_factors,
 )
 from .io import (
     fmt,

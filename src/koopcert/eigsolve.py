@@ -1,4 +1,4 @@
-"""Dense symmetric and pencil eigensolvers used by the operator fit.
+"""Symmetric and pencil eigensolvers used by the operator fit.
 
 The regression step needs the top eigenpairs of the pencil
 (L K / m^2) u = s (K / m + beta I) u, whose left side is a product of two
@@ -6,6 +6,11 @@ Gram matrices and therefore not symmetric. reduced_rank_eig solves it as a
 symmetric problem: in the eigenbasis of K = V diag(lam) V' the congruence
 by diag(sqrt(lam / (lam / m + beta))) turns it into a symmetric matrix
 whose top eigenpairs give s and, after one back-substitution, u.
+
+perron_root gives lam_max of the target Gram for the a-priori norm bound
+without a dense eigensolve: the Gram is entrywise nonnegative, so by
+Perron-Frobenius its top eigenvector is nonnegative and Lanczos from the
+all-ones vector finds lam_max in a few dozen matrix-vector products.
 
 generalized_eig_topr is the general solver for any pencil with a symmetric
 positive definite right side: a Cholesky congruence C = L^-1 M L^-T handed
@@ -85,10 +90,46 @@ def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np
         raise InvalidInputError(f"top={top} must lie in [1, {m}]")
     subset = None if top is None else [m - top, m - 1]
     try:
-        vals, vecs = scipy.linalg.eigh(S, subset_by_index=subset)
+        vals, vecs = scipy.linalg.eigh(S, subset_by_index=subset, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SolverFailureError(str(exc)) from exc
     return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def perron_root(S: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric, entrywise nonnegative matrix S.
+
+    Lanczos from the all-ones vector, which overlaps the nonnegative
+    Perron eigenvector, with full reorthogonalization (twice) each step.
+    It stops once the Ritz residual |b_k y_k| is at most 1e-15 theta, on
+    breakdown (b_k = 0), or when the Krylov space reaches dimension m,
+    where theta is exact. The basis grows one vector per matrix product.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] == 0:
+        raise InvalidInputError("perron_root needs a nonempty square matrix")
+    if not np.all(np.isfinite(S)):
+        raise InvalidInputError("perron_root input contains non-finite entries")
+    if np.any(S < 0):
+        raise InvalidInputError("perron_root needs an entrywise nonnegative matrix")
+    m = len(S)
+    basis = [np.full(m, 1.0 / np.sqrt(m))]
+    diag, offdiag = [], []
+    while True:
+        w = S @ basis[-1]
+        diag.append(float(basis[-1] @ w))
+        theta, y = scipy.linalg.eigh_tridiagonal(
+            diag, offdiag, select="i", select_range=(len(diag) - 1, len(diag) - 1)
+        )
+        B = np.array(basis)
+        w -= B.T @ (B @ w)
+        w -= B.T @ (B @ w)
+        b = float(np.linalg.norm(w))
+        # theta >= 1' S 1 / m >= 0, so breakdown (b = 0) also stops here.
+        if b * abs(y[-1, 0]) <= 1e-15 * theta[0] or len(basis) == m:
+            return float(theta[0])
+        offdiag.append(b)
+        basis.append(w / b)
 
 
 def _warn_on_rank_tie(vals: np.ndarray, r: int) -> None:

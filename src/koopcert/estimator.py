@@ -15,13 +15,12 @@ its adjoint run in rank-r coordinates.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynsys import SnapshotDataset
-from .eigsolve import reduced_rank_eig, symmetric_eig
+from .eigsolve import perron_root, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
 from .kernels import WeightedKernelSpec, gram, weight_values
 
@@ -155,12 +154,6 @@ def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndar
     return U / np.sqrt(nrm_sq)[None, :]
 
 
-def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:
-    """Coefficient matrix (1/m) U U' K_w from normalized eigenvectors."""
-    m = gram_x.shape[0]
-    return (U @ (U.T @ gram_x)) / m
-
-
 def _section_risk(Z: np.ndarray, Q: np.ndarray, WG: np.ndarray, target_sq: np.ndarray) -> float:
     """Mean squared section error |A* k_w(x_i, .) - target_i|^2 over points i.
 
@@ -186,9 +179,9 @@ def factor_model(
 
     Builds W, H and Q and every fit diagnostic. The fit and read_model both
     come through here, so a reloaded model is bit-identical to the fitted
-    one. The only m x m eigensolve is the top-1 solve for lam_max(L) in the
-    a-priori bound; the operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with
-    M = U' K U.
+    one. There is no m x m eigensolve: lam_max(L) in the a-priori bound is
+    the Lanczos Perron root of the nonnegative L, and the operator norm is
+    lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
     """
     K, L, E, damping = grams
     m = len(K)
@@ -207,7 +200,7 @@ def factor_model(
         risk=_section_risk(Z, Q, WL, np.diag(L)),
         hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
         op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
-        norm_bound=float(symmetric_eig(L, top=1)[0][0]) / (beta * m),
+        norm_bound=perron_root(L) / (beta * m),
     )
     return KoopmanModel(
         anchors_x=X,
@@ -282,31 +275,6 @@ def fit_zubov_koopman(
 def operator_norm_bound(model: KoopmanModel) -> float:
     """A-priori operator norm bound lam_max(L_w) / (beta m)."""
     return model.diagnostics.norm_bound
-
-
-# K and L of the models regularized_objective has seen, dropped with the model.
-_OBJECTIVE_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def regularized_objective(model: KoopmanModel, theta: np.ndarray | None = None) -> float:
-    """Empirical risk plus beta times squared HS norm, for any theta.
-
-    Dense O(m^3) reference. The Grams are assembled from the anchors on the
-    first call for a model and reused while the model is alive.
-    """
-    if theta is None:
-        theta = model.theta
-    m = len(model)
-    if model not in _OBJECTIVE_GRAMS:
-        grams = assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
-        _OBJECTIVE_GRAMS[model] = grams[:2]
-    K, L = _OBJECTIVE_GRAMS[model]
-    C = theta.T @ K
-    R = C - np.eye(m)
-    risk = float(np.sum(R * (L @ R))) / m
-    quad = theta.T @ K @ theta
-    hs_sq = float(np.sum(quad * L))
-    return risk + model.beta * hs_sq
 
 
 def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:

@@ -90,18 +90,24 @@ def weight_values(w: WeightSpec, X: np.ndarray) -> np.ndarray:
     return w.of_sq_norm(np.sum(X * X, axis=-1))
 
 
-def base_gram(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def base_gram(
+    k: KernelSpec, A: np.ndarray, B: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Unweighted kernel matrix [k(a_i, b_j)].
 
     Squared distances are formed by direct differencing (not the expanded
     dot-product identity) so that transposing the arguments gives the
-    bit-identical transposed matrix. They are summed one coordinate at a
-    time into a single len(A) x len(B) array, so no (m, m, n) difference
-    array is built.
+    bit-identical transposed matrix. The result starts as coordinate 0's
+    squared difference; each later coordinate's difference is formed in
+    one reused len(A) x len(B) scratch array (allocated when not given)
+    and summed in, so no (m, m, n) difference array is built.
     """
-    sq = np.zeros((len(A), len(B)))
-    for j in range(A.shape[1]):
-        d = A[:, j, None] - B[:, j]
+    sq = A[:, 0, None] - B[:, 0]
+    sq *= sq
+    if scratch is None:
+        scratch = np.empty_like(sq)
+    for j in range(1, A.shape[1]):
+        d = np.subtract(A[:, j, None], B[:, j], out=scratch)
         d *= d
         sq += d
     sq *= -k.gamma
@@ -130,6 +136,8 @@ def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> 
         raise InvalidInputError("A and B must have matching state dimension")
     wa = weight_values(kw.weight, A)
     wb = weight_values(kw.weight, B)
-    out = base_gram(kw.kernel, A, B)
-    out *= wa[:, None] * wb[None, :]  # k (wa wb); (k wa) wb would round differently
+    scratch = np.empty((len(A), len(B)))
+    out = base_gram(kw.kernel, A, B, scratch)
+    # k (wa wb); (k wa) wb would round differently
+    out *= np.multiply(wa[:, None], wb[None, :], out=scratch)
     return out

@@ -7,6 +7,7 @@ once and later tests reuse it; every builder is fully seeded.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 
 import mpmath
@@ -103,6 +104,36 @@ def dense_reference_fits():
 def dense_grams(model):
     """The m x m Grams of a fitted model: K, damped target L, damped cross E."""
     return assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+
+
+def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:
+    """Coefficient matrix (1/m) U U' K_w from normalized eigenvectors."""
+    m = gram_x.shape[0]
+    return (U @ (U.T @ gram_x)) / m
+
+
+# K and L of the models regularized_objective has seen, dropped with the model.
+_OBJECTIVE_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def regularized_objective(model, theta: np.ndarray | None = None) -> float:
+    """Empirical risk plus beta times squared HS norm, for any theta.
+
+    Dense O(m^3) reference. The Grams are assembled from the anchors on the
+    first call for a model and reused while the model is alive.
+    """
+    if theta is None:
+        theta = model.theta
+    m = len(model)
+    if model not in _OBJECTIVE_GRAMS:
+        _OBJECTIVE_GRAMS[model] = dense_grams(model)[:2]
+    K, L = _OBJECTIVE_GRAMS[model]
+    C = theta.T @ K
+    R = C - np.eye(m)
+    risk = float(np.sum(R * (L @ R))) / m
+    quad = theta.T @ K @ theta
+    hs_sq = float(np.sum(quad * L))
+    return risk + model.beta * hs_sq
 
 
 def dense_diagnostics(model) -> dict[str, float]:

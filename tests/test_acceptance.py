@@ -32,9 +32,7 @@ from koopcert import (
     make_dataset,
     normalize_columns,
     operator_norm_bound,
-    regularized_objective,
     step,
-    theta_from_factors,
     zubov_error_bound,
     zubov_values,
 )
@@ -49,7 +47,9 @@ from helpers import (
     linear_model,
     model_matrix,
     mp_generalization_bound,
+    regularized_objective,
     ring_points,
+    theta_from_factors,
 )
 
 

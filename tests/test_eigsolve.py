@@ -1,7 +1,10 @@
-"""Dense symmetric and generalized pencil eigensolvers."""
+"""Dense symmetric and generalized pencil eigensolvers, and the Lanczos Perron root."""
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopcert import (
     InvalidInputError,
@@ -12,6 +15,9 @@ from koopcert import (
     generalized_eig_topr,
     symmetric_eig,
 )
+from koopcert.eigsolve import perron_root
+
+from helpers import dense_grams, example1_model, example2_model
 
 
 def random_spd(rng, m, cond_lo=0.5, cond_hi=2.0):
@@ -98,3 +104,44 @@ def test_tiny_negative_eigenvalues_clamped():
     M = np.diag([1.0, -1e-15])
     vals, _ = generalized_eig_topr(Pencil(left=M, right=np.eye(2)), 2)
     assert vals[1] == 0.0
+
+
+def test_perron_root_matches_dense_eigh_on_fitted_target_grams():
+    for model in (example1_model()[2], example2_model()[3]):
+        L = dense_grams(model)[1]
+        top = scipy.linalg.eigh(L, eigvals_only=True)[-1]
+        np.testing.assert_allclose(perron_root(L), top, rtol=1e-13)
+
+
+def test_perron_root_on_reducible_matrix():
+    # two decoupled blocks; the larger root lives in the second
+    rng = np.random.default_rng(3)
+    blocks = []
+    for scale in (1.0, 3.0):
+        A = scale * rng.uniform(size=(6, 6))
+        blocks.append(A + A.T)
+    S = scipy.linalg.block_diag(*blocks)
+    np.testing.assert_allclose(perron_root(S), np.linalg.eigvalsh(S)[-1], rtol=1e-13)
+
+
+def test_perron_root_breakdown_zero_and_scalar():
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # rank 1 along the start vector: the first residual is exactly zero
+        assert perron_root(np.full((4, 4), 2.0)) == 8.0
+        v = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(perron_root(np.outer(v, v)), v @ v, rtol=1e-14)
+        assert perron_root(np.zeros((5, 5))) == 0.0
+        assert perron_root(np.array([[3.5]])) == 3.5
+
+
+def test_perron_root_refuses_outside_its_precondition():
+    bad = np.ones((3, 3))
+    bad[1, 2] = np.inf
+    for S in (bad, np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
+        with pytest.raises(InvalidInputError):
+            perron_root(S)
+    # the all-ones start is the eigenvector of the smaller eigenvalue 1 here,
+    # so Lanczos would stop at once and return 1 instead of 2
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        perron_root(np.array([[1.5, -0.5], [-0.5, 1.5]]))

@@ -27,8 +27,6 @@ from koopcert import (
     normalize_columns,
     operator_norm_bound,
     predict_observables,
-    regularized_objective,
-    theta_from_factors,
     weight_values,
 )
 from koopcert import DomainSpec, SystemSpec
@@ -42,6 +40,8 @@ from helpers import (
     example2_model,
     kw_gaussian,
     linear_model,
+    regularized_objective,
+    theta_from_factors,
 )
 
 

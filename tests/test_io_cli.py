@@ -9,15 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import koopcert
 from koopcert import (
     CertificateConfig,
+    DomainSpec,
+    EtaSpec,
     InvalidInputError,
+    RRRConfig,
     SnapshotDataset,
+    SystemSpec,
     bound_report,
+    fit_koopman,
+    fit_zubov_koopman,
     fmt,
     load_config,
+    make_dataset,
     read_dataset,
     read_model,
     write_dataset,
@@ -115,6 +123,34 @@ def test_model_round_trip_zubov(tmp_path):
     assert back.eta is not None and back.eta.scale == model.eta.scale
     np.testing.assert_array_equal(back.damping, model.damping)
     assert_same_factors(back, model)
+
+
+def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
+    # a fit needs the full eigh(K) and the top-(r+1) reduced solve; reading a
+    # model back only needs r x r solves
+    m = 40
+    square = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        square.append(np.shape(a) == (m, m))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    kw = kw_gaussian()
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    ds = make_dataset(
+        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), m, 1.0, 7, kw.weight, eta=eta
+    )
+    cfg = RRRConfig(rank=6)
+    for fit in (lambda: fit_koopman(ds, kw, cfg), lambda: fit_zubov_koopman(ds, kw, eta, cfg)):
+        square.clear()
+        model = fit()
+        assert sum(square) == 2
+        write_model(model, tmp_path / "model.txt")
+        square.clear()
+        read_model(tmp_path / "model.txt")
+        assert square and sum(square) == 0
 
 
 def test_read_model_missing_section(tmp_path):
