@@ -41,9 +41,8 @@ from .dynsys import (
     sample_uniform,
     step,
     trajectory,
-    vector_field,
 )
-from .eigsolve import Pencil, cholesky_spd, generalized_eig_topr, symmetric_eig
+from .eigsolve import symmetric_eig
 from .errors import (
     ContractionViolatedError,
     DegenerateDomainError,
@@ -52,9 +51,7 @@ from .errors import (
     IntegrationBlowupError,
     InvalidInputError,
     KoopcertError,
-    NotPositiveDefiniteError,
     SolverFailureError,
-    SpectralAnomalyError,
 )
 from .estimator import (
     EtaSpec,

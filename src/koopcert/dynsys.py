@@ -6,10 +6,10 @@ the true Lyapunov / stability-boundary series by direct simulation so the
 operator-based estimates elsewhere can be checked against ground truth.
 A batch of N orbits is held as one contiguous length-N array per state
 component; `_rk4` steps it with the stacked (N, n) step's operations in
-the same order, so every row is bit-identical, and `step`/`vector_field`
-are stacked wrappers of the same kernel. The oracles and the cost
-accumulation take the weight, the state cost and the escape test
-(non-finite, or past GUARD_RADIUS) from one sum of squares per step.
+the same order, so every row is bit-identical, and `step` is a stacked
+wrapper of the same kernel. The oracles and the cost accumulation take
+the weight, the state cost and the escape test (non-finite, or past
+GUARD_RADIUS) from one sum of squares per step.
 `saturating` is the one form of the observable w^nu / (w^nu + varsigma^nu).
 """
 
@@ -197,14 +197,6 @@ def _settle(xs: list, dead: np.ndarray) -> np.ndarray:
     for x in xs + [sq]:
         np.copyto(x, 0.0, where=dead)
     return sq
-
-
-def vector_field(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
-    """Right-hand side of the ODE, broadcast over leading axes of x."""
-    x = np.asarray(x, dtype=float)
-    if sys.kind == "linear-contraction":
-        raise InvalidInputError("the linear contraction is a discrete map, not a flow")
-    return np.stack(_field(sys, x[..., 0], x[..., 1]), axis=-1)
 
 
 def step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Symmetric and pencil eigensolvers used by the operator fit.
+"""Symmetric eigensolvers used by the operator fit.
 
 The regression step needs the top eigenpairs of the pencil
 (L K / m^2) u = s (K / m + beta I) u, whose left side is a product of two
@@ -11,67 +11,19 @@ perron_root gives lam_max of the target Gram for the a-priori norm bound
 without a dense eigensolve: the Gram is entrywise nonnegative, so by
 Perron-Frobenius its top eigenvector is nonnegative and Lanczos from the
 all-ones vector finds lam_max in a few dozen matrix-vector products.
-
-generalized_eig_topr is the general solver for any pencil with a symmetric
-positive definite right side: a Cholesky congruence C = L^-1 M L^-T handed
-to a dense nonsymmetric eigensolver. True eigenvalues of such pencils are
-real; a materially complex value in the retained block is reported as an
-anomaly rather than silently truncated.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    SolverFailureError,
-    SpectralAnomalyError,
-)
+from .errors import InvalidInputError, SolverFailureError
 
-REALNESS_TOL = 1e-6
 TIE_TOL = 1e-12
 NULL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """Generalized eigenproblem left M u = lam (right) B u.
-
-    The right-hand matrix must be symmetric (to 1e-12 relative) positive
-    definite; the left-hand matrix may be nonsymmetric.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        M, B = self.left, self.right
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != B.shape:
-            raise InvalidInputError("pencil needs two square matrices of equal size")
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(B))):
-            raise InvalidInputError("pencil matrices contain non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(B))))
-        if np.max(np.abs(B - B.T)) > 1e-12 * scale:
-            raise InvalidInputError("right-hand pencil matrix is not symmetric")
-
-
-def cholesky_spd(B: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor with B = L L^T."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise InvalidInputError("cholesky needs a square matrix")
-    if not np.all(np.isfinite(B)):
-        raise InvalidInputError("cholesky input contains non-finite entries")
-    try:
-        return scipy.linalg.cholesky(B, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -132,17 +84,6 @@ def perron_root(S: np.ndarray) -> float:
         basis.append(w / b)
 
 
-def _warn_on_rank_tie(vals: np.ndarray, r: int) -> None:
-    """Warn when the r-th and (r+1)-th of the descending vals tie."""
-    if len(vals) > r and abs(vals[r - 1] - vals[r]) <= TIE_TOL * (1.0 + abs(vals[r - 1])):
-        warnings.warn(
-            f"eigenvalues {r - 1} and {r} tie within {TIE_TOL:g}; "
-            "retention order falls back to index order",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def reduced_rank_eig(
     lam: np.ndarray, V: np.ndarray, L: np.ndarray, beta: float, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,47 +106,12 @@ def reduced_rank_eig(
             f"rank {r} exceeds the effective rank of the data: retained "
             f"eigenvalue {r - 1} is {s[r - 1]:.3g} against a top eigenvalue of {s[0]:.3g}"
         )
-    _warn_on_rank_tie(s, r)
+    if len(s) > r and abs(s[r - 1] - s[r]) <= TIE_TOL * (1.0 + abs(s[r - 1])):
+        warnings.warn(
+            f"eigenvalues {r - 1} and {r} tie within {TIE_TOL:g}; "
+            "retention order falls back to index order",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     U = V @ ((G @ (d[:, None] * Y[:, :r])) / b[:, None])
     return s[:r], U
-
-
-def generalized_eig_topr(
-    pencil: Pencil, r: int, realness_tol: float = REALNESS_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-r eigenpairs of left u = lam right u, sorted by real part.
-
-    Returns (vals, U) with vals descending and U the m-by-r eigenvector
-    matrix, back-transformed so that left @ u = lam * right @ u. Retained
-    eigenvalues with imaginary part above realness_tol * (1 + |real|)
-    raise a spectral anomaly; small imaginary dust is truncated and tiny
-    negative real parts are clamped to zero.
-    """
-    M, B = pencil.left, pencil.right
-    m = M.shape[0]
-    if not 1 <= r <= m:
-        raise InvalidInputError(f"rank r={r} must lie in [1, {m}]")
-    L = cholesky_spd(B)
-    # C = L^-1 M L^-T via two triangular solves.
-    T = scipy.linalg.solve_triangular(L, M, lower=True)
-    C = scipy.linalg.solve_triangular(L, T.T, lower=True).T
-    try:
-        vals, Z = scipy.linalg.eig(C)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverFailureError(str(exc)) from exc
-    order = np.argsort(-vals.real, kind="stable")
-    vals = vals[order]
-    Z = Z[:, order]
-    top = vals[:r]
-    bad = np.abs(top.imag) > realness_tol * (1.0 + np.abs(top.real))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SpectralAnomalyError(
-            f"retained eigenvalue {i} is complex: {top[i]:.6g} "
-            "(matrices are inconsistent with a definite pencil)"
-        )
-    _warn_on_rank_tie(vals.real, r)
-    lam = np.clip(top.real, 0.0, None)
-    Zr = Z[:, :r].real
-    U = scipy.linalg.solve_triangular(L, Zr, lower=True, trans="T")
-    return lam, U

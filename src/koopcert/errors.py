@@ -18,17 +18,9 @@ class DegenerateDomainError(KoopcertError):
     """Sampling domain rejected too many points (weight floor too high)."""
 
 
-class NotPositiveDefiniteError(KoopcertError):
-    """Matrix handed to a Cholesky factorization is not positive definite."""
-
-
 class SolverFailureError(KoopcertError):
     """An eigensolver failed to converge, or the requested rank exceeds the
     effective rank of the data."""
-
-
-class SpectralAnomalyError(KoopcertError):
-    """A retained eigenvalue has a non-negligible imaginary part."""
 
 
 class IntegrationBlowupError(KoopcertError):

@@ -134,7 +134,9 @@ def assemble_grams(
     if eta is None:
         return K, L, E, None
     damping = np.exp(-eta.values(X))
-    return K, damping[:, None] * L * damping[None, :], E * damping[None, :], damping
+    # one product per pair keeps L exactly symmetric (L_ij d_i d_j == L_ji d_j d_i)
+    L *= np.multiply.outer(damping, damping)
+    return K, L, E * damping[None, :], damping
 
 
 def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:

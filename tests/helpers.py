@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
 from koopcert import (
     DivergenceError,
@@ -110,6 +111,24 @@ def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:
     """Coefficient matrix (1/m) U U' K_w from normalized eigenvectors."""
     m = gram_x.shape[0]
     return (U @ (U.T @ gram_x)) / m
+
+
+def dense_pencil_topr(left: np.ndarray, right: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top r eigenpairs of left u = s right u by real part, from the dense QZ
+    solver; the fit's pencil solve is checked against it."""
+    vals, U = scipy.linalg.eig(left, right)
+    order = np.argsort(-vals.real, kind="stable")[:r]
+    return vals[order].real, U[:, order].real
+
+
+def as_fit_pencil(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, L) such that reduced_rank_eig(lam, V, L, 0.0, r) solves M u = s B u
+    for symmetric M and SPD B: K = B^1/2 = V diag(lam) V' and L = m B^-1/2 M B^-1/2,
+    since then (L K / m^2) u = s (K / m) u is M u = s B u."""
+    mu, V = np.linalg.eigh(B)
+    inv_half = (V / np.sqrt(mu)[None, :]) @ V.T
+    L = len(B) * (inv_half @ M @ inv_half)
+    return np.sqrt(mu), V, 0.5 * (L + L.T)
 
 
 # K and L of the models regularized_objective has seen, dropped with the model.

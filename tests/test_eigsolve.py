@@ -1,4 +1,4 @@
-"""Dense symmetric and generalized pencil eigensolvers, and the Lanczos Perron root."""
+"""Dense symmetric eigensolves, the fit's reduced-rank pencil solve, and the Lanczos Perron root."""
 
 import warnings
 
@@ -6,18 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from koopcert import (
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    Pencil,
-    SpectralAnomalyError,
-    cholesky_spd,
-    generalized_eig_topr,
-    symmetric_eig,
-)
-from koopcert.eigsolve import perron_root
+from koopcert import InvalidInputError, symmetric_eig
+from koopcert.eigsolve import perron_root, reduced_rank_eig
 
-from helpers import dense_grams, example1_model, example2_model
+from helpers import as_fit_pencil, dense_grams, example1_model, example2_model
 
 
 def random_spd(rng, m, cond_lo=0.5, cond_hi=2.0):
@@ -33,18 +25,7 @@ def planted_pencil(rng, m):
     Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
     lam = np.sort(rng.uniform(0.1, 10.0, m))[::-1]
     M = L @ (Q * lam[None, :]) @ Q.T @ L.T
-    return Pencil(left=M, right=B), lam
-
-
-def test_cholesky_spd_matches_numpy():
-    rng = np.random.default_rng(0)
-    B = random_spd(rng, 12)
-    np.testing.assert_allclose(cholesky_spd(B), np.linalg.cholesky(B), atol=1e-12)
-
-
-def test_cholesky_spd_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    return M, B, lam
 
 
 def test_symmetric_eig_reconstructs_descending():
@@ -67,43 +48,18 @@ def test_generalized_eig_recovers_planted_spectrum():
     for _ in range(10):
         m = int(rng.integers(3, 30))
         r = int(rng.integers(1, m + 1))
-        pencil, lam = planted_pencil(rng, m)
-        vals, U = generalized_eig_topr(pencil, r)
+        M, B, lam = planted_pencil(rng, m)
+        vals, U = reduced_rank_eig(*as_fit_pencil(M, B), 0.0, r)
         np.testing.assert_allclose(vals, lam[:r], rtol=1e-9, atol=1e-9)
-        resid = pencil.left @ U - pencil.right @ U * vals[None, :]
-        scale = np.linalg.norm(pencil.left) + np.linalg.norm(pencil.right)
+        U = U / np.linalg.norm(U, axis=0)[None, :]
+        resid = M @ U - B @ U * vals[None, :]
+        scale = np.linalg.norm(M) + np.linalg.norm(B)
         assert np.linalg.norm(resid) <= 1e-9 * scale
 
 
-def test_pencil_validation():
-    good = np.eye(3)
-    with pytest.raises(InvalidInputError):
-        Pencil(left=np.ones((2, 3)), right=np.ones((2, 3)))
-    with pytest.raises(InvalidInputError):
-        Pencil(left=good, right=np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]]))
-    bad = good.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(InvalidInputError):
-        Pencil(left=bad, right=good)
-    with pytest.raises(InvalidInputError):
-        generalized_eig_topr(Pencil(left=good, right=good), 4)
-
-
-def test_complex_retained_eigenvalue_raises():
-    M = np.array([[0.0, -5.0], [5.0, 0.0]])
-    with pytest.raises(SpectralAnomalyError):
-        generalized_eig_topr(Pencil(left=M, right=np.eye(2)), 1)
-
-
 def test_tied_eigenvalues_warn():
-    with pytest.warns(RuntimeWarning):
-        generalized_eig_topr(Pencil(left=np.eye(3), right=np.eye(3)), 1)
-
-
-def test_tiny_negative_eigenvalues_clamped():
-    M = np.diag([1.0, -1e-15])
-    vals, _ = generalized_eig_topr(Pencil(left=M, right=np.eye(2)), 2)
-    assert vals[1] == 0.0
+    with pytest.warns(RuntimeWarning, match="tie"):
+        reduced_rank_eig(*as_fit_pencil(np.eye(3), np.eye(3)), 0.0, 1)
 
 
 def test_perron_root_matches_dense_eigh_on_fitted_target_grams():

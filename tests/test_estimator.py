@@ -11,7 +11,6 @@ from koopcert import (
     EtaMismatchError,
     EtaSpec,
     InvalidInputError,
-    Pencil,
     RRRConfig,
     SnapshotDataset,
     SolverFailureError,
@@ -20,7 +19,6 @@ from koopcert import (
     fit_koopman,
     fit_zubov_koopman,
     forward_coeffs,
-    generalized_eig_topr,
     gram,
     heldout_risk,
     make_dataset,
@@ -36,6 +34,7 @@ from helpers import (
     dense_forward_coeffs,
     dense_grams,
     dense_heldout_risk,
+    dense_pencil_topr,
     dense_reference_fits,
     example2_model,
     kw_gaussian,
@@ -92,11 +91,10 @@ def test_fit_is_exact_minimizer_dense_reference():
 
 def general_pencil_fit(model):
     """sigma_sq and theta of a model's pencil (L K / m^2, K / m + beta I)
-    from the general Cholesky and nonsymmetric eigensolver."""
+    from the dense QZ solver."""
     K, L, _, _ = dense_grams(model)
     m = len(model)
-    pencil = Pencil(left=(L @ K) / (m * m), right=K / m + model.beta * np.eye(m))
-    sigma_sq, U = generalized_eig_topr(pencil, model.rank)
+    sigma_sq, U = dense_pencil_topr((L @ K) / (m * m), K / m + model.beta * np.eye(m), model.rank)
     return sigma_sq, theta_from_factors(normalize_columns(U, K, model.beta), K)
 
 
@@ -202,6 +200,12 @@ def test_zero_scale_damping_matches_plain_fit():
     for name in ("U", "W", "H", "Q"):
         np.testing.assert_array_equal(getattr(damped, name), getattr(reference, name))
     assert damped.mode == "zubov" and reference.mode == "koopman"
+
+
+def test_damped_target_gram_is_exactly_symmetric():
+    # symmetric_eig reads only the lower triangle of L, perron_root all of it
+    L = dense_grams(example2_model()[3])[1]
+    assert np.array_equal(L, L.T)
 
 
 def test_diagnostics_accessors_match():

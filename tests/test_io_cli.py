@@ -448,6 +448,11 @@ def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     command, path = prepare(tmp_path)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", path]
+    assert path in _cli_error_line(1, *argv)
+
+
+def _cli_error_line(code, *argv):
+    """Run the CLI in a fresh interpreter; assert exit code and a one-line stderr, return it."""
     env = {**os.environ, "PYTHONPATH": str(Path(koopcert.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "koopcert.cli", *argv],
@@ -457,10 +462,25 @@ def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare):
         timeout=120,
     )
     lines = proc.stderr.strip().split("\n")
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    assert path in lines[0], proc.stderr
     assert "Traceback" not in proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "targets, rank, code, text",
+    [(0.5, 5, 1, "exceeds sample count"), (0.0, 1, 3, "effective rank")],
+    ids=["rank-above-m", "rank-above-effective-rank"],
+)
+def test_cli_fit_rank_contract(tmp_path, targets, rank, code, text):
+    # four pairs; targets at the origin have zero weight, so L = 0
+    X = np.array([[0.5, 0.1], [1.0, -0.3], [-0.7, 0.4], [0.2, 0.9]])
+    data = tmp_path / "dataset.csv"
+    write_dataset(SnapshotDataset(X=X, Y=targets * X, dt=1.0, seed=0), data)
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("rank = 8", f"rank = {rank}"))
+    argv = ["fit", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", str(data)]
+    assert text in _cli_error_line(code, *argv)
 
 
 def test_cli_reproduce_smoke(tmp_path):
