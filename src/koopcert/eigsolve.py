@@ -3,14 +3,17 @@
 The regression step needs the top eigenpairs of the pencil
 (L K / m^2) u = s (K / m + beta I) u, whose left side is a product of two
 Gram matrices and therefore not symmetric. reduced_rank_eig solves it as a
-symmetric problem: in the eigenbasis of K = V diag(lam) V' the congruence
-by diag(sqrt(lam / (lam / m + beta))) turns it into a symmetric matrix
-whose top eigenpairs give s and, after one back-substitution, u.
+symmetric problem in a low-rank factor of K: the pivoted Cholesky factor
+K = Psi Psi', with k columns for the numerical rank k of K (well below m
+for the smooth Gaussian Grams at large m), turns it into a k x k symmetric
+matrix whose top eigenpairs give s and, after one Cholesky solve with
+K / m + beta I, u. No m x m matrix is eigendecomposed.
 
-perron_root gives lam_max of the target Gram for the a-priori norm bound
-without a dense eigensolve: the Gram is entrywise nonnegative, so by
-Perron-Frobenius its top eigenvector is nonnegative and Lanczos from the
-all-ones vector finds lam_max in a few dozen matrix-vector products.
+perron_root gives lam_max of a Gram, for the default ridge and the
+a-priori norm bound, without a dense eigensolve: the Gram is entrywise
+nonnegative, so by Perron-Frobenius its top eigenvector is nonnegative
+and Lanczos from the all-ones vector finds lam_max in a few dozen
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -26,17 +29,23 @@ TIE_TOL = 1e-12
 NULL_TOL = 1e-12
 
 
+def _finite_square(S: np.ndarray, who: str) -> np.ndarray:
+    """S as a float array once it is checked to be square and finite."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InvalidInputError(f"{who} needs a square matrix")
+    if not np.all(np.isfinite(S)):
+        raise InvalidInputError(f"{who} input contains non-finite entries")
+    return S
+
+
 def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of symmetric S.
 
     With top = k only the k largest eigenpairs are computed. Only the lower
     triangle of S is read.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise InvalidInputError("symmetric_eig needs a square matrix")
-    if not np.all(np.isfinite(S)):
-        raise InvalidInputError("symmetric_eig input contains non-finite entries")
+    S = _finite_square(S, "symmetric_eig")
     m = S.shape[0]
     if top is not None and not 1 <= top <= m:
         raise InvalidInputError(f"top={top} must lie in [1, {m}]")
@@ -57,11 +66,9 @@ def perron_root(S: np.ndarray) -> float:
     breakdown (b_k = 0), or when the Krylov space reaches dimension m,
     where theta is exact. The basis grows one vector per matrix product.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] == 0:
-        raise InvalidInputError("perron_root needs a nonempty square matrix")
-    if not np.all(np.isfinite(S)):
-        raise InvalidInputError("perron_root input contains non-finite entries")
+    S = _finite_square(S, "perron_root")
+    if S.shape[0] == 0:
+        raise InvalidInputError("perron_root needs a nonempty matrix")
     if np.any(S < 0):
         raise InvalidInputError("perron_root needs an entrywise nonnegative matrix")
     m = len(S)
@@ -84,23 +91,67 @@ def perron_root(S: np.ndarray) -> float:
         basis.append(w / b)
 
 
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of SPD A, in A's memory when A is Fortran-ordered."""
+    try:
+        return scipy.linalg.cholesky(A, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverFailureError(str(exc)) from exc
+
+
+def _reduced_pencil(K: np.ndarray, L: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """L J and the k x k J' L J / m^2 of reduced_rank_eig; its m x k
+    factors Psi and J are freed on return."""
+    m = len(K)
+    c, piv, k, _ = scipy.linalg.lapack.dpstrf(K, lower=1)
+    # the strict upper triangle of c still holds K's entries
+    Psi = np.tril(c[:, :k])
+    del c
+    Psi = Psi[np.argsort(piv)]
+    N = Psi.T @ Psi
+    N /= m
+    N.flat[:: k + 1] += beta
+    # N is symmetric, so N.T is N in Fortran order and R is factored in
+    # N's memory; J = Psi R^-1 is solved in Psi's
+    R = _cholesky(N.T)
+    J = scipy.linalg.solve_triangular(R, Psi.T, trans="T", overwrite_b=True, check_finite=False).T
+    del N, R
+    LJ = L @ J
+    T = J.T @ LJ
+    T /= m * m
+    return LJ, T
+
+
 def reduced_rank_eig(
-    lam: np.ndarray, V: np.ndarray, L: np.ndarray, beta: float, r: int
+    K: np.ndarray, L: np.ndarray, beta: float, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
 
-    K = V diag(lam) V' comes as its eigendecomposition; L is the symmetric
-    target Gram. With G = V' L V, b = lam / m + beta and d = sqrt(lam / b),
-    each eigenpair (s, y) of the symmetric diag(d) G diag(d) / m^2 gives the
-    eigenvector u = V (G (d * y) / b). Returns s descending and the m x r
-    eigenvectors, unnormalized. Raises SolverFailureError when a retained s
-    is numerically zero: r exceeds the effective rank of the data.
+    K and L are the symmetric input and target Grams. LAPACK's pivoted
+    Cholesky at its default tolerance gives K = Psi Psi' with Psi m x k;
+    with N = Psi' Psi / m + beta I = R'R and J = Psi R^-1, K (K / m + beta I)^-1
+    = J J', so the pencil's nonzero eigenvalues s are those of the k x k
+    symmetric J' L J / m^2 and each eigenpair (s, y) gives the eigenvector
+    u = (K / m + beta I)^-1 L J y. Returns s descending and the m x r
+    eigenvectors, unnormalized, each signed so that its largest-magnitude
+    entry is positive. Raises SolverFailureError when r exceeds k or a
+    retained s is numerically zero: r exceeds the effective rank of the data.
     """
-    m = len(lam)
-    G = V.T @ (L @ V)
-    b = lam / m + beta
-    d = np.sqrt(np.clip(lam, 0.0, None) / b)
-    s, Y = symmetric_eig(d[:, None] * G * d[None, :] / (m * m), top=min(r + 1, m))
+    K = _finite_square(K, "reduced_rank_eig")
+    L = _finite_square(L, "reduced_rank_eig")
+    m = len(K)
+    if L.shape != K.shape:
+        raise InvalidInputError("reduced_rank_eig needs K and L of the same shape")
+    if not 1 <= r <= m:
+        raise InvalidInputError(f"rank {r} must lie in [1, {m}]")
+    LJ, T = _reduced_pencil(K, L, beta)
+    k = len(T)
+    if k < r:
+        raise SolverFailureError(
+            f"rank {r} exceeds the effective rank of the data: the input Gram "
+            f"has numerical rank {k}"
+        )
+    s, Y = symmetric_eig(T, top=min(r + 1, k))
     if not s[r - 1] > NULL_TOL * s[0]:
         raise SolverFailureError(
             f"rank {r} exceeds the effective rank of the data: retained "
@@ -113,5 +164,11 @@ def reduced_rank_eig(
             RuntimeWarning,
             stacklevel=2,
         )
-    U = V @ ((G @ (d[:, None] * Y[:, :r])) / b[:, None])
+    # C = K / m + beta I, factored in place like N; its condition is at
+    # most 1 + lam_max(K) / (m beta)
+    C = K / m
+    C.flat[:: m + 1] += beta
+    U = scipy.linalg.cho_solve((_cholesky(C.T), False), LJ @ Y[:, :r], check_finite=False)
+    # the eigensolver's sign choice is arbitrary: fix it by the largest entry
+    U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(r)])
     return s[:r], U

@@ -6,8 +6,9 @@ exp(-eta(x_i)). The fitted operator is A = sum_ij theta_ij
 k_w(x_i, .) (x) psi_j with a rank-r coefficient matrix theta = U W',
 W = K U / m. The columns of U are the top eigenvectors of the pencil
 (L K / m^2) u = s (K / m + beta I) u over the Gram matrices, found as a
-symmetric top-r eigenproblem in the eigenbasis of K (one full eigensolve
-of K, which also sets the default beta). The model keeps only these
+symmetric top-r eigenproblem in a pivoted Cholesky factor of K, so no
+m x m matrix is eigendecomposed; the default beta comes from the Lanczos
+Perron root of K. The model keeps only these
 factors and two r x r matrices, H = U' E W and Q = W' L W, so the
 coefficient recursions that push kernel sections through powers of A and
 its adjoint run in rank-r coordinates.
@@ -246,11 +247,11 @@ def _fit(
     K, L, _, _ = grams
     if float(np.max(np.abs(K))) == 0.0:
         raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
-    lam, V = symmetric_eig(K)
     beta = cfg.beta
     if beta is None:
-        beta = cfg.beta_scale * float(lam[0]) / m
-    sigma_sq, U = reduced_rank_eig(lam, V, L, beta, cfg.rank)
+        # K is entrywise nonnegative, like L, so lam_max(K) is its Perron root
+        beta = cfg.beta_scale * perron_root(K) / m
+    sigma_sq, U = reduced_rank_eig(K, L, beta, cfg.rank)
     U = normalize_columns(U, K, beta)
     return factor_model(kw, X, Y, eta, grams, beta, U, sigma_sq)
 

@@ -121,14 +121,15 @@ def dense_pencil_topr(left: np.ndarray, right: np.ndarray, r: int) -> tuple[np.n
     return vals[order].real, U[:, order].real
 
 
-def as_fit_pencil(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, L) such that reduced_rank_eig(lam, V, L, 0.0, r) solves M u = s B u
-    for symmetric M and SPD B: K = B^1/2 = V diag(lam) V' and L = m B^-1/2 M B^-1/2,
-    since then (L K / m^2) u = s (K / m) u is M u = s B u."""
+def as_fit_pencil(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, L) such that reduced_rank_eig(K, L, 0.0, r) solves M u = s B u
+    for symmetric M and SPD B: K = B^1/2 and L = m B^-1/2 M B^-1/2, since
+    then (L K / m^2) u = s (K / m) u is M u = s B u."""
     mu, V = np.linalg.eigh(B)
+    half = (V * np.sqrt(mu)[None, :]) @ V.T
     inv_half = (V / np.sqrt(mu)[None, :]) @ V.T
     L = len(B) * (inv_half @ M @ inv_half)
-    return np.sqrt(mu), V, 0.5 * (L + L.T)
+    return 0.5 * (half + half.T), 0.5 * (L + L.T)
 
 
 # K and L of the models regularized_objective has seen, dropped with the model.

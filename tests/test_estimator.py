@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopcert import (
     EtaMismatchError,
@@ -114,6 +115,31 @@ def test_fit_matches_general_pencil_solver():
         sigma_sq, theta = general_pencil_fit(model)
         np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-10)
+
+
+def test_fit_on_repeated_anchors_truncates_the_input_gram():
+    # six distinct snapshot pairs repeated five times: K has exact rank 6 < m = 30,
+    # so the pivoted Cholesky of K stops after six columns
+    kw = kw_gaussian()
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    base = make_dataset(
+        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 6, 1.0, 5, kw.weight, eta=eta
+    )
+    X, Y, eta_x = np.tile(base.X, (5, 1)), np.tile(base.Y, (5, 1)), np.tile(base.eta_x, 5)
+    damped = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed, eta_x=eta_x)
+    plain = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed)
+    assert scipy.linalg.lapack.dpstrf(gram(kw, X, X), lower=1)[2] == 6
+    for rank in (3, 6):
+        for beta in (None, 0.02):
+            cfg = RRRConfig(rank=rank, beta=beta)
+            for model in (fit_koopman(plain, kw, cfg), fit_zubov_koopman(damped, kw, eta, cfg)):
+                sigma_sq, theta = general_pencil_fit(model)
+                np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-10)
+    cfg = RRRConfig(rank=7)
+    for fit in (lambda: fit_koopman(plain, kw, cfg), lambda: fit_zubov_koopman(damped, kw, eta, cfg)):
+        with pytest.raises(SolverFailureError, match="effective rank"):
+            fit()
 
 
 def test_rank_tie_warns_from_fit():
