@@ -26,6 +26,7 @@ from .dynsys import (
     saturating,
     step,
 )
+from .eigsolve import matmul
 from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
 from .estimator import (
     EtaSpec,
@@ -122,7 +123,7 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
     S = model.Q
     for _ in range(horizon):
         P = P + S
-        S = model.H.T @ S @ model.H
+        S = matmul(matmul(model.H.T, S), model.H)
     return LyapunovEstimate(
         model=model,
         horizon=horizon,
@@ -139,8 +140,8 @@ def lyapunov_values(est: LyapunovEstimate, X: np.ndarray) -> np.ndarray:
     model = est.model
     X = np.asarray(X, dtype=float)
     w2 = weight_values(model.kw.weight, X) ** 2
-    Z = model.U.T @ gram(model.kw, model.anchors_x, X)
-    return w2 + np.sum(Z * (est.P @ Z), axis=0)
+    Z = matmul(model.U.T, gram(model.kw, model.anchors_x, X))
+    return w2 + np.sum(Z * matmul(est.P, Z), axis=0)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
     if est.steps == 0:
         return saturating(weight_values(est.model.kw.weight, X), est.nu, est.varsigma)
     Kx = gram(est.model.kw, est.model.anchors_x, X)
-    return est.coeffs @ Kx
+    return matmul(est.coeffs, Kx)
 
 
 def c_nu(nu: float, varsigma: float) -> float:

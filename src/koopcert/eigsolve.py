@@ -14,6 +14,16 @@ a-priori norm bound, without a dense eigensolve: the Gram is entrywise
 nonnegative, so by Perron-Frobenius its top eigenvector is nonnegative
 and Lanczos from the all-ones vector finds lam_max in a few dozen
 matrix-vector products.
+
+Every dense product in the package goes through matmul, which calls
+scipy's BLAS, the library behind scipy's LAPACK. numpy and scipy each
+ship their own OpenBLAS, each with its own thread pool, so a numpy `@`
+between two LAPACK calls hands the work from one pool to the other; the
+pool just left keeps its threads spinning for a while and they compete
+with the busy pool's threads for the cores. On a 2-core machine a
+200 x 200 product followed by a Cholesky took 13 ms this way against
+0.9 ms with both in scipy's BLAS. So the package uses no `@`, np.dot or
+np.linalg: tests/test_eigsolve.py checks the source for them.
 """
 
 from __future__ import annotations
@@ -37,6 +47,35 @@ def _finite_square(S: np.ndarray, who: str) -> np.ndarray:
     if not np.all(np.isfinite(S)):
         raise InvalidInputError(f"{who} input contains non-finite entries")
     return S
+
+
+def _transposed(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x' as a column-major BLAS operand and its transpose flag: the view x.T,
+    untransposed, when x is row-major; otherwise x itself, transposed (the
+    BLAS wrapper copies it first unless it is column-major)."""
+    return (x.T, 0) if x.flags.c_contiguous else (x, 1)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for nonempty float arrays of one or two dimensions, in scipy's BLAS.
+
+    A 2-D product is formed as (a b)' = b' a' in column-major order and
+    returned as its row-major transpose, which is how numpy's matmul calls
+    BLAS: row-major and column-major operands and their .T views enter
+    without a copy. A vector on either side is a dgemv, two vectors a ddot.
+    """
+    blas = scipy.linalg.blas
+    if a.ndim == 1 and b.ndim == 1:
+        return blas.ddot(a, b)
+    if b.ndim == 1:
+        A, t = _transposed(a)
+        return blas.dgemv(1.0, A, b, trans=1 - t)
+    if a.ndim == 1:
+        B, t = _transposed(b)
+        return blas.dgemv(1.0, B, a, trans=t)
+    B, tb = _transposed(b)
+    A, ta = _transposed(a)
+    return blas.dgemm(1.0, B, A, trans_a=tb, trans_b=ta).T
 
 
 def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -75,15 +114,15 @@ def perron_root(S: np.ndarray) -> float:
     basis = [np.full(m, 1.0 / np.sqrt(m))]
     diag, offdiag = [], []
     while True:
-        w = S @ basis[-1]
-        diag.append(float(basis[-1] @ w))
+        w = matmul(S, basis[-1])
+        diag.append(float(matmul(basis[-1], w)))
         theta, y = scipy.linalg.eigh_tridiagonal(
             diag, offdiag, select="i", select_range=(len(diag) - 1, len(diag) - 1)
         )
         B = np.array(basis)
-        w -= B.T @ (B @ w)
-        w -= B.T @ (B @ w)
-        b = float(np.linalg.norm(w))
+        w -= matmul(matmul(B, w), B)
+        w -= matmul(matmul(B, w), B)
+        b = float(scipy.linalg.blas.dnrm2(w))
         # theta >= 1' S 1 / m >= 0, so breakdown (b = 0) also stops here.
         if b * abs(y[-1, 0]) <= 1e-15 * theta[0] or len(basis) == m:
             return float(theta[0])
@@ -108,16 +147,17 @@ def _reduced_pencil(K: np.ndarray, L: np.ndarray, beta: float) -> tuple[np.ndarr
     Psi = np.tril(c[:, :k])
     del c
     Psi = Psi[np.argsort(piv)]
-    N = Psi.T @ Psi
+    # N = Psi' Psi / m + beta I in its upper triangle (a rank-k update, half
+    # a product's work) and in Fortran order, so R is factored in N's
+    # memory; J = Psi R^-1 is solved in Psi's
+    N = scipy.linalg.blas.dsyrk(1.0, Psi.T)
     N /= m
     N.flat[:: k + 1] += beta
-    # N is symmetric, so N.T is N in Fortran order and R is factored in
-    # N's memory; J = Psi R^-1 is solved in Psi's
-    R = _cholesky(N.T)
+    R = _cholesky(N)
     J = scipy.linalg.solve_triangular(R, Psi.T, trans="T", overwrite_b=True, check_finite=False).T
     del N, R
-    LJ = L @ J
-    T = J.T @ LJ
+    LJ = matmul(L, J)
+    T = matmul(J.T, LJ)
     T /= m * m
     return LJ, T
 
@@ -168,7 +208,7 @@ def reduced_rank_eig(
     # most 1 + lam_max(K) / (m beta)
     C = K / m
     C.flat[:: m + 1] += beta
-    U = scipy.linalg.cho_solve((_cholesky(C.T), False), LJ @ Y[:, :r], check_finite=False)
+    U = scipy.linalg.cho_solve((_cholesky(C.T), False), matmul(LJ, Y[:, :r]), check_finite=False)
     # the eigensolver's sign choice is arbitrary: fix it by the largest entry
     U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(r)])
     return s[:r], U

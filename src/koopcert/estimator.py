@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import SnapshotDataset
-from .eigsolve import perron_root, reduced_rank_eig, symmetric_eig
+from .eigsolve import matmul, perron_root, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
 from .kernels import WeightedKernelSpec, gram, weight_values
 
@@ -117,7 +117,7 @@ class KoopmanModel:
     @property
     def theta(self) -> np.ndarray:
         """Dense m x m coefficient matrix U W'; costs O(m^2 r), for inspection."""
-        return self.U @ self.W.T
+        return matmul(self.U, self.W.T)
 
 
 def assemble_grams(
@@ -147,7 +147,7 @@ def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndar
     regularized empirical risk.
     """
     m = gram_x.shape[0]
-    KU = gram_x @ U
+    KU = matmul(gram_x, U)
     nrm_sq = np.sum(KU * KU, axis=0) / m + beta * np.sum(U * KU, axis=0)
     if np.any(nrm_sq <= 0) or not np.all(np.isfinite(nrm_sq)):
         raise SolverFailureError(
@@ -164,7 +164,7 @@ def _section_risk(Z: np.ndarray, Q: np.ndarray, WG: np.ndarray, target_sq: np.nd
     damped Gram column of target i against the anchor targets, and
     target_sq[i] is that target's squared norm.
     """
-    per_point = np.sum(Z * (Q @ Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + target_sq
+    per_point = np.sum(Z * matmul(Q, Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + target_sq
     return max(float(np.mean(per_point)), 0.0)
 
 
@@ -189,15 +189,15 @@ def factor_model(
     K, L, E, damping = grams
     m = len(K)
     U = np.ascontiguousarray(U)
-    Z = U.T @ K
+    Z = matmul(U.T, K)
     W = Z.T / m
-    WL = W.T @ L
-    Q = WL @ W
-    H = (U.T @ E) @ W
-    M = Z @ U
+    WL = matmul(W.T, L)
+    Q = matmul(WL, W)
+    H = matmul(matmul(U.T, E), W)
+    M = matmul(Z, U)
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
-    Mh = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
-    S = Mh @ Q @ Mh
+    Mh = matmul(vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :], vecs.T)
+    S = matmul(matmul(Mh, Q), Mh)
     diagnostics = FitDiagnostics(
         sigma_sq=sigma_sq,
         risk=_section_risk(Z, Q, WL, np.diag(L)),
@@ -288,9 +288,9 @@ def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndar
     """
     d = model.damping
     S = np.empty((t, model.rank))
-    S[0] = model.W.T @ (g0 if d is None else d * g0)
+    S[0] = matmul(model.W.T, g0 if d is None else d * g0)
     for k in range(1, t):
-        S[k] = model.H.T @ S[k - 1]
+        S[k] = matmul(model.H.T, S[k - 1])
     return S
 
 
@@ -307,7 +307,7 @@ def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (len(model),):
         raise InvalidInputError("g0 must hold one value per anchor")
-    return model.U @ _forward_rank_coeffs(model, g0, t)[-1]
+    return matmul(model.U, _forward_rank_coeffs(model, g0, t)[-1])
 
 
 def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> np.ndarray:
@@ -324,15 +324,15 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
     out[0] = weight_values(model.kw.weight, x)[0] * g(x)[0]
     if horizon >= 1:
         g0 = weight_values(model.kw.weight, model.anchors_y) * g(model.anchors_y)
-        z = model.U.T @ gram(model.kw, model.anchors_x, x)[:, 0]
-        out[1:] = _forward_rank_coeffs(model, g0, horizon) @ z
+        z = matmul(model.U.T, gram(model.kw, model.anchors_x, x)[:, 0])
+        out[1:] = matmul(_forward_rank_coeffs(model, g0, horizon), z)
     return out
 
 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs."""
     Xh, Yh = ds.X, ds.Y
-    Z = model.U.T @ gram(model.kw, model.anchors_x, Xh)
+    Z = matmul(model.U.T, gram(model.kw, model.anchors_x, Xh))
     G = gram(model.kw, model.anchors_y, Yh)
     # k_w(y, y) = w(y)^2 since the base kernel is 1 on the diagonal.
     t_norm = weight_values(model.kw.weight, Yh) ** 2
@@ -340,4 +340,4 @@ def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
         dh = np.exp(-_checked_eta(ds, model.eta))
         G = model.damping[:, None] * G * dh[None, :]
         t_norm = dh**2 * t_norm
-    return _section_risk(Z, model.Q, model.W.T @ G, t_norm)
+    return _section_risk(Z, model.Q, matmul(model.W.T, G), t_norm)

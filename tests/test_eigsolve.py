@@ -1,13 +1,18 @@
-"""Dense symmetric eigensolves, the fit's reduced-rank pencil solve, and the Lanczos Perron root."""
+"""Dense symmetric eigensolves, the fit's reduced-rank pencil solve, the Lanczos
+Perron root, and the one BLAS library behind every dense product."""
 
+import ast
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import koopcert
 from koopcert import InvalidInputError, symmetric_eig
-from koopcert.eigsolve import perron_root, reduced_rank_eig
+from koopcert.eigsolve import matmul, perron_root, reduced_rank_eig
 
 from helpers import as_fit_pencil, dense_grams, example1_model, example2_model
 
@@ -115,3 +120,112 @@ def test_perron_root_refuses_outside_its_precondition():
     # so Lanczos would stop at once and return 1 instead of 2
     with pytest.raises(InvalidInputError, match="nonnegative"):
         perron_root(np.array([[1.5, -0.5], [-0.5, 1.5]]))
+
+
+def _layouts(rng, rows, cols):
+    """One rows x cols matrix in every layout the package passes to matmul."""
+    X = rng.standard_normal((rows, cols))
+    wide = rng.standard_normal((rows, cols + 3))
+    wide[:, :cols] = X
+    return {
+        "C": X,
+        "F": np.asfortranarray(X),
+        "T view of C": np.ascontiguousarray(X.T).T,
+        "T view of F": np.asfortranarray(X.T).T,
+        "column slice": wide[:, :cols],
+    }
+
+
+def _vectors(rng, n):
+    x = rng.standard_normal(n)
+    strided = np.repeat(x[:, None], 2, axis=1)[:, 0]
+    return {"contiguous": x, "strided": strided}
+
+
+def _assert_matches_numpy(a, b, what):
+    got, want = matmul(a, b), a @ b
+    assert np.shape(got) == np.shape(want), what
+    err = np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
+    assert err <= 1e-14, f"{what}: relative error {err:.2e}"
+
+
+def test_matmul_matches_numpy_for_every_operand_layout():
+    rng = np.random.default_rng(11)
+    left, right = _layouts(rng, 37, 23), _layouts(rng, 23, 9)
+    for ka, a in left.items():
+        for kb, b in right.items():
+            _assert_matches_numpy(a, b, f"{ka} @ {kb}")
+    for kv, v in _vectors(rng, 23).items():
+        for ka, a in left.items():
+            _assert_matches_numpy(a, v, f"{ka} @ {kv} vector")
+    for kv, v in _vectors(rng, 37).items():
+        for kb, b in left.items():
+            _assert_matches_numpy(v, b, f"{kv} vector @ {kb}")
+        for kw, w in _vectors(rng, 37).items():
+            _assert_matches_numpy(v, w, f"{kv} vector @ {kw} vector")
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matmul_does_not_copy_a_row_major_operand():
+    m = 1000
+    rng = np.random.default_rng(12)
+    K = rng.standard_normal((m, m))
+    U = rng.standard_normal((m, 5))
+    v = rng.standard_normal(m)
+    # the measurement sees a copy of K when there is one
+    assert _peak_bytes(lambda: np.asfortranarray(K)) >= K.nbytes
+    for f in (
+        lambda: matmul(U.T, K),
+        lambda: matmul(K, U),
+        lambda: matmul(K, np.asfortranarray(U)),
+        lambda: matmul(K, v),
+        lambda: matmul(v, K),
+    ):
+        assert _peak_bytes(f) < K.nbytes
+
+
+# numpy names that run a product in numpy's own BLAS
+NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot", "linalg"}
+
+
+def _numpy_blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "dot"
+            or (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                and node.attr in NUMPY_PRODUCTS)
+        ):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {alias.name for alias in node.names}
+            if node.module == "numpy.linalg" or names & NUMPY_PRODUCTS:
+                found.append((node.lineno, f"from {node.module} import"))
+    return sorted(found)
+
+
+def test_package_makes_every_dense_product_in_scipy_blas():
+    """No `@`, np.dot, np.matmul, np.einsum, np.inner, np.tensordot or
+    np.linalg in the package: numpy's OpenBLAS is a second library with its
+    own thread pool, and switching pools between LAPACK calls costs more
+    than the products (see the eigsolve module docstring)."""
+    assert _numpy_blas_uses(ast.parse("x = a @ b\ny = np.linalg.norm(x)\nz = x.dot(y)")) == [
+        (1, "@"), (2, "linalg"), (3, "dot")
+    ]
+    src = Path(koopcert.__file__).parent
+    offenders = {
+        f"{path.name}:{line}": what
+        for path in sorted(src.glob("*.py"))
+        for line, what in _numpy_blas_uses(ast.parse(path.read_text()))
+    }
+    assert offenders == {}

@@ -36,7 +36,7 @@ from koopcert import (
 from koopcert.certificates import HORIZON_CAP
 from koopcert.cli import main
 from koopcert.config import WORK_BYTES_CAP
-from koopcert.io import _write_rows
+from koopcert.io import CHECKED_DIAGNOSTICS, DIAGNOSTICS_RTOL, _write_rows
 
 from helpers import example2_model, kw_gaussian, linear_model
 
@@ -153,6 +153,20 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
         calls.clear()
         read_model(tmp_path / "model.txt")
         assert calls and not any(square for square, _ in calls)
+
+
+def test_read_model_loads_a_file_from_numpy_blas_products():
+    """tests/data/model.txt is an example2-config fit (m = 60, rank 5, seed 42)
+    written when the fit's products ran in numpy's BLAS; the rebuild in
+    scipy's BLAS must still reproduce its stored diagnostics."""
+    path = Path(__file__).parent / "data" / "model.txt"
+    text = path.read_text()
+    model = read_model(path)
+    assert (len(model), model.rank, model.mode) == (60, 5, "zubov")
+    for name in CHECKED_DIAGNOSTICS:
+        stored = float(re.search(rf"^{name}=(.*)$", text, flags=re.M).group(1))
+        recomputed = getattr(model.diagnostics, name)
+        assert abs(recomputed - stored) <= DIAGNOSTICS_RTOL * abs(recomputed)
 
 
 def test_read_model_missing_section(tmp_path):
