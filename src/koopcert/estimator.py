@@ -137,7 +137,8 @@ def assemble_grams(
     damping = np.exp(-eta.values(X))
     # one product per pair keeps L exactly symmetric (L_ij d_i d_j == L_ji d_j d_i)
     L *= np.multiply.outer(damping, damping)
-    return K, L, E * damping[None, :], damping
+    E *= damping[None, :]
+    return K, L, E, damping
 
 
 def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
@@ -338,6 +339,7 @@ def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     t_norm = weight_values(model.kw.weight, Yh) ** 2
     if model.mode == "zubov":
         dh = np.exp(-_checked_eta(ds, model.eta))
-        G = model.damping[:, None] * G * dh[None, :]
+        G *= model.damping[:, None]
+        G *= dh[None, :]
         t_norm = dh**2 * t_norm
     return _section_risk(Z, model.Q, matmul(model.W.T, G), t_norm)

@@ -3,10 +3,26 @@
 A weight ``w`` vanishes at the origin and scales a base kernel into
 ``k_w(x, y) = w(x) w(y) k(x, y)``, which is the reproducing kernel of the
 weighted space in which the transfer operator is learned.
+
+``gram`` assembles every weighted Gram of the package. It splits the rows
+of its first argument into one contiguous share per usable core and walks
+each share in blocks of at most GRAM_BLOCK_ENTRIES entries, so a block and
+its one scratch array stay in the core's cache and no second full-size
+array is built. Each entry goes through the same ufunc sequence however
+the rows are blocked or shared out, so the Gram is bit-identical on any
+core count, and the Gram of a set with itself is exactly symmetric. The
+caller's thread runs the first share and one module-level thread pool runs
+the others; its threads start with the first Gram that needs them, and
+numpy releases the GIL inside its loops. Each share runs in a copy of the caller's context, which carries
+numpy's error state, so an ``np.errstate(over="raise")`` around a call
+turns an overflow in any share into a FloatingPointError.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +31,10 @@ from .errors import InvalidInputError
 
 WEIGHT_KINDS = ("norm-power", "exp-norm-power")
 KERNEL_KINDS = ("gaussian",)
+
+# Entries per Gram block: 32 rows at 2048 columns, 512 KB per array.
+GRAM_BLOCK_ENTRIES = 1 << 16
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -91,9 +111,13 @@ def weight_values(w: WeightSpec, X: np.ndarray) -> np.ndarray:
 
 
 def base_gram(
-    k: KernelSpec, A: np.ndarray, B: np.ndarray, scratch: np.ndarray | None = None
+    k: KernelSpec,
+    A: np.ndarray,
+    B: np.ndarray,
+    scratch: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unweighted kernel matrix [k(a_i, b_j)].
+    """Unweighted kernel matrix [k(a_i, b_j)], written to out when given.
 
     Squared distances are formed by direct differencing (not the expanded
     dot-product identity) so that transposing the arguments gives the
@@ -102,7 +126,7 @@ def base_gram(
     one reused len(A) x len(B) scratch array (allocated when not given)
     and summed in, so no (m, m, n) difference array is built.
     """
-    sq = A[:, 0, None] - B[:, 0]
+    sq = np.subtract(A[:, 0, None], B[:, 0], out=out)
     sq *= sq
     if scratch is None:
         scratch = np.empty_like(sq)
@@ -123,12 +147,38 @@ def eval_weighted_kernel(kw: WeightedKernelSpec, x: np.ndarray, y: np.ndarray) -
     return float(wx * wy * base_gram(kw.kernel, x, y)[0, 0])
 
 
+def _make_pool() -> None:
+    # An executor starts its threads on submit, so none runs before the
+    # first Gram of more than one share. A forked child gets a new pool:
+    # it inherits the old one without its threads.
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=max(1, CORES - 1), thread_name_prefix="koopcert-gram")
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_pool)
+
+
+def _fill_rows(k, A, B, wa, wb, out, start, stop, step):
+    """Rows start:stop of the weighted Gram, step rows at a time."""
+    scratch = np.empty((min(step, stop - start), len(B)))
+    for i in range(start, stop, step):
+        j = min(i + step, stop)
+        s = scratch[: j - i]
+        block = base_gram(k, A[i:j], B, s, out=out[i:j])
+        # k (wa wb); (k wa) wb would round differently
+        block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
+
+
 def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Weighted Gram matrix [k_w(a_i, b_j)].
 
     With ``B`` omitted the result is the symmetric Gram of ``A`` with
     itself. Entries are w(a_i) w(b_j) k(a_i, b_j); no weight floor is
-    applied here (that belongs to dataset assembly).
+    applied here (that belongs to dataset assembly). The rows are shared
+    out over the cores in cache-sized blocks (see the module docstring);
+    a Gram of one block runs in the caller's thread alone.
     """
     A = _check_points(A, "A")
     B = A if B is None else _check_points(B, "B")
@@ -136,8 +186,19 @@ def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> 
         raise InvalidInputError("A and B must have matching state dimension")
     wa = weight_values(kw.weight, A)
     wb = weight_values(kw.weight, B)
-    scratch = np.empty((len(A), len(B)))
-    out = base_gram(kw.kernel, A, B, scratch)
-    # k (wa wb); (k wa) wb would round differently
-    out *= np.multiply(wa[:, None], wb[None, :], out=scratch)
+    out = np.empty((len(A), len(B)))
+    step = max(1, GRAM_BLOCK_ENTRIES // len(B))
+    shares = min(CORES, -(-len(A) // step))
+    edges = [len(A) * s // shares for s in range(shares + 1)]
+    args = (kw.kernel, A, B, wa, wb, out)
+    futures = [
+        _pool.submit(contextvars.copy_context().run, _fill_rows, *args, lo, hi, step)
+        for lo, hi in zip(edges[1:-1], edges[2:])
+    ]
+    try:
+        _fill_rows(*args, edges[0], edges[1], step)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
     return out

@@ -229,3 +229,31 @@ def test_package_makes_every_dense_product_in_scipy_blas():
         for line, what in _numpy_blas_uses(ast.parse(path.read_text()))
     }
     assert offenders == {}
+
+
+THREAD_MODULES = ("concurrent", "threading")
+
+
+def _thread_imports(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(node.module or "")
+    return sorted(name for name in found if name.split(".")[0] in THREAD_MODULES)
+
+
+def test_only_gram_assembly_starts_threads():
+    """concurrent.futures and threading are imported in kernels.py alone:
+    Gram assembly's one pool is the package's only thread pool besides BLAS."""
+    assert _thread_imports(ast.parse("import threading\nfrom concurrent.futures import wait")) == [
+        "concurrent.futures", "threading"
+    ]
+    src = Path(koopcert.__file__).parent
+    users = {
+        path.name: names
+        for path in sorted(src.glob("*.py"))
+        if (names := _thread_imports(ast.parse(path.read_text())))
+    }
+    assert users == {"kernels.py": ["concurrent.futures"]}

@@ -408,17 +408,31 @@ def test_cli_contraction_violated_exits_3(tmp_path):
     assert main(["lyapunov", "--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
-def _edited_model(edit):
+def _edited_model(edit, m=10):
     """Report on the reference model file after a text edit."""
 
     def prepare(tmp_path):
-        _, _, model = linear_model(a=0.5, m=10, rank=3, seed=4)
+        _, _, model = linear_model(a=0.5, m=m, rank=3, seed=4)
         path = tmp_path / "model.txt"
         write_model(model, path)
         path.write_text(edit(path.read_text()))
         return ["report", str(path)]
 
     return prepare
+
+
+def _overflowing_weight(text):
+    """exponent=300 with the anchors tripled: w(a) w(b) overflows in the Grams."""
+    lines, section = [], None
+    for line in text.split("\n"):
+        if line.startswith("["):
+            section = line
+        elif section in ("[anchors_x]", "[anchors_y]") and line:
+            line = ",".join(fmt(3 * float(v)) for v in line.split(","))
+        elif section == "[weight]" and line.startswith("exponent="):
+            line = "exponent=300"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def _dataset_with_bad_meta(tmp_path):
@@ -446,6 +460,8 @@ def _dataset_with_bad_meta(tmp_path):
             )
         ),
         _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
+        # 300 anchors, so the Grams span more than one block
+        _edited_model(_overflowing_weight, m=300),
         _dataset_with_bad_meta,
     ],
     ids=[
@@ -457,14 +473,18 @@ def _dataset_with_bad_meta(tmp_path):
         "model-risk-tampered",
         "model-norm-bound-off-1e-9",
         "model-U-infinite",
+        "model-weight-overflows",
         "dataset-meta-malformed",
     ],
 )
-def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare):
+def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare, request):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     command, path = prepare(tmp_path)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", path]
-    assert path in _cli_error_line(1, *argv)
+    line = _cli_error_line(1, *argv)
+    assert path in line
+    if request.node.callspec.id == "model-weight-overflows":
+        assert line == f"error: model file {path} does not rebuild: overflow encountered in multiply"
 
 
 def _cli_error_line(code, *argv):

@@ -1,6 +1,13 @@
 """Weighted kernel evaluations and Gram assembly."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from koopcert import (
     gram,
     weight_values,
 )
+from koopcert.kernels import CORES, GRAM_BLOCK_ENTRIES, WEIGHT_KINDS
 
 from helpers import einsum_sq_dists, kw_gaussian, scalar_weighted_kernel
 
@@ -116,3 +124,97 @@ def test_non_finite_points_raise():
         gram(kw, bad, good)
     with pytest.raises(InvalidInputError):
         weight_values(kw.weight, np.array([[np.inf, 1.0]]))
+
+
+def _reference_gram(kw, A, B):
+    """One unblocked product: the base Gram times the outer product of the weights."""
+    wa, wb = weight_values(kw.weight, A), weight_values(kw.weight, B)
+    return base_gram(kw.kernel, A, B) * np.multiply.outer(wa, wb)
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_gram_is_bit_identical_to_one_unblocked_product(kind, n):
+    kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
+    rng = np.random.default_rng(n)
+    width = GRAM_BLOCK_ENTRIES // 64  # 64-row blocks
+    shapes = [
+        (1, 1),
+        (1, width),
+        (width, 1),
+        (64, width),  # one full block
+        (5 * 64 + 3, width),  # not a multiple of the block, so share edges fall mid-block
+        (101, 3001),
+        (7, GRAM_BLOCK_ENTRIES + 1),  # wider than the budget: one-row blocks
+    ]
+    for rows, cols in shapes:
+        A = rng.normal(size=(rows, n))
+        B = rng.normal(size=(cols, n))
+        G = gram(kw, A, B)
+        assert G.shape == (rows, cols)
+        assert G.tobytes() == _reference_gram(kw, A, B).tobytes(), (rows, cols)
+    X = rng.normal(size=(5 * 64 + 3, n)) * 0.5
+    K = gram(kw, X)
+    assert len(X) ** 2 > GRAM_BLOCK_ENTRIES
+    assert np.array_equal(K, K.T)
+    assert gram(kw, X).tobytes() == K.tobytes()
+
+
+def test_gram_raises_overflow_under_the_callers_errstate_in_every_share():
+    # w(x) = |x|^300 is ~1e253 at |x| = 7, so w(a) w(b) overflows there.
+    # The other rows of A sit at |x| = 0.7, so only the last share overflows.
+    kw = kw_gaussian(power=300.0)
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(2048, 2))
+    B *= 7.0 / np.sqrt(np.sum(B * B, axis=1, keepdims=True))
+    A = 0.1 * B[:200]
+    A[-1] = B[-1]
+    assert len(A) * len(B) > GRAM_BLOCK_ENTRIES
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            gram(kw, A, B)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the share that holds the last row was the one that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = gram(kw, A, B)
+    assert np.isfinite(G[:-1]).all() and not np.isfinite(G[-1]).any()
+
+
+def test_gram_shares_one_thread_pool_between_callers():
+    kw = kw_gaussian()
+    X = np.random.default_rng(9).normal(size=(300, 2))
+    ref = _reference_gram(kw, X, X).tobytes()
+    for _ in range(50):
+        gram(kw, X)
+    assert threading.active_count() <= 1 + CORES
+    # more callers than cores, switching often: each still gets its own Gram
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2 * CORES + 2) as callers:
+            grams = [callers.submit(gram, kw, X) for _ in range(20)]
+            assert all(g.result(timeout=60).tobytes() == ref for g in grams)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_gram_runs_in_a_forked_child():
+    # the child inherits the pool object but not its threads
+    kw = kw_gaussian()
+    X = np.random.default_rng(9).normal(size=(300, 2))
+    ref = gram(kw, X).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if gram(kw, X).tobytes() == ref else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
