@@ -13,14 +13,14 @@ the rows are blocked or shared out, so the Gram is bit-identical on any
 core count, and the Gram of a set with itself is exactly symmetric. The
 caller's thread runs the first share and one module-level thread pool runs
 the others; its threads start with the first Gram that needs them, and
-numpy releases the GIL inside its loops. Each share runs in a copy of the caller's context, which carries
-numpy's error state, so an ``np.errstate(over="raise")`` around a call
-turns an overflow in any share into a FloatingPointError.
+numpy releases the GIL inside its loops. Each share runs under the
+caller's numpy error state, passed to it explicitly (numpy 1 keeps that
+state per thread), so an ``np.errstate(over="raise")`` around a call turns
+an overflow in any share into a FloatingPointError.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -160,15 +160,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_make_pool)
 
 
-def _fill_rows(k, A, B, wa, wb, out, start, stop, step):
-    """Rows start:stop of the weighted Gram, step rows at a time."""
+def _fill_rows(err, k, A, B, wa, wb, out, start, stop, step):
+    """Rows start:stop of the weighted Gram, step rows at a time, under error state err."""
     scratch = np.empty((min(step, stop - start), len(B)))
-    for i in range(start, stop, step):
-        j = min(i + step, stop)
-        s = scratch[: j - i]
-        block = base_gram(k, A[i:j], B, s, out=out[i:j])
-        # k (wa wb); (k wa) wb would round differently
-        block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
+    with np.errstate(**err):
+        for i in range(start, stop, step):
+            j = min(i + step, stop)
+            s = scratch[: j - i]
+            block = base_gram(k, A[i:j], B, s, out=out[i:j])
+            # k (wa wb); (k wa) wb would round differently
+            block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
 
 
 def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -190,10 +191,9 @@ def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> 
     step = max(1, GRAM_BLOCK_ENTRIES // len(B))
     shares = min(CORES, -(-len(A) // step))
     edges = [len(A) * s // shares for s in range(shares + 1)]
-    args = (kw.kernel, A, B, wa, wb, out)
+    args = (dict(np.geterr(), call=np.geterrcall()), kw.kernel, A, B, wa, wb, out)
     futures = [
-        _pool.submit(contextvars.copy_context().run, _fill_rows, *args, lo, hi, step)
-        for lo, hi in zip(edges[1:-1], edges[2:])
+        _pool.submit(_fill_rows, *args, lo, hi, step) for lo, hi in zip(edges[1:-1], edges[2:])
     ]
     try:
         _fill_rows(*args, edges[0], edges[1], step)

@@ -443,26 +443,44 @@ def _dataset_with_bad_meta(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "prepare",
+    "prepare, reason",
     [
-        _edited_model(lambda text: re.sub(r"^beta=.*$", "beta=abc", text, flags=re.M)),
-        _edited_model(lambda text: re.sub(r"^rank=.*\n", "", text, flags=re.M)),
-        lambda tmp_path: ["report", str(tmp_path / "absent.txt")],
-        lambda tmp_path: ["fit", str(tmp_path / "absent.csv")],
-        _edited_model(lambda text: text.replace("model v2", "model v1").replace("[U]", "[theta]")),
-        _edited_model(lambda text: re.sub(r"^risk=.*$", "risk=0.5", text, flags=re.M)),
-        _edited_model(
-            lambda text: re.sub(
-                r"^norm_bound=(.*)$",
-                lambda mo: f"norm_bound={fmt(float(mo.group(1)) * (1 + 1e-9))}",
-                text,
-                flags=re.M,
-            )
+        (
+            _edited_model(lambda text: re.sub(r"^beta=.*$", "beta=abc", text, flags=re.M)),
+            "malformed model file",
         ),
-        _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
+        (_edited_model(lambda text: re.sub(r"^rank=.*\n", "", text, flags=re.M)), "lacks the rank="),
+        (lambda tmp_path: ["report", str(tmp_path / "absent.txt")], "cannot read model file"),
+        (lambda tmp_path: ["fit", str(tmp_path / "absent.csv")], "cannot read dataset file"),
+        (
+            _edited_model(lambda text: text.replace("model v2", "model v1").replace("[U]", "[theta]")),
+            "is a v1 model file",
+        ),
+        (
+            _edited_model(lambda text: re.sub(r"^risk=.*$", "risk=0.5", text, flags=re.M)),
+            "stores risk=0.5 but its factors give",
+        ),
+        (
+            _edited_model(
+                lambda text: re.sub(
+                    r"^norm_bound=(.*)$",
+                    lambda mo: f"norm_bound={fmt(float(mo.group(1)) * (1 + 1e-9))}",
+                    text,
+                    flags=re.M,
+                )
+            ),
+            "stores norm_bound=",
+        ),
+        (
+            _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
+            "has non-finite U entries",
+        ),
         # 300 anchors, so the Grams span more than one block
-        _edited_model(_overflowing_weight, m=300),
-        _dataset_with_bad_meta,
+        (
+            _edited_model(_overflowing_weight, m=300),
+            "does not rebuild: overflow encountered in multiply",
+        ),
+        (_dataset_with_bad_meta, "malformed dataset metadata"),
     ],
     ids=[
         "model-beta-not-a-number",
@@ -477,14 +495,12 @@ def _dataset_with_bad_meta(tmp_path):
         "dataset-meta-malformed",
     ],
 )
-def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare, request):
+def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare, reason):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     command, path = prepare(tmp_path)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", path]
     line = _cli_error_line(1, *argv)
-    assert path in line
-    if request.node.callspec.id == "model-weight-overflows":
-        assert line == f"error: model file {path} does not rebuild: overflow encountered in multiply"
+    assert path in line and reason in line, line
 
 
 def _cli_error_line(code, *argv):

@@ -22,6 +22,7 @@ from koopcert import (
     gram,
     weight_values,
 )
+from koopcert import kernels
 from koopcert.kernels import CORES, GRAM_BLOCK_ENTRIES, WEIGHT_KINDS
 
 from helpers import einsum_sq_dists, kw_gaussian, scalar_weighted_kernel
@@ -132,9 +133,16 @@ def _reference_gram(kw, A, B):
     return base_gram(kw.kernel, A, B) * np.multiply.outer(wa, wb)
 
 
+@pytest.fixture
+def three_shares(monkeypatch):
+    # gram reads CORES per call: split large Grams three ways on any machine,
+    # so the pool runs shares even where only one core is usable
+    monkeypatch.setattr(kernels, "CORES", 3)
+
+
 @pytest.mark.parametrize("kind", WEIGHT_KINDS)
 @pytest.mark.parametrize("n", (1, 2, 5))
-def test_gram_is_bit_identical_to_one_unblocked_product(kind, n):
+def test_gram_is_bit_identical_to_one_unblocked_product(kind, n, three_shares):
     kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
     rng = np.random.default_rng(n)
     width = GRAM_BLOCK_ENTRIES // 64  # 64-row blocks
@@ -160,9 +168,10 @@ def test_gram_is_bit_identical_to_one_unblocked_product(kind, n):
     assert gram(kw, X).tobytes() == K.tobytes()
 
 
-def test_gram_raises_overflow_under_the_callers_errstate_in_every_share():
+def test_gram_raises_overflow_under_the_callers_errstate_in_every_share(three_shares):
     # w(x) = |x|^300 is ~1e253 at |x| = 7, so w(a) w(b) overflows there.
-    # The other rows of A sit at |x| = 0.7, so only the last share overflows.
+    # The other rows of A sit at |x| = 0.7, so only the last share, which a
+    # pool thread runs, overflows.
     kw = kw_gaussian(power=300.0)
     rng = np.random.default_rng(5)
     B = rng.normal(size=(2048, 2))
@@ -200,7 +209,7 @@ def test_gram_shares_one_thread_pool_between_callers():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_gram_runs_in_a_forked_child():
+def test_gram_runs_in_a_forked_child(three_shares):
     # the child inherits the pool object but not its threads
     kw = kw_gaussian()
     X = np.random.default_rng(9).normal(size=(300, 2))
