@@ -64,7 +64,6 @@ from .estimator import (
     forward_coeffs,
     heldout_risk,
     normalize_columns,
-    operator_norm_bound,
     predict_observables,
 )
 from .io import (

@@ -28,13 +28,7 @@ from .dynsys import (
 )
 from .eigsolve import matmul
 from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
-from .estimator import (
-    EtaSpec,
-    KoopmanModel,
-    forward_coeffs,
-    heldout_risk,
-    operator_norm_bound,
-)
+from .estimator import EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
 from .kernels import WeightSpec, gram, weight_values
 
 HORIZON_CAP = 100_000
@@ -431,7 +425,7 @@ def bound_report(
         empirical_risk=model.diagnostics.risk,
         heldout_risk=h_risk,
         op_norm=model.diagnostics.op_norm,
-        norm_bound=operator_norm_bound(model),
+        norm_bound=model.diagnostics.norm_bound,
         alpha_plug=alpha,
         lyapunov_const=lyap_const,
         zubov_const=zub_const,

@@ -1,7 +1,8 @@
 """Command line front end: sample, fit, certify, report, reproduce.
 
-Exit codes: 0 success, 1 configuration or validation problem, 2 degenerate
-sampling domain, 3 numerical failure.
+Exit codes: 0 success, 1 configuration or validation problem (an output
+location that cannot be written included), 2 degenerate sampling domain,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -337,6 +338,10 @@ def main(argv=None) -> int:
             return args.func(args)
     except (InvalidInputError, EtaMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # input files are read through InvalidInputError, so this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except DegenerateDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

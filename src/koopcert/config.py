@@ -29,6 +29,8 @@ class SamplingConfig:
             raise InvalidInputError(f"sample count must be positive, got {self.m}")
         if self.dt <= 0:
             raise InvalidInputError(f"dt must be positive, got {self.dt}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,34 @@ def _domain(cp: configparser.ConfigParser, dim: int) -> DomainSpec:
     raise InvalidInputError(f"unknown domain kind {kind!r}")
 
 
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """Refuse any section or key outside the documented set (README, "Configuration")."""
+    known = {
+        "system": ("kind", "a", "dim"),
+        "domain": ("kind", "radius", "lo", "hi"),
+        "sampling": ("m", "seed", "dt"),
+        "kernel": ("kind", "gamma"),
+        "weight": ("kind", "exponent", "floor"),
+        "eta": ("kind", "scale"),
+        "rrr": ("rank", "beta", "beta_scale"),
+        "certificate": ("mode", "tol", "horizon", "time", "nu", "varsigma", "delta"),
+        "output": ("dir", "grid_resolution"),
+    }
+    if cp.defaults():
+        raise InvalidInputError("config has an unknown section [DEFAULT]")
+    for section in cp.sections():
+        if section not in known:
+            raise InvalidInputError(
+                f"config has an unknown section [{section}]; expected one of {', '.join(known)}"
+            )
+        for key in cp[section]:
+            if key not in known[section]:
+                raise InvalidInputError(
+                    f"config has an unknown key {key!r} in [{section}]; "
+                    f"expected one of {', '.join(known[section])}"
+                )
+
+
 def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig, res: int) -> None:
     """Refuse a Gram above WORK_BYTES_CAP bytes or a horizon outside [0, HORIZON_CAP] steps."""
     m = sampling.m
@@ -146,6 +176,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     except configparser.Error as exc:
         raise InvalidInputError(f"malformed config {path}: {exc}") from exc
 
+    _check_keys(cp)
     for section in ("system", "domain", "sampling", "kernel", "weight", "rrr"):
         if not cp.has_section(section):
             raise InvalidInputError(f"config is missing the [{section}] section")

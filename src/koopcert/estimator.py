@@ -122,23 +122,19 @@ class KoopmanModel:
 
 def assemble_grams(
     kw: WeightedKernelSpec, X: np.ndarray, Y: np.ndarray, eta: EtaSpec | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Input Gram K, target Gram L, cross Gram E and the damping vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input Gram K and target Gram L, the two Grams the pencil solve reads.
 
     In damped mode target section j carries exp(-eta(x_j)), which scales
-    both indices of L and the target (column) index of E; the damping
-    vector is None in plain mode.
+    both indices of L.
     """
     K = gram(kw, X, X)
     L = gram(kw, Y, Y)
-    E = gram(kw, X, Y)
-    if eta is None:
-        return K, L, E, None
-    damping = np.exp(-eta.values(X))
-    # one product per pair keeps L exactly symmetric (L_ij d_i d_j == L_ji d_j d_i)
-    L *= np.multiply.outer(damping, damping)
-    E *= damping[None, :]
-    return K, L, E, damping
+    if eta is not None:
+        damping = np.exp(-eta.values(X))
+        # one product per pair keeps L exactly symmetric (L_ij d_i d_j == L_ji d_j d_i)
+        L *= np.multiply.outer(damping, damping)
+    return K, L
 
 
 def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
@@ -174,26 +170,32 @@ def factor_model(
     X: np.ndarray,
     Y: np.ndarray,
     eta: EtaSpec | None,
-    grams: tuple,
+    K: np.ndarray,
+    L: np.ndarray,
     beta: float,
     U: np.ndarray,
     sigma_sq: np.ndarray,
 ) -> KoopmanModel:
-    """Model from normalized eigenvectors U and the Grams of assemble_grams.
+    """Model from normalized eigenvectors U and the Grams K and L of assemble_grams.
 
-    Builds W, H and Q and every fit diagnostic. The fit and read_model both
-    come through here, so a reloaded model is bit-identical to the fitted
-    one. There is no m x m eigensolve: lam_max(L) in the a-priori bound is
-    the Lanczos Perron root of the nonnegative L, and the operator norm is
+    Builds W, H and Q and every fit diagnostic. The cross Gram E, damped in
+    its target (column) index, is assembled here for its one use H = U' E W,
+    so the pencil solve never holds it. The fit and read_model both come
+    through here, so a reloaded model is bit-identical to the fitted one.
+    There is no m x m eigensolve: lam_max(L) in the a-priori bound is the
+    Lanczos Perron root of the nonnegative L, and the operator norm is
     lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
     """
-    K, L, E, damping = grams
     m = len(K)
     U = np.ascontiguousarray(U)
     Z = matmul(U.T, K)
     W = Z.T / m
     WL = matmul(W.T, L)
     Q = matmul(WL, W)
+    damping = None if eta is None else np.exp(-eta.values(X))
+    E = gram(kw, X, Y)
+    if damping is not None:
+        E *= damping[None, :]
     H = matmul(matmul(U.T, E), W)
     M = matmul(Z, U)
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
@@ -244,8 +246,7 @@ def _fit(
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
     if eta is not None:
         _checked_eta(ds, eta)
-    grams = assemble_grams(kw, X, Y, eta)
-    K, L, _, _ = grams
+    K, L = assemble_grams(kw, X, Y, eta)
     if float(np.max(np.abs(K))) == 0.0:
         raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
     beta = cfg.beta
@@ -254,7 +255,7 @@ def _fit(
         beta = cfg.beta_scale * perron_root(K) / m
     sigma_sq, U = reduced_rank_eig(K, L, beta, cfg.rank)
     U = normalize_columns(U, K, beta)
-    return factor_model(kw, X, Y, eta, grams, beta, U, sigma_sq)
+    return factor_model(kw, X, Y, eta, K, L, beta, U, sigma_sq)
 
 
 def fit_koopman(ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig) -> KoopmanModel:
@@ -274,11 +275,6 @@ def fit_zubov_koopman(
     if eta is None:
         raise InvalidInputError("damped fit needs an eta spec")
     return _fit(ds, kw, cfg, eta=eta)
-
-
-def operator_norm_bound(model: KoopmanModel) -> float:
-    """A-priori operator norm bound lam_max(L_w) / (beta m)."""
-    return model.diagnostics.norm_bound
 
 
 def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:

@@ -232,7 +232,7 @@ def read_model(path: str | Path) -> KoopmanModel:
     # reproduce its stored diagnostics, so refuse it here without the warnings.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            model = factor_model(kw, X, Y, eta, assemble_grams(kw, X, Y, eta), beta, U, sigma_sq)
+            model = factor_model(kw, X, Y, eta, *assemble_grams(kw, X, Y, eta), beta, U, sigma_sq)
     except FloatingPointError as exc:
         raise InvalidInputError(f"model file {path} does not rebuild: {exc}") from exc
     for name, value in stored.items():

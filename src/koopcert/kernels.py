@@ -139,12 +139,8 @@ def base_gram(
 
 
 def eval_weighted_kernel(kw: WeightedKernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate ``k_w(x, y) = w(x) w(y) k(x, y)`` at a single pair."""
-    x = _check_points(x, "x")
-    y = _check_points(y, "y")
-    wx = weight_values(kw.weight, x)[0]
-    wy = weight_values(kw.weight, y)[0]
-    return float(wx * wy * base_gram(kw.kernel, x, y)[0, 0])
+    """Evaluate ``k_w(x, y) = w(x) w(y) k(x, y)`` at a single pair, as a 1 x 1 gram."""
+    return float(gram(kw, x, y)[0, 0])
 
 
 def _make_pool() -> None:

@@ -103,8 +103,14 @@ def dense_reference_fits():
 
 
 def dense_grams(model):
-    """The m x m Grams of a fitted model: K, damped target L, damped cross E."""
-    return assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+    """The m x m Grams of a fitted model, K, damped target L and damped cross
+    E, with the damping vector (None in plain mode)."""
+    X, Y = model.anchors_x, model.anchors_y
+    K, L = assemble_grams(model.kw, X, Y, model.eta)
+    if model.eta is None:
+        return K, L, gram(model.kw, X, Y), None
+    d = np.exp(-model.eta.values(X))
+    return K, L, gram(model.kw, X, Y) * d[None, :], d
 
 
 def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:

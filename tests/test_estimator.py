@@ -1,6 +1,7 @@
 """Reduced-rank operator fit: closed forms, optimality, and predictions."""
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -24,7 +25,6 @@ from koopcert import (
     heldout_risk,
     make_dataset,
     normalize_columns,
-    operator_norm_bound,
     predict_observables,
     weight_values,
 )
@@ -241,9 +241,9 @@ def test_diagnostics_accessors_match():
         np.testing.assert_allclose(model.diagnostics.risk, dense["risk"], rtol=1e-12)
         np.testing.assert_allclose(model.diagnostics.hs_norm, dense["hs_norm"], rtol=1e-12)
         np.testing.assert_allclose(model.diagnostics.op_norm, dense["op_norm"], rtol=1e-12)
-        np.testing.assert_allclose(operator_norm_bound(model), dense["norm_bound"], rtol=1e-12)
+        np.testing.assert_allclose(model.diagnostics.norm_bound, dense["norm_bound"], rtol=1e-12)
         assert model.diagnostics.op_norm <= model.diagnostics.hs_norm + 1e-12
-        assert model.diagnostics.op_norm <= operator_norm_bound(model) + 1e-12
+        assert model.diagnostics.op_norm <= model.diagnostics.norm_bound + 1e-12
 
 
 def test_heldout_risk_on_training_data_is_empirical_risk():
@@ -298,6 +298,21 @@ def test_predict_observable_linear_one_step():
         assert predict_observables(ref, g, x, 0)[0] == batch[0]
     with pytest.raises(InvalidInputError):
         predict_observables(model, g, x, -1)
+
+
+def test_fit_holds_no_cross_gram_through_the_pencil_solve():
+    # K, L and the solve's working arrays peak at about 4.3 m x m arrays; a
+    # cross Gram E held through the solve as well would make it 5.3
+    m = 1000
+    kw = kw_gaussian()
+    ds = make_dataset(SystemSpec.example1(), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
+    tracemalloc.start()
+    try:
+        fit_koopman(ds, kw, RRRConfig(rank=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_beta_resolution_from_scale():

@@ -35,7 +35,7 @@ from koopcert import (
 )
 from koopcert.certificates import HORIZON_CAP
 from koopcert.cli import main
-from koopcert.config import WORK_BYTES_CAP
+from koopcert.config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, WORK_BYTES_CAP
 from koopcert.io import CHECKED_DIAGNOSTICS, DIAGNOSTICS_RTOL, _write_rows
 
 from helpers import example2_model, kw_gaussian, linear_model
@@ -333,6 +333,40 @@ def test_cli_oversized_run_exits_1_with_one_error_line(tmp_path, capsys, command
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
+def test_config_refuses_unknown_sections_and_keys(tmp_path):
+    path = tmp_path / "run.ini"
+    for text in (LINEAR_CONFIG, ZUBOV_CONFIG, EXAMPLE1_CONFIG, EXAMPLE2_CONFIG):
+        path.write_text(text)
+        load_config(path)
+    for edit, named in (
+        (("beta_scale = 0.01", "beta_sclae = 0.5"), "'beta_sclae' in [rrr]"),
+        (("[certificate]", "[certficate]"), "[certficate]"),
+        (("[sampling]", "[DEFAULT]\nm = 60\n\n[sampling]"), "[DEFAULT]"),
+    ):
+        path.write_text(EXAMPLE1_CONFIG.replace(*edit))
+        with pytest.raises(InvalidInputError, match="unknown") as exc:
+            load_config(path)
+        assert named in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sample", "--config", "{cfg}"], "seed must be nonnegative, got -3"),
+        (["reproduce", "example1", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["sample", "--config", "{typo}"], "unknown key 'beta_sclae' in [rrr]"),
+    ],
+    ids=["config-seed", "reproduce-seed", "config-key-misspelled"],
+)
+def test_cli_refused_setting_exits_1_with_one_error_line(tmp_path, argv, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(LINEAR_CONFIG.replace("seed = 3", "seed = -3"))
+    typo = tmp_path / "typo.ini"
+    typo.write_text(LINEAR_CONFIG.replace("rank = 8", "rank = 8\nbeta_sclae = 0.5"))
+    argv = [a.format(cfg=cfg, typo=typo) for a in argv]
+    assert text in _cli_error_line(1, *argv, "--out", str(tmp_path / "out"), "--quiet")
+
+
 def test_zubov_steps_resolution():
     assert CertificateConfig(mode="zubov", time=0.15).zubov_steps(0.025) == 6
     assert CertificateConfig(mode="zubov", horizon=4, time=0.15).zubov_steps(0.025) == 4
@@ -435,6 +469,17 @@ def _overflowing_weight(text):
     return "\n".join(lines)
 
 
+def _out_blocked(under_file):
+    """Sample into an --out that is an existing file, or a directory under one."""
+
+    def prepare(tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return ["sample", "--out", str(blocker / "sub" if under_file else blocker)]
+
+    return prepare
+
+
 def _dataset_with_bad_meta(tmp_path):
     ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
     write_dataset(ds, tmp_path / "dataset.csv")
@@ -481,6 +526,8 @@ def _dataset_with_bad_meta(tmp_path):
             "does not rebuild: overflow encountered in multiply",
         ),
         (_dataset_with_bad_meta, "malformed dataset metadata"),
+        (_out_blocked(under_file=False), "cannot write output"),
+        (_out_blocked(under_file=True), "cannot write output"),
     ],
     ids=[
         "model-beta-not-a-number",
@@ -493,12 +540,15 @@ def _dataset_with_bad_meta(tmp_path):
         "model-U-infinite",
         "model-weight-overflows",
         "dataset-meta-malformed",
+        "out-is-a-file",
+        "out-under-a-file",
     ],
 )
 def test_cli_bad_input_file_exits_1_with_one_error_line(tmp_path, prepare, reason):
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
-    command, path = prepare(tmp_path)
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", path]
+    # the last argument is the path the error line must name; a later --out wins
+    command, *extra, path = prepare(tmp_path)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", *extra, path]
     line = _cli_error_line(1, *argv)
     assert path in line and reason in line, line
 
