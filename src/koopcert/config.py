@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -10,6 +9,7 @@ from .certificates import HORIZON_CAP
 from .dynsys import DomainSpec, SystemSpec
 from .errors import InvalidInputError
 from .estimator import EtaSpec, RRRConfig
+from .io import build_section, read_ini
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
@@ -21,8 +21,8 @@ WORK_BYTES_CAP = 512 * 2**20
 @dataclass(frozen=True)
 class SamplingConfig:
     m: int
-    seed: int
     dt: float
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m <= 0:
@@ -91,59 +91,19 @@ class RunConfig:
         return replace(self, sampling=replace(self.sampling, seed=seed))
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(","))
-
-
-def _system(cp: configparser.ConfigParser) -> SystemSpec:
-    kind = cp.get("system", "kind")
-    if kind == "example1":
-        return SystemSpec.example1()
-    if kind == "example2":
-        return SystemSpec.example2()
-    if kind == "linear-contraction":
-        return SystemSpec.linear_contraction(
-            a=cp.getfloat("system", "a"),
-            dim=cp.getint("system", "dim", fallback=2),
-        )
-    raise InvalidInputError(f"unknown system kind {kind!r}")
-
-
-def _domain(cp: configparser.ConfigParser, dim: int) -> DomainSpec:
-    kind = cp.get("domain", "kind")
-    if kind == "ball":
-        return DomainSpec.ball(cp.getfloat("domain", "radius"), dim=dim)
-    if kind == "box":
-        return DomainSpec.box(_floats(cp.get("domain", "lo")), _floats(cp.get("domain", "hi")))
-    raise InvalidInputError(f"unknown domain kind {kind!r}")
-
-
-def _check_keys(cp: configparser.ConfigParser) -> None:
-    """Refuse any section or key outside the documented set (README, "Configuration")."""
-    known = {
-        "system": ("kind", "a", "dim"),
-        "domain": ("kind", "radius", "lo", "hi"),
-        "sampling": ("m", "seed", "dt"),
-        "kernel": ("kind", "gamma"),
-        "weight": ("kind", "exponent", "floor"),
-        "eta": ("kind", "scale"),
-        "rrr": ("rank", "beta", "beta_scale"),
-        "certificate": ("mode", "tol", "horizon", "time", "nu", "varsigma", "delta"),
-        "output": ("dir", "grid_resolution"),
-    }
-    if cp.defaults():
-        raise InvalidInputError("config has an unknown section [DEFAULT]")
-    for section in cp.sections():
-        if section not in known:
-            raise InvalidInputError(
-                f"config has an unknown section [{section}]; expected one of {', '.join(known)}"
-            )
-        for key in cp[section]:
-            if key not in known[section]:
-                raise InvalidInputError(
-                    f"config has an unknown key {key!r} in [{section}]; "
-                    f"expected one of {', '.join(known[section])}"
-                )
+# Each INI section and the dataclass it fills: the section's keys are the
+# class's fields, parsed by their annotations (io.build_section).
+SECTIONS = {
+    "system": SystemSpec,
+    "domain": DomainSpec,
+    "sampling": SamplingConfig,
+    "kernel": KernelSpec,
+    "weight": WeightSpec,
+    "eta": EtaSpec,
+    "rrr": RRRConfig,
+    "certificate": CertificateConfig,
+    "output": OutputConfig,
+}
 
 
 def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig, res: int) -> None:
@@ -170,79 +130,25 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise InvalidInputError(f"malformed config {path}: {exc}") from exc
-
-    _check_keys(cp)
-    for section in ("system", "domain", "sampling", "kernel", "weight", "rrr"):
-        if not cp.has_section(section):
-            raise InvalidInputError(f"config is missing the [{section}] section")
-
-    try:
-        system = _system(cp)
-        sampling = SamplingConfig(
-            m=cp.getint("sampling", "m"),
-            seed=cp.getint("sampling", "seed", fallback=0),
-            dt=cp.getfloat("sampling", "dt"),
-        )
-        kw = WeightedKernelSpec(
-            KernelSpec(
-                kind=cp.get("kernel", "kind", fallback="gaussian"),
-                gamma=cp.getfloat("kernel", "gamma", fallback=4.0),
-            ),
-            WeightSpec(
-                kind=cp.get("weight", "kind"),
-                exponent=cp.getfloat("weight", "exponent", fallback=1.0),
-                floor=cp.getfloat("weight", "floor", fallback=1e-8),
-            ),
-        )
-        beta_raw = cp.get("rrr", "beta", fallback=None)
-        rrr = RRRConfig(
-            rank=cp.getint("rrr", "rank"),
-            beta=float(beta_raw) if beta_raw else None,
-            beta_scale=cp.getfloat("rrr", "beta_scale", fallback=0.01),
-        )
-        eta = None
-        if cp.has_section("eta"):
-            eta = EtaSpec(
-                kind=cp.get("eta", "kind", fallback="quadratic-norm"),
-                scale=cp.getfloat("eta", "scale"),
+    where = f"config {path}"
+    ini = read_ini(path, "config")
+    for name in ini:
+        if name not in SECTIONS:
+            raise InvalidInputError(
+                f"{where} has an unknown section [{name}]; expected one of {', '.join(SECTIONS)}"
             )
-        horizon_raw = cp.get("certificate", "horizon", fallback=None)
-        time_raw = cp.get("certificate", "time", fallback=None)
-        certificate = CertificateConfig(
-            mode=cp.get("certificate", "mode", fallback="lyapunov"),
-            tol=cp.getfloat("certificate", "tol", fallback=1e-6),
-            horizon=int(horizon_raw) if horizon_raw else None,
-            time=float(time_raw) if time_raw else None,
-            nu=cp.getfloat("certificate", "nu", fallback=1.0),
-            varsigma=cp.getfloat("certificate", "varsigma", fallback=0.1),
-            delta=cp.getfloat("certificate", "delta", fallback=0.05),
-        ) if cp.has_section("certificate") else CertificateConfig()
-        output = OutputConfig(
-            dir=cp.get("output", "dir", fallback="out"),
-            grid_resolution=cp.getint("output", "grid_resolution", fallback=101),
-        ) if cp.has_section("output") else OutputConfig()
-        _check_work_size(system.dim, sampling, certificate, output.grid_resolution)
-        domain = _domain(cp, system.dim)
-    except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"bad value in config {path}: {exc}") from exc
-
-    cfg = RunConfig(
-        system=system,
-        domain=domain,
-        sampling=sampling,
-        kw=kw,
-        rrr=rrr,
-        certificate=certificate,
-        output=output,
-        eta=eta,
-    )
+    # An absent section is built from its class's defaults, except [eta],
+    # whose absence means a run without a state cost.
+    spec = {
+        name: build_section(cls, name, ini.get(name, {}), where)
+        for name, cls in SECTIONS.items()
+        if name != "eta" or name in ini
+    }
+    system, sampling = spec["system"], spec["sampling"]
+    _check_work_size(system.dim, sampling, spec["certificate"], spec["output"].grid_resolution)
+    if spec["domain"].kind == "ball":
+        spec["domain"] = DomainSpec.ball(spec["domain"].radius, dim=system.dim)
+    cfg = RunConfig(kw=WeightedKernelSpec(spec.pop("kernel"), spec.pop("weight")), **spec)
     if seed_override is not None:
         cfg = cfg.with_seed(seed_override)
     return cfg

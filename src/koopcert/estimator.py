@@ -34,8 +34,8 @@ class EtaSpec:
     one, which is a useful consistency check.
     """
 
+    scale: float
     kind: str = "quadratic-norm"
-    scale: float = 0.5
 
     def __post_init__(self):
         if self.kind != "quadratic-norm":

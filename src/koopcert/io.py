@@ -9,7 +9,9 @@ diagnostics exactly.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io as _io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +70,70 @@ def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
 
 def _read_text(path: Path, what: str) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_ini(path: Path, what: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI file as plain dicts of raw values.
+
+    A file that cannot be read or parsed, or that has a [DEFAULT] section,
+    raises InvalidInputError with a one-line message.
+    """
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(_read_text(path, what), source=str(path))
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:
+        raise InvalidInputError(f"malformed {what} {path}: {' '.join(str(exc).split())}") from exc
+    if cp.defaults():
+        raise InvalidInputError(f"{what} {path} has an unknown section [DEFAULT]")
+    return sections
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+# Parser of a raw section value, by the annotation of the field it fills.
+CONVERTERS = {
+    "str": str,
+    "int": int,
+    "float": _finite,
+    "tuple": lambda raw: tuple(_finite(v) for v in raw.split(",")),
+    "int | None": lambda raw: int(raw) if raw else None,
+    "float | None": lambda raw: _finite(raw) if raw else None,
+}
+
+
+def build_section(cls, section: str, items: dict[str, str], where: str):
+    """The dataclass cls built from the raw key=value items of one section.
+
+    The accepted keys are the names of cls's fields, and each value is
+    parsed by its field's annotation. An absent key keeps the field's
+    default; a field without one is required. where (say "config run.ini")
+    opens every error message.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    values = {}
+    for key, raw in items.items():
+        if key not in fields:
+            raise InvalidInputError(
+                f"{where} has an unknown key {key!r} in [{section}]; "
+                f"expected one of {', '.join(fields)}"
+            )
+        try:
+            values[key] = CONVERTERS[fields[key].type](raw)
+        except ValueError as exc:
+            raise InvalidInputError(f"{where} has a bad {key!r} in [{section}]: {exc}") from exc
+    for name, f in fields.items():
+        if name not in values and f.default is dataclasses.MISSING:
+            raise InvalidInputError(f"{where} lacks the required key {name!r} in [{section}]")
+    return cls(**values)
 
 
 def read_dataset(path: str | Path) -> SnapshotDataset:
@@ -85,16 +148,15 @@ def read_dataset(path: str | Path) -> SnapshotDataset:
         raise InvalidInputError(f"malformed dataset file {path}: {exc}") from exc
     if rows.ndim != 2 or rows.shape[1] != 2 * n + (1 if has_eta else 0):
         raise InvalidInputError(f"malformed dataset file {path}")
-    meta = configparser.ConfigParser()
     meta_path = path.with_suffix(path.suffix + ".meta")
     seed, dt, rejected = 0, 0.0, 0
     if meta_path.exists():
+        meta = read_ini(meta_path, "dataset metadata").get("dataset", {})
         try:
-            meta.read(meta_path)
-            seed = meta.getint("dataset", "seed", fallback=0)
-            dt = meta.getfloat("dataset", "dt", fallback=0.0)
-            rejected = meta.getint("dataset", "rejected_count", fallback=0)
-        except (ValueError, configparser.Error) as exc:
+            seed = int(meta.get("seed", 0))
+            dt = float(meta.get("dt", 0.0))
+            rejected = int(meta.get("rejected_count", 0))
+        except ValueError as exc:
             raise InvalidInputError(f"malformed dataset metadata {meta_path}: {exc}") from exc
     return SnapshotDataset(
         X=rows[:, :n],
@@ -187,23 +249,16 @@ def read_model(path: str | Path) -> KoopmanModel:
     for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "U"):
         if needed not in sections:
             raise InvalidInputError(f"model file is missing the [{needed}] section")
+    where = f"model file {path}"
+    spec = {
+        name: build_section(cls, name, _kv(sections[name]), where)
+        for name, cls in (("kernel", KernelSpec), ("weight", WeightSpec), ("eta", EtaSpec))
+        if name in sections
+    }
+    kw, eta = WeightedKernelSpec(spec["kernel"], spec["weight"]), spec.get("eta")
     try:
         meta = _kv(sections["meta"])
-        kern = _kv(sections["kernel"])
-        wspec = _kv(sections["weight"])
         diag = _kv(sections["diagnostics"])
-        kw = WeightedKernelSpec(
-            KernelSpec(kind=kern["kind"], gamma=float(kern["gamma"])),
-            WeightSpec(
-                kind=wspec["kind"],
-                exponent=float(wspec["exponent"]),
-                floor=float(wspec["floor"]),
-            ),
-        )
-        eta = None
-        if "eta" in sections:
-            e = _kv(sections["eta"])
-            eta = EtaSpec(kind=e["kind"], scale=float(e["scale"]))
         X = _matrix(sections["anchors_x"])
         Y = _matrix(sections["anchors_y"])
         U = _matrix(sections["U"])

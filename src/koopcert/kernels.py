@@ -53,7 +53,7 @@ class WeightSpec:
         datasets, since they carry no information in the weighted space.
     """
 
-    kind: str = "norm-power"
+    kind: str
     exponent: float = 1.0
     floor: float = 1e-8
 

@@ -3,7 +3,8 @@
 Config, dataset and model files cut at any byte, or with one token swapped
 for a hostile value, must either load or raise a KoopcertError, and must
 not leak a RuntimeWarning on the way. The command line, run on such files,
-must return one of its documented exit codes 0 to 3.
+must return one of its documented exit codes 0 to 3 and write at most one
+error: line, every stderr line opening with error:, warning: or hint:.
 """
 
 import contextlib
@@ -139,7 +140,9 @@ FILE_NAMES = {
 
 
 def _assert_cli_contract(originals, command: str, target: int, damage) -> None:
-    """Run command on its files with one of them damaged; expect only an exit code."""
+    """Run command on its files with one of them damaged; expect a documented
+    exit code and stderr lines that each open with error:, warning: or hint:,
+    at most one of them an error."""
     texts, scratch = originals
     kinds = COMMANDS[command]
     damaged = kinds[target % len(kinds)]
@@ -157,9 +160,13 @@ def _assert_cli_contract(originals, command: str, target: int, damage) -> None:
             assume((cfg.certificate.horizon or 0) <= 3)
     inputs = str(run / FILE_NAMES[kinds[1]])
     argv = [command, "--config", str(config), "--out", str(run / "out"), "--quiet", inputs]
-    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) in (0, 1, 2, 3)
+    lines = stderr.getvalue().splitlines()
+    assert all(line.startswith(("error:", "warning:", "hint:")) for line in lines), lines
+    assert sum(line.startswith("error:") for line in lines) <= 1, lines
 
 
 @FUZZ

@@ -1,6 +1,7 @@
 """Persistence round trips, config parsing, and the command line flows."""
 
 import configparser
+import dataclasses
 import os
 import re
 import subprocess
@@ -17,9 +18,15 @@ from koopcert import (
     DomainSpec,
     EtaSpec,
     InvalidInputError,
+    KernelSpec,
+    OutputConfig,
     RRRConfig,
+    RunConfig,
+    SamplingConfig,
     SnapshotDataset,
     SystemSpec,
+    WeightedKernelSpec,
+    WeightSpec,
     bound_report,
     fit_koopman,
     fit_zubov_koopman,
@@ -35,8 +42,8 @@ from koopcert import (
 )
 from koopcert.certificates import HORIZON_CAP
 from koopcert.cli import main
-from koopcert.config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, WORK_BYTES_CAP
-from koopcert.io import CHECKED_DIAGNOSTICS, DIAGNOSTICS_RTOL, _write_rows
+from koopcert.config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, SECTIONS, WORK_BYTES_CAP
+from koopcert.io import CHECKED_DIAGNOSTICS, CONVERTERS, DIAGNOSTICS_RTOL, _write_rows
 
 from helpers import example2_model, kw_gaussian, linear_model
 
@@ -274,18 +281,105 @@ grid_resolution = 4
 """
 
 
+def _parsed(system, domain, sampling, exponent, rank, certificate, output, eta=None):
+    """A reference config as it parses, the defaults it leaves out spelled out."""
+    return RunConfig(
+        system=system,
+        domain=domain,
+        sampling=sampling,
+        kw=WeightedKernelSpec(
+            KernelSpec(kind="gaussian", gamma=4.0),
+            WeightSpec(kind="norm-power", exponent=exponent, floor=1e-8),
+        ),
+        rrr=RRRConfig(rank=rank, beta=None, beta_scale=0.01),
+        certificate=certificate,
+        output=output,
+        eta=eta,
+    )
+
+
 def test_config_defaults_and_seed_override(tmp_path):
+    ball = DomainSpec(kind="ball", radius=2.0, lo=(0.0, 0.0), hi=(0.0, 0.0))
+    eta = EtaSpec(scale=0.5, kind="quadratic-norm")
+    lyapunov = CertificateConfig(
+        mode="lyapunov", tol=1e-6, horizon=None, time=None, nu=1.0, varsigma=0.1, delta=0.05
+    )
+    parsed = {
+        EXAMPLE1_CONFIG: _parsed(
+            SystemSpec(kind="example1", dim=2, a=None),
+            ball,
+            SamplingConfig(m=500, dt=0.05, seed=42),
+            1.0,
+            50,
+            lyapunov,
+            OutputConfig(dir="out-example1", grid_resolution=101),
+        ),
+        EXAMPLE2_CONFIG: _parsed(
+            SystemSpec(kind="example2", dim=2, a=None),
+            DomainSpec(kind="box", radius=0.0, lo=(-2.0, -2.0), hi=(2.0, 2.0)),
+            SamplingConfig(m=500, dt=0.025, seed=42),
+            0.5,
+            50,
+            dataclasses.replace(lyapunov, mode="zubov", time=0.15),
+            OutputConfig(dir="out-example2", grid_resolution=101),
+            eta,
+        ),
+        LINEAR_CONFIG: _parsed(
+            SystemSpec(kind="linear-contraction", dim=2, a=0.5),
+            ball,
+            SamplingConfig(m=60, dt=1.0, seed=3),
+            1.0,
+            8,
+            lyapunov,
+            OutputConfig(dir="out", grid_resolution=5),
+        ),
+        ZUBOV_CONFIG: _parsed(
+            SystemSpec(kind="example2", dim=2, a=None),
+            DomainSpec(kind="box", radius=0.0, lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+            SamplingConfig(m=60, dt=0.025, seed=5),
+            0.5,
+            8,
+            dataclasses.replace(lyapunov, mode="zubov", horizon=3),
+            OutputConfig(dir="out", grid_resolution=4),
+            eta,
+        ),
+    }
     path = tmp_path / "run.ini"
-    path.write_text(LINEAR_CONFIG)
-    cfg = load_config(path)
-    assert cfg.kw.kernel.gamma == 4.0
-    assert cfg.kw.weight.floor == 1e-8
-    assert cfg.certificate.delta == 0.05
+    for text, expected in parsed.items():
+        path.write_text(text)
+        assert load_config(path) == expected
     assert load_config(path, seed_override=99).sampling.seed == 99
+    # every field of every section class has a parser for its annotation
+    annotations = {f.type for cls in SECTIONS.values() for f in dataclasses.fields(cls)}
+    assert annotations <= set(CONVERTERS)
+
+
+def _without_key(text, section, key):
+    """The config text with the key's line in [section] removed."""
+    lines, current = [], None
+    for line in text.split("\n"):
+        if line.startswith("["):
+            current = line[1:-1]
+        if not (current == section and line.startswith(f"{key} =")):
+            lines.append(line)
+    assert len(lines) == len(text.split("\n")) - 1
+    return "\n".join(lines)
 
 
 def test_config_validation_errors(tmp_path):
     path = tmp_path / "run.ini"
+    for text, section, key in (
+        (LINEAR_CONFIG, "system", "kind"),
+        (LINEAR_CONFIG, "domain", "kind"),
+        (LINEAR_CONFIG, "sampling", "m"),
+        (LINEAR_CONFIG, "sampling", "dt"),
+        (LINEAR_CONFIG, "weight", "kind"),
+        (LINEAR_CONFIG, "rrr", "rank"),
+        (ZUBOV_CONFIG, "eta", "scale"),
+    ):
+        path.write_text(_without_key(text, section, key))
+        with pytest.raises(InvalidInputError, match=re.escape(f"required key '{key}' in [{section}]")):
+            load_config(path)
     path.write_text(LINEAR_CONFIG.replace("[rrr]\nrank = 8\n\n", ""))
     with pytest.raises(InvalidInputError, match="rrr"):
         load_config(path)
@@ -350,20 +444,35 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, edit, text",
     [
-        (["sample", "--config", "{cfg}"], "seed must be nonnegative, got -3"),
-        (["reproduce", "example1", "--seed", "-1"], "seed must be nonnegative, got -1"),
-        (["sample", "--config", "{typo}"], "unknown key 'beta_sclae' in [rrr]"),
+        (["sample"], ("seed = 3", "seed = -3"), "seed must be nonnegative, got -3"),
+        (["reproduce", "example1", "--seed", "-1"], None, "seed must be nonnegative, got -1"),
+        (["sample"], ("rank = 8", "rank = 8\nbeta_sclae = 0.5"), "unknown key 'beta_sclae' in [rrr]"),
+        (["sample"], ("tol = 1e-6", "tol = nan"), "'tol' in [certificate]: 'nan' is not a finite"),
+        (["sample"], ("tol = 1e-6", "tol = 1e-6\nnu = nan"), "'nu' in [certificate]: 'nan' is not"),
+        (
+            ["sample"],
+            ("tol = 1e-6", "tol = 1e-6\nvarsigma = inf"),
+            "'varsigma' in [certificate]: 'inf' is not a finite",
+        ),
+        (["sample"], ("dt = 1.0", "dt = nan"), "'dt' in [sampling]: 'nan' is not a finite"),
     ],
-    ids=["config-seed", "reproduce-seed", "config-key-misspelled"],
+    ids=[
+        "config-seed",
+        "reproduce-seed",
+        "config-key-misspelled",
+        "tol-nan",
+        "nu-nan",
+        "varsigma-inf",
+        "dt-nan",
+    ],
 )
-def test_cli_refused_setting_exits_1_with_one_error_line(tmp_path, argv, text):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(LINEAR_CONFIG.replace("seed = 3", "seed = -3"))
-    typo = tmp_path / "typo.ini"
-    typo.write_text(LINEAR_CONFIG.replace("rank = 8", "rank = 8\nbeta_sclae = 0.5"))
-    argv = [a.format(cfg=cfg, typo=typo) for a in argv]
+def test_cli_refused_setting_exits_1_with_one_error_line(tmp_path, argv, edit, text):
+    if edit is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(LINEAR_CONFIG.replace(*edit))
+        argv = [*argv, "--config", str(cfg)]
     assert text in _cli_error_line(1, *argv, "--out", str(tmp_path / "out"), "--quiet")
 
 
@@ -480,11 +589,27 @@ def _out_blocked(under_file):
     return prepare
 
 
-def _dataset_with_bad_meta(tmp_path):
-    ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
-    write_dataset(ds, tmp_path / "dataset.csv")
-    (tmp_path / "dataset.csv.meta").write_text("[dataset]\nseed = abc\n")
-    return ["fit", str(tmp_path / "dataset.csv")]
+def _dataset_with_meta(meta):
+    """Fit a reference dataset whose .meta sidecar is the given text."""
+
+    def prepare(tmp_path):
+        ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
+        write_dataset(ds, tmp_path / "dataset.csv")
+        (tmp_path / "dataset.csv.meta").write_text(meta)
+        return ["fit", str(tmp_path / "dataset.csv")]
+
+    return prepare
+
+
+def _config_bytes(data):
+    """Sample with a config file holding the given bytes (a later --config wins)."""
+
+    def prepare(tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(data)
+        return ["sample", "--config", str(path)]
+
+    return prepare
 
 
 @pytest.mark.parametrize(
@@ -525,7 +650,12 @@ def _dataset_with_bad_meta(tmp_path):
             _edited_model(_overflowing_weight, m=300),
             "does not rebuild: overflow encountered in multiply",
         ),
-        (_dataset_with_bad_meta, "malformed dataset metadata"),
+        (_dataset_with_meta("[dataset]\nseed = abc\n"), "malformed dataset metadata"),
+        (_dataset_with_meta("seed = 4\n"), "malformed dataset metadata"),
+        (_dataset_with_meta("[dataset]\nseed\n"), "malformed dataset metadata"),
+        (_config_bytes(b"[system]\nkind = ex\xff\xfe\n"), "cannot read config"),
+        (_config_bytes(b"kind = example1\n"), "malformed config"),
+        (_config_bytes(b"[system]\nkind\n"), "malformed config"),
         (_out_blocked(under_file=False), "cannot write output"),
         (_out_blocked(under_file=True), "cannot write output"),
     ],
@@ -540,6 +670,11 @@ def _dataset_with_bad_meta(tmp_path):
         "model-U-infinite",
         "model-weight-overflows",
         "dataset-meta-malformed",
+        "dataset-meta-no-section-header",
+        "dataset-meta-parsing-error",
+        "config-not-utf8",
+        "config-no-section-header",
+        "config-parsing-error",
         "out-is-a-file",
         "out-under-a-file",
     ],
