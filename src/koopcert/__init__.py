@@ -58,7 +58,6 @@ from .estimator import (
     FitDiagnostics,
     KoopmanModel,
     RRRConfig,
-    assemble_grams,
     fit_koopman,
     fit_zubov_koopman,
     forward_coeffs,

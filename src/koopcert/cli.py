@@ -54,10 +54,11 @@ from .kernels import weight_values
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve that
-    for degenerate-domain failures, so remap usage problems to 1."""
+    for degenerate-domain failures, so remap usage problems to 1. Like every
+    other failure, a usage error writes one `error:` line and no usage text
+    (`--help` still prints it)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -9,6 +9,10 @@ for the smooth Gaussian Grams at large m), turns it into a k x k symmetric
 matrix whose top eigenpairs give s and, after one Cholesky solve with
 K / m + beta I, u. No m x m matrix is eigendecomposed.
 
+The solve takes builders of K and L rather than the Grams, so it owns
+each Gram and holds it only from its build to its last read, and so at
+most two m x m arrays at once.
+
 perron_root gives lam_max of a Gram, for the default ridge and the
 a-priori norm bound, without a dense eigensolve: the Gram is entrywise
 nonnegative, so by Perron-Frobenius its top eigenvector is nonnegative
@@ -29,6 +33,7 @@ np.linalg: tests/test_eigsolve.py checks the source for them.
 from __future__ import annotations
 
 import warnings
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -138,15 +143,16 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
         raise SolverFailureError(str(exc)) from exc
 
 
-def _reduced_pencil(K: np.ndarray, L: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """L J and the k x k J' L J / m^2 of reduced_rank_eig; its m x k
-    factors Psi and J are freed on return."""
+def _input_factor(K: np.ndarray, beta: float) -> np.ndarray:
+    """The m x k J = Psi R^-1 of reduced_rank_eig; K is overwritten by its factor."""
     m = len(K)
-    c, piv, k, _ = scipy.linalg.lapack.dpstrf(K, lower=1)
+    # K is exactly symmetric, so K.T is K in Fortran order and dpstrf factors
+    # it in place
+    c, piv, k, _ = scipy.linalg.lapack.dpstrf(K.T, lower=1, overwrite_a=1)
+    rows = np.argsort(piv)
+    Psi = c[rows, :k]
     # the strict upper triangle of c still holds K's entries
-    Psi = np.tril(c[:, :k])
-    del c
-    Psi = Psi[np.argsort(piv)]
+    Psi[rows[:, None] < np.arange(k)] = 0.0
     # N = Psi' Psi / m + beta I in its upper triangle (a rank-k update, half
     # a product's work) and in Fortran order, so R is factored in N's
     # memory; J = Psi R^-1 is solved in Psi's
@@ -154,37 +160,51 @@ def _reduced_pencil(K: np.ndarray, L: np.ndarray, beta: float) -> tuple[np.ndarr
     N /= m
     N.flat[:: k + 1] += beta
     R = _cholesky(N)
-    J = scipy.linalg.solve_triangular(R, Psi.T, trans="T", overwrite_b=True, check_finite=False).T
-    del N, R
-    LJ = matmul(L, J)
-    T = matmul(J.T, LJ)
-    T /= m * m
-    return LJ, T
+    return scipy.linalg.solve_triangular(
+        R, Psi.T, trans="T", overwrite_b=True, check_finite=False
+    ).T
 
 
 def reduced_rank_eig(
-    K: np.ndarray, L: np.ndarray, beta: float, r: int
-) -> tuple[np.ndarray, np.ndarray]:
+    input_gram: Callable[[], np.ndarray],
+    target_gram: Callable[[], np.ndarray],
+    ridge: Callable[[np.ndarray], float],
+    r: int,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
 
-    K and L are the symmetric input and target Grams. LAPACK's pivoted
-    Cholesky at its default tolerance gives K = Psi Psi' with Psi m x k;
-    with N = Psi' Psi / m + beta I = R'R and J = Psi R^-1, K (K / m + beta I)^-1
+    input_gram() and target_gram() build the symmetric input and target
+    Grams K and L, and ridge(K) gives beta. LAPACK's pivoted Cholesky at its
+    default tolerance gives K = Psi Psi' with Psi m x k; with
+    N = Psi' Psi / m + beta I = R'R and J = Psi R^-1, K (K / m + beta I)^-1
     = J J', so the pencil's nonzero eigenvalues s are those of the k x k
     symmetric J' L J / m^2 and each eigenpair (s, y) gives the eigenvector
-    u = (K / m + beta I)^-1 L J y. Returns s descending and the m x r
+    u = (K / m + beta I)^-1 L J y.
+
+    Each m x m array lives from its build to its last read, so at most two
+    are held at once: K is factored in its own memory and dropped, L is
+    built once the factor exists and dropped after L J, and K is built once
+    more for K / m + beta I. Returns beta, s descending, the m x r
     eigenvectors, unnormalized, each signed so that its largest-magnitude
-    entry is positive. Raises SolverFailureError when r exceeds k or a
-    retained s is numerically zero: r exceeds the effective rank of the data.
+    entry is positive, and that last K. Raises SolverFailureError when r
+    exceeds k or a retained s is numerically zero: r exceeds the effective
+    rank of the data.
     """
-    K = _finite_square(K, "reduced_rank_eig")
-    L = _finite_square(L, "reduced_rank_eig")
+    K = _finite_square(input_gram(), "reduced_rank_eig")
     m = len(K)
-    if L.shape != K.shape:
-        raise InvalidInputError("reduced_rank_eig needs K and L of the same shape")
     if not 1 <= r <= m:
         raise InvalidInputError(f"rank {r} must lie in [1, {m}]")
-    LJ, T = _reduced_pencil(K, L, beta)
+    beta = ridge(K)
+    J = _input_factor(K, beta)
+    del K
+    L = _finite_square(target_gram(), "reduced_rank_eig")
+    if L.shape != (m, m):
+        raise InvalidInputError("reduced_rank_eig needs K and L of the same shape")
+    LJ = matmul(L, J)
+    del L
+    T = matmul(J.T, LJ)
+    T /= m * m
+    del J
     k = len(T)
     if k < r:
         raise SolverFailureError(
@@ -192,6 +212,7 @@ def reduced_rank_eig(
             f"has numerical rank {k}"
         )
     s, Y = symmetric_eig(T, top=min(r + 1, k))
+    del T
     if not s[r - 1] > NULL_TOL * s[0]:
         raise SolverFailureError(
             f"rank {r} exceeds the effective rank of the data: retained "
@@ -204,11 +225,14 @@ def reduced_rank_eig(
             RuntimeWarning,
             stacklevel=2,
         )
+    LJY = matmul(LJ, Y[:, :r])
+    del LJ
+    K = input_gram()
     # C = K / m + beta I, factored in place like N; its condition is at
     # most 1 + lam_max(K) / (m beta)
     C = K / m
     C.flat[:: m + 1] += beta
-    U = scipy.linalg.cho_solve((_cholesky(C.T), False), matmul(LJ, Y[:, :r]), check_finite=False)
+    U = scipy.linalg.cho_solve((_cholesky(C.T), False), LJY, check_finite=False)
     # the eigensolver's sign choice is arbitrary: fix it by the largest entry
     U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(r)])
-    return s[:r], U
+    return beta, s[:r], U, K

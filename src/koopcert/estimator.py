@@ -12,6 +12,12 @@ Perron root of K. The model keeps only these
 factors and two r x r matrices, H = U' E W and Q = W' L W, so the
 coefficient recursions that push kernel sections through powers of A and
 its adjoint run in rank-r coordinates.
+
+Each m x m Gram is built where it is read and dropped after its last
+read: the pencil solve builds K, L and K again, and factor_model L and
+then E. So a fit holds at most two m x m arrays at once, and read_model,
+which builds K only for Z = U' K, one; the price is two more Gram builds
+per fit than one each of K, L and E.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from .dynsys import SnapshotDataset
 from .eigsolve import matmul, perron_root, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
-from .kernels import WeightedKernelSpec, gram, weight_values
+from .kernels import GRAM_BLOCK_ENTRIES, WeightedKernelSpec, gram, weight_values
 
 
 @dataclass(frozen=True)
@@ -120,21 +126,25 @@ class KoopmanModel:
         return matmul(self.U, self.W.T)
 
 
-def assemble_grams(
-    kw: WeightedKernelSpec, X: np.ndarray, Y: np.ndarray, eta: EtaSpec | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Input Gram K and target Gram L, the two Grams the pencil solve reads.
+def _damping(eta: EtaSpec | None, X: np.ndarray) -> np.ndarray | None:
+    """exp(-eta(x_i)) per anchor in damped mode, None in plain mode."""
+    return None if eta is None else np.exp(-eta.values(X))
 
-    In damped mode target section j carries exp(-eta(x_j)), which scales
-    both indices of L.
+
+def target_gram(kw: WeightedKernelSpec, Y: np.ndarray, damping: np.ndarray | None) -> np.ndarray:
+    """Target Gram L, the Gram of the target sections.
+
+    In damped mode target section j carries damping[j], which scales both
+    indices of L. The scaling runs in row blocks of the Gram's block size,
+    so no second m x m array is built; one product d_i d_j per pair keeps L
+    exactly symmetric (L_ij (d_i d_j) == L_ji (d_j d_i)).
     """
-    K = gram(kw, X, X)
-    L = gram(kw, Y, Y)
-    if eta is not None:
-        damping = np.exp(-eta.values(X))
-        # one product per pair keeps L exactly symmetric (L_ij d_i d_j == L_ji d_j d_i)
-        L *= np.multiply.outer(damping, damping)
-    return K, L
+    L = gram(kw, Y)
+    if damping is not None:
+        step = max(1, GRAM_BLOCK_ENTRIES // len(L))
+        for i in range(0, len(L), step):
+            L[i : i + step] *= np.multiply.outer(damping[i : i + step], damping)
+    return L
 
 
 def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
@@ -170,43 +180,46 @@ def factor_model(
     X: np.ndarray,
     Y: np.ndarray,
     eta: EtaSpec | None,
-    K: np.ndarray,
-    L: np.ndarray,
+    Z: np.ndarray,
     beta: float,
     U: np.ndarray,
     sigma_sq: np.ndarray,
 ) -> KoopmanModel:
-    """Model from normalized eigenvectors U and the Grams K and L of assemble_grams.
+    """Model from normalized eigenvectors U and Z = U' K, all it needs of K.
 
-    Builds W, H and Q and every fit diagnostic. The cross Gram E, damped in
-    its target (column) index, is assembled here for its one use H = U' E W,
-    so the pencil solve never holds it. The fit and read_model both come
-    through here, so a reloaded model is bit-identical to the fitted one.
-    There is no m x m eigensolve: lam_max(L) in the a-priori bound is the
-    Lanczos Perron root of the nonnegative L, and the operator norm is
+    Builds W, H and Q and every fit diagnostic. The target Gram L and then
+    the cross Gram E, damped in its target (column) index, are each built
+    here and dropped after their last product, so at most one m x m array
+    is held at a time. The fit and read_model both come through here, so a
+    reloaded model is bit-identical to the fitted one. There is no m x m
+    eigensolve: lam_max(L) in the a-priori bound is the Lanczos Perron root
+    of the nonnegative L, and the operator norm is
     lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
     """
-    m = len(K)
-    U = np.ascontiguousarray(U)
-    Z = matmul(U.T, K)
+    m = len(X)
     W = Z.T / m
+    damping = _damping(eta, X)
+    L = target_gram(kw, Y, damping)
     WL = matmul(W.T, L)
     Q = matmul(WL, W)
-    damping = None if eta is None else np.exp(-eta.values(X))
+    target_sq = np.diag(L).copy()
+    norm_bound = perron_root(L) / (beta * m)
+    del L
     E = gram(kw, X, Y)
     if damping is not None:
         E *= damping[None, :]
     H = matmul(matmul(U.T, E), W)
+    del E
     M = matmul(Z, U)
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
     Mh = matmul(vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :], vecs.T)
     S = matmul(matmul(Mh, Q), Mh)
     diagnostics = FitDiagnostics(
         sigma_sq=sigma_sq,
-        risk=_section_risk(Z, Q, WL, np.diag(L)),
+        risk=_section_risk(Z, Q, WL, target_sq),
         hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
         op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
-        norm_bound=perron_root(L) / (beta * m),
+        norm_bound=norm_bound,
     )
     return KoopmanModel(
         anchors_x=X,
@@ -246,16 +259,23 @@ def _fit(
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
     if eta is not None:
         _checked_eta(ds, eta)
-    K, L = assemble_grams(kw, X, Y, eta)
-    if float(np.max(np.abs(K))) == 0.0:
-        raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
-    beta = cfg.beta
-    if beta is None:
+    damping = _damping(eta, X)
+
+    def ridge(K: np.ndarray) -> float:
+        if float(np.max(np.abs(K))) == 0.0:
+            raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
+        if cfg.beta is not None:
+            return cfg.beta
         # K is entrywise nonnegative, like L, so lam_max(K) is its Perron root
-        beta = cfg.beta_scale * perron_root(K) / m
-    sigma_sq, U = reduced_rank_eig(K, L, beta, cfg.rank)
-    U = normalize_columns(U, K, beta)
-    return factor_model(kw, X, Y, eta, K, L, beta, U, sigma_sq)
+        return cfg.beta_scale * perron_root(K) / m
+
+    beta, sigma_sq, U, K = reduced_rank_eig(
+        lambda: gram(kw, X), lambda: target_gram(kw, Y, damping), ridge, cfg.rank
+    )
+    U = np.ascontiguousarray(normalize_columns(U, K, beta))
+    Z = matmul(U.T, K)
+    del K
+    return factor_model(kw, X, Y, eta, Z, beta, U, sigma_sq)
 
 
 def fit_koopman(ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig) -> KoopmanModel:

@@ -19,8 +19,9 @@ import numpy as np
 from .certificates import BoundReport
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
-from .estimator import EtaSpec, KoopmanModel, assemble_grams, factor_model
-from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
+from .eigsolve import matmul
+from .estimator import EtaSpec, KoopmanModel, factor_model
+from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec, gram
 
 CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
 # Stored and recomputed diagnostics must agree to this relative error. The
@@ -217,11 +218,11 @@ def _parse_sections(text: str) -> dict[str, list[str]]:
     return sections
 
 
-def _kv(lines: list[str]) -> dict[str, str]:
+def _kv(lines: list[str], where: str) -> dict[str, str]:
     out = {}
     for line in lines:
         if "=" not in line:
-            raise InvalidInputError(f"expected key=value, got {line!r}")
+            raise InvalidInputError(f"{where}: expected key=value, got {line!r}")
         k, v = line.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -234,11 +235,12 @@ def _matrix(lines: list[str]) -> np.ndarray:
 def read_model(path: str | Path) -> KoopmanModel:
     """Rebuild a fitted model from its file.
 
-    The Grams are reassembled from the anchors and the factors and
-    diagnostics recomputed by the same code as the fit. A file whose stored
-    diagnostics differ from the recomputed ones by more than DIAGNOSTICS_RTOL
-    is rejected, and so are non-finite arrays and a v1 file, which held the
-    dense theta instead of U.
+    The factors and diagnostics are recomputed from the anchors and U by
+    the same code as the fit. K is built once for Z = U' K and dropped
+    before factor_model builds L and then E, so one m x m Gram is held at a
+    time. A file whose stored diagnostics differ from the recomputed ones
+    by more than DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays
+    and a v1 file, which held the dense theta instead of U.
     """
     path = Path(path)
     sections = _parse_sections(_read_text(path, "model file"))
@@ -246,19 +248,19 @@ def read_model(path: str | Path) -> KoopmanModel:
         raise InvalidInputError(
             f"{path} is a v1 model file (dense theta); refit it with this version"
         )
+    where = f"model file {path}"
     for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "U"):
         if needed not in sections:
-            raise InvalidInputError(f"model file is missing the [{needed}] section")
-    where = f"model file {path}"
+            raise InvalidInputError(f"{where} is missing the [{needed}] section")
     spec = {
-        name: build_section(cls, name, _kv(sections[name]), where)
+        name: build_section(cls, name, _kv(sections[name], where), where)
         for name, cls in (("kernel", KernelSpec), ("weight", WeightSpec), ("eta", EtaSpec))
         if name in sections
     }
     kw, eta = WeightedKernelSpec(spec["kernel"], spec["weight"]), spec.get("eta")
     try:
-        meta = _kv(sections["meta"])
-        diag = _kv(sections["diagnostics"])
+        meta = _kv(sections["meta"], where)
+        diag = _kv(sections["diagnostics"], where)
         X = _matrix(sections["anchors_x"])
         Y = _matrix(sections["anchors_y"])
         U = _matrix(sections["U"])
@@ -268,33 +270,35 @@ def read_model(path: str | Path) -> KoopmanModel:
         sigma_sq = np.array([float(v) for v in diag["sigma_sq"].split(",")])
         stored = {name: float(diag[name]) for name in CHECKED_DIAGNOSTICS}
     except KeyError as exc:
-        raise InvalidInputError(f"model file {path} lacks the {exc.args[0]}= entry") from exc
+        raise InvalidInputError(f"{where} lacks the {exc.args[0]}= entry") from exc
     except ValueError as exc:
         if isinstance(exc, InvalidInputError):
             raise
         raise InvalidInputError(f"malformed model file {path}: {exc}") from exc
     shapes = (X.shape, Y.shape, U.shape, sigma_sq.shape)
     if shapes != ((m, dim), (m, dim), (m, rank), (rank,)):
-        raise InvalidInputError("model file arrays disagree with the declared sizes")
+        raise InvalidInputError(f"{where} arrays disagree with the declared sizes")
     for name, A in (("anchors_x", X), ("anchors_y", Y), ("U", U), ("sigma_sq", sigma_sq)):
         if not np.all(np.isfinite(A)):
-            raise InvalidInputError(f"model file {path} has non-finite {name} entries")
+            raise InvalidInputError(f"{where} has non-finite {name} entries")
     if mode != ("koopman" if eta is None else "zubov"):
-        raise InvalidInputError(f"model mode {mode!r} does not match its [eta] section")
+        raise InvalidInputError(
+            f"{where} has mode {mode!r}, which does not match its [eta] section"
+        )
     if not (np.isfinite(beta) and beta > 0):
-        raise InvalidInputError("model file beta must be positive")
+        raise InvalidInputError(f"{where} has beta={fmt(beta)}; beta must be positive")
     # A genuine fit rebuilds without overflow; one that overflows cannot
     # reproduce its stored diagnostics, so refuse it here without the warnings.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            model = factor_model(kw, X, Y, eta, *assemble_grams(kw, X, Y, eta), beta, U, sigma_sq)
+            model = factor_model(kw, X, Y, eta, matmul(U.T, gram(kw, X)), beta, U, sigma_sq)
     except FloatingPointError as exc:
-        raise InvalidInputError(f"model file {path} does not rebuild: {exc}") from exc
+        raise InvalidInputError(f"{where} does not rebuild: {exc}") from exc
     for name, value in stored.items():
         recomputed = getattr(model.diagnostics, name)
         if not abs(recomputed - value) <= DIAGNOSTICS_RTOL * abs(recomputed):
             raise InvalidInputError(
-                f"model file {path} stores {name}={fmt(value)} "
+                f"{where} stores {name}={fmt(value)} "
                 f"but its factors give {fmt(recomputed)}"
             )
     return model

@@ -7,6 +7,7 @@ once and later tests reuse it; every builder is fully seeded.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import weakref
 from functools import lru_cache
 
@@ -24,7 +25,6 @@ from koopcert import (
     SystemSpec,
     WeightSpec,
     WeightedKernelSpec,
-    assemble_grams,
     fit_koopman,
     fit_zubov_koopman,
     gram,
@@ -33,6 +33,7 @@ from koopcert import (
     weight_values,
 )
 from koopcert.dynsys import STEP_CAP
+from koopcert.estimator import target_gram
 
 
 def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
@@ -106,11 +107,22 @@ def dense_grams(model):
     """The m x m Grams of a fitted model, K, damped target L and damped cross
     E, with the damping vector (None in plain mode)."""
     X, Y = model.anchors_x, model.anchors_y
-    K, L = assemble_grams(model.kw, X, Y, model.eta)
+    K = gram(model.kw, X)
     if model.eta is None:
-        return K, L, gram(model.kw, X, Y), None
+        return K, target_gram(model.kw, Y, None), gram(model.kw, X, Y), None
     d = np.exp(-model.eta.values(X))
-    return K, L, gram(model.kw, X, Y) * d[None, :], d
+    return K, target_gram(model.kw, Y, d), gram(model.kw, X, Y) * d[None, :], d
+
+
+def traced_peak(fn) -> int:
+    """Peak of the memory traced while fn runs, in bytes above the traced
+    memory at entry."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:
@@ -127,15 +139,17 @@ def dense_pencil_topr(left: np.ndarray, right: np.ndarray, r: int) -> tuple[np.n
     return vals[order].real, U[:, order].real
 
 
-def as_fit_pencil(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, L) such that reduced_rank_eig(K, L, 0.0, r) solves M u = s B u
-    for symmetric M and SPD B: K = B^1/2 and L = m B^-1/2 M B^-1/2, since
-    then (L K / m^2) u = s (K / m) u is M u = s B u."""
+def as_fit_pencil(M: np.ndarray, B: np.ndarray):
+    """Builders of (K, L) and a zero ridge such that
+    reduced_rank_eig(*as_fit_pencil(M, B), r) solves M u = s B u for
+    symmetric M and SPD B: K = B^1/2 and L = m B^-1/2 M B^-1/2, since then
+    (L K / m^2) u = s (K / m) u is M u = s B u. Each builder returns a fresh
+    copy, which the solve may overwrite."""
     mu, V = np.linalg.eigh(B)
     half = (V * np.sqrt(mu)[None, :]) @ V.T
     inv_half = (V / np.sqrt(mu)[None, :]) @ V.T
     L = len(B) * (inv_half @ M @ inv_half)
-    return 0.5 * (half + half.T), 0.5 * (L + L.T)
+    return (0.5 * (half + half.T)).copy, (0.5 * (L + L.T)).copy, lambda K: 0.0
 
 
 # K and L of the models regularized_objective has seen, dropped with the model.

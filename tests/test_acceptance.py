@@ -15,7 +15,6 @@ from koopcert import (
     RRRConfig,
     SnapshotDataset,
     SystemSpec,
-    assemble_grams,
     bound_report,
     build_lyapunov,
     build_zubov,
@@ -39,6 +38,7 @@ from koopcert.eigsolve import reduced_rank_eig
 
 from helpers import (
     as_fit_pencil,
+    dense_grams,
     dense_pencil_topr,
     example1_model,
     example2_model,
@@ -93,7 +93,7 @@ def test_criterion_02_pencil_recovery(acceptance):
         m = int(rng.integers(2, 51))
         r = int(rng.integers(1, m + 1))
         M, B, lam = _planted_pencil(rng, m)
-        vals, U = reduced_rank_eig(*as_fit_pencil(M, B), 0.0, r)
+        _, vals, U, _ = reduced_rank_eig(*as_fit_pencil(M, B), r)
         worst_eig = max(worst_eig, float(np.max(np.abs(vals - lam[:r]))))
         scale = np.linalg.norm(M) + np.linalg.norm(B)
         U = U / np.linalg.norm(U, axis=0)[None, :]
@@ -133,7 +133,7 @@ def test_criterion_05_perturbations_never_improve(acceptance):
     worst = np.inf
     for idx, model in enumerate(model_matrix()):
         m = len(model)
-        K, L = assemble_grams(model.kw, model.anchors_x, model.anchors_y, model.eta)
+        K, L = dense_grams(model)[:2]
         _, U = dense_pencil_topr((L @ K) / (m * m), K / m + model.beta * np.eye(m), model.rank)
         U = normalize_columns(U, K, model.beta)
         np.testing.assert_allclose(

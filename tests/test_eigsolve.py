@@ -54,7 +54,7 @@ def test_generalized_eig_recovers_planted_spectrum():
         m = int(rng.integers(3, 30))
         r = int(rng.integers(1, m + 1))
         M, B, lam = planted_pencil(rng, m)
-        vals, U = reduced_rank_eig(*as_fit_pencil(M, B), 0.0, r)
+        _, vals, U, _ = reduced_rank_eig(*as_fit_pencil(M, B), r)
         np.testing.assert_allclose(vals, lam[:r], rtol=1e-9, atol=1e-9)
         assert np.all(U[np.argmax(np.abs(U), axis=0), np.arange(r)] > 0)
         U = U / np.linalg.norm(U, axis=0)[None, :]
@@ -65,7 +65,7 @@ def test_generalized_eig_recovers_planted_spectrum():
 
 def test_tied_eigenvalues_warn():
     with pytest.warns(RuntimeWarning, match="tie"):
-        reduced_rank_eig(*as_fit_pencil(np.eye(3), np.eye(3)), 0.0, 1)
+        reduced_rank_eig(*as_fit_pencil(np.eye(3), np.eye(3)), 1)
 
 
 def test_reduced_rank_eig_refuses_bad_input():
@@ -75,10 +75,10 @@ def test_reduced_rank_eig_refuses_bad_input():
     pairs = ((bad, K), (K, bad), (np.ones((4, 3)), K), (K, np.ones((4, 3))), (K, np.eye(3)), (np.ones(4), K))
     for K_, L_ in pairs:
         with pytest.raises(InvalidInputError):
-            reduced_rank_eig(K_, L_, 0.1, 1)
+            reduced_rank_eig(K_.copy, L_.copy, lambda K: 0.1, 1)
     for r in (0, 5):
         with pytest.raises(InvalidInputError):
-            reduced_rank_eig(K, K, 0.1, r)
+            reduced_rank_eig(K.copy, K.copy, lambda K: 0.1, r)
 
 
 def test_perron_root_matches_dense_eigh_on_fitted_target_grams():

@@ -1,7 +1,6 @@
 """Reduced-rank operator fit: closed forms, optimality, and predictions."""
 
 import gc
-import tracemalloc
 import warnings
 import weakref
 
@@ -16,7 +15,6 @@ from koopcert import (
     RRRConfig,
     SnapshotDataset,
     SolverFailureError,
-    assemble_grams,
     eval_weighted_kernel,
     fit_koopman,
     fit_zubov_koopman,
@@ -42,6 +40,7 @@ from helpers import (
     linear_model,
     regularized_objective,
     theta_from_factors,
+    traced_peak,
 )
 
 
@@ -301,22 +300,32 @@ def test_predict_observable_linear_one_step():
 
 
 def test_fit_holds_no_cross_gram_through_the_pencil_solve():
-    # K, L and the solve's working arrays peak at about 4.3 m x m arrays; a
-    # cross Gram E held through the solve as well would make it 5.3
+    # Each Gram lives from its build to its last read, so the fit peaks at
+    # about 2.35 m x m arrays here, holding L with the m x k J and L J
+    # (k = 674 columns of the factor of K). Holding K through the solve
+    # as well would make it 3.35, and a cross Gram E too 4.35.
     m = 1000
     kw = kw_gaussian()
     ds = make_dataset(SystemSpec.example1(), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
-    tracemalloc.start()
-    try:
-        fit_koopman(ds, kw, RRRConfig(rank=50))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.6 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+    peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50)))
+    assert peak < 2.6 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+
+
+def test_damped_fit_holds_at_most_two_grams():
+    # the damped target Gram is scaled in row blocks, without an m x m
+    # outer product; the fit peaks at about 2.06 m x m arrays, holding K and
+    # K / m + beta I for the last solve
+    m = 2000
+    kw = kw_gaussian(power=0.5)
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    ds = make_dataset(SystemSpec.example2(), box, m, 0.025, 1, kw.weight, eta=eta)
+    peak = traced_peak(lambda: fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)))
+    assert peak < 2.2 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_beta_resolution_from_scale():
     ds, _, model = linear_model(0.5, 40, 6, 3)
-    K = assemble_grams(model.kw, model.anchors_x, model.anchors_y)[0]
+    K = gram(model.kw, model.anchors_x)
     lam_max = float(np.linalg.eigvalsh(K).max())
     np.testing.assert_allclose(model.beta, 0.01 * lam_max / len(ds), rtol=1e-10)

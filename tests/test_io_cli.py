@@ -45,7 +45,7 @@ from koopcert.cli import main
 from koopcert.config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, SECTIONS, WORK_BYTES_CAP
 from koopcert.io import CHECKED_DIAGNOSTICS, CONVERTERS, DIAGNOSTICS_RTOL, _write_rows
 
-from helpers import example2_model, kw_gaussian, linear_model
+from helpers import example2_model, kw_gaussian, linear_model, traced_peak
 
 
 def test_fmt_round_trips_doubles():
@@ -160,6 +160,18 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
         calls.clear()
         read_model(tmp_path / "model.txt")
         assert calls and not any(square for square, _ in calls)
+
+
+def test_read_model_holds_one_gram_at_a_time(tmp_path):
+    # K is built only for Z = U' K and dropped before factor_model builds L
+    # and then E, so reading peaks at about 1.31 m x m arrays here; holding
+    # K, L and E together took 3.32
+    m = 2000
+    kw = kw_gaussian()
+    ds = make_dataset(SystemSpec.example1(), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
+    write_model(fit_koopman(ds, kw, RRRConfig(rank=50)), tmp_path / "model.txt")
+    peak = traced_peak(lambda: read_model(tmp_path / "model.txt"))
+    assert peak < 1.5 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_read_model_loads_a_file_from_numpy_blas_products():
@@ -457,6 +469,9 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
             "'varsigma' in [certificate]: 'inf' is not a finite",
         ),
         (["sample"], ("dt = 1.0", "dt = nan"), "'dt' in [sampling]: 'nan' is not a finite"),
+        (["sample"], None, "the following arguments are required: --config"),
+        (["sample", "--config", "x", "--seed", "abc"], None, "argument --seed: invalid int value: 'abc'"),
+        (["frobnicate"], None, "invalid choice: 'frobnicate'"),
     ],
     ids=[
         "config-seed",
@@ -466,6 +481,9 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
         "nu-nan",
         "varsigma-inf",
         "dt-nan",
+        "usage-config-missing",
+        "usage-seed-not-an-int",
+        "usage-unknown-command",
     ],
 )
 def test_cli_refused_setting_exits_1_with_one_error_line(tmp_path, argv, edit, text):
@@ -578,6 +596,13 @@ def _overflowing_weight(text):
     return "\n".join(lines)
 
 
+def _report_on_dataset(tmp_path):
+    """Report on a dataset file given as the model file."""
+    ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
+    write_dataset(ds, tmp_path / "dataset.csv")
+    return ["report", str(tmp_path / "dataset.csv")]
+
+
 def _out_blocked(under_file):
     """Sample into an --out that is an existing file, or a directory under one."""
 
@@ -645,6 +670,27 @@ def _config_bytes(data):
             _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
             "has non-finite U entries",
         ),
+        (_report_on_dataset, "is missing the [meta] section"),
+        (
+            _edited_model(lambda text: re.sub(r"^m=.*$", "m=11", text, flags=re.M)),
+            "arrays disagree with the declared sizes",
+        ),
+        (
+            _edited_model(lambda text: text.replace("mode=koopman", "mode=zubov")),
+            "does not match its [eta] section",
+        ),
+        (
+            _edited_model(lambda text: re.sub(r"^beta=.*$", "beta=-1", text, flags=re.M)),
+            "beta must be positive",
+        ),
+        (
+            _edited_model(lambda text: text.replace("[meta]\n", "[meta]\nrank 3\n")),
+            "expected key=value, got 'rank 3'",
+        ),
+        (
+            _edited_model(lambda text: text.replace("[kernel]\n", "[kernel]\ngamma\n")),
+            "expected key=value, got 'gamma'",
+        ),
         # 300 anchors, so the Grams span more than one block
         (
             _edited_model(_overflowing_weight, m=300),
@@ -668,6 +714,12 @@ def _config_bytes(data):
         "model-risk-tampered",
         "model-norm-bound-off-1e-9",
         "model-U-infinite",
+        "model-is-a-dataset",
+        "model-sizes-disagree",
+        "model-mode-disagrees-with-eta",
+        "model-beta-negative",
+        "model-meta-line-not-key-value",
+        "model-kernel-line-not-key-value",
         "model-weight-overflows",
         "dataset-meta-malformed",
         "dataset-meta-no-section-header",
