@@ -18,6 +18,7 @@ from koopcert import (
     WeightSpec,
     WeightedKernelSpec,
     build_zubov,
+    doa_levels,
     estimate_doa,
     fit_zubov_koopman,
     make_dataset,
@@ -49,7 +50,7 @@ print(f"mean indicator near the equilibrium:         {zubov_values(est, inside).
 # Certify a weight sublevel set. The cost table mu(a) comes from simulated
 # trajectories, the decay floor alpha and the escape rate floor eta come
 # from the same simulation of a sample of the box.
-doa = estimate_doa(sys, dom, kw.weight, eta, np.linspace(0.1, 1.0, 10), 500, dt, 44, 0.1)
+doa = estimate_doa(sys, dom, kw.weight, eta, doa_levels(dom, kw.weight), 500, dt, 44, 0.1)
 print(f"eta floor off the basin {doa.eta_lower:.4f}, weight decay floor {doa.alpha_lower:.4f}")
 print(f"certified weight level a* = {doa.a_star}")
 print(f"largest simulated cost inside that level: {mu_from_table(doa.table)(doa.a_star):.4f}")

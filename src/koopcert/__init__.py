@@ -19,6 +19,7 @@ from .certificates import (
     c_nu,
     concentration_epsilons,
     doa_level_threshold,
+    doa_levels,
     estimate_doa,
     generalization_bound,
     grid_eval,

@@ -237,31 +237,31 @@ def doa_level_threshold(
     mu_fn,
     alpha_lower: float,
     varsigma: float,
-    bracket: tuple[float, float],
+    bracket,
 ) -> float | None:
     """Largest weight level a certified to sit inside the attraction basin.
 
     A level a is feasible when log(alpha_lower * a / varsigma) >=
-    (mu_fn(a) + log 2) / eta_lower * log(1 / alpha_lower). Returns the
-    supremum of feasible levels inside the bracket, bisected to DOA_LEVEL_TOL
-    relative, or None when no bracket point is feasible.
+    (mu_fn(a) + log 2) / eta_lower * log(1 / alpha_lower), which fails at
+    small a. The bracket's increasing levels are scanned for the top of
+    this feasible band, which is bisected to DOA_LEVEL_TOL relative up to
+    the next level. Returns None when no bracket level is feasible.
     """
     if eta_lower <= 0 or varsigma <= 0 or not 0 < alpha_lower <= 1:
         raise InvalidInputError("need eta_lower > 0, varsigma > 0, alpha_lower in (0, 1]")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi):
-        raise InvalidInputError("bracket must satisfy 0 < lo < hi")
+    levels = [float(a) for a in bracket]
+    if not levels or levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InvalidInputError("bracket must hold increasing positive levels")
 
     def feasible(a: float) -> bool:
         lhs = math.log(alpha_lower * a / varsigma)
         rhs = (mu_fn(a) + math.log(2.0)) / eta_lower * math.log(1.0 / alpha_lower)
         return lhs >= rhs
 
-    if feasible(hi):
-        return hi
-    if not feasible(lo):
+    ok = [k for k, a in enumerate(levels) if feasible(a)]
+    if not ok:
         return None
-    a_ok, a_bad = lo, hi
+    a_ok, a_bad = levels[ok[-1]], levels[min(ok[-1] + 1, len(levels) - 1)]
     while a_bad - a_ok > DOA_LEVEL_TOL * max(1.0, a_ok):
         mid = 0.5 * (a_ok + a_bad)
         if feasible(mid):
@@ -269,6 +269,14 @@ def doa_level_threshold(
         else:
             a_bad = mid
     return a_ok
+
+
+def doa_levels(dom: DomainSpec, weight: WeightSpec) -> np.ndarray:
+    """Weight levels 0.1, 0.2, ... up to the first at or above the domain's
+    largest weight, so the levels cover the whole domain."""
+    far = np.maximum(*np.abs(dom.bounding_box()))
+    top = weight.of_sq_norm(dom.radius**2 if dom.kind == "ball" else np.sum(far * far))
+    return np.arange(1, math.ceil(10.0 * top) + 1) / 10.0
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,8 @@ def estimate_doa(
     the running maximum over levels up to a of a level's largest cost (a
     capped level need not hold a smaller level's states). eta_lower is the
     least state cost off the basin, alpha_lower the least one-step weight
-    ratio on it, capped at 1; a_star bisects over (levels[0], levels[-1]).
+    ratio on it, capped at 1; a_star, doa_level_threshold over the levels,
+    is certified by simulation of the known system, not by the fit.
     """
     levels = np.asarray(levels, dtype=float)
     if not levels.size or np.any(levels <= 0) or not np.all(np.diff(levels) > 0):
@@ -321,8 +330,7 @@ def estimate_doa(
     alpha_lower = float(np.min(ratios, initial=1.0))
     a_star = None
     if alpha_lower > 0 and math.isfinite(eta_lower):
-        bracket = (levels[0], levels[-1])
-        a_star = doa_level_threshold(eta_lower, mu_from_table(table), alpha_lower, varsigma, bracket)
+        a_star = doa_level_threshold(eta_lower, mu_from_table(table), alpha_lower, varsigma, levels)
     return DoaEstimate(table, eta_lower, alpha_lower, a_star)
 
 

@@ -17,6 +17,7 @@ from .certificates import (
     bound_report,
     build_lyapunov,
     build_zubov,
+    doa_levels,
     estimate_doa,
     grid_eval,
     lyapunov_values,
@@ -260,15 +261,16 @@ def _reproduce_zubov(args, cfg: RunConfig, model, out: Path) -> None:
     _say(args, f"wrote zubov grids ({res}x{res}, {steps} steps)")
 
     # Attraction-level certificate: estimate the cost table and the decay
-    # floor from simulation, then bisect for the largest certified level.
+    # floor from simulation, then take the largest certified level.
     doa = estimate_doa(
-        cfg.system, cfg.domain, cfg.kw.weight, cfg.eta, np.linspace(0.1, 1.0, 10), 500,
+        cfg.system, cfg.domain, cfg.kw.weight, cfg.eta, doa_levels(cfg.domain, cfg.kw.weight), 500,
         cfg.sampling.dt, cfg.sampling.seed + 2, cert.varsigma,
     )
     lines = ["[doa]"]
     lines.append(f"eta_lower={fmt(doa.eta_lower)}")
     lines.append(f"alpha_lower={fmt(doa.alpha_lower)}")
     lines.append(f"a_star={'none' if doa.a_star is None else fmt(doa.a_star)}")
+    lines.append("a_star_certified_by=simulation of the known system")
     lines.append("[mu_table]")
     for a, mu in doa.table.items():
         lines.append(f"{fmt(a)}={fmt(mu)}")

@@ -288,7 +288,7 @@ def check_decay_ratio(ds: SnapshotDataset, weight: WeightSpec, eta=None) -> floa
         raise InvalidInputError("decay ratio needs w(x_i) > 0 for every sample")
     ratios = wy / wx
     if eta is not None:
-        ratios = np.exp(-eta.values(ds.X)) * ratios
+        ratios = eta.damping(ds.X) * ratios
     return float(np.max(ratios))
 
 

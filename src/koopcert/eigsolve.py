@@ -166,15 +166,15 @@ def _input_factor(K: np.ndarray, beta: float) -> np.ndarray:
 
 
 def reduced_rank_eig(
-    input_gram: Callable[[], np.ndarray],
-    target_gram: Callable[[], np.ndarray],
+    build_k: Callable[[], np.ndarray],
+    build_l: Callable[[], np.ndarray],
     ridge: Callable[[np.ndarray], float],
     r: int,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
 
-    input_gram() and target_gram() build the symmetric input and target
-    Grams K and L, and ridge(K) gives beta. LAPACK's pivoted Cholesky at its
+    build_k() and build_l() build the symmetric input and target Grams K
+    and L, and ridge(K) gives beta. LAPACK's pivoted Cholesky at its
     default tolerance gives K = Psi Psi' with Psi m x k; with
     N = Psi' Psi / m + beta I = R'R and J = Psi R^-1, K (K / m + beta I)^-1
     = J J', so the pencil's nonzero eigenvalues s are those of the k x k
@@ -190,14 +190,14 @@ def reduced_rank_eig(
     exceeds k or a retained s is numerically zero: r exceeds the effective
     rank of the data.
     """
-    K = _finite_square(input_gram(), "reduced_rank_eig")
+    K = _finite_square(build_k(), "reduced_rank_eig")
     m = len(K)
     if not 1 <= r <= m:
         raise InvalidInputError(f"rank {r} must lie in [1, {m}]")
     beta = ridge(K)
     J = _input_factor(K, beta)
     del K
-    L = _finite_square(target_gram(), "reduced_rank_eig")
+    L = _finite_square(build_l(), "reduced_rank_eig")
     if L.shape != (m, m):
         raise InvalidInputError("reduced_rank_eig needs K and L of the same shape")
     LJ = matmul(L, J)
@@ -227,7 +227,7 @@ def reduced_rank_eig(
         )
     LJY = matmul(LJ, Y[:, :r])
     del LJ
-    K = input_gram()
+    K = build_k()
     # C = K / m + beta I, factored in place like N; its condition is at
     # most 1 + lam_max(K) / (m beta)
     C = K / m

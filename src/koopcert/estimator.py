@@ -1,17 +1,17 @@
 """Reduced-rank regression of transfer operators in the weighted RKHS.
 
 Snapshot pairs (x_i, y_i) define input sections k_w(x_i, .) and target
-sections k_w(y_i, .); in damped mode the targets are scaled by
-exp(-eta(x_i)). The fitted operator is A = sum_ij theta_ij
-k_w(x_i, .) (x) psi_j with a rank-r coefficient matrix theta = U W',
-W = K U / m. The columns of U are the top eigenvectors of the pencil
-(L K / m^2) u = s (K / m + beta I) u over the Gram matrices, found as a
-symmetric top-r eigenproblem in a pivoted Cholesky factor of K, so no
-m x m matrix is eigendecomposed; the default beta comes from the Lanczos
-Perron root of K. The model keeps only these
-factors and two r x r matrices, H = U' E W and Q = W' L W, so the
-coefficient recursions that push kernel sections through powers of A and
-its adjoint run in rank-r coordinates.
+sections k_w(y_i, .); in damped mode target i is scaled by the damping
+d_i = exp(-eta(x_i)), which kernels.gram takes as a per-point scale of the
+weight. The fitted operator is A = sum_ij theta_ij k_w(x_i, .) (x) psi_j
+with a rank-r coefficient matrix theta = U W', W = K U / m. The columns
+of U are the top eigenvectors of the pencil (L K / m^2) u =
+s (K / m + beta I) u over the Gram matrices, found as a symmetric top-r
+eigenproblem in a pivoted Cholesky factor of K, so no m x m matrix is
+eigendecomposed; the default beta comes from the Lanczos Perron root of
+K. The model keeps only these factors and two r x r matrices,
+H = U' E W and Q = W' L W, so the coefficient recursions that push kernel
+sections through powers of A and its adjoint run in rank-r coordinates.
 
 Each m x m Gram is built where it is read and dropped after its last
 read: the pencil solve builds K, L and K again, and factor_model L and
@@ -29,7 +29,7 @@ import numpy as np
 from .dynsys import SnapshotDataset
 from .eigsolve import matmul, perron_root, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
-from .kernels import GRAM_BLOCK_ENTRIES, WeightedKernelSpec, gram, weight_values
+from .kernels import WeightedKernelSpec, gram, weight_values
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class EtaSpec:
     def of_sq_norm(self, sq: np.ndarray) -> np.ndarray:
         """The cost of states whose squared norms are sq."""
         return self.scale * sq
+
+    def damping(self, X: np.ndarray) -> np.ndarray:
+        """The damping exp(-eta(x)) of each state."""
+        return np.exp(-self.values(X))
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,6 @@ class KoopmanModel:
     anchors_x: np.ndarray
     anchors_y: np.ndarray
     kw: WeightedKernelSpec
-    mode: str
     eta: EtaSpec | None
     beta: float
     rank: int
@@ -121,30 +124,14 @@ class KoopmanModel:
         return len(self.anchors_x)
 
     @property
+    def mode(self) -> str:
+        """The fit's mode, read off eta: "zubov" when damped, "koopman" otherwise."""
+        return "koopman" if self.eta is None else "zubov"
+
+    @property
     def theta(self) -> np.ndarray:
         """Dense m x m coefficient matrix U W'; costs O(m^2 r), for inspection."""
         return matmul(self.U, self.W.T)
-
-
-def _damping(eta: EtaSpec | None, X: np.ndarray) -> np.ndarray | None:
-    """exp(-eta(x_i)) per anchor in damped mode, None in plain mode."""
-    return None if eta is None else np.exp(-eta.values(X))
-
-
-def target_gram(kw: WeightedKernelSpec, Y: np.ndarray, damping: np.ndarray | None) -> np.ndarray:
-    """Target Gram L, the Gram of the target sections.
-
-    In damped mode target section j carries damping[j], which scales both
-    indices of L. The scaling runs in row blocks of the Gram's block size,
-    so no second m x m array is built; one product d_i d_j per pair keeps L
-    exactly symmetric (L_ij (d_i d_j) == L_ji (d_j d_i)).
-    """
-    L = gram(kw, Y)
-    if damping is not None:
-        step = max(1, GRAM_BLOCK_ENTRIES // len(L))
-        for i in range(0, len(L), step):
-            L[i : i + step] *= np.multiply.outer(damping[i : i + step], damping)
-    return L
 
 
 def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
@@ -164,14 +151,16 @@ def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndar
     return U / np.sqrt(nrm_sq)[None, :]
 
 
-def _section_risk(Z: np.ndarray, Q: np.ndarray, WG: np.ndarray, target_sq: np.ndarray) -> float:
-    """Mean squared section error |A* k_w(x_i, .) - target_i|^2 over points i.
+def _section_risk(kw, Y, damping, Z, Q, WG) -> float:
+    """Mean squared section error |A* k_w(x_i, .) - d_i k_w(y_i, .)|^2 over pairs i.
 
-    Column i of Z is U' k_w(anchors_x, x_i), column i of WG is W' times the
-    damped Gram column of target i against the anchor targets, and
-    target_sq[i] is that target's squared norm.
+    Column i of Z is U' k_w(anchors_x, x_i) and column i of WG is W' times
+    the damped Gram column of target i against the anchor targets. The
+    base kernel is 1 on the diagonal, so target i's squared norm, the
+    diagonal entry of its damped Gram, is (w(y_i) d_i)^2.
     """
-    per_point = np.sum(Z * matmul(Q, Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + target_sq
+    s = weight_values(kw.weight, Y, damping)
+    per_point = np.sum(Z * matmul(Q, Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + s * s
     return max(float(np.mean(per_point)), 0.0)
 
 
@@ -187,27 +176,24 @@ def factor_model(
 ) -> KoopmanModel:
     """Model from normalized eigenvectors U and Z = U' K, all it needs of K.
 
-    Builds W, H and Q and every fit diagnostic. The target Gram L and then
-    the cross Gram E, damped in its target (column) index, are each built
-    here and dropped after their last product, so at most one m x m array
-    is held at a time. The fit and read_model both come through here, so a
-    reloaded model is bit-identical to the fitted one. There is no m x m
-    eigensolve: lam_max(L) in the a-priori bound is the Lanczos Perron root
-    of the nonnegative L, and the operator norm is
+    Builds W, H and Q and every fit diagnostic. The damped target Gram L
+    and then the cross Gram E, damped in its target (column) index, are
+    each built here and dropped after their last product, so at most one
+    m x m array is held at a time. The fit and read_model both come
+    through here, so a reloaded model is bit-identical to the fitted one.
+    There is no m x m eigensolve: lam_max(L) in the a-priori bound is the
+    Lanczos Perron root of the nonnegative L, and the operator norm is
     lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
     """
     m = len(X)
     W = Z.T / m
-    damping = _damping(eta, X)
-    L = target_gram(kw, Y, damping)
+    damping = None if eta is None else eta.damping(X)
+    L = gram(kw, Y, scale_a=damping)
     WL = matmul(W.T, L)
     Q = matmul(WL, W)
-    target_sq = np.diag(L).copy()
     norm_bound = perron_root(L) / (beta * m)
     del L
-    E = gram(kw, X, Y)
-    if damping is not None:
-        E *= damping[None, :]
+    E = gram(kw, X, Y, scale_b=damping)
     H = matmul(matmul(U.T, E), W)
     del E
     M = matmul(Z, U)
@@ -216,7 +202,7 @@ def factor_model(
     S = matmul(matmul(Mh, Q), Mh)
     diagnostics = FitDiagnostics(
         sigma_sq=sigma_sq,
-        risk=_section_risk(Z, Q, WL, target_sq),
+        risk=_section_risk(kw, Y, damping, Z, Q, WL),
         hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
         op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
         norm_bound=norm_bound,
@@ -225,7 +211,6 @@ def factor_model(
         anchors_x=X,
         anchors_y=Y,
         kw=kw,
-        mode="koopman" if eta is None else "zubov",
         eta=eta,
         beta=float(beta),
         rank=U.shape[1],
@@ -238,13 +223,16 @@ def factor_model(
     )
 
 
-def _checked_eta(ds: SnapshotDataset, eta: EtaSpec) -> np.ndarray:
-    """The dataset's stored eta values, once they are checked against the spec."""
+def _checked_damping(ds: SnapshotDataset, eta: EtaSpec | None) -> np.ndarray | None:
+    """The damping of the dataset's states (None in plain mode), once its
+    stored eta values are checked against the spec."""
+    if eta is None:
+        return None
     if ds.eta_x is None:
         raise InvalidInputError("damped mode needs eta values stored in the dataset")
     if np.max(np.abs(ds.eta_x - eta.values(ds.X))) > 1e-12:
         raise EtaMismatchError("dataset eta values disagree with the eta spec")
-    return ds.eta_x
+    return eta.damping(ds.X)
 
 
 def _fit(
@@ -257,12 +245,10 @@ def _fit(
     m = len(X)
     if cfg.rank > m:
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
-    if eta is not None:
-        _checked_eta(ds, eta)
-    damping = _damping(eta, X)
+    damping = _checked_damping(ds, eta)
 
     def ridge(K: np.ndarray) -> float:
-        if float(np.max(np.abs(K))) == 0.0:
+        if float(K.max()) == 0.0:
             raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
         if cfg.beta is not None:
             return cfg.beta
@@ -270,7 +256,7 @@ def _fit(
         return cfg.beta_scale * perron_root(K) / m
 
     beta, sigma_sq, U, K = reduced_rank_eig(
-        lambda: gram(kw, X), lambda: target_gram(kw, Y, damping), ridge, cfg.rank
+        lambda: gram(kw, X), lambda: gram(kw, Y, scale_a=damping), ridge, cfg.rank
     )
     U = np.ascontiguousarray(normalize_columns(U, K, beta))
     Z = matmul(U.T, K)
@@ -303,9 +289,8 @@ def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndar
     A^k h = sum_i (U s_k)_i k_w(x_i, .) for the observable h with section
     values g0 at the anchors_y; d is the damping (1 in plain mode).
     """
-    d = model.damping
     S = np.empty((t, model.rank))
-    S[0] = matmul(model.W.T, g0 if d is None else d * g0)
+    S[0] = matmul(model.W.T, g0 if model.damping is None else model.damping * g0)
     for k in range(1, t):
         S[k] = matmul(model.H.T, S[k - 1])
     return S
@@ -348,14 +333,7 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs."""
-    Xh, Yh = ds.X, ds.Y
-    Z = matmul(model.U.T, gram(model.kw, model.anchors_x, Xh))
-    G = gram(model.kw, model.anchors_y, Yh)
-    # k_w(y, y) = w(y)^2 since the base kernel is 1 on the diagonal.
-    t_norm = weight_values(model.kw.weight, Yh) ** 2
-    if model.mode == "zubov":
-        dh = np.exp(-_checked_eta(ds, model.eta))
-        G *= model.damping[:, None]
-        G *= dh[None, :]
-        t_norm = dh**2 * t_norm
-    return _section_risk(Z, model.Q, matmul(model.W.T, G), t_norm)
+    dh = _checked_damping(ds, model.eta)
+    Z = matmul(model.U.T, gram(model.kw, model.anchors_x, ds.X))
+    G = gram(model.kw, model.anchors_y, ds.Y, scale_a=model.damping, scale_b=dh)
+    return _section_risk(model.kw, ds.Y, dh, Z, model.Q, matmul(model.W.T, G))

@@ -4,19 +4,20 @@ A weight ``w`` vanishes at the origin and scales a base kernel into
 ``k_w(x, y) = w(x) w(y) k(x, y)``, which is the reproducing kernel of the
 weighted space in which the transfer operator is learned.
 
-``gram`` assembles every weighted Gram of the package. It splits the rows
-of its first argument into one contiguous share per usable core and walks
-each share in blocks of at most GRAM_BLOCK_ENTRIES entries, so a block and
-its one scratch array stay in the core's cache and no second full-size
-array is built. Each entry goes through the same ufunc sequence however
-the rows are blocked or shared out, so the Gram is bit-identical on any
-core count, and the Gram of a set with itself is exactly symmetric. The
-caller's thread runs the first share and one module-level thread pool runs
-the others; its threads start with the first Gram that needs them, and
-numpy releases the GIL inside its loops. Each share runs under the
-caller's numpy error state, passed to it explicitly (numpy 1 keeps that
-state per thread), so an ``np.errstate(over="raise")`` around a call turns
-an overflow in any share into a FloatingPointError.
+``gram`` assembles every weighted Gram of the package, damped ones too (a
+per-point scale multiplies the weight). It splits the rows of its first
+argument into a contiguous share per usable core and walks each share in
+blocks of at most GRAM_BLOCK_ENTRIES entries, so a block and its one
+scratch array stay in the core's cache and no second full-size array is
+built. Each entry goes through the same ufunc sequence however the rows
+are blocked or shared out, so the Gram is bit-identical on any core count,
+and the Gram of a set with itself is exactly symmetric. The caller's
+thread runs the first share and one module-level thread pool runs the
+others; its threads start with the first Gram that needs them, and numpy
+releases the GIL inside its loops. Each share runs under the caller's
+numpy error state, passed to it explicitly (numpy 1 keeps that state per
+thread), so an ``np.errstate(over="raise")`` around a call turns an
+overflow in any share into a FloatingPointError.
 """
 
 from __future__ import annotations
@@ -104,10 +105,13 @@ def _check_points(X: np.ndarray, name: str) -> np.ndarray:
     return X
 
 
-def weight_values(w: WeightSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate the weight on a batch of states, shape (m, n) -> (m,)."""
+def weight_values(w: WeightSpec, X: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """The weight of a batch of states, shape (m, n) -> (m,), times a per-point scale if given."""
     X = _check_points(X, "X")
-    return w.of_sq_norm(np.sum(X * X, axis=-1))
+    wx = w.of_sq_norm(np.sum(X * X, axis=-1))
+    if scale is not None and np.shape(scale) != wx.shape:
+        raise InvalidInputError("a scale must hold one value per point")
+    return wx if scale is None else wx * scale
 
 
 def base_gram(
@@ -168,21 +172,27 @@ def _fill_rows(err, k, A, B, wa, wb, out, start, stop, step):
             block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
 
 
-def gram(kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Weighted Gram matrix [k_w(a_i, b_j)].
+def gram(
+    kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None,
+    scale_a: np.ndarray | None = None, scale_b: np.ndarray | None = None,
+) -> np.ndarray:
+    """Weighted Gram matrix [k(a_i, b_j) ((w(a_i) s_i) (w(b_j) t_j))].
 
-    With ``B`` omitted the result is the symmetric Gram of ``A`` with
-    itself. Entries are w(a_i) w(b_j) k(a_i, b_j); no weight floor is
-    applied here (that belongs to dataset assembly). The rows are shared
-    out over the cores in cache-sized blocks (see the module docstring);
-    a Gram of one block runs in the caller's thread alone.
+    The per-point scales s = scale_a and t = scale_b are skipped when
+    omitted, so an unscaled Gram is [k_w(a_i, b_j)] bit for bit. With ``B``
+    omitted the result is the exactly symmetric Gram of ``A`` with itself,
+    both sides scaled by scale_a. No weight floor is applied here (that
+    belongs to dataset assembly). Rows are shared out over the cores in
+    cache-sized blocks (see the module docstring).
     """
     A = _check_points(A, "A")
-    B = A if B is None else _check_points(B, "B")
+    if B is None and scale_b is not None:
+        raise InvalidInputError("a Gram of A with itself takes one scale, scale_a")
+    B, scale_b = (A, scale_a) if B is None else (_check_points(B, "B"), scale_b)
     if A.shape[1] != B.shape[1]:
         raise InvalidInputError("A and B must have matching state dimension")
-    wa = weight_values(kw.weight, A)
-    wb = weight_values(kw.weight, B)
+    wa = weight_values(kw.weight, A, scale_a)
+    wb = weight_values(kw.weight, B, scale_b)
     out = np.empty((len(A), len(B)))
     step = max(1, GRAM_BLOCK_ENTRIES // len(B))
     shares = min(CORES, -(-len(A) // step))

@@ -33,7 +33,6 @@ from koopcert import (
     weight_values,
 )
 from koopcert.dynsys import STEP_CAP
-from koopcert.estimator import target_gram
 
 
 def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
@@ -107,11 +106,8 @@ def dense_grams(model):
     """The m x m Grams of a fitted model, K, damped target L and damped cross
     E, with the damping vector (None in plain mode)."""
     X, Y = model.anchors_x, model.anchors_y
-    K = gram(model.kw, X)
-    if model.eta is None:
-        return K, target_gram(model.kw, Y, None), gram(model.kw, X, Y), None
-    d = np.exp(-model.eta.values(X))
-    return K, target_gram(model.kw, Y, d), gram(model.kw, X, Y) * d[None, :], d
+    d = None if model.eta is None else model.eta.damping(X)
+    return gram(model.kw, X), gram(model.kw, Y, scale_a=d), gram(model.kw, X, Y, scale_b=d), d
 
 
 def traced_peak(fn) -> int:

@@ -13,6 +13,7 @@ from koopcert import (
     EtaSpec,
     InvalidInputError,
     SystemSpec,
+    WeightSpec,
     accumulated_costs,
     bound_report,
     build_lyapunov,
@@ -20,6 +21,7 @@ from koopcert import (
     c_nu,
     concentration_epsilons,
     doa_level_threshold,
+    doa_levels,
     estimate_doa,
     generalization_bound,
     grid_eval,
@@ -276,6 +278,61 @@ def test_doa_threshold_bracket_edges():
         doa_level_threshold(1.0, lambda a: 0.0, 0.9, 0.1, bracket=(1.0, 0.1))
 
 
+def test_doa_threshold_finds_the_top_of_a_feasible_band():
+    # Feasible on [0.3, 0.8] only: at small a log(alpha a / varsigma) is too
+    # negative, above 0.8 the cost is prohibitive. A scan of the bracket
+    # finds the band; its two ends alone are both infeasible.
+    eta_lower, alpha, vs = 50.0, 0.9, 0.25
+
+    def mu_fn(a: float) -> float:
+        return 0.0 if a <= 0.8 else 1e6
+
+    assert doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.1, 1.0)) is None
+    levels = np.arange(1, 11) / 10.0
+    got = doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=levels)
+    assert 0.8 - 1e-8 <= got <= 0.8
+    # no level of the band is on the scan: nothing to bisect from
+    assert doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.1, 0.2, 0.9)) is None
+    assert doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.5,)) == 0.5
+    with pytest.raises(InvalidInputError):
+        doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.1, 0.5, 0.5))
+
+
+def test_doa_levels_cover_the_domain():
+    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    # the largest weight on the box is |(2, 2)|^0.5 = 8^0.25 ~ 1.68
+    levels = doa_levels(box, WeightSpec(kind="norm-power", exponent=0.5))
+    np.testing.assert_array_equal(levels, np.arange(1, 18) / 10.0)
+    w1 = WeightSpec(kind="norm-power", exponent=1.0)
+    ball = doa_levels(DomainSpec.ball(2.0), w1)
+    assert ball[-1] == 2.0 and len(ball) == 20
+    # a box away from the origin: its far corner is (3, -2), at weight sqrt(13) ~ 3.61
+    assert doa_levels(DomainSpec.box((1.0, -2.0), (3.0, 1.0)), w1)[-1] == 3.7
+
+
+def _example2_doa(levels):
+    """estimate_doa at the settings `reproduce example2` uses for its config seed."""
+    sys, eta = SystemSpec.example2(), EtaSpec(kind="quadratic-norm", scale=0.5)
+    dom, weight = DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), WeightSpec(kind="norm-power", exponent=0.5)
+    if levels is None:
+        levels = doa_levels(dom, weight)
+    return estimate_doa(sys, dom, weight, eta, levels, 500, 0.025, 44, 0.1)
+
+
+def test_example2_doa_level_lies_between_one_and_the_invariant_region():
+    # {w <= a} = {|x| <= a^2} first touches the invariant region x1 x2 >= 2
+    # at a = sqrt(2); the old grid stopped at 1.0 and reported its top.
+    a_star = _example2_doa(None).a_star
+    assert a_star is not None and 1.0 < a_star < math.sqrt(2.0)
+
+
+def test_widening_the_doa_level_grid_never_lowers_a_star():
+    full = doa_levels(DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), WeightSpec(kind="norm-power", exponent=0.5))
+    found = [_example2_doa(full[:top]).a_star for top in (10, 12, 14, len(full))]
+    assert None not in found
+    assert all(b >= a for a, b in zip(found, found[1:])), found
+
+
 def test_accumulated_costs_linear_closed_form():
     sys = SystemSpec.linear_contraction(0.6)
     eta = EtaSpec(kind="quadratic-norm", scale=0.25)
@@ -341,7 +398,7 @@ def test_estimate_doa_one_simulation_matches_per_level_runs(monkeypatch):
     got = [doa.table[a] for a in levels.tolist()]
     assert all(r <= g <= r + 1e-6 for r, g in zip(ref, got)), (ref, got)
     assert doa.a_star == doa_level_threshold(
-        doa.eta_lower, mu_from_table(dict(zip(levels.tolist(), ref))), doa.alpha_lower, 0.1, (0.1, 1.0)
+        doa.eta_lower, mu_from_table(dict(zip(levels.tolist(), ref))), doa.alpha_lower, 0.1, levels
     )
 
 

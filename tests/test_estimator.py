@@ -227,6 +227,12 @@ def test_zero_scale_damping_matches_plain_fit():
     assert damped.mode == "zubov" and reference.mode == "koopman"
 
 
+def test_eta_damping_is_the_exponential_of_minus_the_cost():
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    X = np.random.default_rng(4).normal(size=(7, 2))
+    np.testing.assert_array_equal(eta.damping(X), np.exp(-0.5 * np.sum(X * X, axis=1)))
+
+
 def test_damped_target_gram_is_exactly_symmetric():
     # symmetric_eig reads only the lower triangle of L, perron_root all of it
     L = dense_grams(example2_model()[3])[1]

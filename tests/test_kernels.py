@@ -127,9 +127,14 @@ def test_non_finite_points_raise():
         weight_values(kw.weight, np.array([[np.inf, 1.0]]))
 
 
-def _reference_gram(kw, A, B):
-    """One unblocked product: the base Gram times the outer product of the weights."""
+def _reference_gram(kw, A, B, scale_a=None, scale_b=None):
+    """One unblocked product: the base Gram times the outer product of the
+    weights, each times its side's per-point scale when one is given."""
     wa, wb = weight_values(kw.weight, A), weight_values(kw.weight, B)
+    if scale_a is not None:
+        wa = wa * scale_a
+    if scale_b is not None:
+        wb = wb * scale_b
     return base_gram(kw.kernel, A, B) * np.multiply.outer(wa, wb)
 
 
@@ -145,6 +150,12 @@ def three_shares(monkeypatch):
 def test_gram_is_bit_identical_to_one_unblocked_product(kind, n, three_shares):
     kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
     rng = np.random.default_rng(n)
+    # damping-like scales in (0, 1], from their own stream so A and B stay put
+    scales = np.random.default_rng(100 + n)
+
+    def damping(size):
+        return np.exp(-scales.uniform(0.0, 5.0, size))
+
     width = GRAM_BLOCK_ENTRIES // 64  # 64-row blocks
     shapes = [
         (1, 1),
@@ -161,11 +172,34 @@ def test_gram_is_bit_identical_to_one_unblocked_product(kind, n, three_shares):
         G = gram(kw, A, B)
         assert G.shape == (rows, cols)
         assert G.tobytes() == _reference_gram(kw, A, B).tobytes(), (rows, cols)
+        s, t = damping(rows), damping(cols)
+        ref = _reference_gram(kw, A, B, s, t).tobytes()
+        assert gram(kw, A, B, scale_a=s, scale_b=t).tobytes() == ref, (rows, cols)
+        assert gram(kw, A, B, scale_b=t).tobytes() == _reference_gram(kw, A, B, None, t).tobytes()
+        # unit scales give the unscaled Gram's bytes
+        ones_a, ones_b = np.ones(rows), np.ones(cols)
+        assert gram(kw, A, B, scale_a=ones_a, scale_b=ones_b).tobytes() == G.tobytes(), (rows, cols)
     X = rng.normal(size=(5 * 64 + 3, n)) * 0.5
     K = gram(kw, X)
     assert len(X) ** 2 > GRAM_BLOCK_ENTRIES
     assert np.array_equal(K, K.T)
     assert gram(kw, X).tobytes() == K.tobytes()
+    d = damping(len(X))
+    L = gram(kw, X, scale_a=d)
+    assert np.array_equal(L, L.T)
+    assert L.tobytes() == _reference_gram(kw, X, X, d, d).tobytes()
+    assert gram(kw, X, scale_a=np.ones(len(X))).tobytes() == K.tobytes()
+
+
+def test_gram_rejects_a_scale_of_the_wrong_length():
+    kw = kw_gaussian()
+    X = np.random.default_rng(2).normal(size=(6, 2))
+    with pytest.raises(InvalidInputError):
+        gram(kw, X, scale_a=np.ones(5))
+    with pytest.raises(InvalidInputError):
+        gram(kw, X, X[:4], scale_b=np.ones(6))
+    with pytest.raises(InvalidInputError):
+        gram(kw, X, scale_b=np.ones(6))
 
 
 def test_gram_raises_overflow_under_the_callers_errstate_in_every_share(three_shares):
