@@ -11,7 +11,6 @@ from koopcert import (
     KernelSpec,
     WeightSpec,
     WeightedKernelSpec,
-    eval_weighted_kernel,
     gram,
     weight_values,
 )
@@ -36,8 +35,8 @@ print(f"max |K_ii - w(x_i)^2| = {np.max(np.abs(np.diag(K) - w * w)):.3e}")
 # The weight pulls values toward zero near the origin.
 near = np.array([0.01, 0.0])
 far = np.array([1.0, 1.0])
-print(f"k_w(near, far) = {eval_weighted_kernel(kw, near, far):.6f}")
-print(f"k_w(far, far)  = {eval_weighted_kernel(kw, far, far):.6f}")
+print(f"k_w(near, far) = {gram(kw, near, far)[0, 0]:.6f}")
+print(f"k_w(far, far)  = {gram(kw, far, far)[0, 0]:.6f}")
 
 # A steeper weight exaggerates the same effect.
 kw_exp = WeightedKernelSpec(kw.kernel, WeightSpec(kind="exp-norm-power", exponent=2.0))

@@ -19,13 +19,13 @@ from koopcert import (
 )
 
 weight = WeightSpec(kind="norm-power", exponent=1.0)
-sys = SystemSpec.example1()
+sys = SystemSpec(kind="example1")
 dom = DomainSpec.ball(2.0)
 
 ds = make_dataset(sys, dom, 2000, 0.05, 42, weight)
 print(f"sampled {len(ds)} pairs, {ds.rejected_count} rejected by the weight floor")
 
-alpha = check_decay_ratio(ds, weight)
+alpha = check_decay_ratio(ds.X, ds.Y, weight)
 print(f"observed decay ratio alpha_hat = {alpha:.6f}")
 
 # A single trajectory shows the slow mode: the state contracts at roughly

@@ -28,7 +28,7 @@ kw = WeightedKernelSpec(
     KernelSpec(kind="gaussian", gamma=4.0),
     WeightSpec(kind="norm-power", exponent=1.0),
 )
-sys = SystemSpec.linear_contraction(a)
+sys = SystemSpec(kind="linear-contraction", a=a)
 dom = DomainSpec.ball(2.0)
 
 ds = make_dataset(sys, dom, 200, 1.0, 6, kw.weight)

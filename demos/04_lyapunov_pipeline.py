@@ -27,7 +27,7 @@ kw = WeightedKernelSpec(
     KernelSpec(kind="gaussian", gamma=4.0),
     WeightSpec(kind="norm-power", exponent=1.0),
 )
-sys = SystemSpec.example1()
+sys = SystemSpec(kind="example1")
 dom = DomainSpec.ball(2.0)
 dt = 0.05
 

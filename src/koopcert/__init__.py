@@ -25,7 +25,6 @@ from .certificates import (
     grid_eval,
     lyapunov_error_bound,
     lyapunov_values,
-    mu_from_table,
     truncation_horizon,
     zubov_error_bound,
     zubov_values,
@@ -80,7 +79,6 @@ from .kernels import (
     WeightedKernelSpec,
     WeightSpec,
     base_gram,
-    eval_weighted_kernel,
     gram,
     weight_values,
 )

@@ -33,7 +33,6 @@ from .kernels import WeightSpec, gram, weight_values
 
 HORIZON_CAP = 100_000
 COST_STEP_CAP = 10_000
-DOA_LEVEL_TOL = 1e-10
 # States per grid_eval call: the m x rows Gram of a block is 8 MB at the
 # examples' m = 500 anchors (8 * 500 * 2048 bytes).
 GRID_BLOCK_ROWS = 2048
@@ -75,7 +74,6 @@ class LyapunovEstimate:
     model: KoopmanModel
     horizon: int
     tail_bound: float
-    tol: float
     P: np.ndarray = field(repr=False)
     alpha: float = 0.0
     alpha_source: str = "op_norm"
@@ -83,8 +81,7 @@ class LyapunovEstimate:
 
 def _anchor_decay_ratio(model: KoopmanModel) -> float:
     """Observed one-step weight decay on the training anchors, damped as fitted."""
-    anchors = SnapshotDataset(X=model.anchors_x, Y=model.anchors_y, dt=0.0, seed=0)
-    return check_decay_ratio(anchors, model.kw.weight, eta=model.eta)
+    return check_decay_ratio(model.anchors_x, model.anchors_y, model.kw.weight, eta=model.eta)
 
 
 def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None = None) -> LyapunovEstimate:
@@ -122,7 +119,6 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
         model=model,
         horizon=horizon,
         tail_bound=tail,
-        tol=tol,
         P=P,
         alpha=alpha,
         alpha_source=source,
@@ -232,43 +228,34 @@ def zubov_error_bound(t: int, alpha: float, rho: float, nu: float, varsigma: flo
     return t * alpha ** (t - 1) * math.sqrt(rho) * c_nu(nu, varsigma) / varsigma
 
 
+def _check_levels(levels) -> np.ndarray:
+    """The levels as a float array, refused unless nonempty, positive and strictly increasing."""
+    levels = np.asarray(levels, dtype=float)
+    if not levels.size or not np.all(np.diff(levels, prepend=0.0) > 0):
+        raise InvalidInputError("levels must be nonempty, positive and strictly increasing")
+    return levels
+
+
 def doa_level_threshold(
-    eta_lower: float,
-    mu_fn,
-    alpha_lower: float,
-    varsigma: float,
-    bracket,
+    eta_lower: float, table: dict[float, float], alpha_lower: float, varsigma: float
 ) -> float | None:
-    """Largest weight level a certified to sit inside the attraction basin.
+    """Largest weight level of a simulated table (level -> mu) certified to
+    sit inside the attraction basin.
 
     A level a is feasible when log(alpha_lower * a / varsigma) >=
-    (mu_fn(a) + log 2) / eta_lower * log(1 / alpha_lower), which fails at
-    small a. The bracket's increasing levels are scanned for the top of
-    this feasible band, which is bisected to DOA_LEVEL_TOL relative up to
-    the next level. Returns None when no bracket level is feasible.
+    (table[a] + log 2) / eta_lower * log(1 / alpha_lower), which fails at
+    small a. Returns the highest feasible level, a key of the table, or
+    None when no level is feasible.
     """
     if eta_lower <= 0 or varsigma <= 0 or not 0 < alpha_lower <= 1:
         raise InvalidInputError("need eta_lower > 0, varsigma > 0, alpha_lower in (0, 1]")
-    levels = [float(a) for a in bracket]
-    if not levels or levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise InvalidInputError("bracket must hold increasing positive levels")
-
-    def feasible(a: float) -> bool:
-        lhs = math.log(alpha_lower * a / varsigma)
-        rhs = (mu_fn(a) + math.log(2.0)) / eta_lower * math.log(1.0 / alpha_lower)
-        return lhs >= rhs
-
-    ok = [k for k, a in enumerate(levels) if feasible(a)]
-    if not ok:
-        return None
-    a_ok, a_bad = levels[ok[-1]], levels[min(ok[-1] + 1, len(levels) - 1)]
-    while a_bad - a_ok > DOA_LEVEL_TOL * max(1.0, a_ok):
-        mid = 0.5 * (a_ok + a_bad)
-        if feasible(mid):
-            a_ok = mid
-        else:
-            a_bad = mid
-    return a_ok
+    _check_levels(list(table))
+    log_inv = math.log(1.0 / alpha_lower)
+    a_star = None
+    for a, mu in table.items():
+        if math.log(alpha_lower * a / varsigma) >= (mu + math.log(2.0)) / eta_lower * log_inv:
+            a_star = a
+    return a_star
 
 
 def doa_levels(dom: DomainSpec, weight: WeightSpec) -> np.ndarray:
@@ -308,12 +295,11 @@ def estimate_doa(
     the running maximum over levels up to a of a level's largest cost (a
     capped level need not hold a smaller level's states). eta_lower is the
     least state cost off the basin, alpha_lower the least one-step weight
-    ratio on it, capped at 1; a_star, doa_level_threshold over the levels,
-    is certified by simulation of the known system, not by the fit.
+    ratio on it, capped at 1; a_star, the table's highest feasible level
+    (doa_level_threshold), is certified by simulation of the known system,
+    not by the fit.
     """
-    levels = np.asarray(levels, dtype=float)
-    if not levels.size or np.any(levels <= 0) or not np.all(np.diff(levels) > 0):
-        raise InvalidInputError("levels must be nonempty, positive and strictly increasing")
+    levels = _check_levels(levels)
     pool = sample_uniform(dom, samples * 4, seed)
     wv = weight_values(weight, pool)
     picks = [np.flatnonzero(wv <= a)[:samples] for a in levels]
@@ -330,7 +316,7 @@ def estimate_doa(
     alpha_lower = float(np.min(ratios, initial=1.0))
     a_star = None
     if alpha_lower > 0 and math.isfinite(eta_lower):
-        a_star = doa_level_threshold(eta_lower, mu_from_table(table), alpha_lower, varsigma, levels)
+        a_star = doa_level_threshold(eta_lower, table, alpha_lower, varsigma)
     return DoaEstimate(table, eta_lower, alpha_lower, a_star)
 
 
@@ -361,21 +347,6 @@ def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
     # is not finite as far as we can tell.
     total[dead | (prev >= tail_tol)] = np.inf
     return total
-
-
-def mu_from_table(table: dict[float, float]):
-    """Upper step interpolant of an estimated mu table: mu is nondecreasing,
-    so the value at the next table level bounds it. Levels above the table raise."""
-    levels = np.array(sorted(table))
-    values = np.array([table[a] for a in levels])
-
-    def mu_fn(a: float) -> float:
-        idx = np.searchsorted(levels, a, side="left")
-        if idx == len(levels):
-            raise InvalidInputError(f"mu table does not cover level {a:g}")
-        return float(values[idx])
-
-    return mu_fn
 
 
 @dataclass(frozen=True)

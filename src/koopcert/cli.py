@@ -95,7 +95,7 @@ def _sample(cfg: RunConfig, path: Path):
     eta = cfg.eta if cfg.certificate.mode == "zubov" else None
     ds = _draw(cfg, cfg.sampling.seed, eta)
     write_dataset(ds, path)
-    return ds, check_decay_ratio(ds, cfg.kw.weight, eta=eta)
+    return ds, check_decay_ratio(ds.X, ds.Y, cfg.kw.weight, eta=eta)
 
 
 def cmd_sample(args) -> int:

@@ -107,7 +107,8 @@ SECTIONS = {
 
 
 def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig, res: int) -> None:
-    """Refuse a Gram above WORK_BYTES_CAP bytes or a horizon outside [0, HORIZON_CAP] steps."""
+    """Refuse a Gram above WORK_BYTES_CAP bytes, a horizon outside [0, HORIZON_CAP] steps,
+    or a zubov horizon that rounds to no step."""
     m = sampling.m
     need = 8 * m * max(m, res ** min(dim, 32))  # 2^32 grid points already pass the cap
     if need > WORK_BYTES_CAP:
@@ -118,6 +119,10 @@ def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig
     steps = cert.horizon if cert.horizon is not None else (cert.time or 0.0) / sampling.dt
     if not 0 <= steps <= HORIZON_CAP:
         raise InvalidInputError(f"certificate horizon {steps:g} is not in [0, {HORIZON_CAP}] steps")
+    if cert.mode == "zubov" and cert.zubov_steps(sampling.dt) < 1:
+        raise InvalidInputError(
+            f"zubov certificate horizon {steps:g} steps rounds to 0; a zubov run needs at least 1"
+        )
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
@@ -125,7 +130,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
     Any rule violation raises InvalidInputError so the CLI can map the whole
     class to a single exit code. That includes a run larger than
-    WORK_BYTES_CAP or HORIZON_CAP, refused before any state is built.
+    WORK_BYTES_CAP or HORIZON_CAP and a zubov run of no step, refused
+    before any state is built.
     """
     path = Path(path)
     if not path.exists():

@@ -62,18 +62,6 @@ class SystemSpec:
         elif self.dim != 2:
             raise InvalidInputError(f"{self.kind} is a planar system")
 
-    @staticmethod
-    def example1() -> "SystemSpec":
-        return SystemSpec(kind="example1")
-
-    @staticmethod
-    def example2() -> "SystemSpec":
-        return SystemSpec(kind="example2")
-
-    @staticmethod
-    def linear_contraction(a: float, dim: int = 2) -> "SystemSpec":
-        return SystemSpec(kind="linear-contraction", dim=dim, a=a)
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -103,10 +91,6 @@ class DomainSpec:
     @staticmethod
     def ball(radius: float, dim: int = 2) -> "DomainSpec":
         return DomainSpec(kind="ball", radius=radius, lo=(0.0,) * dim, hi=(0.0,) * dim)
-
-    @staticmethod
-    def box(lo, hi) -> "DomainSpec":
-        return DomainSpec(kind="box", lo=tuple(float(v) for v in lo), hi=tuple(float(v) for v in hi))
 
     @property
     def dim(self) -> int:
@@ -275,20 +259,20 @@ def make_dataset(
     return SnapshotDataset(X=X, Y=Y, dt=float(dt), seed=int(seed), rejected_count=rejected, eta_x=eta_x)
 
 
-def check_decay_ratio(ds: SnapshotDataset, weight: WeightSpec, eta=None) -> float:
-    """Largest observed one-step weight ratio max_i w(y_i) / w(x_i).
+def check_decay_ratio(X: np.ndarray, Y: np.ndarray, weight: WeightSpec, eta=None) -> float:
+    """Largest observed one-step weight ratio max_i w(y_i) / w(x_i) over pairs (x_i, y_i).
 
     A value below 1 is evidence the map contracts the weight on the sampled
     region. When a state cost is supplied the ratio is damped by
     exp(-eta(x_i)), matching the operator actually fitted in that mode.
     """
-    wx = weight_values(weight, ds.X)
-    wy = weight_values(weight, ds.Y)
+    wx = weight_values(weight, X)
+    wy = weight_values(weight, Y)
     if np.any(wx <= 0):
         raise InvalidInputError("decay ratio needs w(x_i) > 0 for every sample")
     ratios = wy / wx
     if eta is not None:
-        ratios = eta.damping(ds.X) * ratios
+        ratios = eta.damping(X) * ratios
     return float(np.max(ratios))
 
 

@@ -128,11 +128,6 @@ class KoopmanModel:
         """The fit's mode, read off eta: "zubov" when damped, "koopman" otherwise."""
         return "koopman" if self.eta is None else "zubov"
 
-    @property
-    def theta(self) -> np.ndarray:
-        """Dense m x m coefficient matrix U W'; costs O(m^2 r), for inspection."""
-        return matmul(self.U, self.W.T)
-
 
 def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
     """Rescale eigenvector columns to u' K_w ((1/m) K_w + beta I) u = 1.

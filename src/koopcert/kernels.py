@@ -142,11 +142,6 @@ def base_gram(
     return np.exp(sq, out=sq)
 
 
-def eval_weighted_kernel(kw: WeightedKernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate ``k_w(x, y) = w(x) w(y) k(x, y)`` at a single pair, as a 1 x 1 gram."""
-    return float(gram(kw, x, y)[0, 0])
-
-
 def _make_pool() -> None:
     # An executor starts its threads on submit, so none runs before the
     # first Gram of more than one share. A forked child gets a new pool:

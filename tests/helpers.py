@@ -46,7 +46,7 @@ def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
 def example1_model():
     """Planar sinusoidal system at its reference settings (m=500, seed 42)."""
     kw = kw_gaussian()
-    ds = make_dataset(SystemSpec.example1(), DomainSpec.ball(2.0), 500, 0.05, 42, kw.weight)
+    ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), 500, 0.05, 42, kw.weight)
     model = fit_koopman(ds, kw, RRRConfig(rank=50))
     return ds, kw, model
 
@@ -57,8 +57,8 @@ def example2_model():
     kw = kw_gaussian(power=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     ds = make_dataset(
-        SystemSpec.example2(),
-        DomainSpec.box((-2.0, -2.0), (2.0, 2.0)),
+        SystemSpec(kind="example2"),
+        DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0)),
         500,
         0.025,
         42,
@@ -73,7 +73,8 @@ def example2_model():
 def linear_model(a: float, m: int, rank: int, seed: int):
     """Fit of the exact contraction map x -> a x on the radius-2 ball."""
     kw = kw_gaussian()
-    ds = make_dataset(SystemSpec.linear_contraction(a), DomainSpec.ball(2.0), m, 1.0, seed, kw.weight)
+    sys = SystemSpec(kind="linear-contraction", a=a)
+    ds = make_dataset(sys, DomainSpec.ball(2.0), m, 1.0, seed, kw.weight)
     model = fit_koopman(ds, kw, RRRConfig(rank=rank))
     return ds, kw, model
 
@@ -121,6 +122,11 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def dense_theta(model) -> np.ndarray:
+    """Dense m x m coefficient matrix U W' of a fitted model."""
+    return model.U @ model.W.T
+
+
 def theta_from_factors(U: np.ndarray, gram_x: np.ndarray) -> np.ndarray:
     """Coefficient matrix (1/m) U U' K_w from normalized eigenvectors."""
     m = gram_x.shape[0]
@@ -159,7 +165,7 @@ def regularized_objective(model, theta: np.ndarray | None = None) -> float:
     first call for a model and reused while the model is alive.
     """
     if theta is None:
-        theta = model.theta
+        theta = dense_theta(model)
     m = len(model)
     if model not in _OBJECTIVE_GRAMS:
         _OBJECTIVE_GRAMS[model] = dense_grams(model)[:2]
@@ -176,7 +182,7 @@ def dense_diagnostics(model) -> dict[str, float]:
     """Risk, HS norm, operator norm and a-priori bound from m x m formulas."""
     K, L, _, _ = dense_grams(model)
     m = len(model)
-    theta = model.theta
+    theta = dense_theta(model)
     R = theta.T @ K - np.eye(m)
     quad = theta.T @ K @ theta
     vals, vecs = np.linalg.eigh(L)
@@ -193,7 +199,7 @@ def dense_diagnostics(model) -> dict[str, float]:
 def dense_heldout_risk(model, ds) -> float:
     """Held-out section error with the m-dimensional coefficients theta' k_x."""
     _, L, _, _ = dense_grams(model)
-    C = model.theta.T @ gram(model.kw, model.anchors_x, ds.X)
+    C = dense_theta(model).T @ gram(model.kw, model.anchors_x, ds.X)
     G = gram(model.kw, model.anchors_y, ds.Y)
     t_norm = weight_values(model.kw.weight, ds.Y) ** 2
     if model.eta is not None:
@@ -209,19 +215,19 @@ def dense_lyapunov_value(model, x, horizon: int) -> float:
     _, L, E, _ = dense_grams(model)
     x = np.asarray(x, dtype=float)[None, :]
     total = float(weight_values(model.kw.weight, x)[0] ** 2)
-    b = model.theta.T @ gram(model.kw, model.anchors_x, x)[:, 0]
+    b = dense_theta(model).T @ gram(model.kw, model.anchors_x, x)[:, 0]
     for _ in range(horizon):
         total += float(b @ (L @ b))
-        b = model.theta.T @ (E @ b)
+        b = dense_theta(model).T @ (E @ b)
     return total
 
 
 def dense_forward_coeffs(model, g0: np.ndarray, t: int) -> np.ndarray:
     """a_1 = theta (d * g0), a_{s+1} = theta E' a_s, d the target damping."""
     _, _, E, d = dense_grams(model)
-    a = model.theta @ (g0 if d is None else d * g0)
+    a = dense_theta(model) @ (g0 if d is None else d * g0)
     for _ in range(t - 1):
-        a = model.theta @ (E.T @ a)
+        a = dense_theta(model) @ (E.T @ a)
     return a
 
 

@@ -19,9 +19,9 @@ from koopcert import (
     build_lyapunov,
     build_zubov,
     check_decay_ratio,
-    eval_weighted_kernel,
     fit_koopman,
     generalization_bound,
+    gram,
     grid_eval,
     heldout_risk,
     lyapunov_error_bound,
@@ -40,6 +40,7 @@ from helpers import (
     as_fit_pencil,
     dense_grams,
     dense_pencil_topr,
+    dense_theta,
     example1_model,
     example2_model,
     kw_gaussian,
@@ -64,8 +65,8 @@ def test_criterion_01_single_pair_closed_form(acceptance):
         beta = float(rng.uniform(0.01, 1.0))
         ds = SnapshotDataset(X=x1[None, :], Y=y1[None, :], dt=1.0, seed=0)
         model = fit_koopman(ds, kw, RRRConfig(rank=1, beta=beta))
-        expect = 1.0 / (eval_weighted_kernel(kw, x1, x1) + beta)
-        worst = max(worst, abs(float(model.theta[0, 0]) - expect))
+        expect = 1.0 / (gram(kw, x1, x1)[0, 0] + beta)
+        worst = max(worst, abs(float(dense_theta(model)[0, 0]) - expect))
     elapsed = time.perf_counter() - t0
     acceptance(
         1,
@@ -118,9 +119,9 @@ def test_criterion_04_contraction_premise(acceptance):
     kw = kw_gaussian()
     t0 = time.perf_counter()
     ds = make_dataset(
-        SystemSpec.example1(), DomainSpec.ball(2.0), 10_000, 0.05, 7, kw.weight
+        SystemSpec(kind="example1"), DomainSpec.ball(2.0), 10_000, 0.05, 7, kw.weight
     )
-    alpha = check_decay_ratio(ds, kw.weight)
+    alpha = check_decay_ratio(ds.X, ds.Y, kw.weight)
     elapsed = time.perf_counter() - t0
     acceptance(
         4,
@@ -137,7 +138,7 @@ def test_criterion_05_perturbations_never_improve(acceptance):
         _, U = dense_pencil_topr((L @ K) / (m * m), K / m + model.beta * np.eye(m), model.rank)
         U = normalize_columns(U, K, model.beta)
         np.testing.assert_allclose(
-            theta_from_factors(U, K), model.theta, atol=1e-10
+            theta_from_factors(U, K), dense_theta(model), atol=1e-10
         )
         obj0 = regularized_objective(model)
         rng = np.random.default_rng(5000 + idx)
@@ -161,7 +162,7 @@ def test_criterion_06_lyapunov_oracle_agreement(acceptance):
     v_true = linear_lyapunov_truth(pts, 0.5)
     rel = float(np.mean(np.abs(v_hat - v_true) / v_true))
     heldout = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 200, 1.0, 1006, kw.weight
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 200, 1.0, 1006, kw.weight
     )
     report = bound_report(model, delta=0.05, heldout=heldout)
     bound = lyapunov_error_bound(report.alpha_plug, 1.0, report.heldout_risk)
@@ -183,7 +184,7 @@ def test_criterion_07_sinusoidal_system_certificate(acceptance):
     )
     rad = np.linalg.norm(coords, axis=1)
     positive = bool(np.all(vals[rad > 0.25] > 0.0))
-    mapped = step(SystemSpec.example1(), coords, 0.05)
+    mapped = step(SystemSpec(kind="example1"), coords, 0.05)
     vals_next = lyapunov_values(est, mapped)
     ring = (rad >= 0.5) & (rad <= 1.8)
     frac = float(np.mean(vals_next[ring] < vals[ring]))
@@ -232,7 +233,7 @@ def test_criterion_09_excess_risk_formula_and_coverage(acceptance):
                 ref = mp_generalization_bound(m, gamma, r, 0.05)
                 worst_rel = max(worst_rel, abs(got - ref) / ref)
     kw = kw_gaussian()
-    sys = SystemSpec.linear_contraction(0.5)
+    sys = SystemSpec(kind="linear-contraction", a=0.5)
     dom = DomainSpec.ball(2.0)
     violations = 0
     for seed in range(50):
@@ -259,8 +260,8 @@ def test_criterion_10_damped_value_error_within_bound(acceptance):
     rng = np.random.default_rng(77)
     pts = rng.uniform(-2.0, 2.0, (200, 2))
     heldout = make_dataset(
-        SystemSpec.example2(),
-        DomainSpec.box((-2.0, -2.0), (2.0, 2.0)),
+        SystemSpec(kind="example2"),
+        DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0)),
         500,
         0.025,
         43,
@@ -274,7 +275,7 @@ def test_criterion_10_damped_value_error_within_bound(acceptance):
         est = build_zubov(model, t, nu=1.0, varsigma=0.1)
         z_hat = zubov_values(est, pts)
         z_true = oracle_zubov_batch(
-            SystemSpec.example2(), kw.weight, eta, pts, 0.025, t, 1.0, 0.1
+            SystemSpec(kind="example2"), kw.weight, eta, pts, 0.025, t, 1.0, 0.1
         )
         mae = float(np.mean(np.abs(z_hat - z_true)))
         bound = zubov_error_bound(t, report.alpha_plug, report.heldout_risk, 1.0, 0.1)

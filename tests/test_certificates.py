@@ -27,7 +27,6 @@ from koopcert import (
     grid_eval,
     lyapunov_error_bound,
     lyapunov_values,
-    mu_from_table,
     sample_uniform,
     step,
     truncation_horizon,
@@ -238,68 +237,50 @@ def test_error_bound_frozen_values():
         zubov_error_bound(0, 0.9, 1.0, 1.0, 0.1)
 
 
-def test_doa_threshold_planted_crossing():
-    # Plant a cost profile whose feasibility margin is exactly K*(a0 - a),
-    # so the largest feasible level is a0 and bisection must land on it.
-    eta_lower, alpha, vs, a0, slope = 2.0, 0.9, 0.05, 0.7, 3.0
-    log_inv = math.log(1.0 / alpha)
-
-    def mu_fn(a: float) -> float:
-        return (
-            math.log(alpha * a / vs) * eta_lower / log_inv
-            - math.log(2.0)
-            - slope * (a0 - a)
-        )
-
-    assert mu_fn(0.2) > 0.0 and mu_fn(1.0) > 0.0
-    got = doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.2, 1.0))
-    np.testing.assert_allclose(got, a0, rtol=1e-8)
-
-
-def test_doa_threshold_step_cost_finds_discontinuity():
-    # Cost jumps from benign to prohibitive at 0.7; the certified level
-    # must converge to the jump from below.
-    def mu_fn(a: float) -> float:
-        return 0.0 if a <= 0.7 else 1e6
-
-    got = doa_level_threshold(50.0, mu_fn, 0.9, 0.1, bracket=(0.2, 1.0))
-    assert got is not None
-    assert 0.7 - 1e-8 <= got <= 0.7
-
-
 def test_doa_threshold_bracket_edges():
-    # everything feasible: return the top of the bracket
-    assert doa_level_threshold(5.0, lambda a: 0.0, 0.99, 0.01, bracket=(0.5, 1.0)) == 1.0
-    # nothing feasible: report None
-    assert doa_level_threshold(1e-3, lambda a: 50.0, 0.5, 0.1, bracket=(0.1, 1.0)) is None
-    with pytest.raises(InvalidInputError):
-        doa_level_threshold(0.0, lambda a: 0.0, 0.9, 0.1, bracket=(0.1, 1.0))
-    with pytest.raises(InvalidInputError):
-        doa_level_threshold(1.0, lambda a: 0.0, 0.9, 0.1, bracket=(1.0, 0.1))
+    # every level feasible: the top level
+    assert doa_level_threshold(5.0, {0.5: 0.0, 1.0: 0.0}, 0.99, 0.01) == 1.0
+    # nothing feasible: None
+    assert doa_level_threshold(1e-3, {0.1: 50.0, 1.0: 50.0}, 0.5, 0.1) is None
+    # a one-level table
+    assert doa_level_threshold(5.0, {0.5: 0.0}, 0.99, 0.01) == 0.5
+    assert doa_level_threshold(1e-3, {0.5: 50.0}, 0.5, 0.1) is None
+    # alpha_lower = 1 drops the cost term: feasible exactly from a = varsigma up
+    assert doa_level_threshold(1.0, {0.05: 9.0, 0.1: 9.0, 0.2: 9.0}, 1.0, 0.1) == 0.2
+    assert doa_level_threshold(1.0, {0.05: 9.0}, 1.0, 0.1) is None
+    # refused before any division, so never a ZeroDivisionError
+    for eta_lower, table, alpha, vs in (
+        (0.0, {0.5: 0.0}, 0.9, 0.1),
+        (-1.0, {0.5: 0.0}, 0.9, 0.1),
+        (1.0, {0.5: 0.0}, 0.0, 0.1),
+        (1.0, {0.5: 0.0}, 1.5, 0.1),
+        (1.0, {0.5: 0.0}, 0.9, 0.0),
+        (1.0, {0.5: 0.0}, 0.9, -0.1),
+        (1.0, {}, 0.9, 0.1),
+        (1.0, {1.0: 0.0, 0.1: 0.0}, 0.9, 0.1),
+        (1.0, {0.0: 0.0, 0.5: 0.0}, 0.9, 0.1),
+    ):
+        with pytest.raises(InvalidInputError):
+            doa_level_threshold(eta_lower, table, alpha, vs)
 
 
 def test_doa_threshold_finds_the_top_of_a_feasible_band():
     # Feasible on [0.3, 0.8] only: at small a log(alpha a / varsigma) is too
-    # negative, above 0.8 the cost is prohibitive. A scan of the bracket
-    # finds the band; its two ends alone are both infeasible.
+    # negative, above 0.8 the cost is prohibitive. The scan finds the top of
+    # the band; the table's two ends alone are both infeasible.
     eta_lower, alpha, vs = 50.0, 0.9, 0.25
-
-    def mu_fn(a: float) -> float:
-        return 0.0 if a <= 0.8 else 1e6
-
-    assert doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.1, 1.0)) is None
-    levels = np.arange(1, 11) / 10.0
-    got = doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=levels)
-    assert 0.8 - 1e-8 <= got <= 0.8
-    # no level of the band is on the scan: nothing to bisect from
-    assert doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.1, 0.2, 0.9)) is None
-    assert doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.5,)) == 0.5
-    with pytest.raises(InvalidInputError):
-        doa_level_threshold(eta_lower, mu_fn, alpha, vs, bracket=(0.1, 0.5, 0.5))
+    levels = (np.arange(1, 11) / 10.0).tolist()
+    table = {a: 0.0 if a <= 0.8 else 1e6 for a in levels}
+    assert doa_level_threshold(eta_lower, table, alpha, vs) == 0.8
+    assert doa_level_threshold(eta_lower, {a: table[a] for a in (0.1, 1.0)}, alpha, vs) is None
+    # no level of the band in the table
+    assert doa_level_threshold(eta_lower, {a: table[a] for a in (0.1, 0.2, 0.9)}, alpha, vs) is None
+    # infeasible at 0.5 but feasible again at 1.7: the highest feasible level wins
+    assert doa_level_threshold(eta_lower, {0.3: 0.0, 0.5: 500.0, 1.7: 500.0}, alpha, vs) == 1.7
 
 
 def test_doa_levels_cover_the_domain():
-    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     # the largest weight on the box is |(2, 2)|^0.5 = 8^0.25 ~ 1.68
     levels = doa_levels(box, WeightSpec(kind="norm-power", exponent=0.5))
     np.testing.assert_array_equal(levels, np.arange(1, 18) / 10.0)
@@ -307,13 +288,14 @@ def test_doa_levels_cover_the_domain():
     ball = doa_levels(DomainSpec.ball(2.0), w1)
     assert ball[-1] == 2.0 and len(ball) == 20
     # a box away from the origin: its far corner is (3, -2), at weight sqrt(13) ~ 3.61
-    assert doa_levels(DomainSpec.box((1.0, -2.0), (3.0, 1.0)), w1)[-1] == 3.7
+    assert doa_levels(DomainSpec(kind="box", lo=(1.0, -2.0), hi=(3.0, 1.0)), w1)[-1] == 3.7
 
 
 def _example2_doa(levels):
     """estimate_doa at the settings `reproduce example2` uses for its config seed."""
-    sys, eta = SystemSpec.example2(), EtaSpec(kind="quadratic-norm", scale=0.5)
-    dom, weight = DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), WeightSpec(kind="norm-power", exponent=0.5)
+    sys, eta = SystemSpec(kind="example2"), EtaSpec(kind="quadratic-norm", scale=0.5)
+    dom = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    weight = WeightSpec(kind="norm-power", exponent=0.5)
     if levels is None:
         levels = doa_levels(dom, weight)
     return estimate_doa(sys, dom, weight, eta, levels, 500, 0.025, 44, 0.1)
@@ -322,19 +304,23 @@ def _example2_doa(levels):
 def test_example2_doa_level_lies_between_one_and_the_invariant_region():
     # {w <= a} = {|x| <= a^2} first touches the invariant region x1 x2 >= 2
     # at a = sqrt(2); the old grid stopped at 1.0 and reported its top.
-    a_star = _example2_doa(None).a_star
-    assert a_star is not None and 1.0 < a_star < math.sqrt(2.0)
+    doa = _example2_doa(None)
+    assert doa.a_star in doa.table and 1.0 < doa.a_star < math.sqrt(2.0)
+    # a* is the highest feasible level: no level above it is feasible
+    above = {a: mu for a, mu in doa.table.items() if a > doa.a_star}
+    assert above and doa_level_threshold(doa.eta_lower, above, doa.alpha_lower, 0.1) is None
 
 
 def test_widening_the_doa_level_grid_never_lowers_a_star():
-    full = doa_levels(DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), WeightSpec(kind="norm-power", exponent=0.5))
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    full = doa_levels(box, WeightSpec(kind="norm-power", exponent=0.5))
     found = [_example2_doa(full[:top]).a_star for top in (10, 12, 14, len(full))]
     assert None not in found
     assert all(b >= a for a, b in zip(found, found[1:])), found
 
 
 def test_accumulated_costs_linear_closed_form():
-    sys = SystemSpec.linear_contraction(0.6)
+    sys = SystemSpec(kind="linear-contraction", a=0.6)
     eta = EtaSpec(kind="quadratic-norm", scale=0.25)
     pts = np.array([[1.0, 0.0], [0.5, -0.5]])
     costs = accumulated_costs(sys, eta, pts, dt=1.0, tail_tol=1e-12)
@@ -343,7 +329,7 @@ def test_accumulated_costs_linear_closed_form():
 
 
 def test_accumulated_costs_divergent_orbit_is_infinite():
-    sys = SystemSpec.example2()
+    sys = SystemSpec(kind="example2")
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     pts = np.array([[1.9, 1.9], [0.1, 0.1]])
     costs = accumulated_costs(sys, eta, pts, dt=0.025)
@@ -351,7 +337,7 @@ def test_accumulated_costs_divergent_orbit_is_infinite():
 
 
 def test_estimate_mu_table_monotone_and_bounded():
-    sys = SystemSpec.linear_contraction(0.6)
+    sys = SystemSpec(kind="linear-contraction", a=0.6)
     weight = kw_gaussian().weight
     eta = EtaSpec(kind="quadratic-norm", scale=0.25)
     levels = np.linspace(0.25, 1.0, 4)
@@ -364,8 +350,8 @@ def test_estimate_mu_table_monotone_and_bounded():
 
 
 def test_estimate_doa_one_simulation_matches_per_level_runs(monkeypatch):
-    sys, eta = SystemSpec.example2(), EtaSpec(kind="quadratic-norm", scale=0.5)
-    dom, weight = DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), kw_gaussian(power=0.5).weight
+    sys, eta = SystemSpec(kind="example2"), EtaSpec(kind="quadratic-norm", scale=0.5)
+    dom, weight = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0)), kw_gaussian(power=0.5).weight
     levels, samples, dt, seed = np.linspace(0.1, 1.0, 10), 200, 0.025, 44
     calls = []
 
@@ -398,25 +384,16 @@ def test_estimate_doa_one_simulation_matches_per_level_runs(monkeypatch):
     got = [doa.table[a] for a in levels.tolist()]
     assert all(r <= g <= r + 1e-6 for r, g in zip(ref, got)), (ref, got)
     assert doa.a_star == doa_level_threshold(
-        doa.eta_lower, mu_from_table(dict(zip(levels.tolist(), ref))), doa.alpha_lower, 0.1, levels
+        doa.eta_lower, dict(zip(levels.tolist(), ref)), doa.alpha_lower, 0.1
     )
-
-
-def test_mu_from_table_step_semantics():
-    mu = mu_from_table({0.5: 1.0, 1.0: 3.0})
-    assert mu(0.25) == 1.0
-    assert mu(0.5) == 1.0
-    assert mu(0.75) == 3.0
-    assert mu(1.0) == 3.0
-    with pytest.raises(InvalidInputError):
-        mu(1.5)
 
 
 def test_bound_report_fields():
     ds, _, model = linear_model(0.5, 100, 10, 7)
     from koopcert import make_dataset
 
-    held = make_dataset(SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 100, 1.0, 8, model.kw.weight)
+    sys = SystemSpec(kind="linear-contraction", a=0.5)
+    held = make_dataset(sys, DomainSpec.ball(2.0), 100, 1.0, 8, model.kw.weight)
     rep = bound_report(model, delta=0.05, heldout=held)
     assert rep.m == 100 and rep.rank == 10 and rep.delta == 0.05
     # the observed decay ratio of the exact map x -> 0.5 x is exactly 0.5
@@ -430,7 +407,7 @@ def test_bound_report_fields():
 
 
 def test_grid_eval_row_major_coords():
-    dom = DomainSpec.box((0.0, 0.0), (1.0, 2.0))
+    dom = DomainSpec(kind="box", lo=(0.0, 0.0), hi=(1.0, 2.0))
     coords, vals = grid_eval(lambda pts: pts[:, 0] + pts[:, 1], dom, resolution=3)
     assert coords.shape == (9, 2)
     np.testing.assert_allclose(coords[0], [0.0, 0.0])

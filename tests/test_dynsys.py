@@ -37,14 +37,14 @@ W1 = WeightSpec(kind="norm-power", exponent=1.0)
 
 
 def test_linear_contraction_is_exact_map():
-    sys = SystemSpec.linear_contraction(0.5, dim=3)
+    sys = SystemSpec(kind="linear-contraction", dim=3, a=0.5)
     x = np.array([1.0, -2.0, 4.0])
     np.testing.assert_array_equal(step(sys, x, 0.05), 0.5 * x)
     np.testing.assert_array_equal(step(sys, x, 123.0), 0.5 * x)
 
 
 def test_example1_step_matches_fine_integration():
-    sys = SystemSpec.example1()
+    sys = SystemSpec(kind="example1")
     rng = np.random.default_rng(5)
     for x0 in rng.uniform(-2.0, 2.0, size=(5, 2)):
         coarse = step(sys, x0, 0.05)
@@ -54,7 +54,7 @@ def test_example1_step_matches_fine_integration():
 
 def test_example1_vector_field_hand_value():
     # x1' = -3 x1 + x2 + sin(2 pi x1) / (2 pi), x2' = x1 - x2, at (0.25, 1)
-    sys = SystemSpec.example1()
+    sys = SystemSpec(kind="example1")
     x = np.array([0.25, 1.0])
     expect = np.array([-0.75 + 1.0 + 1.0 / (2.0 * math.pi), 0.25 - 1.0])
     fine = fine_step(sys, x, 1e-7, substeps=1)
@@ -62,7 +62,7 @@ def test_example1_vector_field_hand_value():
 
 
 def test_trajectory_shape_and_decay():
-    sys = SystemSpec.example1()
+    sys = SystemSpec(kind="example1")
     traj = trajectory(sys, np.array([1.5, -1.0]), 0.05, 600)
     assert traj.shape == (601, 2)
     norms = np.linalg.norm(traj, axis=1)
@@ -70,7 +70,7 @@ def test_trajectory_shape_and_decay():
 
 
 def test_trajectory_blowup_raises():
-    sys = SystemSpec.example2()
+    sys = SystemSpec(kind="example2")
     with pytest.raises(IntegrationBlowupError):
         trajectory(sys, np.array([1.9, 1.9]), 0.025, 2000)
 
@@ -79,7 +79,7 @@ def test_sample_uniform_ball_and_box():
     ball = sample_uniform(DomainSpec.ball(2.0), 500, 3)
     assert ball.shape == (500, 2)
     assert np.all(np.linalg.norm(ball, axis=1) <= 2.0)
-    box = sample_uniform(DomainSpec.box((-1.0, 0.0), (0.5, 2.0)), 300, 3)
+    box = sample_uniform(DomainSpec(kind="box", lo=(-1.0, 0.0), hi=(0.5, 2.0)), 300, 3)
     assert np.all(box >= [-1.0, 0.0]) and np.all(box <= [0.5, 2.0])
 
 
@@ -90,7 +90,7 @@ def test_sample_uniform_seeding():
 
 
 def test_make_dataset_pairs_are_one_step():
-    sys = SystemSpec.example1()
+    sys = SystemSpec(kind="example1")
     ds = make_dataset(sys, DomainSpec.ball(2.0), 40, 0.05, 21, W1)
     assert len(ds) == 40 and ds.dt == 0.05 and ds.seed == 21
     for i in range(len(ds)):
@@ -99,34 +99,33 @@ def test_make_dataset_pairs_are_one_step():
 
 def test_make_dataset_attaches_eta():
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    ds = make_dataset(
-        SystemSpec.example2(), DomainSpec.box((-2.0, -2.0), (2.0, 2.0)), 30, 0.025, 4, W1, eta=eta
-    )
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    ds = make_dataset(SystemSpec(kind="example2"), box, 30, 0.025, 4, W1, eta=eta)
     np.testing.assert_allclose(ds.eta_x, 0.5 * np.sum(ds.X * ds.X, axis=1), rtol=1e-15)
 
 
 def test_make_dataset_degenerate_domain():
-    tiny = DomainSpec.box((-1e-12, -1e-12), (1e-12, 1e-12))
+    tiny = DomainSpec(kind="box", lo=(-1e-12, -1e-12), hi=(1e-12, 1e-12))
     with pytest.raises(DegenerateDomainError):
-        make_dataset(SystemSpec.example1(), tiny, 20, 0.05, 0, W1)
+        make_dataset(SystemSpec(kind="example1"), tiny, 20, 0.05, 0, W1)
 
 
 def test_check_decay_ratio_linear_exact():
-    sys = SystemSpec.linear_contraction(0.6)
+    sys = SystemSpec(kind="linear-contraction", a=0.6)
     ds = make_dataset(sys, DomainSpec.ball(2.0), 100, 1.0, 2, W1)
-    np.testing.assert_allclose(check_decay_ratio(ds, W1), 0.6, rtol=1e-12)
+    np.testing.assert_allclose(check_decay_ratio(ds.X, ds.Y, W1), 0.6, rtol=1e-12)
 
 
 def test_check_decay_ratio_with_damping():
-    sys = SystemSpec.linear_contraction(0.6)
+    sys = SystemSpec(kind="linear-contraction", a=0.6)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     ds = make_dataset(sys, DomainSpec.ball(2.0), 100, 1.0, 2, W1, eta=eta)
     expect = float(np.max(np.exp(-ds.eta_x) * 0.6))
-    np.testing.assert_allclose(check_decay_ratio(ds, W1, eta=eta), expect, rtol=1e-12)
+    np.testing.assert_allclose(check_decay_ratio(ds.X, ds.Y, W1, eta=eta), expect, rtol=1e-12)
 
 
 def test_oracle_lyapunov_linear_closed_form():
-    sys = SystemSpec.linear_contraction(0.5)
+    sys = SystemSpec(kind="linear-contraction", a=0.5)
     kw = kw_gaussian()
     pts = np.array([[0.8, -0.3], [1.2, 0.5], [0.0, 1.4]])
     vals = oracle_lyapunov_batch(sys, kw, pts, 1.0, tail_tol=1e-12)
@@ -136,7 +135,7 @@ def test_oracle_lyapunov_linear_closed_form():
 
 
 def test_oracle_lyapunov_batch_matches_scalar_on_example1():
-    sys = SystemSpec.example1()
+    sys = SystemSpec(kind="example1")
     kw = kw_gaussian()
     pts = np.array([[0.9, 0.4], [-1.1, 0.7]])
     batch = oracle_lyapunov_batch(sys, kw, pts, 0.05, tail_tol=1e-10)
@@ -147,7 +146,7 @@ def test_oracle_lyapunov_batch_matches_scalar_on_example1():
 
 def test_oracle_zubov_linear_closed_form():
     # x_t = a^t x, eta(x_t) = c a^(2t) |x|^2, finite-horizon damped value
-    sys = SystemSpec.linear_contraction(0.7)
+    sys = SystemSpec(kind="linear-contraction", a=0.7)
     w = WeightSpec(kind="norm-power", exponent=1.0)
     eta = EtaSpec(kind="quadratic-norm", scale=0.3)
     x = np.array([1.1, -0.4])
@@ -161,7 +160,7 @@ def test_oracle_zubov_linear_closed_form():
 
 
 def test_oracle_zubov_escaping_orbit_scores_zero():
-    sys = SystemSpec.example2()
+    sys = SystemSpec(kind="example2")
     w = WeightSpec(kind="norm-power", exponent=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     val = oracle_zubov_batch(sys, w, eta, np.array([[1.9, 1.9]]), 0.025, 400, 1.0, 0.1)[0]
@@ -187,13 +186,13 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
 @pytest.mark.parametrize(
     "sys, dt, starts",
     [
-        (SystemSpec.example1(), 0.05, [[1.5, -1.0], [-2.0, 2.0], [0.0, 0.0], [0.3, 1e-9]]),
+        (SystemSpec(kind="example1"), 0.05, [[1.5, -1.0], [-2.0, 2.0], [0.0, 0.0], [0.3, 1e-9]]),
         # The last example2 start escapes within the 50 steps: [3, 3] to x2 = inf,
         # and [0, -4] at the coarse dt = 0.25 to nan.
-        (SystemSpec.example2(), 0.025, [[1.9, 1.9], [0.5, -0.3], [-1.2, 0.8], [3.0, 3.0]]),
-        (SystemSpec.example2(), 0.25, [[0.5, -0.3], [0.0, -4.0]]),
-        (SystemSpec.linear_contraction(0.7, dim=1), 1.0, [[1.0], [-0.4], [2.5]]),
-        (SystemSpec.linear_contraction(0.7, dim=3), 1.0, [[1.0, -2.0, 4.0], [0.1, 0.2, -0.3]]),
+        (SystemSpec(kind="example2"), 0.025, [[1.9, 1.9], [0.5, -0.3], [-1.2, 0.8], [3.0, 3.0]]),
+        (SystemSpec(kind="example2"), 0.25, [[0.5, -0.3], [0.0, -4.0]]),
+        (SystemSpec(kind="linear-contraction", dim=1, a=0.7), 1.0, [[1.0], [-0.4], [2.5]]),
+        (SystemSpec(kind="linear-contraction", dim=3, a=0.7), 1.0, [[1.0, -2.0, 4.0], [0.1, 0.2, -0.3]]),
     ],
 )
 def test_component_kernel_bit_identical_to_stacked_step(sys, dt, starts):
@@ -212,11 +211,11 @@ def test_component_kernel_bit_identical_to_stacked_step(sys, dt, starts):
 def test_oracle_lyapunov_bit_identical_to_stacked_loop():
     kw = kw_gaussian()
     coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 21)
-    new = oracle_lyapunov_batch(SystemSpec.example1(), kw, coords, 0.05, tail_tol=1e-10)
-    assert np.array_equal(new, stacked_oracle_lyapunov(SystemSpec.example1(), kw, coords, 0.05))
+    new = oracle_lyapunov_batch(SystemSpec(kind="example1"), kw, coords, 0.05, tail_tol=1e-10)
+    assert np.array_equal(new, stacked_oracle_lyapunov(SystemSpec(kind="example1"), kw, coords, 0.05))
     # Squared norms keep np.sum's order: sequential below 8 components, pairwise from 8.
     for dim in (3, 9):
-        sys = SystemSpec.linear_contraction(0.8, dim=dim)
+        sys = SystemSpec(kind="linear-contraction", dim=dim, a=0.8)
         X = np.random.default_rng(dim).uniform(-2.0, 2.0, (50, dim))
         new = oracle_lyapunov_batch(sys, kw, X, 1.0, tail_tol=1e-10)
         assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, 1.0))

@@ -15,7 +15,6 @@ from koopcert import (
     RRRConfig,
     SnapshotDataset,
     SolverFailureError,
-    eval_weighted_kernel,
     fit_koopman,
     fit_zubov_koopman,
     forward_coeffs,
@@ -35,6 +34,7 @@ from helpers import (
     dense_heldout_risk,
     dense_pencil_topr,
     dense_reference_fits,
+    dense_theta,
     example2_model,
     kw_gaussian,
     linear_model,
@@ -53,11 +53,11 @@ def test_single_pair_closed_form():
     ds = one_point_dataset(0.7, 0.35)
     beta = 0.37
     model = fit_koopman(ds, kw, RRRConfig(rank=1, beta=beta))
-    k = eval_weighted_kernel(kw, ds.X[0], ds.X[0])
-    np.testing.assert_allclose(model.theta[0, 0], 1.0 / (k + beta), atol=1e-13)
+    k = gram(kw, ds.X[0], ds.X[0])[0, 0]
+    np.testing.assert_allclose(dense_theta(model)[0, 0], 1.0 / (k + beta), atol=1e-13)
     # risk and norms reduce to scalar formulas
-    ell = eval_weighted_kernel(kw, ds.Y[0], ds.Y[0])
-    theta = model.theta[0, 0]
+    ell = gram(kw, ds.Y[0], ds.Y[0])[0, 0]
+    theta = dense_theta(model)[0, 0]
     np.testing.assert_allclose(model.diagnostics.risk, (theta * k - 1.0) ** 2 * ell, atol=1e-13)
     np.testing.assert_allclose(model.diagnostics.hs_norm**2, theta**2 * k * ell, atol=1e-13)
     np.testing.assert_allclose(model.diagnostics.op_norm, model.diagnostics.hs_norm, atol=1e-13)
@@ -102,7 +102,7 @@ def test_fit_matches_general_pencil_solver():
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     ds = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 8, 1.0, 5, kw.weight, eta=eta
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 8, 1.0, 5, kw.weight, eta=eta
     )
     plain = SnapshotDataset(X=ds.X, Y=ds.Y, dt=ds.dt, seed=ds.seed)
     models = list(dense_reference_fits())
@@ -113,7 +113,7 @@ def test_fit_matches_general_pencil_solver():
     for model in models:
         sigma_sq, theta = general_pencil_fit(model)
         np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dense_theta(model), theta, rtol=0, atol=1e-10)
 
 
 def test_fit_on_repeated_anchors_truncates_the_input_gram():
@@ -122,7 +122,7 @@ def test_fit_on_repeated_anchors_truncates_the_input_gram():
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     base = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 6, 1.0, 5, kw.weight, eta=eta
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 6, 1.0, 5, kw.weight, eta=eta
     )
     X, Y, eta_x = np.tile(base.X, (5, 1)), np.tile(base.Y, (5, 1)), np.tile(base.eta_x, 5)
     damped = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed, eta_x=eta_x)
@@ -134,7 +134,7 @@ def test_fit_on_repeated_anchors_truncates_the_input_gram():
             for model in (fit_koopman(plain, kw, cfg), fit_zubov_koopman(damped, kw, eta, cfg)):
                 sigma_sq, theta = general_pencil_fit(model)
                 np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(dense_theta(model), theta, rtol=0, atol=1e-10)
     cfg = RRRConfig(rank=7)
     for fit in (lambda: fit_koopman(plain, kw, cfg), lambda: fit_zubov_koopman(damped, kw, eta, cfg)):
         with pytest.raises(SolverFailureError, match="effective rank"):
@@ -163,14 +163,16 @@ def test_rank_above_effective_rank_raises():
 def test_regularized_objective_reuses_grams_per_model():
     def dense_objective(model):
         K, L, _, _ = dense_grams(model)
-        R = model.theta.T @ K - np.eye(len(model))
-        quad = model.theta.T @ K @ model.theta
+        theta = dense_theta(model)
+        R = theta.T @ K - np.eye(len(model))
+        quad = theta.T @ K @ theta
         return float(np.sum(R * (L @ R))) / len(model) + model.beta * float(np.sum(quad * L))
 
     kw = kw_gaussian()
     models = []
     for seed in (3, 4):
-        ds = make_dataset(SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 40, 1.0, seed, kw.weight)
+        sys = SystemSpec(kind="linear-contraction", a=0.5)
+        ds = make_dataset(sys, DomainSpec.ball(2.0), 40, 1.0, seed, kw.weight)
         models.append(fit_koopman(ds, kw, RRRConfig(rank=6)))
     expected = [dense_objective(model) for model in models]
     for _ in range(2):
@@ -196,7 +198,8 @@ def test_normalize_columns_unit_quadratic_forms():
 
 def test_rank_exceeding_samples_raises():
     kw = kw_gaussian()
-    ds = make_dataset(SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 10, 1.0, 5, kw.weight)
+    sys = SystemSpec(kind="linear-contraction", a=0.5)
+    ds = make_dataset(sys, DomainSpec.ball(2.0), 10, 1.0, 5, kw.weight)
     with pytest.raises(InvalidInputError):
         fit_koopman(ds, kw, RRRConfig(rank=11))
 
@@ -205,7 +208,7 @@ def test_eta_mismatch_raises():
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     ds = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 20, 1.0, 5, kw.weight, eta=eta
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 20, 1.0, 5, kw.weight, eta=eta
     )
     other = EtaSpec(kind="quadratic-norm", scale=0.25)
     with pytest.raises(EtaMismatchError):
@@ -216,12 +219,12 @@ def test_zero_scale_damping_matches_plain_fit():
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.0)
     ds = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 30, 1.0, 6, kw.weight, eta=eta
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 30, 1.0, 6, kw.weight, eta=eta
     )
     plain = SnapshotDataset(X=ds.X, Y=ds.Y, dt=ds.dt, seed=ds.seed)
     damped = fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=8))
     reference = fit_koopman(plain, kw, RRRConfig(rank=8))
-    np.testing.assert_array_equal(damped.theta, reference.theta)
+    np.testing.assert_array_equal(dense_theta(damped), dense_theta(reference))
     for name in ("U", "W", "H", "Q"):
         np.testing.assert_array_equal(getattr(damped, name), getattr(reference, name))
     assert damped.mode == "zubov" and reference.mode == "koopman"
@@ -255,15 +258,15 @@ def test_heldout_risk_on_training_data_is_empirical_risk():
     ds, _, model = linear_model(0.5, 40, 6, 3)
     np.testing.assert_allclose(heldout_risk(model, ds), model.diagnostics.risk, rtol=1e-10)
     fresh = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), 40, 1.0, 1003, model.kw.weight
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 40, 1.0, 1003, model.kw.weight
     )
     np.testing.assert_allclose(
         heldout_risk(model, fresh), dense_heldout_risk(model, fresh), rtol=1e-12
     )
     ds2, _, eta, model2 = example2_model()
     np.testing.assert_allclose(heldout_risk(model2, ds2), model2.diagnostics.risk, rtol=1e-10)
-    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
-    fresh2 = make_dataset(SystemSpec.example2(), box, 200, 0.025, 43, model2.kw.weight, eta=eta)
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    fresh2 = make_dataset(SystemSpec(kind="example2"), box, 200, 0.025, 43, model2.kw.weight, eta=eta)
     np.testing.assert_allclose(
         heldout_risk(model2, fresh2), dense_heldout_risk(model2, fresh2), rtol=1e-12
     )
@@ -312,7 +315,7 @@ def test_fit_holds_no_cross_gram_through_the_pencil_solve():
     # as well would make it 3.35, and a cross Gram E too 4.35.
     m = 1000
     kw = kw_gaussian()
-    ds = make_dataset(SystemSpec.example1(), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
+    ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
     peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50)))
     assert peak < 2.6 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
@@ -324,8 +327,8 @@ def test_damped_fit_holds_at_most_two_grams():
     m = 2000
     kw = kw_gaussian(power=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    box = DomainSpec.box((-2.0, -2.0), (2.0, 2.0))
-    ds = make_dataset(SystemSpec.example2(), box, m, 0.025, 1, kw.weight, eta=eta)
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight, eta=eta)
     peak = traced_peak(lambda: fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)))
     assert peak < 2.2 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 

@@ -52,8 +52,8 @@ def originals(tmp_path_factory):
     write_dataset(ds, scratch / "dataset.csv")
     write_model(model, scratch / "model.txt")
     kw, eta = kw_gaussian(power=0.5), EtaSpec(kind="quadratic-norm", scale=0.5)
-    box = DomainSpec.box((-1, -1), (1, 1))
-    zds = make_dataset(SystemSpec.example2(), box, 10, 0.025, 5, kw.weight, eta=eta)
+    box = DomainSpec(kind="box", lo=(-1, -1), hi=(1, 1))
+    zds = make_dataset(SystemSpec(kind="example2"), box, 10, 0.025, 5, kw.weight, eta=eta)
     write_model(fit_zubov_koopman(zds, kw, eta, RRRConfig(rank=3)), scratch / "zubov-model.txt")
     texts = {
         "config": LINEAR_CONFIG,

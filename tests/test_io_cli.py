@@ -45,7 +45,7 @@ from koopcert.cli import main
 from koopcert.config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, SECTIONS, WORK_BYTES_CAP
 from koopcert.io import CHECKED_DIAGNOSTICS, CONVERTERS, DIAGNOSTICS_RTOL, _write_rows
 
-from helpers import example2_model, kw_gaussian, linear_model, traced_peak
+from helpers import dense_theta, example2_model, kw_gaussian, linear_model, traced_peak
 
 
 def test_fmt_round_trips_doubles():
@@ -104,7 +104,7 @@ def test_model_round_trip_koopman(tmp_path):
     path = tmp_path / "model.txt"
     write_model(model, path)
     back = read_model(path)
-    np.testing.assert_array_equal(back.theta, model.theta)
+    np.testing.assert_array_equal(dense_theta(back), dense_theta(model))
     np.testing.assert_array_equal(back.anchors_x, model.anchors_x)
     np.testing.assert_array_equal(back.anchors_y, model.anchors_y)
     assert back.beta == model.beta
@@ -147,7 +147,7 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     ds = make_dataset(
-        SystemSpec.linear_contraction(0.5), DomainSpec.ball(2.0), m, 1.0, 7, kw.weight, eta=eta
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), m, 1.0, 7, kw.weight, eta=eta
     )
     cfg = RRRConfig(rank=6)
     for fit in (lambda: fit_koopman(ds, kw, cfg), lambda: fit_zubov_koopman(ds, kw, eta, cfg)):
@@ -168,7 +168,7 @@ def test_read_model_holds_one_gram_at_a_time(tmp_path):
     # K, L and E together took 3.32
     m = 2000
     kw = kw_gaussian()
-    ds = make_dataset(SystemSpec.example1(), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
+    ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
     write_model(fit_koopman(ds, kw, RRRConfig(rank=50)), tmp_path / "model.txt")
     peak = traced_peak(lambda: read_model(tmp_path / "model.txt"))
     assert peak < 1.5 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
@@ -437,6 +437,29 @@ def test_cli_oversized_run_exits_1_with_one_error_line(tmp_path, capsys, command
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [("horizon = 3", "horizon = 0"), ("horizon = 3", "time = 0.01")],
+    ids=["horizon-0", "time-rounds-to-0"],
+)
+def test_cli_zubov_of_no_step_exits_1_before_writing(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, ZUBOV_CONFIG)
+    for command in ("sample", "fit"):
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    written = sorted(out.iterdir())
+    # time = 0.01 is 0.4 steps of dt = 0.025, which rounds to 0
+    cfg = _write_config(tmp_path, ZUBOV_CONFIG.replace(*edit))
+    assert main(["zubov", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: zubov certificate horizon"), lines
+    assert sorted(out.iterdir()) == written
+    # a Lyapunov run of horizon 0 is still valid
+    path = tmp_path / "lyapunov.ini"
+    path.write_text(LINEAR_CONFIG.replace("tol = 1e-6", "tol = 1e-6\nhorizon = 0"))
+    assert load_config(path).certificate.horizon == 0
 
 
 def test_config_refuses_unknown_sections_and_keys(tmp_path):

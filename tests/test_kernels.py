@@ -18,7 +18,6 @@ from koopcert import (
     WeightSpec,
     WeightedKernelSpec,
     base_gram,
-    eval_weighted_kernel,
     gram,
     weight_values,
 )
@@ -47,7 +46,7 @@ def test_weight_exp_norm_power_hand_value():
 
 def test_weighted_kernel_frozen_value():
     kw = kw_gaussian(gamma=4.0, power=1.0)
-    val = eval_weighted_kernel(kw, np.array([0.3, 0.4]), np.array([0.0, 1.0]))
+    val = gram(kw, np.array([0.3, 0.4]), np.array([0.0, 1.0]))[0, 0]
     np.testing.assert_allclose(val, 0.08264944411079327, rtol=1e-15)
 
 
