@@ -50,6 +50,10 @@ class CertificateConfig:
             raise InvalidInputError("tol must be positive and delta in (0, 1)")
         if self.nu < 1 or self.varsigma <= 0:
             raise InvalidInputError("nu must be >= 1 and varsigma > 0")
+        if self.mode == "lyapunov" and self.time is not None:
+            raise InvalidInputError(
+                "[certificate] time is a zubov horizon; a Lyapunov run takes horizon (in steps)"
+            )
 
     def zubov_steps(self, dt: float) -> int:
         """Horizon in steps; a physical time is rounded via the sampling dt."""

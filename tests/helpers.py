@@ -32,7 +32,8 @@ from koopcert import (
     step,
     weight_values,
 )
-from koopcert.dynsys import STEP_CAP
+from koopcert.certificates import COST_STEP_CAP
+from koopcert.dynsys import GUARD_RADIUS, STEP_CAP, saturating
 
 
 def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
@@ -296,7 +297,7 @@ def stacked_vector_field(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     else:
         s = x1 * x2 - 1.0
         d1 = -x1
-        d2 = s * x2**3 + (s + x1**2) * x2
+        d2 = s * (x2 * x2 * x2) + (s + x1**2) * x2
     return np.stack([d1, d2], axis=-1)
 
 
@@ -340,3 +341,53 @@ def stacked_oracle_lyapunov(sys: SystemSpec, kw, X: np.ndarray, dt: float, tail_
         if not np.all(np.isfinite(state)):
             raise IntegrationBlowupError("a grid trajectory produced non-finite state")
     raise DivergenceError("weight did not decay within the step cap")
+
+
+def _park_escaped(state: np.ndarray, dead: np.ndarray) -> None:
+    """Add rows that are non-finite or past GUARD_RADIUS to dead and move every dead row to the origin."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dead |= ~(np.sqrt(np.sum(state * state, axis=-1)) <= GUARD_RADIUS)
+    state[dead] = 0.0
+
+
+def stacked_accumulated_costs(sys: SystemSpec, eta, X: np.ndarray, dt: float, tail_tol: float = 1e-6):
+    """The cost accumulation loop on the stacked state: escaped rows parked at the
+    origin, eta.values, gathered one-step ratios and stacked_step each step."""
+    state = np.asarray(X, dtype=float).copy()
+    total = np.zeros(len(state))
+    dead = np.zeros(len(state), dtype=bool)
+    prev = np.zeros(len(state))
+    for _ in range(COST_STEP_CAP):
+        _park_escaped(state, dead)
+        if np.all(dead):
+            break
+        term = eta.values(state)
+        total += term
+        worst = float(np.max(term))
+        pos = prev > 0
+        ratio = float(np.max(term[pos] / prev[pos])) if np.any(pos) else 0.0
+        tail = worst * ratio / (1.0 - ratio) if 0 < ratio < 1 else (0.0 if worst == 0.0 else np.inf)
+        if worst < tail_tol and tail < tail_tol:
+            total[dead] = np.inf
+            return total
+        prev = term
+        state = stacked_step(sys, state, dt)
+    total[dead | (prev >= tail_tol)] = np.inf
+    return total
+
+
+def stacked_oracle_zubov(sys: SystemSpec, weight, eta, X: np.ndarray, dt: float, steps: int, nu, varsigma):
+    """The Zubov oracle loop on the stacked state: escaped rows parked at the origin,
+    eta.values and stacked_step each step, then the damped saturating weight."""
+    state = np.asarray(X, dtype=float).copy()
+    cost = np.zeros(len(state))
+    dead = np.zeros(len(state), dtype=bool)
+    for _ in range(steps):
+        _park_escaped(state, dead)
+        cost += eta.values(state)
+        dead |= cost > 745.0
+        state = stacked_step(sys, state, dt)
+    _park_escaped(state, dead)
+    out = np.exp(-cost) * saturating(weight_values(weight, state), nu, varsigma)
+    out[dead] = 0.0
+    return out

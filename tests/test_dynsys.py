@@ -1,8 +1,11 @@
 """Built-in systems, sampling, and trajectory oracles."""
 
+import ast
+import inspect
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from koopcert import (
     IntegrationBlowupError,
     SystemSpec,
     WeightSpec,
+    accumulated_costs,
     check_decay_ratio,
     grid_eval,
     make_dataset,
@@ -22,13 +26,15 @@ from koopcert import (
     step,
     trajectory,
 )
-from koopcert.dynsys import _rk4
+from koopcert.dynsys import _field, _rk4
 
 from helpers import (
     fine_step,
     kw_gaussian,
     linear_lyapunov_truth,
+    stacked_accumulated_costs,
     stacked_oracle_lyapunov,
+    stacked_oracle_zubov,
     stacked_step,
 )
 
@@ -59,6 +65,19 @@ def test_example1_vector_field_hand_value():
     expect = np.array([-0.75 + 1.0 + 1.0 / (2.0 * math.pi), 0.25 - 1.0])
     fine = fine_step(sys, x, 1e-7, substeps=1)
     np.testing.assert_allclose((fine - x) / 1e-7, expect, atol=1e-5)
+
+
+def test_example2_vector_field_hand_value():
+    # x1' = -x1, x2' = s x2^3 + (s + x1^2) x2 with s = x1 x2 - 1, against 50-digit arithmetic
+    x1 = np.array([0.5, -1.2, 1.9, 0.0, 3.0])
+    x2 = np.array([-0.3, 0.8, 1.9, -4.0, 3.0])
+    d1, d2, tmp = (np.empty(len(x1)) for _ in range(3))
+    _field(SystemSpec(kind="example2"), x1, x2, d1, d2, tmp)
+    with mpmath.workdps(50):
+        for a, b, got1, got2 in zip(map(mpmath.mpf, x1), map(mpmath.mpf, x2), d1, d2):
+            s = a * b - 1
+            for got, want in ((got1, -a), (got2, s * b**3 + (s + a**2) * b)):
+                assert abs(mpmath.mpf(got) - want) <= 4 * np.finfo(float).eps * abs(want)
 
 
 def test_trajectory_shape_and_decay():
@@ -219,3 +238,48 @@ def test_oracle_lyapunov_bit_identical_to_stacked_loop():
         X = np.random.default_rng(dim).uniform(-2.0, 2.0, (50, dim))
         new = oracle_lyapunov_batch(sys, kw, X, 1.0, tail_tol=1e-10)
         assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, 1.0))
+
+
+@pytest.mark.parametrize("dt", [0.025, 0.25])
+def test_cost_and_zubov_loops_bit_identical_to_stacked_loops(dt):
+    # [3, 3] escapes to x2 = inf and, at dt = 0.25, [0, -4] to nan while the
+    # other orbits keep stepping, so _settle parks rows mid-run.
+    sys = SystemSpec(kind="example2")
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    X = np.array([[0.5, -0.3], [3.0, 3.0], [-1.2, 0.8], [0.0, -4.0], [1.9, 1.9], [0.0, 0.0]])
+    costs = accumulated_costs(sys, eta, X, dt)
+    assert np.array_equal(costs, stacked_accumulated_costs(sys, eta, X, dt))
+    assert np.isinf(costs[1]) and np.all(np.isfinite(costs[[0, 2, 5]]))
+    weight = WeightSpec(kind="norm-power", exponent=0.5)
+    for steps in (1, 6, 40):
+        new = oracle_zubov_batch(sys, weight, eta, X, dt, steps, 1.0, 0.1)
+        assert np.array_equal(new, stacked_oracle_zubov(sys, weight, eta, X, dt, steps, 1.0, 0.1))
+
+
+POW_NAMES = {"power", "float_power"}
+
+
+def _pow_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            found.append((node.lineno, "**"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr in POW_NAMES
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_stepping_kernel_makes_no_pow_call():
+    """No `**`, np.power or np.float_power in the field or the RK4 step: a
+    float power goes to libm pow element by element, where x2 * x2 * x2 costs
+    a fraction of it."""
+    assert _pow_uses(ast.parse("a = x**3\nb = np.power(a, 2)\nc **= 2\nd = x * x")) == [
+        (1, "**"), (2, "power"), (3, "**")
+    ]
+    for fn in (_field, _rk4):
+        assert _pow_uses(ast.parse(inspect.getsource(fn))) == [], fn.__name__

@@ -462,6 +462,21 @@ def test_cli_zubov_of_no_step_exits_1_before_writing(tmp_path, capsys, edit):
     assert load_config(path).certificate.horizon == 0
 
 
+def test_cli_lyapunov_with_time_exits_1_before_writing(tmp_path, capsys):
+    # build_lyapunov reads horizon alone, so a time would be silently ignored
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, LINEAR_CONFIG)
+    for command in ("sample", "fit"):
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    written = sorted(out.iterdir())
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("tol = 1e-6", "tol = 1e-6\ntime = 2.0"))
+    assert main(["lyapunov", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: [certificate] time"), lines
+    assert "Lyapunov run takes horizon" in lines[0]
+    assert sorted(out.iterdir()) == written
+
+
 def test_config_refuses_unknown_sections_and_keys(tmp_path):
     path = tmp_path / "run.ini"
     for text in (LINEAR_CONFIG, ZUBOV_CONFIG, EXAMPLE1_CONFIG, EXAMPLE2_CONFIG):
