@@ -62,7 +62,6 @@ from .estimator import (
     fit_zubov_koopman,
     forward_coeffs,
     heldout_risk,
-    normalize_columns,
     predict_observables,
 )
 from .io import (

@@ -28,14 +28,11 @@ from .dynsys import (
 )
 from .eigsolve import matmul
 from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
-from .estimator import EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
+from .estimator import GRID_BLOCK_ROWS, EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
 from .kernels import WeightSpec, gram, weight_values
 
 HORIZON_CAP = 100_000
 COST_STEP_CAP = 10_000
-# States per grid_eval call: the m x rows Gram of a block is 8 MB at the
-# examples' m = 500 anchors (8 * 500 * 2048 bytes).
-GRID_BLOCK_ROWS = 2048
 
 
 def truncation_horizon(alpha: float, c_max: float, tol: float) -> int:
@@ -323,29 +320,36 @@ def estimate_doa(
 def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
     """Per-point accumulated cost sum_t eta(x_t) along simulated orbits.
 
+    Each orbit stops adding once its own term and its own geometric tail,
+    from its last one-step ratio, are below tail_tol, and leaves the batch;
+    the simulation ends when every orbit has stopped or escaped. A point's
+    cost is thus bit for bit the same whatever batch it is simulated in.
     Points that escape or fail to contract within COST_STEP_CAP steps get
     +inf: their level cannot certify anything. Finite entries mark
     attracted starts."""
     xs = _orbit_start(sys, X, dt)
     total = np.zeros(len(xs[0]))
-    dead = np.zeros(len(total), dtype=bool)
+    live = np.arange(len(total))  # the orbits still adding, in batch order
     prev = np.zeros(len(total))
-    for t in range(COST_STEP_CAP):
-        term = eta.of_sq_norm(_settle(xs, dead))  # zero on dead orbits
-        if np.all(dead):
-            break
-        total += term
-        worst = float(np.max(term))
-        ratio = float(np.max(np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)))
-        tail = worst * ratio / (1.0 - ratio) if 0 < ratio < 1 else (0.0 if worst == 0.0 else np.inf)
-        if worst < tail_tol and tail < tail_tol:
-            total[dead] = np.inf
-            return total
+    for _ in range(COST_STEP_CAP):
+        dead = np.zeros(len(live), dtype=bool)
+        term = eta.of_sq_norm(_settle(xs, dead))
+        total[live] += term
+        ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
+        # term r / (1 - r) bounds the tail when 0 < r < 1; after a zero term it is zero
+        tail = np.divide(term * ratio, 1.0 - ratio, out=np.where(term == 0.0, 0.0, np.inf),
+                         where=(0 < ratio) & (ratio < 1))
+        going = ~(dead | ((term < tail_tol) & (tail < tail_tol)))
+        if not going.all():
+            total[live[dead]] = np.inf
+            if not going.any():
+                return total
+            xs, live, term = [x[going] for x in xs], live[going], term[going]
         prev = term
         xs = _rk4(sys, xs, dt)
     # Hitting the cap without contracting means the level's cost supremum
     # is not finite as far as we can tell.
-    total[dead | (prev >= tail_tol)] = np.inf
+    total[live[prev >= tail_tol]] = np.inf
     return total
 
 

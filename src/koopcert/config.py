@@ -8,13 +8,14 @@ from pathlib import Path
 from .certificates import HORIZON_CAP
 from .dynsys import DomainSpec, SystemSpec
 from .errors import InvalidInputError
-from .estimator import EtaSpec, RRRConfig
+from .estimator import GRID_BLOCK_ROWS, EtaSpec, RRRConfig
 from .io import build_section, read_ini
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
-# Largest dense float64 array a run may ask for: the m x m Grams of the fit
-# or the m x resolution^dim Gram of a grid (see README, "Work-size cap").
+# Largest dense float64 array a run may ask for: an m x m Gram of the fit,
+# the m x GRID_BLOCK_ROWS Gram of a grid block, or the grid's coordinates
+# and values (see README, "Work-size cap").
 WORK_BYTES_CAP = 512 * 2**20
 
 
@@ -111,15 +112,18 @@ SECTIONS = {
 
 
 def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig, res: int) -> None:
-    """Refuse a Gram above WORK_BYTES_CAP bytes, a horizon outside [0, HORIZON_CAP] steps,
+    """Refuse an array above WORK_BYTES_CAP bytes, a horizon outside [0, HORIZON_CAP] steps,
     or a zubov horizon that rounds to no step."""
-    m = sampling.m
-    need = 8 * m * max(m, res ** min(dim, 32))  # 2^32 grid points already pass the cap
-    if need > WORK_BYTES_CAP:
-        raise InvalidInputError(
-            f"m = {m} with a {res}^{dim} grid needs a {need}-byte Gram, over the "
-            f"{WORK_BYTES_CAP}-byte cap"
-        )
+    m, points = sampling.m, res ** min(dim, 32)  # 2^32 grid points already pass the cap
+    block = min(points, GRID_BLOCK_ROWS)
+    arrays = {
+        f"the {m} x {m} Gram of the fit": 8 * m * m,
+        f"the {m} x {block} Gram of a grid block": 8 * m * block,
+        f"the {points} x {dim + 1} coordinates and values of the {res}^{dim} grid": 8 * points * (dim + 1),
+    }
+    for name, need in arrays.items():
+        if need > WORK_BYTES_CAP:
+            raise InvalidInputError(f"{name} needs {need} bytes, over the {WORK_BYTES_CAP}-byte cap")
     steps = cert.horizon if cert.horizon is not None else (cert.time or 0.0) / sampling.dt
     if not 0 <= steps <= HORIZON_CAP:
         raise InvalidInputError(f"certificate horizon {steps:g} is not in [0, {HORIZON_CAP}] steps")

@@ -2,16 +2,14 @@
 
 The regression step needs the top eigenpairs of the pencil
 (L K / m^2) u = s (K / m + beta I) u, whose left side is a product of two
-Gram matrices and therefore not symmetric. reduced_rank_eig solves it as a
-symmetric problem in a low-rank factor of K: the pivoted Cholesky factor
-K = Psi Psi', with k columns for the numerical rank k of K (well below m
-for the smooth Gaussian Grams at large m), turns it into a k x k symmetric
-matrix whose top eigenpairs give s and, after one Cholesky solve with
-K / m + beta I, u. No m x m matrix is eigendecomposed.
-
-The solve takes builders of K and L rather than the Grams, so it owns
-each Gram and holds it only from its build to its last read, and so at
-most two m x m arrays at once.
+Gram matrices and therefore not symmetric. input_factor and
+reduced_rank_eig solve it as a symmetric problem in a low-rank factor of
+K: the pivoted Cholesky factor K = Psi Psi', with k columns for the
+numerical rank k of K (well below m for the smooth Gaussian Grams at
+large m), turns it into a k x k symmetric matrix whose top eigenpairs give
+s and, in closed form from the same factor, u. No m x m matrix is
+eigendecomposed or Cholesky-factored, and the solve needs K only through
+its factor, which is computed in K's own memory.
 
 perron_root gives lam_max of a Gram, for the default ridge and the
 a-priori norm bound, without a dense eigensolve: the Gram is entrywise
@@ -33,7 +31,6 @@ np.linalg: tests/test_eigsolve.py checks the source for them.
 from __future__ import annotations
 
 import warnings
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -135,16 +132,15 @@ def perron_root(S: np.ndarray) -> float:
         basis.append(w / b)
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of SPD A, in A's memory when A is Fortran-ordered."""
-    try:
-        return scipy.linalg.cholesky(A, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverFailureError(str(exc)) from exc
+def input_factor(K: np.ndarray, beta: float) -> np.ndarray:
+    """The m x k J = Psi R^-1 of reduced_rank_eig, where K = Psi Psi' and
+    N = Psi' Psi / m + beta I = R'R.
 
-
-def _input_factor(K: np.ndarray, beta: float) -> np.ndarray:
-    """The m x k J = Psi R^-1 of reduced_rank_eig; K is overwritten by its factor."""
+    K must be exactly symmetric; when it is a C-ordered float array it is
+    overwritten by its factor. LAPACK's pivoted Cholesky stops at its
+    default tolerance, so k is the numerical rank of K.
+    """
+    K = _finite_square(K, "input_factor")
     m = len(K)
     # K is exactly symmetric, so K.T is K in Fortran order and dpstrf factors
     # it in place
@@ -153,64 +149,63 @@ def _input_factor(K: np.ndarray, beta: float) -> np.ndarray:
     Psi = c[rows, :k]
     # the strict upper triangle of c still holds K's entries
     Psi[rows[:, None] < np.arange(k)] = 0.0
-    # N = Psi' Psi / m + beta I in its upper triangle (a rank-k update, half
-    # a product's work) and in Fortran order, so R is factored in N's
-    # memory; J = Psi R^-1 is solved in Psi's
+    # N in its upper triangle (a rank-k update, half a product's work) and in
+    # Fortran order, so R is factored in N's memory; J = Psi R^-1 is solved
+    # in Psi's
     N = scipy.linalg.blas.dsyrk(1.0, Psi.T)
     N /= m
     N.flat[:: k + 1] += beta
-    R = _cholesky(N)
+    try:
+        R = scipy.linalg.cholesky(N, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverFailureError(str(exc)) from exc
     return scipy.linalg.solve_triangular(
         R, Psi.T, trans="T", overwrite_b=True, check_finite=False
     ).T
 
 
 def reduced_rank_eig(
-    build_k: Callable[[], np.ndarray],
-    build_l: Callable[[], np.ndarray],
-    ridge: Callable[[np.ndarray], float],
-    r: int,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    J: np.ndarray, LJ: np.ndarray, beta: float, r: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
 
-    build_k() and build_l() build the symmetric input and target Grams K
-    and L, and ridge(K) gives beta. LAPACK's pivoted Cholesky at its
-    default tolerance gives K = Psi Psi' with Psi m x k; with
-    N = Psi' Psi / m + beta I = R'R and J = Psi R^-1, K (K / m + beta I)^-1
-    = J J', so the pencil's nonzero eigenvalues s are those of the k x k
-    symmetric J' L J / m^2 and each eigenpair (s, y) gives the eigenvector
-    u = (K / m + beta I)^-1 L J y.
+    J = input_factor(K, beta) for the symmetric input Gram K, LJ is the
+    m x k product L J with the symmetric target Gram L, and beta > 0 the
+    ridge. With K = Psi Psi' and J = Psi R^-1, K (K / m + beta I)^-1 = J J'
+    and (K / m + beta I)^-1 = (I - J J' / m) / beta, so the pencil's nonzero
+    eigenvalues s are those of the k x k symmetric T = J' L J / m^2, and an
+    eigenpair (s, y) of T, where J' L J y = m^2 s y, gives the eigenvector
 
-    Each m x m array lives from its build to its last read, so at most two
-    are held at once: K is factored in its own memory and dropped, L is
-    built once the factor exists and dropped after L J, and K is built once
-    more for K / m + beta I. Returns beta, s descending, the m x r
-    eigenvectors, unnormalized, each signed so that its largest-magnitude
-    entry is positive, and that last K. Raises SolverFailureError when r
-    exceeds k or a retained s is numerically zero: r exceeds the effective
-    rank of the data.
+        u = (L J y / s - m J y) / (beta m^2),
+
+    scaled so that u' K (K / m + beta I) u = |J' L J y|^2 / (m^4 s^2) = 1,
+    the scaling that makes theta = U U' K / m the minimizer of the
+    regularized empirical risk. The closed form subtracts two nearly equal
+    terms, so its relative error grows like 1 / beta.
+
+    The solve needs L only through L J, so it takes that product and holds
+    no m x m array: a caller that forms it from a Gram it does not keep
+    holds that Gram only for the product. Returns s descending and the
+    m x r eigenvectors, each signed so that its largest-magnitude entry is
+    positive. Raises SolverFailureError when r exceeds k or a retained s is
+    numerically zero: r exceeds the effective rank of the data.
     """
-    K = _finite_square(build_k(), "reduced_rank_eig")
-    m = len(K)
+    m = len(J)
     if not 1 <= r <= m:
         raise InvalidInputError(f"rank {r} must lie in [1, {m}]")
-    beta = ridge(K)
-    J = _input_factor(K, beta)
-    del K
-    L = _finite_square(build_l(), "reduced_rank_eig")
-    if L.shape != (m, m):
-        raise InvalidInputError("reduced_rank_eig needs K and L of the same shape")
-    LJ = matmul(L, J)
-    del L
+    if not (np.isfinite(beta) and beta > 0):
+        raise InvalidInputError(f"reduced_rank_eig needs a positive ridge, got beta={beta}")
+    if np.shape(LJ) != J.shape:
+        raise InvalidInputError("reduced_rank_eig needs L J of the shape of J")
     T = matmul(J.T, LJ)
     T /= m * m
-    del J
     k = len(T)
     if k < r:
         raise SolverFailureError(
             f"rank {r} exceeds the effective rank of the data: the input Gram "
             f"has numerical rank {k}"
         )
+    # symmetric_eig refuses a non-finite T, so a non-finite L J
     s, Y = symmetric_eig(T, top=min(r + 1, k))
     del T
     if not s[r - 1] > NULL_TOL * s[0]:
@@ -225,14 +220,11 @@ def reduced_rank_eig(
             RuntimeWarning,
             stacklevel=2,
         )
-    LJY = matmul(LJ, Y[:, :r])
-    del LJ
-    K = build_k()
-    # C = K / m + beta I, factored in place like N; its condition is at
-    # most 1 + lam_max(K) / (m beta)
-    C = K / m
-    C.flat[:: m + 1] += beta
-    U = scipy.linalg.cho_solve((_cholesky(C.T), False), LJY, check_finite=False)
+    s, Y = s[:r], Y[:, :r]
+    U = matmul(LJ, Y)
+    U /= s
+    U -= m * matmul(J, Y)
+    U /= beta * m * m
     # the eigensolver's sign choice is arbitrary: fix it by the largest entry
     U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(r)])
-    return beta, s[:r], U, K
+    return s, U

@@ -7,17 +7,20 @@ weight. The fitted operator is A = sum_ij theta_ij k_w(x_i, .) (x) psi_j
 with a rank-r coefficient matrix theta = U W', W = K U / m. The columns
 of U are the top eigenvectors of the pencil (L K / m^2) u =
 s (K / m + beta I) u over the Gram matrices, found as a symmetric top-r
-eigenproblem in a pivoted Cholesky factor of K, so no m x m matrix is
-eigendecomposed; the default beta comes from the Lanczos Perron root of
+eigenproblem in a pivoted Cholesky factor of K, with U in closed form
+from the same factor, so no m x m matrix is eigendecomposed or
+Cholesky-factored; the default beta comes from the Lanczos Perron root of
 K. The model keeps only these factors and two r x r matrices,
 H = U' E W and Q = W' L W, so the coefficient recursions that push kernel
 sections through powers of A and its adjoint run in rank-r coordinates.
 
 Each m x m Gram is built where it is read and dropped after its last
-read: the pencil solve builds K, L and K again, and factor_model L and
-then E. So a fit holds at most two m x m arrays at once, and read_model,
-which builds K only for Z = U' K, one; the price is two more Gram builds
-per fit than one each of K, L and E.
+read. The fit builds K, factors it in its own memory and drops it, then
+builds L only for the m x k product L J with the factor; factor_model,
+where the fit and read_model both end, builds K for Z = U' K, then L, then
+E, one at a time. So a fit holds at most one m x m array at a time,
+beside the m x k factor and L J, and read_model one; the price is one
+more build each of K and L per fit than one each of K, L and E.
 """
 
 from __future__ import annotations
@@ -27,9 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import SnapshotDataset
-from .eigsolve import matmul, perron_root, reduced_rank_eig, symmetric_eig
-from .errors import EtaMismatchError, InvalidInputError, SolverFailureError
+from .eigsolve import input_factor, matmul, perron_root, reduced_rank_eig, symmetric_eig
+from .errors import EtaMismatchError, InvalidInputError
 from .kernels import WeightedKernelSpec, gram, weight_values
+
+# Fresh states per Gram against the anchors, for certificate grids and
+# held-out pairs: the m x rows Gram of a block is 8 MB at the examples'
+# m = 500 anchors (8 * 500 * 2048 bytes).
+GRID_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -129,25 +137,8 @@ class KoopmanModel:
         return "koopman" if self.eta is None else "zubov"
 
 
-def normalize_columns(U: np.ndarray, gram_x: np.ndarray, beta: float) -> np.ndarray:
-    """Rescale eigenvector columns to u' K_w ((1/m) K_w + beta I) u = 1.
-
-    This scaling makes theta = (1/m) U U' K_w the minimizer of the
-    regularized empirical risk.
-    """
-    m = gram_x.shape[0]
-    KU = matmul(gram_x, U)
-    nrm_sq = np.sum(KU * KU, axis=0) / m + beta * np.sum(U * KU, axis=0)
-    if np.any(nrm_sq <= 0) or not np.all(np.isfinite(nrm_sq)):
-        raise SolverFailureError(
-            "an eigenvector has vanishing Gram seminorm; rank exceeds the "
-            "effective rank of the data"
-        )
-    return U / np.sqrt(nrm_sq)[None, :]
-
-
-def _section_risk(kw, Y, damping, Z, Q, WG) -> float:
-    """Mean squared section error |A* k_w(x_i, .) - d_i k_w(y_i, .)|^2 over pairs i.
+def _section_losses(kw, Y, damping, Z, Q, WG) -> np.ndarray:
+    """Squared section errors |A* k_w(x_i, .) - d_i k_w(y_i, .)|^2 of pairs i.
 
     Column i of Z is U' k_w(anchors_x, x_i) and column i of WG is W' times
     the damped Gram column of target i against the anchor targets. The
@@ -155,8 +146,7 @@ def _section_risk(kw, Y, damping, Z, Q, WG) -> float:
     diagonal entry of its damped Gram, is (w(y_i) d_i)^2.
     """
     s = weight_values(kw.weight, Y, damping)
-    per_point = np.sum(Z * matmul(Q, Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + s * s
-    return max(float(np.mean(per_point)), 0.0)
+    return np.sum(Z * matmul(Q, Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + s * s
 
 
 def factor_model(
@@ -164,23 +154,24 @@ def factor_model(
     X: np.ndarray,
     Y: np.ndarray,
     eta: EtaSpec | None,
-    Z: np.ndarray,
     beta: float,
     U: np.ndarray,
     sigma_sq: np.ndarray,
 ) -> KoopmanModel:
-    """Model from normalized eigenvectors U and Z = U' K, all it needs of K.
+    """Model from the anchors and normalized eigenvectors U.
 
-    Builds W, H and Q and every fit diagnostic. The damped target Gram L
-    and then the cross Gram E, damped in its target (column) index, are
-    each built here and dropped after their last product, so at most one
-    m x m array is held at a time. The fit and read_model both come
-    through here, so a reloaded model is bit-identical to the fitted one.
-    There is no m x m eigensolve: lam_max(L) in the a-priori bound is the
-    Lanczos Perron root of the nonnegative L, and the operator norm is
-    lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
+    Builds W, H and Q and every fit diagnostic. K, for Z = U' K, the damped
+    target Gram L and then the cross Gram E, damped in its target (column)
+    index, are each built here and dropped after their last product, so at
+    most one m x m array is held at a time. The fit and read_model both end
+    in this call with the same arguments, so a reloaded model is
+    bit-identical to the fitted one. There is no m x m eigensolve:
+    lam_max(L) in the a-priori bound is the Lanczos Perron root of the
+    nonnegative L, and the operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with
+    M = U' K U, an r x r solve.
     """
     m = len(X)
+    Z = matmul(U.T, gram(kw, X))
     W = Z.T / m
     damping = None if eta is None else eta.damping(X)
     L = gram(kw, Y, scale_a=damping)
@@ -197,7 +188,7 @@ def factor_model(
     S = matmul(matmul(Mh, Q), Mh)
     diagnostics = FitDiagnostics(
         sigma_sq=sigma_sq,
-        risk=_section_risk(kw, Y, damping, Z, Q, WL),
+        risk=max(float(np.mean(_section_losses(kw, Y, damping, Z, Q, WL))), 0.0),
         hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
         op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
         norm_bound=norm_bound,
@@ -241,22 +232,17 @@ def _fit(
     if cfg.rank > m:
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
     damping = _checked_damping(ds, eta)
-
-    def ridge(K: np.ndarray) -> float:
-        if float(K.max()) == 0.0:
-            raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
-        if cfg.beta is not None:
-            return cfg.beta
-        # K is entrywise nonnegative, like L, so lam_max(K) is its Perron root
-        return cfg.beta_scale * perron_root(K) / m
-
-    beta, sigma_sq, U, K = reduced_rank_eig(
-        lambda: gram(kw, X), lambda: gram(kw, Y, scale_a=damping), ridge, cfg.rank
-    )
-    U = np.ascontiguousarray(normalize_columns(U, K, beta))
-    Z = matmul(U.T, K)
+    K = gram(kw, X)
+    if float(K.max()) == 0.0:
+        raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
+    # K is entrywise nonnegative, like L, so lam_max(K) is its Perron root
+    beta = cfg.beta if cfg.beta is not None else cfg.beta_scale * perron_root(K) / m
+    J = input_factor(K, beta)
     del K
-    return factor_model(kw, X, Y, eta, Z, beta, U, sigma_sq)
+    # L lives only for the product
+    sigma_sq, U = reduced_rank_eig(J, matmul(gram(kw, Y, scale_a=damping), J), beta, cfg.rank)
+    del J
+    return factor_model(kw, X, Y, eta, beta, U, sigma_sq)
 
 
 def fit_koopman(ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig) -> KoopmanModel:
@@ -327,8 +313,18 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
 
 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
-    """Mean squared section error of the fitted operator on fresh pairs."""
+    """Mean squared section error of the fitted operator on fresh pairs.
+
+    The pairs are taken GRID_BLOCK_ROWS at a time, so an m x rows Gram of
+    a block, not an m x m_h one, is the largest array built.
+    """
     dh = _checked_damping(ds, model.eta)
-    Z = matmul(model.U.T, gram(model.kw, model.anchors_x, ds.X))
-    G = gram(model.kw, model.anchors_y, ds.Y, scale_a=model.damping, scale_b=dh)
-    return _section_risk(model.kw, ds.Y, dh, Z, model.Q, matmul(model.W.T, G))
+    losses = []
+    for start in range(0, len(ds), GRID_BLOCK_ROWS):
+        part = slice(start, start + GRID_BLOCK_ROWS)
+        X, Y, d = ds.X[part], ds.Y[part], None if dh is None else dh[part]
+        # each Gram lives only for its product, so one block's is held at a time
+        Z = matmul(model.U.T, gram(model.kw, model.anchors_x, X))
+        WG = matmul(model.W.T, gram(model.kw, model.anchors_y, Y, scale_a=model.damping, scale_b=d))
+        losses.append(_section_losses(model.kw, Y, d, Z, model.Q, WG))
+    return max(float(np.mean(np.concatenate(losses))), 0.0)

@@ -19,9 +19,8 @@ import numpy as np
 from .certificates import BoundReport
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
-from .eigsolve import matmul
 from .estimator import EtaSpec, KoopmanModel, factor_model
-from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec, gram
+from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
 # Stored and recomputed diagnostics must agree to this relative error. The
@@ -236,9 +235,9 @@ def read_model(path: str | Path) -> KoopmanModel:
     """Rebuild a fitted model from its file.
 
     The factors and diagnostics are recomputed from the anchors and U by
-    the same code as the fit. K is built once for Z = U' K and dropped
-    before factor_model builds L and then E, so one m x m Gram is held at a
-    time. A file whose stored diagnostics differ from the recomputed ones
+    the call the fit ends in, factor_model, with the same arguments, so one
+    m x m Gram is held at a time and the model is bit-identical to the
+    fitted one. A file whose stored diagnostics differ from the recomputed ones
     by more than DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays
     and a v1 file, which held the dense theta instead of U.
     """
@@ -291,7 +290,7 @@ def read_model(path: str | Path) -> KoopmanModel:
     # reproduce its stored diagnostics, so refuse it here without the warnings.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            model = factor_model(kw, X, Y, eta, matmul(U.T, gram(kw, X)), beta, U, sigma_sq)
+            model = factor_model(kw, X, Y, eta, beta, U, sigma_sq)
     except FloatingPointError as exc:
         raise InvalidInputError(f"{where} does not rebuild: {exc}") from exc
     for name, value in stored.items():

@@ -34,6 +34,7 @@ from koopcert import (
 )
 from koopcert.certificates import COST_STEP_CAP
 from koopcert.dynsys import GUARD_RADIUS, STEP_CAP, saturating
+from koopcert.eigsolve import input_factor, reduced_rank_eig
 
 
 def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
@@ -142,17 +143,34 @@ def dense_pencil_topr(left: np.ndarray, right: np.ndarray, r: int) -> tuple[np.n
     return vals[order].real, U[:, order].real
 
 
-def as_fit_pencil(M: np.ndarray, B: np.ndarray):
-    """Builders of (K, L) and a zero ridge such that
-    reduced_rank_eig(*as_fit_pencil(M, B), r) solves M u = s B u for
-    symmetric M and SPD B: K = B^1/2 and L = m B^-1/2 M B^-1/2, since then
-    (L K / m^2) u = s (K / m) u is M u = s B u. Each builder returns a fresh
-    copy, which the solve may overwrite."""
+def normalize_columns(U: np.ndarray, K: np.ndarray, beta: float) -> np.ndarray:
+    """Columns of U rescaled to u' K (K / m + beta I) u = 1, from the dense K.
+
+    This scaling makes theta = U U' K / m the minimizer of the regularized
+    empirical risk; the fit's solve returns eigenvectors already scaled so.
+    """
+    KU = K @ U
+    return U / np.sqrt(np.sum(KU * KU, axis=0) / len(K) + beta * np.sum(U * KU, axis=0))[None, :]
+
+
+def as_fit_pencil(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """K, L and beta whose fit pencil (L K / m^2) u = s (K / m + beta I) u is
+    M v = s B v with v = K u, for symmetric M and SPD B with B - I / m SPD:
+    K = (B - I / m)^-1, L = m^2 M and beta = 1. Then K / m + I = K B, and K
+    commutes with B, so M K u = s K B u = s B K u."""
+    m = len(B)
     mu, V = np.linalg.eigh(B)
-    half = (V * np.sqrt(mu)[None, :]) @ V.T
-    inv_half = (V / np.sqrt(mu)[None, :]) @ V.T
-    L = len(B) * (inv_half @ M @ inv_half)
-    return (0.5 * (half + half.T)).copy, (0.5 * (L + L.T)).copy, lambda K: 0.0
+    K = (V / (mu - 1.0 / m)[None, :]) @ V.T
+    return 0.5 * (K + K.T), m * m * (0.5 * (M + M.T)), 1.0
+
+
+def fit_pencil_eig(M: np.ndarray, B: np.ndarray, r: int):
+    """Top-r eigenvalues of M v = s B v from the fit's solve on
+    as_fit_pencil(M, B), with its eigenvectors U and the pencil's V = K U."""
+    K, L, beta = as_fit_pencil(M, B)
+    J = input_factor(K.copy(), beta)
+    vals, U = reduced_rank_eig(J, L @ J, beta, r)
+    return vals, U, K @ U
 
 
 # K and L of the models regularized_objective has seen, dropped with the model.
@@ -352,27 +370,29 @@ def _park_escaped(state: np.ndarray, dead: np.ndarray) -> None:
 
 def stacked_accumulated_costs(sys: SystemSpec, eta, X: np.ndarray, dt: float, tail_tol: float = 1e-6):
     """The cost accumulation loop on the stacked state: escaped rows parked at the
-    origin, eta.values, gathered one-step ratios and stacked_step each step."""
+    origin, eta.values, per-row one-step ratios and stacked_step each step. A row
+    whose own term and geometric tail are below tail_tol is done: it is parked at
+    the origin too, where it adds zero terms."""
     state = np.asarray(X, dtype=float).copy()
     total = np.zeros(len(state))
     dead = np.zeros(len(state), dtype=bool)
+    done = np.zeros(len(state), dtype=bool)
     prev = np.zeros(len(state))
     for _ in range(COST_STEP_CAP):
         _park_escaped(state, dead)
-        if np.all(dead):
+        if np.all(dead | done):
             break
         term = eta.values(state)
         total += term
-        worst = float(np.max(term))
-        pos = prev > 0
-        ratio = float(np.max(term[pos] / prev[pos])) if np.any(pos) else 0.0
-        tail = worst * ratio / (1.0 - ratio) if 0 < ratio < 1 else (0.0 if worst == 0.0 else np.inf)
-        if worst < tail_tol and tail < tail_tol:
-            total[dead] = np.inf
-            return total
+        for i in np.flatnonzero(~dead & ~done):
+            ratio = term[i] / prev[i] if prev[i] > 0 else 0.0
+            tail = term[i] * ratio / (1.0 - ratio) if 0 < ratio < 1 else (0.0 if term[i] == 0.0 else np.inf)
+            done[i] = term[i] < tail_tol and tail < tail_tol
+        state[done] = 0.0
         prev = term
         state = stacked_step(sys, state, dt)
-    total[dead | (prev >= tail_tol)] = np.inf
+    total[dead] = np.inf
+    total[~done & (prev >= tail_tol)] = np.inf
     return total
 
 

@@ -27,27 +27,26 @@ from koopcert import (
     lyapunov_error_bound,
     lyapunov_values,
     make_dataset,
-    normalize_columns,
     step,
     zubov_error_bound,
     zubov_values,
 )
 from koopcert.cli import main
 from koopcert.dynsys import oracle_zubov_batch
-from koopcert.eigsolve import reduced_rank_eig
 
 from helpers import (
-    as_fit_pencil,
     dense_grams,
     dense_pencil_topr,
     dense_theta,
     example1_model,
     example2_model,
+    fit_pencil_eig,
     kw_gaussian,
     linear_lyapunov_truth,
     linear_model,
     model_matrix,
     mp_generalization_bound,
+    normalize_columns,
     regularized_objective,
     ring_points,
     theta_from_factors,
@@ -94,11 +93,11 @@ def test_criterion_02_pencil_recovery(acceptance):
         m = int(rng.integers(2, 51))
         r = int(rng.integers(1, m + 1))
         M, B, lam = _planted_pencil(rng, m)
-        _, vals, U, _ = reduced_rank_eig(*as_fit_pencil(M, B), r)
+        vals, _, V = fit_pencil_eig(M, B, r)
         worst_eig = max(worst_eig, float(np.max(np.abs(vals - lam[:r]))))
         scale = np.linalg.norm(M) + np.linalg.norm(B)
-        U = U / np.linalg.norm(U, axis=0)[None, :]
-        res = M @ U - B @ U * vals[None, :]
+        V = V / np.linalg.norm(V, axis=0)[None, :]
+        res = M @ V - B @ V * vals[None, :]
         worst_res = max(worst_res, float(np.max(np.linalg.norm(res, axis=0))) / scale)
     elapsed = time.perf_counter() - t0
     acceptance(

@@ -12,9 +12,9 @@ import scipy.linalg
 
 import koopcert
 from koopcert import InvalidInputError, symmetric_eig
-from koopcert.eigsolve import matmul, perron_root, reduced_rank_eig
+from koopcert.eigsolve import input_factor, matmul, perron_root, reduced_rank_eig
 
-from helpers import as_fit_pencil, dense_grams, example1_model, example2_model
+from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig
 
 
 def random_spd(rng, m, cond_lo=0.5, cond_hi=2.0):
@@ -54,31 +54,36 @@ def test_generalized_eig_recovers_planted_spectrum():
         m = int(rng.integers(3, 30))
         r = int(rng.integers(1, m + 1))
         M, B, lam = planted_pencil(rng, m)
-        _, vals, U, _ = reduced_rank_eig(*as_fit_pencil(M, B), r)
+        vals, U, V = fit_pencil_eig(M, B, r)
         np.testing.assert_allclose(vals, lam[:r], rtol=1e-9, atol=1e-9)
         assert np.all(U[np.argmax(np.abs(U), axis=0), np.arange(r)] > 0)
-        U = U / np.linalg.norm(U, axis=0)[None, :]
-        resid = M @ U - B @ U * vals[None, :]
+        V = V / np.linalg.norm(V, axis=0)[None, :]
+        resid = M @ V - B @ V * vals[None, :]
         scale = np.linalg.norm(M) + np.linalg.norm(B)
         assert np.linalg.norm(resid) <= 1e-9 * scale
 
 
 def test_tied_eigenvalues_warn():
     with pytest.warns(RuntimeWarning, match="tie"):
-        reduced_rank_eig(*as_fit_pencil(np.eye(3), np.eye(3)), 1)
+        fit_pencil_eig(np.eye(3), np.eye(3), 1)
 
 
 def test_reduced_rank_eig_refuses_bad_input():
     K = np.eye(4)
     bad = np.eye(4)
     bad[2, 1] = np.nan
-    pairs = ((bad, K), (K, bad), (np.ones((4, 3)), K), (K, np.ones((4, 3))), (K, np.eye(3)), (np.ones(4), K))
-    for K_, L_ in pairs:
+    for K_ in (bad, np.ones((4, 3)), np.ones(4)):
         with pytest.raises(InvalidInputError):
-            reduced_rank_eig(K_.copy, L_.copy, lambda K: 0.1, 1)
+            input_factor(K_.copy(), 0.1)
+    J = input_factor(K.copy(), 0.1)
+    # L J for a non-finite L, L J of the wrong shapes, and a ridge that is not positive
+    inputs = ((bad @ J, 0.1), (J[:, :3], 0.1), (J[:3], 0.1), (np.ones(4), 0.1), (J, 0.0), (J, -0.1))
+    for LJ, beta in inputs:
+        with pytest.raises(InvalidInputError):
+            reduced_rank_eig(J, LJ, beta, 1)
     for r in (0, 5):
         with pytest.raises(InvalidInputError):
-            reduced_rank_eig(K.copy, K.copy, lambda K: 0.1, r)
+            reduced_rank_eig(J, J, 0.1, r)
 
 
 def test_perron_root_matches_dense_eigh_on_fitted_target_grams():

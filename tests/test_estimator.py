@@ -21,11 +21,11 @@ from koopcert import (
     gram,
     heldout_risk,
     make_dataset,
-    normalize_columns,
     predict_observables,
     weight_values,
 )
 from koopcert import DomainSpec, SystemSpec
+from koopcert.estimator import GRID_BLOCK_ROWS
 
 from helpers import (
     dense_diagnostics,
@@ -35,9 +35,11 @@ from helpers import (
     dense_pencil_topr,
     dense_reference_fits,
     dense_theta,
+    example1_model,
     example2_model,
     kw_gaussian,
     linear_model,
+    normalize_columns,
     regularized_objective,
     theta_from_factors,
     traced_peak,
@@ -185,15 +187,12 @@ def test_regularized_objective_reuses_grams_per_model():
     assert ref() is None
 
 
-def test_normalize_columns_unit_quadratic_forms():
-    rng = np.random.default_rng(4)
-    m = 12
-    K = gram(kw_gaussian(), rng.normal(size=(m, 2)))
-    U = rng.normal(size=(m, 5))
-    beta = 0.05
-    V = normalize_columns(U, K, beta)
-    forms = np.einsum("ji,jk,ki->i", V, K @ (K / m + beta * np.eye(m)), V)
-    np.testing.assert_allclose(forms, np.ones(5), rtol=1e-10)
+def test_fitted_eigenvectors_have_unit_quadratic_forms():
+    # the closed form scales each u to u' K (K / m + beta I) u = 1 (beta_scale 0.01)
+    for model in (example1_model()[2], example2_model()[3]):
+        K, m, U = dense_grams(model)[0], len(model), model.U
+        forms = np.einsum("ji,jk,ki->i", U, K @ (K / m + model.beta * np.eye(m)), U)
+        np.testing.assert_allclose(forms, np.ones(model.rank), rtol=1e-10)
 
 
 def test_rank_exceeding_samples_raises():
@@ -272,6 +271,23 @@ def test_heldout_risk_on_training_data_is_empirical_risk():
     )
 
 
+def test_heldout_risk_walks_the_pairs_in_blocks():
+    # 4500 fresh pairs span three blocks of GRID_BLOCK_ROWS; the risk is one
+    # mean over every pair, and no m x 4500 Gram is built whole
+    ds1, _, model1 = example1_model()
+    ds2, _, eta, model2 = example2_model()
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    cases = (
+        (model1, make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), 4500, 0.05, 43, model1.kw.weight)),
+        (model2, make_dataset(SystemSpec(kind="example2"), box, 4500, 0.025, 43, model2.kw.weight, eta=eta)),
+    )
+    for model, fresh in cases:
+        assert len(fresh) > 2 * GRID_BLOCK_ROWS
+        np.testing.assert_allclose(heldout_risk(model, fresh), dense_heldout_risk(model, fresh), rtol=1e-12)
+        peak = traced_peak(lambda: heldout_risk(model, fresh))
+        assert peak < 8 * len(model) * len(fresh), f"peak {peak / (8 * len(model) * len(fresh)):.2f} Grams"
+
+
 def test_predict_observable_linear_one_step():
     ds, kw, model = linear_model(0.5, 200, 20, 11)
 
@@ -310,27 +326,30 @@ def test_predict_observable_linear_one_step():
 
 def test_fit_holds_no_cross_gram_through_the_pencil_solve():
     # Each Gram lives from its build to its last read, so the fit peaks at
-    # about 2.35 m x m arrays here, holding L with the m x k J and L J
+    # about 2.35 m x m arrays at m = 1000, holding L with the m x k J and L J
     # (k = 674 columns of the factor of K). Holding K through the solve
-    # as well would make it 3.35, and a cross Gram E too 4.35.
-    m = 1000
+    # as well would make it 3.35, and a cross Gram E too 4.35. At m = 2000
+    # (k = 730) the same stage is about 1.73; building K again for
+    # K / m + beta I, as the solve did before its closed form, made it 2.06.
     kw = kw_gaussian()
-    ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
-    peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50)))
-    assert peak < 2.6 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+    for m, bound in ((1000, 2.6), (2000, 1.8)):
+        ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
+        peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50)))
+        assert peak < bound * 8 * m * m, f"m = {m}: peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_damped_fit_holds_at_most_two_grams():
     # the damped target Gram is scaled in row blocks, without an m x m
-    # outer product; the fit peaks at about 2.06 m x m arrays, holding K and
-    # K / m + beta I for the last solve
+    # outer product, and the eigenvectors come from the factor of K in
+    # closed form, without K / m + beta I; the fit peaks at about 1.90 m x m
+    # arrays, holding L with the m x k J and L J (k = 902)
     m = 2000
     kw = kw_gaussian(power=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight, eta=eta)
     peak = traced_peak(lambda: fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)))
-    assert peak < 2.2 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+    assert peak < 2.0 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_beta_resolution_from_scale():

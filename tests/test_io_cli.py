@@ -163,7 +163,7 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
 
 
 def test_read_model_holds_one_gram_at_a_time(tmp_path):
-    # K is built only for Z = U' K and dropped before factor_model builds L
+    # factor_model builds K only for Z = U' K and drops it before it builds L
     # and then E, so reading peaks at about 1.31 m x m arrays here; holding
     # K, L and E together took 3.32
     m = 2000
@@ -403,7 +403,9 @@ def test_config_validation_errors(tmp_path):
 
 
 def test_config_work_size_caps(tmp_path):
-    # m = 8192 makes the m x m Gram exactly WORK_BYTES_CAP; a 90 x 90 grid is smaller
+    # m = 8192 makes the m x m Gram exactly WORK_BYTES_CAP; a 90 x 90 grid is
+    # smaller, and so is the 4729 x 4729 grid's 4729^2 x 3 array of
+    # coordinates and values, while a 4730 x 4730 grid's passes the cap
     path = tmp_path / "run.ini"
     at_cap = LINEAR_CONFIG.replace("m = 60", "m = 8192")
     at_cap = at_cap.replace("resolution = 5", "resolution = 90")
@@ -411,9 +413,18 @@ def test_config_work_size_caps(tmp_path):
     path.write_text(at_cap)
     cfg = load_config(path)
     assert 8 * cfg.sampling.m**2 == WORK_BYTES_CAP and cfg.certificate.horizon == HORIZON_CAP
-    for over in (("m = 8192", "m = 8193"), ("resolution = 90", "resolution = 8193")):
+    path.write_text(at_cap.replace("resolution = 90", "resolution = 4729"))
+    assert 24 * load_config(path).output.grid_resolution ** 2 <= WORK_BYTES_CAP
+    # the certificate sees GRID_BLOCK_ROWS states at a time, so m = 500 with a
+    # 400 x 400 grid holds an 8 MB Gram block, not a 640 MB m x 160000 Gram
+    path.write_text(LINEAR_CONFIG.replace("m = 60", "m = 500").replace("resolution = 5", "resolution = 400"))
+    assert 8 * load_config(path).sampling.m * 400**2 > WORK_BYTES_CAP
+    for over, array in (
+        (("m = 8192", "m = 8193"), "the 8193 x 8193 Gram of the fit"),
+        (("resolution = 90", "resolution = 4730"), "the 22372900 x 3 coordinates and values"),
+    ):
         path.write_text(at_cap.replace(*over))
-        with pytest.raises(InvalidInputError, match="cap"):
+        with pytest.raises(InvalidInputError, match=f"^{array} .* over the {WORK_BYTES_CAP}-byte cap$"):
             load_config(path)
     for horizon in (HORIZON_CAP + 1, -1):
         path.write_text(at_cap.replace(f"horizon = {HORIZON_CAP}", f"horizon = {horizon}"))
