@@ -357,9 +357,11 @@ def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
 class BoundReport:
     """Closed-form certificate inputs and outputs for a fitted model.
 
-    alpha_plug is max(op_norm, observed decay ratio) and is flagged as a
+    alpha_plug is max(op_norm, decay_ratio), the fitted operator norm and
+    the observed one-step weight decay on the anchors, and is flagged as a
     plug-in: the true operator norm is not observable, so the certified
-    radii are honest only up to this substitution.
+    radii are honest only up to this substitution. lyapunov_const is inf
+    when alpha_plug >= 1; op_norm and decay_ratio show which factor did it.
     """
 
     m: int
@@ -373,6 +375,7 @@ class BoundReport:
     heldout_risk: float | None
     op_norm: float
     norm_bound: float
+    decay_ratio: float
     alpha_plug: float
     lyapunov_const: float
     zubov_const: float | None
@@ -390,7 +393,8 @@ def bound_report(
     gamma = model.diagnostics.hs_norm
     eps_x, eps_y = concentration_epsilons(m, delta)
     rho_check = generalization_bound(m, gamma, model.rank, delta)
-    alpha = max(model.diagnostics.op_norm, _anchor_decay_ratio(model))
+    decay = _anchor_decay_ratio(model)
+    alpha = max(model.diagnostics.op_norm, decay)
     h_risk = None if heldout is None else heldout_risk(model, heldout)
     # The constants are the error bounds at unit norm and risk (and t = 1).
     lyap_const = lyapunov_error_bound(alpha, 1.0, 1.0) if alpha < 1 else float("inf")
@@ -409,6 +413,7 @@ def bound_report(
         heldout_risk=h_risk,
         op_norm=model.diagnostics.op_norm,
         norm_bound=model.diagnostics.norm_bound,
+        decay_ratio=decay,
         alpha_plug=alpha,
         lyapunov_const=lyap_const,
         zubov_const=zub_const,
@@ -422,11 +427,18 @@ def grid_eval(fn, dom: DomainSpec, resolution: int = 101) -> tuple[np.ndarray, n
     (coords, values) with coords in row-major order (first axis slowest),
     covering the bounding box of the domain. fn sees blocks of at most
     GRID_BLOCK_ROWS states, so its m x rows Gram does not grow with the grid.
+
+    Each axis is c + h*t with c = (lo + hi)/2, h = (hi - lo)/2 and
+    t = (2i - (res-1))/(res-1), its ends set to exactly lo and hi. So on a box
+    symmetric about the origin (any ball's box) row N-1-p of coords is
+    exactly -(row p), and the oracles simulate one orbit per such pair.
     """
     if resolution < 2:
         raise InvalidInputError("grid resolution must be >= 2")
     lo, hi = dom.bounding_box()
-    axes = [np.linspace(lo[i], hi[i], resolution) for i in range(len(lo))]
+    t = np.arange(1 - resolution, resolution, 2) / (resolution - 1)
+    axes = ((lo + hi) / 2)[:, None] + ((hi - lo) / 2)[:, None] * t
+    axes[:, 0], axes[:, -1] = lo, hi
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
     values = np.empty(len(coords))

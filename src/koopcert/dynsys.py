@@ -11,7 +11,8 @@ wrapper of the same kernel. The field's powers are products, not libm pow,
 and each step writes its stages into a few arrays it allocates once. The
 oracles and the cost accumulation take the weight, the state cost and the
 escape test (non-finite, or past GUARD_RADIUS) from one sum of squares per
-step.
+step. Every system's step is odd bit for bit, step(-x) = -step(x), so the
+oracles simulate one orbit per {x, -x} pair of their states.
 `saturating` is the one form of the observable w^nu / (w^nu + varsigma^nu).
 """
 
@@ -213,7 +214,8 @@ def step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:
 
 def saturating(w: np.ndarray, nu: float, varsigma: float) -> np.ndarray:
     """The saturating observable w^nu / (w^nu + varsigma^nu) of weight values w."""
-    return w**nu / (w**nu + varsigma**nu)
+    p = w**nu
+    return p / (p + varsigma**nu)
 
 
 def trajectory(sys: SystemSpec, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -297,6 +299,23 @@ def check_decay_ratio(X: np.ndarray, Y: np.ndarray, weight: WeightSpec, eta=None
     return float(np.max(ratios))
 
 
+def _mirror_pairs(xs: list) -> tuple[list, np.ndarray]:
+    """One orbit start per {x, -x} pair of states, and each state's index into them.
+
+    Takes and returns component arrays. A state's representative is the
+    state signed so that its first nonzero entry is positive, with -0.0
+    folded to +0.0; equal representatives are found on their bytes.
+    """
+    X = np.stack(xs, axis=1)
+    lead = X[np.arange(len(X)), np.argmax(X != 0, axis=1)]
+    np.negative(X, out=X, where=(lead < 0)[:, None])
+    X += 0.0
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    reps, inverse = np.unique(keys, return_inverse=True)
+    reps = reps.view(float).reshape(len(reps), X.shape[1])
+    return [reps[:, i].copy() for i in range(X.shape[1])], inverse
+
+
 def oracle_lyapunov_batch(
     sys: SystemSpec, kw: WeightedKernelSpec, X: np.ndarray, dt: float, tail_tol: float = 1e-10
 ) -> np.ndarray:
@@ -307,8 +326,14 @@ def oracle_lyapunov_batch(
     observed one-step ratio over the rows. Identity observable matrix
     assumed, matching the estimator side. An orbit whose weight overflows
     or that reaches a non-finite state raises IntegrationBlowupError.
+
+    One orbit is simulated per {x, -x} pair of rows (_mirror_pairs). That
+    is exact because every system kind steps -x to exactly -step(x) (the
+    field is odd and negation commutes with rounding), the terms read x only
+    through its sum of squares, and the stopping rule takes maxima over the
+    same set of terms: each value is bit-identical to the full batch's.
     """
-    xs = _orbit_start(sys, _check_points(X, "X"), dt)
+    xs, inverse = _mirror_pairs(_orbit_start(sys, _check_points(X, "X"), dt))
     total = np.zeros(len(xs[0]))
     prev = np.zeros(len(total))
     alpha = 0.0
@@ -326,7 +351,7 @@ def oracle_lyapunov_batch(
         ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
         alpha = max(alpha, float(np.sqrt(np.max(ratio))))
         if worst == 0.0 or (worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol):
-            return total
+            return total[inverse]
         prev = term
         xs = _rk4(sys, xs, dt)
     raise DivergenceError("weight did not decay within the step cap")
@@ -347,11 +372,13 @@ def oracle_zubov_batch(
     Returns exp(-sum_{s<t} eta(x_s)) * saturating(w(x_t), nu, varsigma).
     Trajectories that escape the guard radius contribute zero: the
     accumulated cost has already driven the damping factor below double
-    precision by then. Rows are simulated independently.
+    precision by then. Rows are simulated independently, one orbit per
+    {x, -x} pair of rows; as in oracle_lyapunov_batch, the odd step and the
+    sum-of-squares cost, weight and escape test make that bit-exact.
     """
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
-    xs = _orbit_start(sys, X, dt)
+    xs, inverse = _mirror_pairs(_orbit_start(sys, X, dt))
     cost = np.zeros(len(xs[0]))
     dead = np.zeros(len(cost), dtype=bool)
     for _ in range(steps):
@@ -360,4 +387,4 @@ def oracle_zubov_batch(
         xs = _rk4(sys, xs, dt)
     out = np.exp(-cost) * saturating(weight.of_sq_norm(_settle(xs, dead)), nu, varsigma)
     out[dead] = 0.0
-    return out
+    return out[inverse]

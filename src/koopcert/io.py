@@ -325,6 +325,7 @@ def write_report(report: BoundReport, path: str | Path) -> None:
         "empirical_risk": fmt(report.empirical_risk),
         "op_norm": fmt(report.op_norm),
         "norm_bound": fmt(report.norm_bound),
+        "decay_ratio": fmt(report.decay_ratio),
         "alpha_plug": fmt(report.alpha_plug),
         "lyapunov_const": fmt(report.lyapunov_const),
     }

@@ -428,6 +428,21 @@ def test_grid_eval_row_major_coords():
         grid_eval(lambda pts: np.zeros((3, 3)), dom, resolution=2)
 
 
+def test_grid_eval_axes_are_exactly_symmetric_with_exact_ends():
+    square = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    for dom in (square, DomainSpec.ball(2.0), DomainSpec.ball(1.7, dim=3)):
+        for res in (100, 101):
+            coords, _ = grid_eval(lambda pts: pts[:, 0], dom, res)
+            lo, hi = dom.bounding_box()
+            assert np.array_equal(coords[::-1], -coords)
+            assert np.array_equal(coords[0], lo) and np.array_equal(coords[-1], hi)
+    off = DomainSpec(kind="box", lo=(0.0, 0.0), hi=(1.0, 2.0))
+    coords, _ = grid_eval(lambda pts: pts[:, 0], off, 101)
+    assert np.array_equal(coords[0], [0.0, 0.0]) and np.array_equal(coords[-1], [1.0, 2.0])
+    assert np.array_equal(coords[100], [0.0, 2.0]) and np.array_equal(coords[-101], [1.0, 0.0])
+    np.testing.assert_allclose(coords[::101, 0], np.linspace(0.0, 1.0, 101), rtol=0, atol=2.3e-16)
+
+
 def test_grid_eval_blocks_match_one_call():
     dom = DomainSpec.ball(2.0)
     seen = []

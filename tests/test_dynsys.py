@@ -26,7 +26,7 @@ from koopcert import (
     step,
     trajectory,
 )
-from koopcert.dynsys import _field, _rk4
+from koopcert.dynsys import SYSTEM_KINDS, _field, _mirror_pairs, _orbit_start, _rk4
 
 from helpers import (
     fine_step,
@@ -227,6 +227,23 @@ def test_component_kernel_bit_identical_to_stacked_step(sys, dt, starts):
         assert not np.all(np.isfinite(ref[-1]))
 
 
+MIRROR_BATCH = [
+    [0.5, -0.3], [-0.5, 0.3], [0.5, -0.3],  # a pair and an exact duplicate
+    [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],  # the origin with signed zeros
+    [-0.0, 0.7], [0.0, -0.7], [0.0, 0.7],  # a pair on an axis, one with -0.0
+    [1.3, 0.2], [-1.1, 0.9], [0.4, 1.6],  # unpaired rows
+]
+
+
+def test_mirror_pairs_keep_one_start_per_pair():
+    X = np.array(MIRROR_BATCH)
+    xs, inverse = _mirror_pairs(_orbit_start(SystemSpec(kind="example1"), X, 0.05))
+    reps = np.stack(xs, axis=1)
+    assert len(reps) == 6
+    assert np.all((reps[inverse] == X).all(axis=1) | (reps[inverse] == -X).all(axis=1))
+    assert not np.any(np.signbit(reps) & (reps == 0.0))
+
+
 def test_oracle_lyapunov_bit_identical_to_stacked_loop():
     kw = kw_gaussian()
     coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 21)
@@ -238,6 +255,32 @@ def test_oracle_lyapunov_bit_identical_to_stacked_loop():
         X = np.random.default_rng(dim).uniform(-2.0, 2.0, (50, dim))
         new = oracle_lyapunov_batch(sys, kw, X, 1.0, tail_tol=1e-10)
         assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, 1.0))
+    # Mirrored, duplicate and signed-zero rows share one orbit per pair.
+    X = np.array(MIRROR_BATCH)
+    for sys in (SystemSpec(kind="example1"), SystemSpec(kind="example2"),
+                SystemSpec(kind="linear-contraction", a=0.7)):
+        for dt in (0.025, 0.25):
+            new = oracle_lyapunov_batch(sys, kw, X, dt, tail_tol=1e-10)
+            assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, dt))
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_every_system_steps_odd_bit_for_bit(kind):
+    # The oracles simulate one orbit per {x, -x} pair of states, which is exact
+    # only while step(-x) == -step(x) bit for bit; a kind that breaks it fails here.
+    sys = SystemSpec(kind=kind, a=0.7 if kind == "linear-contraction" else None)
+    coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 101)
+    # example2 sends [3, 3] to x2 = inf and, at dt = 0.25, [0, -4] to nan
+    X0 = np.concatenate([coords, [[3.0, 3.0], [0.0, -4.0]]])
+    for dt in (0.025, 0.25):
+        X = X0
+        for _ in range(200):
+            Y = step(sys, X, dt)
+            assert np.array_equal(step(sys, -X, dt), -Y, equal_nan=True)
+            X = Y
+        if kind == "example2":
+            assert np.isinf(X[-2]).any() or np.isnan(X[-2]).any()
+            assert dt != 0.25 or np.isnan(X[-1]).any()
 
 
 @pytest.mark.parametrize("dt", [0.025, 0.25])
@@ -246,14 +289,17 @@ def test_cost_and_zubov_loops_bit_identical_to_stacked_loops(dt):
     # other orbits keep stepping, so _settle parks rows mid-run.
     sys = SystemSpec(kind="example2")
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    X = np.array([[0.5, -0.3], [3.0, 3.0], [-1.2, 0.8], [0.0, -4.0], [1.9, 1.9], [0.0, 0.0]])
+    # The mirror rows, [-3, -3] and [-0.0, 4] share orbits with other rows.
+    X = np.array([[0.5, -0.3], [3.0, 3.0], [-1.2, 0.8], [0.0, -4.0], [1.9, 1.9], [0.0, 0.0]]
+                 + MIRROR_BATCH + [[-3.0, -3.0], [-0.0, 4.0]])
     costs = accumulated_costs(sys, eta, X, dt)
     assert np.array_equal(costs, stacked_accumulated_costs(sys, eta, X, dt))
     assert np.isinf(costs[1]) and np.all(np.isfinite(costs[[0, 2, 5]]))
     weight = WeightSpec(kind="norm-power", exponent=0.5)
-    for steps in (1, 6, 40):
+    for steps in (0, 1, 6, 40):
         new = oracle_zubov_batch(sys, weight, eta, X, dt, steps, 1.0, 0.1)
         assert np.array_equal(new, stacked_oracle_zubov(sys, weight, eta, X, dt, steps, 1.0, 0.1))
+    assert new[1] == new[-2] == 0.0
 
 
 POW_NAMES = {"power", "float_power"}

@@ -220,6 +220,8 @@ def test_report_round_trip(tmp_path):
     assert cp.getint("inputs", "m") == report.m
     assert float(cp.get("bounds", "excess_risk")) == report.excess_risk
     assert float(cp.get("bounds", "alpha_plug")) == report.alpha_plug
+    assert float(cp.get("bounds", "decay_ratio")) == report.decay_ratio
+    assert report.alpha_plug == max(report.op_norm, report.decay_ratio)
     assert float(cp.get("bounds", "heldout_risk")) == report.heldout_risk
     assert not cp.has_option("bounds", "zubov_const")
 
