@@ -216,7 +216,8 @@ def _checked_damping(ds: SnapshotDataset, eta: EtaSpec | None) -> np.ndarray | N
         return None
     if ds.eta_x is None:
         raise InvalidInputError("damped mode needs eta values stored in the dataset")
-    if np.max(np.abs(ds.eta_x - eta.values(ds.X))) > 1e-12:
+    # written so that a NaN fails it: a NaN compares False either way
+    if not np.max(np.abs(ds.eta_x - eta.values(ds.X))) <= 1e-12:
         raise EtaMismatchError("dataset eta values disagree with the eta spec")
     return eta.damping(ds.X)
 

@@ -5,25 +5,18 @@ A weight ``w`` vanishes at the origin and scales a base kernel into
 weighted space in which the transfer operator is learned.
 
 ``gram`` assembles every weighted Gram of the package, damped ones too (a
-per-point scale multiplies the weight). It splits the rows of its first
-argument into a contiguous share per usable core and walks each share in
-blocks of at most GRAM_BLOCK_ENTRIES entries, so a block and its one
-scratch array stay in the core's cache and no second full-size array is
+per-point scale multiplies the weight). It walks the rows of its first
+argument in blocks of at most GRAM_BLOCK_ENTRIES entries, so a block and
+its one scratch array stay in cache and no second full-size array is
 built. Each entry goes through the same ufunc sequence however the rows
-are blocked or shared out, so the Gram is bit-identical on any core count,
-and the Gram of a set with itself is exactly symmetric. The caller's
-thread runs the first share and one module-level thread pool runs the
-others; its threads start with the first Gram that needs them, and numpy
-releases the GIL inside its loops. Each share runs under the caller's
-numpy error state, passed to it explicitly (numpy 1 keeps that state per
-thread), so an ``np.errstate(over="raise")`` around a call turns an
-overflow in any share into a FloatingPointError.
+are blocked, so the Gram of a set with itself is exactly symmetric. It runs
+in the calling thread, under the caller's numpy error state, so an
+``np.errstate(over="raise")`` around a call turns an overflow into a
+FloatingPointError.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +28,6 @@ KERNEL_KINDS = ("gaussian",)
 
 # Entries per Gram block: 32 rows at 2048 columns, 512 KB per array.
 GRAM_BLOCK_ENTRIES = 1 << 16
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -142,31 +134,6 @@ def base_gram(
     return np.exp(sq, out=sq)
 
 
-def _make_pool() -> None:
-    # An executor starts its threads on submit, so none runs before the
-    # first Gram of more than one share. A forked child gets a new pool:
-    # it inherits the old one without its threads.
-    global _pool
-    _pool = ThreadPoolExecutor(max_workers=max(1, CORES - 1), thread_name_prefix="koopcert-gram")
-
-
-_make_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_make_pool)
-
-
-def _fill_rows(err, k, A, B, wa, wb, out, start, stop, step):
-    """Rows start:stop of the weighted Gram, step rows at a time, under error state err."""
-    scratch = np.empty((min(step, stop - start), len(B)))
-    with np.errstate(**err):
-        for i in range(start, stop, step):
-            j = min(i + step, stop)
-            s = scratch[: j - i]
-            block = base_gram(k, A[i:j], B, s, out=out[i:j])
-            # k (wa wb); (k wa) wb would round differently
-            block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
-
-
 def gram(
     kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None = None,
     scale_a: np.ndarray | None = None, scale_b: np.ndarray | None = None,
@@ -177,8 +144,8 @@ def gram(
     omitted, so an unscaled Gram is [k_w(a_i, b_j)] bit for bit. With ``B``
     omitted the result is the exactly symmetric Gram of ``A`` with itself,
     both sides scaled by scale_a. No weight floor is applied here (that
-    belongs to dataset assembly). Rows are shared out over the cores in
-    cache-sized blocks (see the module docstring).
+    belongs to dataset assembly). Rows are taken in cache-sized blocks, in
+    the calling thread (see the module docstring).
     """
     A = _check_points(A, "A")
     if B is None and scale_b is not None:
@@ -190,16 +157,11 @@ def gram(
     wb = weight_values(kw.weight, B, scale_b)
     out = np.empty((len(A), len(B)))
     step = max(1, GRAM_BLOCK_ENTRIES // len(B))
-    shares = min(CORES, -(-len(A) // step))
-    edges = [len(A) * s // shares for s in range(shares + 1)]
-    args = (dict(np.geterr(), call=np.geterrcall()), kw.kernel, A, B, wa, wb, out)
-    futures = [
-        _pool.submit(_fill_rows, *args, lo, hi, step) for lo, hi in zip(edges[1:-1], edges[2:])
-    ]
-    try:
-        _fill_rows(*args, edges[0], edges[1], step)
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    scratch = np.empty((min(step, len(A)), len(B)))
+    for i in range(0, len(A), step):
+        j = min(i + step, len(A))
+        s = scratch[: j - i]
+        block = base_gram(kw.kernel, A[i:j], B, s, out=out[i:j])
+        # k (wa wb); (k wa) wb would round differently
+        block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
     return out

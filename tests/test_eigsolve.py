@@ -239,26 +239,32 @@ def test_package_makes_every_dense_product_in_scipy_blas():
 THREAD_MODULES = ("concurrent", "threading")
 
 
-def _thread_imports(tree: ast.AST) -> list[str]:
+def _thread_uses(tree: ast.AST) -> list[str]:
+    """The thread modules a module imports, and any os.register_at_fork it calls."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [alias.name for alias in node.names]
+            found += [a.name for a in node.names if a.name.split(".")[0] in THREAD_MODULES]
         elif isinstance(node, ast.ImportFrom):
-            found.append(node.module or "")
-    return sorted(name for name in found if name.split(".")[0] in THREAD_MODULES)
+            if (node.module or "").split(".")[0] in THREAD_MODULES:
+                found.append(node.module)
+        elif isinstance(node, ast.Attribute) and node.attr == "register_at_fork":
+            found.append("register_at_fork")
+    return sorted(found)
 
 
-def test_only_gram_assembly_starts_threads():
-    """concurrent.futures and threading are imported in kernels.py alone:
-    Gram assembly's one pool is the package's only thread pool besides BLAS."""
-    assert _thread_imports(ast.parse("import threading\nfrom concurrent.futures import wait")) == [
-        "concurrent.futures", "threading"
+def test_package_starts_no_threads():
+    """No module imports concurrent or threading or hooks a fork: every
+    Gram is built in the caller's thread, so BLAS runs the package's only
+    thread pool."""
+    snippet = "import threading\nfrom concurrent.futures import wait\nos.register_at_fork(f)"
+    assert _thread_uses(ast.parse(snippet)) == [
+        "concurrent.futures", "register_at_fork", "threading"
     ]
     src = Path(koopcert.__file__).parent
     users = {
         path.name: names
         for path in sorted(src.glob("*.py"))
-        if (names := _thread_imports(ast.parse(path.read_text())))
+        if (names := _thread_uses(ast.parse(path.read_text())))
     }
-    assert users == {"kernels.py": ["concurrent.futures"]}
+    assert users == {}

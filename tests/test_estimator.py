@@ -1,5 +1,6 @@
 """Reduced-rank operator fit: closed forms, optimality, and predictions."""
 
+import dataclasses
 import gc
 import warnings
 import weakref
@@ -212,6 +213,11 @@ def test_eta_mismatch_raises():
     other = EtaSpec(kind="quadratic-norm", scale=0.25)
     with pytest.raises(EtaMismatchError):
         fit_zubov_koopman(ds, kw, other, RRRConfig(rank=5))
+    # a NaN cell compares False against any tolerance, so it must not pass
+    eta_x = ds.eta_x.copy()
+    eta_x[3] = np.nan
+    with pytest.raises(EtaMismatchError):
+        fit_zubov_koopman(dataclasses.replace(ds, eta_x=eta_x), kw, eta, RRRConfig(rank=5))
 
 
 def test_zero_scale_damping_matches_plain_fit():

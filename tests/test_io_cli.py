@@ -585,6 +585,22 @@ def test_cli_zubov_pipeline(tmp_path):
     assert (tmp_path / "out" / "zubov_grid.csv").exists()
 
 
+def test_cli_fit_refuses_a_nan_eta_cell(tmp_path, capsys):
+    # a NaN compares False against the 1e-12 tolerance; it must not pass as a match
+    cfg = _write_config(tmp_path, ZUBOV_CONFIG.replace("rank = 8", "rank = 5"))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    path = out / "dataset.csv"
+    ds = read_dataset(path)
+    ds.eta_x[7] = np.nan
+    write_dataset(ds, path)
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert lines == ["error: dataset eta values disagree with the eta spec"], lines
+    assert not (out / "model.txt").exists()
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     # reproduce writes its built-in config, so it takes no --config at all.
     for argv in (["fit"], ["reproduce", "example2", "--config", str(tmp_path / "absent.ini")]):
