@@ -26,7 +26,6 @@ from .dynsys import (
     saturating,
     step,
 )
-from .eigsolve import matmul
 from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
 from .estimator import GRID_BLOCK_ROWS, EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
 from .kernels import WeightSpec, gram, weight_values
@@ -111,7 +110,7 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
     S = model.Q
     for _ in range(horizon):
         P = P + S
-        S = matmul(matmul(model.H.T, S), model.H)
+        S = model.H.T @ S @ model.H
     return LyapunovEstimate(
         model=model,
         horizon=horizon,
@@ -127,8 +126,8 @@ def lyapunov_values(est: LyapunovEstimate, X: np.ndarray) -> np.ndarray:
     model = est.model
     X = np.asarray(X, dtype=float)
     w2 = weight_values(model.kw.weight, X) ** 2
-    Z = matmul(model.U.T, gram(model.kw, model.anchors_x, X))
-    return w2 + np.sum(Z * matmul(est.P, Z), axis=0)
+    Z = model.U.T @ gram(model.kw, model.anchors_x, X)
+    return w2 + np.sum(Z * (est.P @ Z), axis=0)
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
     if est.steps == 0:
         return saturating(weight_values(est.model.kw.weight, X), est.nu, est.varsigma)
     Kx = gram(est.model.kw, est.model.anchors_x, X)
-    return matmul(est.coeffs, Kx)
+    return est.coeffs @ Kx
 
 
 def c_nu(nu: float, varsigma: float) -> float:

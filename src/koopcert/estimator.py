@@ -15,12 +15,13 @@ H = U' E W and Q = W' L W, so the coefficient recursions that push kernel
 sections through powers of A and its adjoint run in rank-r coordinates.
 
 Each m x m Gram is built where it is read and dropped after its last
-read. The fit builds K, factors it in its own memory and drops it, then
-builds L only for the m x k product L J with the factor; factor_model,
-where the fit and read_model both end, builds K for Z = U' K, then L, then
-E, one at a time. So a fit holds at most one m x m array at a time,
-beside the m x k factor and L J, and read_model one; the price is one
-more build each of K and L per fit than one each of K, L and E.
+read. The fit builds K, factors it into the m x k Psi and drops it, turns
+Psi into J in Psi's own memory, then builds L only for the m x k product
+L J; factor_model, where the fit and read_model both end, builds K for
+Z = U' K, then L, then E, one at a time. So a fit holds at most one m x m
+array at a time, beside the m x k factor and L J, and read_model one; the
+price is one more build each of K and L per fit than one each of K, L
+and E.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import SnapshotDataset
-from .eigsolve import input_factor, matmul, perron_root, reduced_rank_eig, symmetric_eig
+from .eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError
 from .kernels import WeightedKernelSpec, gram, weight_values
 
@@ -146,7 +147,7 @@ def _section_losses(kw, Y, damping, Z, Q, WG) -> np.ndarray:
     diagonal entry of its damped Gram, is (w(y_i) d_i)^2.
     """
     s = weight_values(kw.weight, Y, damping)
-    return np.sum(Z * matmul(Q, Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + s * s
+    return np.sum(Z * (Q @ Z), axis=0) - 2.0 * np.sum(Z * WG, axis=0) + s * s
 
 
 def factor_model(
@@ -171,21 +172,21 @@ def factor_model(
     M = U' K U, an r x r solve.
     """
     m = len(X)
-    Z = matmul(U.T, gram(kw, X))
+    Z = U.T @ gram(kw, X)
     W = Z.T / m
     damping = None if eta is None else eta.damping(X)
     L = gram(kw, Y, scale_a=damping)
-    WL = matmul(W.T, L)
-    Q = matmul(WL, W)
+    WL = W.T @ L
+    Q = WL @ W
     norm_bound = perron_root(L) / (beta * m)
     del L
     E = gram(kw, X, Y, scale_b=damping)
-    H = matmul(matmul(U.T, E), W)
+    H = U.T @ E @ W
     del E
-    M = matmul(Z, U)
+    M = Z @ U
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
-    Mh = matmul(vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :], vecs.T)
-    S = matmul(matmul(Mh, Q), Mh)
+    Mh = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
+    S = Mh @ Q @ Mh
     diagnostics = FitDiagnostics(
         sigma_sq=sigma_sq,
         risk=max(float(np.mean(_section_losses(kw, Y, damping, Z, Q, WL))), 0.0),
@@ -238,11 +239,12 @@ def _fit(
         raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
     # K is entrywise nonnegative, like L, so lam_max(K) is its Perron root
     beta = cfg.beta if cfg.beta is not None else cfg.beta_scale * perron_root(K) / m
-    J = input_factor(K, beta)
+    Psi = pivoted_cholesky(K)
     del K
-    # L lives only for the product
-    sigma_sq, U = reduced_rank_eig(J, matmul(gram(kw, Y, scale_a=damping), J), beta, cfg.rank)
-    del J
+    # J takes over Psi's memory; L lives only for the product
+    J = input_factor(Psi, beta)
+    sigma_sq, U = reduced_rank_eig(J, gram(kw, Y, scale_a=damping) @ J, beta, cfg.rank)
+    del Psi, J
     return factor_model(kw, X, Y, eta, beta, U, sigma_sq)
 
 
@@ -272,9 +274,9 @@ def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndar
     values g0 at the anchors_y; d is the damping (1 in plain mode).
     """
     S = np.empty((t, model.rank))
-    S[0] = matmul(model.W.T, g0 if model.damping is None else model.damping * g0)
+    S[0] = model.W.T @ (g0 if model.damping is None else model.damping * g0)
     for k in range(1, t):
-        S[k] = matmul(model.H.T, S[k - 1])
+        S[k] = model.H.T @ S[k - 1]
     return S
 
 
@@ -291,7 +293,7 @@ def forward_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (len(model),):
         raise InvalidInputError("g0 must hold one value per anchor")
-    return matmul(model.U, _forward_rank_coeffs(model, g0, t)[-1])
+    return model.U @ _forward_rank_coeffs(model, g0, t)[-1]
 
 
 def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> np.ndarray:
@@ -308,8 +310,8 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
     out[0] = weight_values(model.kw.weight, x)[0] * g(x)[0]
     if horizon >= 1:
         g0 = weight_values(model.kw.weight, model.anchors_y) * g(model.anchors_y)
-        z = matmul(model.U.T, gram(model.kw, model.anchors_x, x)[:, 0])
-        out[1:] = matmul(_forward_rank_coeffs(model, g0, horizon), z)
+        z = model.U.T @ gram(model.kw, model.anchors_x, x)[:, 0]
+        out[1:] = _forward_rank_coeffs(model, g0, horizon) @ z
     return out
 
 
@@ -325,7 +327,7 @@ def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
         part = slice(start, start + GRID_BLOCK_ROWS)
         X, Y, d = ds.X[part], ds.Y[part], None if dh is None else dh[part]
         # each Gram lives only for its product, so one block's is held at a time
-        Z = matmul(model.U.T, gram(model.kw, model.anchors_x, X))
-        WG = matmul(model.W.T, gram(model.kw, model.anchors_y, Y, scale_a=model.damping, scale_b=d))
+        Z = model.U.T @ gram(model.kw, model.anchors_x, X)
+        WG = model.W.T @ gram(model.kw, model.anchors_y, Y, scale_a=model.damping, scale_b=d)
         losses.append(_section_losses(model.kw, Y, d, Z, model.Q, WG))
     return max(float(np.mean(np.concatenate(losses))), 0.0)

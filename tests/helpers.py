@@ -34,7 +34,7 @@ from koopcert import (
 )
 from koopcert.certificates import COST_STEP_CAP
 from koopcert.dynsys import GUARD_RADIUS, STEP_CAP, saturating
-from koopcert.eigsolve import input_factor, reduced_rank_eig
+from koopcert.eigsolve import input_factor, pivoted_cholesky, reduced_rank_eig
 
 
 def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
@@ -168,7 +168,7 @@ def fit_pencil_eig(M: np.ndarray, B: np.ndarray, r: int):
     """Top-r eigenvalues of M v = s B v from the fit's solve on
     as_fit_pencil(M, B), with its eigenvectors U and the pencil's V = K U."""
     K, L, beta = as_fit_pencil(M, B)
-    J = input_factor(K.copy(), beta)
+    J = input_factor(pivoted_cholesky(K), beta)
     vals, U = reduced_rank_eig(J, L @ J, beta, r)
     return vals, U, K @ U
 

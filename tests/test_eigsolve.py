@@ -1,8 +1,11 @@
-"""Dense symmetric eigensolves, the fit's reduced-rank pencil solve, the Lanczos
-Perron root, and the one BLAS library behind every dense product."""
+"""Dense symmetric eigensolves, the pivoted Cholesky factor, the fit's
+reduced-rank pencil solve, the Lanczos Perron root, and a package that
+runs on numpy alone."""
 
 import ast
-import tracemalloc
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import scipy.linalg
 
 import koopcert
 from koopcert import InvalidInputError, symmetric_eig
-from koopcert.eigsolve import input_factor, matmul, perron_root, reduced_rank_eig
+from koopcert.eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig
 
 from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig
 
@@ -74,8 +77,8 @@ def test_reduced_rank_eig_refuses_bad_input():
     bad[2, 1] = np.nan
     for K_ in (bad, np.ones((4, 3)), np.ones(4)):
         with pytest.raises(InvalidInputError):
-            input_factor(K_.copy(), 0.1)
-    J = input_factor(K.copy(), 0.1)
+            pivoted_cholesky(K_)
+    J = input_factor(pivoted_cholesky(K), 0.1)
     # L J for a non-finite L, L J of the wrong shapes, and a ridge that is not positive
     inputs = ((bad @ J, 0.1), (J[:, :3], 0.1), (J[:3], 0.1), (np.ones(4), 0.1), (J, 0.0), (J, -0.1))
     for LJ, beta in inputs:
@@ -84,6 +87,24 @@ def test_reduced_rank_eig_refuses_bad_input():
     for r in (0, 5):
         with pytest.raises(InvalidInputError):
             reduced_rank_eig(J, J, 0.1, r)
+
+
+def test_pivoted_cholesky_stops_at_lapack_tolerance():
+    # on the example Grams the factor reproduces K to LAPACK dpstrf's default
+    # tolerance m eps max diag(K), within 5 % of dpstrf's column count
+    for model in (example1_model()[2], example2_model()[3]):
+        K = dense_grams(model)[0]
+        Psi = pivoted_cholesky(K)
+        k_lapack = scipy.linalg.lapack.dpstrf(K, lower=1)[2]
+        assert Psi.flags.f_contiguous
+        assert abs(Psi.shape[1] - k_lapack) <= 0.05 * k_lapack
+        assert np.max(np.abs(Psi @ Psi.T - K)) <= len(K) * np.finfo(float).eps * K.diagonal().max()
+    # exact ranks zero, one and full
+    v = np.array([1.0, 2.0, 3.0])
+    for S, k in ((np.zeros((3, 3)), 0), (np.outer(v, v), 1), (np.diag(v), 3)):
+        Psi = pivoted_cholesky(S)
+        assert Psi.shape == (3, k)
+        np.testing.assert_allclose(Psi @ Psi.T, S, rtol=0, atol=1e-15)
 
 
 def test_perron_root_matches_dense_eigh_on_fitted_target_grams():
@@ -127,113 +148,40 @@ def test_perron_root_refuses_outside_its_precondition():
         perron_root(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
 
-def _layouts(rng, rows, cols):
-    """One rows x cols matrix in every layout the package passes to matmul."""
-    X = rng.standard_normal((rows, cols))
-    wide = rng.standard_normal((rows, cols + 3))
-    wide[:, :cols] = X
-    return {
-        "C": X,
-        "F": np.asfortranarray(X),
-        "T view of C": np.ascontiguousarray(X.T).T,
-        "T view of F": np.asfortranarray(X.T).T,
-        "column slice": wide[:, :cols],
-    }
-
-
-def _vectors(rng, n):
-    x = rng.standard_normal(n)
-    strided = np.repeat(x[:, None], 2, axis=1)[:, 0]
-    return {"contiguous": x, "strided": strided}
-
-
-def _assert_matches_numpy(a, b, what):
-    got, want = matmul(a, b), a @ b
-    assert np.shape(got) == np.shape(want), what
-    err = np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
-    assert err <= 1e-14, f"{what}: relative error {err:.2e}"
-
-
-def test_matmul_matches_numpy_for_every_operand_layout():
-    rng = np.random.default_rng(11)
-    left, right = _layouts(rng, 37, 23), _layouts(rng, 23, 9)
-    for ka, a in left.items():
-        for kb, b in right.items():
-            _assert_matches_numpy(a, b, f"{ka} @ {kb}")
-    for kv, v in _vectors(rng, 23).items():
-        for ka, a in left.items():
-            _assert_matches_numpy(a, v, f"{ka} @ {kv} vector")
-    for kv, v in _vectors(rng, 37).items():
-        for kb, b in left.items():
-            _assert_matches_numpy(v, b, f"{kv} vector @ {kb}")
-        for kw, w in _vectors(rng, 37).items():
-            _assert_matches_numpy(v, w, f"{kv} vector @ {kw} vector")
-
-
-def _peak_bytes(f):
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_matmul_does_not_copy_a_row_major_operand():
-    m = 1000
-    rng = np.random.default_rng(12)
-    K = rng.standard_normal((m, m))
-    U = rng.standard_normal((m, 5))
-    v = rng.standard_normal(m)
-    # the measurement sees a copy of K when there is one
-    assert _peak_bytes(lambda: np.asfortranarray(K)) >= K.nbytes
-    for f in (
-        lambda: matmul(U.T, K),
-        lambda: matmul(K, U),
-        lambda: matmul(K, np.asfortranarray(U)),
-        lambda: matmul(K, v),
-        lambda: matmul(v, K),
-    ):
-        assert _peak_bytes(f) < K.nbytes
-
-
-# numpy names that run a product in numpy's own BLAS
-NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot", "linalg"}
-
-
-def _numpy_blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
+def _scipy_imports(tree: ast.AST) -> list[int]:
+    """Lines of a module that import scipy or anything under it."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append((node.lineno, "@"))
-        elif isinstance(node, ast.Attribute) and (
-            node.attr == "dot"
-            or (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
-                and node.attr in NUMPY_PRODUCTS)
-        ):
-            found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            names = {alias.name for alias in node.names}
-            if node.module == "numpy.linalg" or names & NUMPY_PRODUCTS:
-                found.append((node.lineno, f"from {node.module} import"))
-    return sorted(found)
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append(node.lineno)
+    return found
 
 
-def test_package_makes_every_dense_product_in_scipy_blas():
-    """No `@`, np.dot, np.matmul, np.einsum, np.inner, np.tensordot or
-    np.linalg in the package: numpy's OpenBLAS is a second library with its
-    own thread pool, and switching pools between LAPACK calls costs more
-    than the products (see the eigsolve module docstring)."""
-    assert _numpy_blas_uses(ast.parse("x = a @ b\ny = np.linalg.norm(x)\nz = x.dot(y)")) == [
-        (1, "@"), (2, "linalg"), (3, "dot")
-    ]
+def test_package_imports_no_scipy():
+    """numpy's BLAS and LAPACK run every product and factorization, so the
+    package needs no second library and no second thread pool."""
+    snippet = "import scipy.linalg\nfrom scipy import linalg\nimport numpy, scipy\nimport scipyx"
+    assert _scipy_imports(ast.parse(snippet)) == [1, 2, 3]
     src = Path(koopcert.__file__).parent
-    offenders = {
-        f"{path.name}:{line}": what
+    users = {
+        path.name: lines
         for path in sorted(src.glob("*.py"))
-        for line, what in _numpy_blas_uses(ast.parse(path.read_text()))
+        if (lines := _scipy_imports(ast.parse(path.read_text())))
     }
-    assert offenders == {}
+    assert users == {}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """A cold start of the CLI loads no scipy module, not even through numpy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(koopcert.__file__).resolve().parents[1])}
+    code = "import sys, koopcert.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 THREAD_MODULES = ("concurrent", "threading")

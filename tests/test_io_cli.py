@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import koopcert
 from koopcert import (
@@ -31,6 +30,7 @@ from koopcert import (
     fit_koopman,
     fit_zubov_koopman,
     fmt,
+    gram,
     load_config,
     make_dataset,
     read_dataset,
@@ -43,6 +43,7 @@ from koopcert import (
 from koopcert.certificates import HORIZON_CAP
 from koopcert.cli import main
 from koopcert.config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, SECTIONS, WORK_BYTES_CAP
+from koopcert.eigsolve import pivoted_cholesky
 from koopcert.io import CHECKED_DIAGNOSTICS, CONVERTERS, DIAGNOSTICS_RTOL, _write_rows
 
 from helpers import dense_theta, example2_model, kw_gaussian, linear_model, traced_peak
@@ -133,33 +134,38 @@ def test_model_round_trip_zubov(tmp_path):
 
 
 def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
-    # a fit makes one top-(r+1) subset solve, of the k x k reduced matrix, and
-    # full solves only of r x r matrices; reading a model back only needs r x r solves
-    m = 40
+    # every pair appears twice, so K has numerical rank k = 40 below m = 80. A
+    # fit makes one dense k x k solve, of the reduced matrix, and otherwise
+    # solves r x r matrices and the tridiagonals of the Lanczos Perron root;
+    # reading a model back makes only the r x r solves
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append((np.shape(a) == (m, m), kwargs.get("subset_by_index") is not None))
+        a = np.asarray(a)
+        calls.append((len(a), np.array_equal(a, np.triu(np.tril(a, 1), -1))))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    ds = make_dataset(
-        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), m, 1.0, 7, kw.weight, eta=eta
+    base = make_dataset(
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 40, 1.0, 7, kw.weight, eta=eta
     )
-    cfg = RRRConfig(rank=6)
+    X, Y, eta_x = np.tile(base.X, (2, 1)), np.tile(base.Y, (2, 1)), np.tile(base.eta_x, 2)
+    ds = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed, eta_x=eta_x)
+    m, k, r = 80, pivoted_cholesky(gram(kw, X)).shape[1], 6
+    assert k == 40
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = RRRConfig(rank=r)
     for fit in (lambda: fit_koopman(ds, kw, cfg), lambda: fit_zubov_koopman(ds, kw, eta, cfg)):
         calls.clear()
         model = fit()
-        assert calls
-        assert not any(square and not subset for square, subset in calls)
-        assert sum(subset for _, subset in calls) <= 1
+        assert len(model) == m
+        assert sorted(n for n, tridiagonal in calls if not tridiagonal) == [r, r, k]
         write_model(model, tmp_path / "model.txt")
         calls.clear()
         read_model(tmp_path / "model.txt")
-        assert calls and not any(square for square, _ in calls)
+        assert [n for n, tridiagonal in calls if not tridiagonal] == [r, r]
 
 
 def test_read_model_holds_one_gram_at_a_time(tmp_path):
@@ -176,8 +182,9 @@ def test_read_model_holds_one_gram_at_a_time(tmp_path):
 
 def test_read_model_loads_a_file_from_numpy_blas_products():
     """tests/data/model.txt is an example2-config fit (m = 60, rank 5, seed 42)
-    written when the fit's products ran in numpy's BLAS; the rebuild in
-    scipy's BLAS must still reproduce its stored diagnostics."""
+    written by an earlier version, whose factor came from LAPACK's dpstrf
+    through scipy; the rebuild in numpy's BLAS and LAPACK alone must still
+    reproduce its stored diagnostics."""
     path = Path(__file__).parent / "data" / "model.txt"
     text = path.read_text()
     model = read_model(path)
