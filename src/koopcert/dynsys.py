@@ -14,6 +14,26 @@ escape test (non-finite, or past GUARD_RADIUS) from one sum of squares per
 step. Every system's step is odd bit for bit, step(-x) = -step(x), so the
 oracles simulate one orbit per {x, -x} pair of their states.
 `saturating` is the one form of the observable w^nu / (w^nu + varsigma^nu).
+
+Near the origin the map is g(x) = A x + N(x): `linearization` gives the
+Jacobian A of each kind's RK4 map at the origin, sum_{j<=4} (dt M)^j / j!
+for the field's Jacobian M (a I for linear-contraction), and a constant c
+with |N(x)| <= c |x|^3 on the ball |x| <= rho (c = 0 for
+linear-contraction). With a = |A|_2 and q = a + c rho^2, an orbit that
+reaches x_T in that ball stays in it while q < 1, and when also q^3 < a
+the rest of the series sum_{t>=T} |x_t|^2 differs from the linearized
+orbit's x_T' P x_T, P = A'PA + I, by at most C |x_T|^4 with
+
+    C = 2 c q / ((1 - q a) (1 - q^3 / a)).
+
+Proof: on the ball |g(x)| <= (a + c |x|^2) |x| <= q |x|, so
+|x_{T+s}| <= q^s |x_T|. The gap e_s = x_{T+s} - A^s x_T has e_0 = 0 and
+e_{s+1} = A e_s + N(x_{T+s}), so |e_s| <= c |x_T|^3 sum_{j<s} a^(s-1-j) q^(3j)
+<= c |x_T|^3 a^(s-1) / (1 - q^3 / a); and
+||x_{T+s}|^2 - |A^s x_T|^2| <= |e_s| 2 q^s |x_T|, whose sum over s >= 1 is
+C |x_T|^4. `oracle_lyapunov_batch` ends its orbits with that tail where
+its term is exactly |x|^2 and the bound applies (a < 1 and q^3 < a), and
+keeps its geometric-ratio stop otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigsolve import stein_solve
 from .errors import (
     DegenerateDomainError,
     DivergenceError,
@@ -38,6 +59,8 @@ DOMAIN_KINDS = ("ball", "box")
 # the initial point was outside the basin (or dt is far too coarse).
 GUARD_RADIUS = 1e6
 STEP_CAP = 100_000
+# The radius rho of the ball on which linearization bounds an ODE map's remainder.
+TAIL_RADIUS = 0.01
 
 
 @dataclass(frozen=True)
@@ -212,6 +235,71 @@ def step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:
     return np.stack(_rk4(sys, xs, dt), axis=-1).reshape(x.shape)
 
 
+def _field_bounds(sys: SystemSpec) -> tuple[np.ndarray, float, float, float]:
+    """(M, b, L, R) of a planar field f(y) = M y + h(y): |h(y)| <= b |y|^3 and |f(y)| <= L |y| on |y| <= R.
+
+    example1: h = ((sin(2 pi y1) - 2 pi y1) / (2 pi), 0), and |sin u - u| <= |u|^3 / 6
+    gives b = (2 pi)^2 / 6; |sin u| <= |u| gives L = |[[-3, 1], [1, -1]]|_2 + 1 = 3 + sqrt 2;
+    both hold on every ball. example2: M = -I and h = (0, y1 y2 (y1 + y2) - y2^3 + y1 y2^4),
+    where |y1 y2| <= |y|^2 / 2 and |y1 + y2| <= sqrt 2 |y|, so b = 1 + 1 / sqrt 2 + R^2
+    and L = 1 + b R^2 on the ball of R = 10 TAIL_RADIUS, which holds the RK4 stage
+    states of a step from TAIL_RADIUS up to dt ~ 2.
+    """
+    if sys.kind == "example1":
+        return np.array([[-2.0, 1.0], [1.0, -1.0]]), (2.0 * np.pi) ** 2 / 6.0, 3.0 + np.sqrt(2.0), np.inf
+    R = 10.0 * TAIL_RADIUS
+    b = 1.0 + 1.0 / np.sqrt(2.0) + R * R
+    return -np.eye(2), b, 1.0 + b * R * R, R
+
+
+def linearization(sys: SystemSpec, dt: float) -> tuple[np.ndarray, float, float]:
+    """(A, c, rho): the map's Jacobian A at the origin and |g(x) - A x| <= c |x|^3 on |x| <= rho.
+
+    For linear-contraction A = a I, c = 0 and rho = inf. For an ODE kind with
+    field f = M y + h(y) (_field_bounds, on |y| <= R), A is RK4
+    on the linear field, sum_{j<=4} (dt M)^j / j!, and rho = TAIL_RADIUS.
+    The RK4 stage states y_i of a step from x satisfy |y_i| <= g_i |x|, with
+    g_1 = 1, g_2 = 1 + (dt/2) L, g_3 = 1 + (dt/2) L g_2, g_4 = 1 + dt L g_3.
+    A stage's gap to the linear field's stage, |k_i - k_i^lin| <= e_i |x|^3,
+    has e_1 = b and e_i = h_i |M|_2 e_(i-1) + b g_i^3 for the stage weights
+    h = (dt/2, dt/2, dt), so c = (dt/6) (e_1 + 2 e_2 + 2 e_3 + e_4). Where
+    g_4 rho exceeds R, c = inf: no bound is claimed.
+    """
+    if sys.kind == "linear-contraction":
+        return sys.a * np.eye(sys.dim), 0.0, np.inf
+    if not dt > 0:
+        raise InvalidInputError("dt must be positive")
+    rho = TAIL_RADIUS
+    M, b, L, R = _field_bounds(sys)
+    Z = dt * M
+    eye = np.eye(len(M))
+    A = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+    norm_m = float(np.linalg.norm(M, 2))
+    g, e = 1.0, b
+    total = e
+    for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        g = 1.0 + h * L * g
+        e = h * norm_m * e + b * g**3
+        total += weight * e
+    c = dt / 6.0 * total if g * rho <= R else np.inf
+    return A, c, rho
+
+
+def _linear_tail(sys: SystemSpec, dt: float) -> tuple[np.ndarray, float, float] | None:
+    """(P, C, rho) of the tail bound in the module docstring, or None unless a < 1 and q^3 < a."""
+    A, c, rho = linearization(sys, dt)
+    a = float(np.linalg.norm(A, 2))
+    q = a if c == 0 else a + c * rho * rho
+    if not (a < 1 and q**3 < a):
+        return None
+    return stein_solve(A, np.eye(len(A))), float(2.0 * c * q / ((1.0 - q * a) * (1.0 - q**3 / a))), rho
+
+
+def _quad_form(P: np.ndarray, xs: list) -> np.ndarray:
+    """x' P x of each state from component arrays, as sum_i x_i (sum_j P_ji x_j) in index order."""
+    return sum(xi * sum(P[j, i] * xj for j, xj in enumerate(xs)) for i, xi in enumerate(xs))
+
+
 def saturating(w: np.ndarray, nu: float, varsigma: float) -> np.ndarray:
     """The saturating observable w^nu / (w^nu + varsigma^nu) of weight values w."""
     p = w**nu
@@ -225,12 +313,16 @@ def trajectory(sys: SystemSpec, x0: np.ndarray, dt: float, steps: int) -> np.nda
         raise InvalidInputError("steps must be >= 0")
     out = np.empty((steps + 1,) + x0.shape)
     out[0] = x0
+    rows = out.reshape(steps + 1, -1, x0.shape[-1])
+    xs = _orbit_start(sys, rows[0], dt)
     for t in range(steps + 1):
         with np.errstate(over="ignore"):
-            if np.any(_escaped(np.sum(out[t] * out[t], axis=-1))):
+            if np.any(_escaped(_sq_norm(xs))):
                 raise IntegrationBlowupError("trajectory escaped the guard radius 1e6")
         if t < steps:
-            out[t + 1] = step(sys, out[t], dt)
+            xs = _rk4(sys, xs, dt)
+            for i, x in enumerate(xs):
+                rows[t + 1, :, i] = x
     return out
 
 
@@ -321,19 +413,31 @@ def oracle_lyapunov_batch(
 ) -> np.ndarray:
     """True Lyapunov value sum_t k_w(x_t, x_t) at each row of X by direct simulation.
 
-    The series is truncated once the largest running term and its geometric
-    tail estimate both fall below tail_tol; the tail factor is the largest
-    observed one-step ratio over the rows. Identity observable matrix
-    assumed, matching the estimator side. An orbit whose weight overflows
-    or that reaches a non-finite state raises IntegrationBlowupError.
+    Where the term k_w(x, x) is exactly |x|^2 (weight norm-power with
+    exponent 1) and _linear_tail gives a bound (a = |A|_2 < 1 and
+    q^3 < a, q = a + c rho^2, for linearization's A, c and rho), each value
+    is sum_{t<T} |x_t|^2 + x_T' P x_T, with P = A'PA + I. T is the first
+    step at which every orbit lies in the ball |x| <= rho and
+    C max_i |x_T,i|^4 <= tail_tol, C = 2 c q / ((1 - q a)(1 - q^3 / a)), so
+    each value is within tail_tol of the series (proof in the module
+    docstring). Otherwise, for any other weight or linearization, the series
+    is truncated once the largest running term and its geometric tail
+    estimate both fall below tail_tol; the tail factor is the largest
+    observed one-step ratio over the rows, which is an estimate, not a
+    bound. Identity observable matrix assumed, matching the estimator side.
+    An orbit whose weight overflows or that reaches a non-finite state
+    raises IntegrationBlowupError.
 
     One orbit is simulated per {x, -x} pair of rows (_mirror_pairs). That
     is exact because every system kind steps -x to exactly -step(x) (the
     field is odd and negation commutes with rounding), the terms read x only
-    through its sum of squares, and the stopping rule takes maxima over the
-    same set of terms: each value is bit-identical to the full batch's.
+    through its sum of squares, the tail x' P x is even in x bit for bit,
+    and both stopping rules take maxima over the same set of terms: each
+    value is bit-identical to the full batch's.
     """
     xs, inverse = _mirror_pairs(_orbit_start(sys, _check_points(X, "X"), dt))
+    exact_sq = kw.weight.kind == "norm-power" and kw.weight.exponent == 1
+    tail = _linear_tail(sys, dt) if exact_sq else None
     total = np.zeros(len(xs[0]))
     prev = np.zeros(len(total))
     alpha = 0.0
@@ -343,16 +447,22 @@ def oracle_lyapunov_batch(
                 sq = _sq_norm(xs)
                 if not np.all(np.isfinite(sq)):
                     raise IntegrationBlowupError("a grid trajectory produced non-finite state")
-                term = kw.weight.of_sq_norm(sq) ** 2
+                term = sq if tail is not None else kw.weight.of_sq_norm(sq) ** 2
         except FloatingPointError as exc:
             raise IntegrationBlowupError("a grid trajectory overflowed the weight") from exc
-        total += term
         worst = float(np.max(term))
-        ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
-        alpha = max(alpha, float(np.sqrt(np.max(ratio))))
-        if worst == 0.0 or (worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol):
-            return total[inverse]
-        prev = term
+        if tail is not None:
+            P, C, rho = tail
+            if worst <= rho * rho and C * worst * worst <= tail_tol:
+                return (total + _quad_form(P, xs))[inverse]
+            total += term
+        else:
+            total += term
+            ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
+            alpha = max(alpha, float(np.sqrt(np.max(ratio))))
+            if worst == 0.0 or (worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol):
+                return total[inverse]
+            prev = term
         xs = _rk4(sys, xs, dt)
     raise DivergenceError("weight did not decay within the step cap")
 

@@ -16,6 +16,9 @@ nonnegative, so by Perron-Frobenius its top eigenvector is nonnegative
 and Lanczos from the all-ones vector finds lam_max in a few dozen
 matrix-vector products. Every product and factorization runs in numpy's
 own BLAS and LAPACK.
+
+stein_solve gives the Gramian P = sum_t (A^t)' Q A^t of a stable linear
+map by the doubling iteration, for the Lyapunov oracle's exact linear tail.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ PIVOT_BLOCK = 32
 PIVOT_RATIO = 0.1
 # rows of J that input_factor solves for per product
 SOLVE_BLOCK = 128
+# stein_solve's doublings: 2^64 terms of the series
+STEIN_DOUBLINGS = 64
 
 
 def _finite_square(S: np.ndarray, who: str) -> np.ndarray:
@@ -97,6 +102,30 @@ def perron_root(S: np.ndarray) -> float:
             return float(theta)
         offdiag.append(b)
         basis.append(w / b)
+
+
+def stein_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The solution P = sum_{t>=0} (A^t)' Q A^t of the Stein equation P = A'PA + Q.
+
+    The doubling iteration P <- P + A_k' P A_k, A_k <- A_k^2 from P = Q and
+    A_0 = A: after k doublings P holds the first 2^k terms, and what is left
+    is A_k' P_inf A_k, at most |A_k|_2^2 |P_inf|_2 in norm. It stops once
+    |A_k|_F^2 <= eps, so the rest is below rounding in P. Raises
+    SolverFailureError when that does not happen within STEIN_DOUBLINGS
+    doublings, as for a spectral radius of A not below 1.
+    """
+    A = _finite_square(A, "stein_solve")
+    P = _finite_square(Q, "stein_solve").copy()
+    if P.shape != A.shape:
+        raise InvalidInputError("stein_solve needs A and Q of one shape")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(STEIN_DOUBLINGS):
+            P += A.T @ P @ A
+            A = A @ A
+            # a non-finite A fails the test and the cap, since nan <= eps is false
+            if np.sum(A * A) <= np.finfo(float).eps:
+                return P
+    raise SolverFailureError("the Stein iteration did not converge: A is not stable")
 
 
 def pivoted_cholesky(K: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from koopcert import (
     weight_values,
 )
 from koopcert.certificates import COST_STEP_CAP
-from koopcert.dynsys import GUARD_RADIUS, STEP_CAP, saturating
+from koopcert.dynsys import GUARD_RADIUS, STEP_CAP, _linear_tail, saturating
 from koopcert.eigsolve import input_factor, pivoted_cholesky, reduced_rank_eig
 
 
@@ -197,6 +197,25 @@ def regularized_objective(model, theta: np.ndarray | None = None) -> float:
     return risk + model.beta * hs_sq
 
 
+def factored_objective(model, U: np.ndarray) -> float:
+    """regularized_objective at theta = U U' K / m, from m x r products in O(m^2 r).
+
+    With B = K U, theta' K = B B' / m, so R = B B' / m - I is symmetric and, for
+    G = B' L B, S = B' B and N = U' B, the risk tr(R L R) / m is
+    (sum(G * S) / m^2 - 2 tr(G) / m + tr(L)) / m and the squared HS norm
+    tr(theta' K theta L) is sum(N * G) / m^2.
+    """
+    m = len(model)
+    if model not in _OBJECTIVE_GRAMS:
+        _OBJECTIVE_GRAMS[model] = dense_grams(model)[:2]
+    K, L = _OBJECTIVE_GRAMS[model]
+    B = K @ U
+    G = B.T @ (L @ B)
+    risk = (float(np.sum(G * (B.T @ B))) / (m * m) - 2.0 * float(np.trace(G)) / m + float(np.trace(L))) / m
+    hs_sq = float(np.sum((U.T @ B) * G)) / (m * m)
+    return risk + model.beta * hs_sq
+
+
 def dense_diagnostics(model) -> dict[str, float]:
     """Risk, HS norm, operator norm and a-priori bound from m x m formulas."""
     K, L, _, _ = dense_grams(model)
@@ -333,28 +352,49 @@ def stacked_step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:
 
 def stacked_oracle_lyapunov(sys: SystemSpec, kw, X: np.ndarray, dt: float, tail_tol: float = 1e-10):
     """The Lyapunov oracle loop on the stacked state: weight_values, stacked_step and
-    gathered one-step ratios each step."""
+    gathered one-step ratios each step. Where the weight is |x| and _linear_tail gives
+    a bound, each row ends with the linear tail x_T' P x_T, summed in index order,
+    at the first step where every row is within rho and C max |x_T|^4 <= tail_tol."""
     state = np.asarray(X, dtype=float).copy()
     total = np.zeros(len(state))
+    tail = None
+    if kw.weight.kind == "norm-power" and kw.weight.exponent == 1:
+        tail = _linear_tail(sys, dt)
     prev = None
     alpha = 0.0
     for _ in range(STEP_CAP):
         try:
             with np.errstate(over="raise"):
-                term = weight_values(kw.weight, state) ** 2
+                if tail is not None:
+                    term = np.sum(state * state, axis=-1)
+                else:
+                    term = weight_values(kw.weight, state) ** 2
         except FloatingPointError as exc:
             raise IntegrationBlowupError("a grid trajectory overflowed the weight") from exc
-        total += term
         worst = float(np.max(term))
-        if prev is not None:
-            pos = prev > 0
-            if np.any(pos):
-                alpha = max(alpha, float(np.sqrt(np.max(term[pos] / prev[pos]))))
-        if worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol:
-            return total
-        if worst == 0.0:
-            return total
-        prev = term
+        if tail is not None:
+            P, C, rho = tail
+            if worst <= rho * rho and C * worst * worst <= tail_tol:
+                n = state.shape[1]
+                quad = 0
+                for i in range(n):
+                    acc = 0
+                    for j in range(n):
+                        acc = acc + P[j, i] * state[:, j]
+                    quad = quad + state[:, i] * acc
+                return total + quad
+            total += term
+        else:
+            total += term
+            if prev is not None:
+                pos = prev > 0
+                if np.any(pos):
+                    alpha = max(alpha, float(np.sqrt(np.max(term[pos] / prev[pos]))))
+            if worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol:
+                return total
+            if worst == 0.0:
+                return total
+            prev = term
         state = stacked_step(sys, state, dt)
         if not np.all(np.isfinite(state)):
             raise IntegrationBlowupError("a grid trajectory produced non-finite state")

@@ -38,6 +38,7 @@ from helpers import (
     dense_grams,
     dense_pencil_topr,
     dense_theta,
+    factored_objective,
     example1_model,
     example2_model,
     fit_pencil_eig,
@@ -47,7 +48,6 @@ from helpers import (
     model_matrix,
     mp_generalization_bound,
     normalize_columns,
-    regularized_objective,
     ring_points,
     theta_from_factors,
 )
@@ -139,11 +139,11 @@ def test_criterion_05_perturbations_never_improve(acceptance):
         np.testing.assert_allclose(
             theta_from_factors(U, K), dense_theta(model), atol=1e-10
         )
-        obj0 = regularized_objective(model)
+        obj0 = factored_objective(model, model.U)
         rng = np.random.default_rng(5000 + idx)
         for _ in range(100):
             U_p = U + 1e-3 * rng.standard_normal(U.shape)
-            obj_p = regularized_objective(model, theta=theta_from_factors(U_p, K))
+            obj_p = factored_objective(model, U_p)
             worst = min(worst, obj_p - obj0)
     acceptance(
         5,

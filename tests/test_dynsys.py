@@ -26,7 +26,17 @@ from koopcert import (
     step,
     trajectory,
 )
-from koopcert.dynsys import SYSTEM_KINDS, _field, _mirror_pairs, _orbit_start, _rk4
+from koopcert.dynsys import (
+    SYSTEM_KINDS,
+    _field,
+    _linear_tail,
+    _mirror_pairs,
+    _orbit_start,
+    _quad_form,
+    _rk4,
+    _sq_norm,
+    linearization,
+)
 
 from helpers import (
     fine_step,
@@ -86,6 +96,11 @@ def test_trajectory_shape_and_decay():
     assert traj.shape == (601, 2)
     norms = np.linalg.norm(traj, axis=1)
     assert norms[-1] < 1e-3 * norms[0]
+    # trajectory steps component arrays; each row is the public step of the last, bit for bit
+    x = traj[0]
+    for row in traj[1:]:
+        x = step(sys, x, 0.05)
+        assert np.array_equal(row, x)
 
 
 def test_trajectory_blowup_raises():
@@ -148,7 +163,7 @@ def test_oracle_lyapunov_linear_closed_form():
     kw = kw_gaussian()
     pts = np.array([[0.8, -0.3], [1.2, 0.5], [0.0, 1.4]])
     vals = oracle_lyapunov_batch(sys, kw, pts, 1.0, tail_tol=1e-12)
-    np.testing.assert_allclose(vals, linear_lyapunov_truth(pts, 0.5), rtol=1e-9)
+    np.testing.assert_allclose(vals, linear_lyapunov_truth(pts, 0.5), rtol=1e-13)
     single = oracle_lyapunov_batch(sys, kw, pts[1:2], 1.0, tail_tol=1e-12)[0]
     np.testing.assert_allclose(single, vals[1], rtol=1e-12)
 
@@ -281,6 +296,98 @@ def test_every_system_steps_odd_bit_for_bit(kind):
         if kind == "example2":
             assert np.isinf(X[-2]).any() or np.isnan(X[-2]).any()
             assert dt != 0.25 or np.isnan(X[-1]).any()
+
+
+# Every system kind at the configs' dt and at a coarse one.
+KIND_DTS = [
+    (SystemSpec(kind="example1"), 0.05),
+    (SystemSpec(kind="example1"), 0.25),
+    (SystemSpec(kind="example2"), 0.025),
+    (SystemSpec(kind="example2"), 0.25),
+    (SystemSpec(kind="linear-contraction", dim=3, a=0.7), 1.0),
+]
+
+
+def _ball_states(dim: int, radius: float, count: int, seed: int) -> np.ndarray:
+    """count seeded states uniform in the ball |x| <= radius."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((count, dim))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return d * (radius * rng.uniform(size=count) ** (1.0 / dim))[:, None]
+
+
+def _long_sum(sys: SystemSpec, xs: list, dt: float, steps: int = 2000) -> np.ndarray:
+    """sum_{t<steps} |x_t|^2 of each orbit, from component arrays."""
+    total = np.zeros(len(xs[0]))
+    for _ in range(steps):
+        total += _sq_norm(xs)
+        xs = _rk4(sys, xs, dt)
+    return total
+
+
+@pytest.mark.parametrize("sys, dt", KIND_DTS)
+def test_linearization_remainder_is_cubic_on_its_ball(sys, dt):
+    A, c, rho = linearization(sys, dt)
+    assert np.isfinite(c) and (c == 0) == (sys.kind == "linear-contraction")
+    X = _ball_states(sys.dim, min(rho, 2.0), 100_000, seed=7)
+    r = np.linalg.norm(X, axis=1)
+    gap = np.linalg.norm(step(sys, X, dt) - X @ A.T, axis=1)
+    # The bound is for exact arithmetic; step(x) and A x each round at a few ulp of |x|.
+    assert np.all(gap <= c * r**3 + 8 * np.finfo(float).eps * r)
+
+
+@pytest.mark.parametrize("sys, dt", KIND_DTS)
+def test_linear_tail_error_within_the_stated_bound(sys, dt):
+    P, C, rho = _linear_tail(sys, dt)
+    X = _ball_states(sys.dim, min(rho, 2.0), 1000, seed=11)
+    xs = [X[:, i].copy() for i in range(sys.dim)]
+    ref = _long_sum(sys, xs, dt)
+    r2 = np.sum(X * X, axis=1)
+    # The reference rounds at a few ulp of its sum; far below C |x|^4 on this sample.
+    assert np.all(np.abs(_quad_form(P, xs) - ref) <= C * r2 * r2 + 64 * np.finfo(float).eps * ref)
+
+
+def test_linear_tail_refused_where_the_bound_fails():
+    # example1 at dt = 0.8 contracts at the origin (|A|_2 = 0.74), but its
+    # remainder constant is so large that q^3 >= a; at dt = 3 the
+    # linearization itself expands.
+    sys = SystemSpec(kind="example1")
+    A, c, rho = linearization(sys, 0.8)
+    a = np.linalg.norm(A, 2)
+    assert a < 1 and (a + c * rho * rho) ** 3 >= a
+    assert np.linalg.norm(linearization(sys, 3.0)[0], 2) >= 1
+    for dt in (0.8, 3.0):
+        assert _linear_tail(sys, dt) is None
+
+
+def test_oracle_lyapunov_within_tail_tol_of_a_long_sum_on_the_example1_grid():
+    sys = SystemSpec(kind="example1")
+    coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 101)
+    vals = oracle_lyapunov_batch(sys, kw_gaussian(), coords, 0.05, tail_tol=1e-10)
+    xs, inverse = _mirror_pairs(_orbit_start(sys, coords, 0.05))
+    assert np.max(np.abs(vals - _long_sum(sys, xs, 0.05)[inverse])) <= 1e-10
+
+
+def test_oracle_lyapunov_keeps_the_ratio_stop_for_another_weight():
+    # w = |x|^0.5 makes the term |x|, not |x|^2, so no linear tail applies.
+    # The hex values are what the ratio-stopped oracle gave before the linear
+    # tail existed; example1's go through libm sin, whose last bits may vary by
+    # platform, so they are held to the unchanged stacked loop instead.
+    kw = kw_gaussian(power=0.5)
+    pts = np.array([[1.5, -1.0], [-0.3, 0.8], [0.02, 0.0], [-1.5, 1.0]])
+    before = {
+        "example2": ["0x1.17f8d55473d5ap+6", "0x1.ccd147959f687p+4", "0x1.9ebdc818902c4p-1"],
+        "linear-contraction": ["0x1.8097963a56c23p+2", "0x1.6c8b4e0e71fdcp+1", "0x1.1111111105494p-4"],
+    }
+    for sys, dt in ((SystemSpec(kind="example2"), 0.025), (SystemSpec(kind="linear-contraction", a=0.7), 1.0)):
+        got = oracle_lyapunov_batch(sys, kw, pts, dt)
+        assert [float(v).hex() for v in got] == before[sys.kind] + before[sys.kind][:1]
+    sys = SystemSpec(kind="example1")
+    assert np.array_equal(oracle_lyapunov_batch(sys, kw, pts, 0.05), stacked_oracle_lyapunov(sys, kw, pts, 0.05))
+    # A weight of |x| where the linearization gives no bound takes the ratio stop too.
+    assert np.array_equal(
+        oracle_lyapunov_batch(sys, kw_gaussian(), pts, 0.8), stacked_oracle_lyapunov(sys, kw_gaussian(), pts, 0.8)
+    )
 
 
 @pytest.mark.parametrize("dt", [0.025, 0.25])

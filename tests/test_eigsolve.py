@@ -14,8 +14,9 @@ import pytest
 import scipy.linalg
 
 import koopcert
-from koopcert import InvalidInputError, symmetric_eig
-from koopcert.eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig
+from koopcert import InvalidInputError, SolverFailureError, SystemSpec, symmetric_eig
+from koopcert.dynsys import linearization
+from koopcert.eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, stein_solve
 
 from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig
 
@@ -216,3 +217,35 @@ def test_package_starts_no_threads():
         if (names := _thread_uses(ast.parse(path.read_text())))
     }
     assert users == {}
+
+
+def _stein_series(A: np.ndarray, Q: np.ndarray, terms: int) -> np.ndarray:
+    """sum_{t<terms} (A^t)' Q A^t, term by term."""
+    S = np.zeros_like(Q)
+    B = np.eye(len(A))
+    for _ in range(terms):
+        S += B.T @ Q @ B
+        B = B @ A
+    return S
+
+
+def test_stein_solve_matches_the_series():
+    # example1's RK4 Jacobian at the origin (dt = 0.05, |A|_2 = 0.981), and the
+    # transposed r x r H of the reference example1 fit, whose series is the
+    # rank-space Lyapunov series sum_t (H^t) Q (H^t)'
+    A = linearization(SystemSpec(kind="example1"), 0.05)[0]
+    model = example1_model()[2]
+    H = model.H.T
+    assert np.max(np.abs(np.linalg.eigvals(H))) == pytest.approx(0.930, abs=5e-4)
+    for A, Q in ((A, np.eye(2)), (H, model.Q)):
+        P = stein_solve(A, Q)
+        S = _stein_series(A, Q, 10_000)
+        assert np.linalg.norm(P - S) <= 1e-12 * np.linalg.norm(S)
+        assert np.linalg.norm(A.T @ P @ A + Q - P) <= 1e-12 * np.linalg.norm(P)
+
+
+def test_stein_solve_refuses_an_unstable_map():
+    with pytest.raises(SolverFailureError):
+        stein_solve(np.array([[1.0, 0.0], [0.0, 0.5]]), np.eye(2))
+    with pytest.raises(InvalidInputError):
+        stein_solve(np.eye(2), np.eye(3))

@@ -38,8 +38,10 @@ from helpers import (
     dense_theta,
     example1_model,
     example2_model,
+    factored_objective,
     kw_gaussian,
     linear_model,
+    model_matrix,
     normalize_columns,
     regularized_objective,
     theta_from_factors,
@@ -90,6 +92,19 @@ def test_fit_is_exact_minimizer_dense_reference():
     np.testing.assert_allclose(
         regularized_objective(model), regularized_objective(model, theta_ref), rtol=1e-9
     )
+
+
+def test_factored_objective_matches_the_dense_reference():
+    # Criterion 05 evaluates the objective at theta = U_p U_p' K / m from m x r
+    # products; it must agree with the dense O(m^3) reference there.
+    for idx, model in enumerate(model_matrix()[:4]):
+        K = dense_grams(model)[0]
+        np.testing.assert_allclose(factored_objective(model, model.U), regularized_objective(model), rtol=1e-12)
+        rng = np.random.default_rng(idx)
+        for _ in range(2):
+            U_p = model.U + 1e-3 * rng.standard_normal(model.U.shape)
+            dense = regularized_objective(model, theta=theta_from_factors(U_p, K))
+            np.testing.assert_allclose(factored_objective(model, U_p), dense, rtol=1e-12)
 
 
 def general_pencil_fit(model):
