@@ -18,9 +18,7 @@ from .dynsys import (
     DomainSpec,
     SnapshotDataset,
     SystemSpec,
-    _orbit_start,
-    _rk4,
-    _settle,
+    _sq_norm_series,
     check_decay_ratio,
     sample_uniform,
     saturating,
@@ -317,39 +315,14 @@ def estimate_doa(
 
 
 def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
-    """Per-point accumulated cost sum_t eta(x_t) along simulated orbits.
+    """Accumulated cost sum_t eta(x_t), eta = s |x|^2, along the orbit of each row of X.
 
-    Each orbit stops adding once its own term and its own geometric tail,
-    from its last one-step ratio, are below tail_tol, and leaves the batch;
-    the simulation ends when every orbit has stopped or escaped. A point's
-    cost is thus bit for bit the same whatever batch it is simulated in.
-    Points that escape or fail to contract within COST_STEP_CAP steps get
-    +inf: their level cannot certify anything. Finite entries mark
+    Each value is within tail_tol of the series (dynsys._sq_norm_series at
+    scale s), bit for bit the same whatever batch the row is in. A row whose
+    orbit escapes or does not reach the tail bound within COST_STEP_CAP
+    steps gets +inf: its level cannot certify anything. Finite entries mark
     attracted starts."""
-    xs = _orbit_start(sys, X, dt)
-    total = np.zeros(len(xs[0]))
-    live = np.arange(len(total))  # the orbits still adding, in batch order
-    prev = np.zeros(len(total))
-    for _ in range(COST_STEP_CAP):
-        dead = np.zeros(len(live), dtype=bool)
-        term = eta.of_sq_norm(_settle(xs, dead))
-        total[live] += term
-        ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
-        # term r / (1 - r) bounds the tail when 0 < r < 1; after a zero term it is zero
-        tail = np.divide(term * ratio, 1.0 - ratio, out=np.where(term == 0.0, 0.0, np.inf),
-                         where=(0 < ratio) & (ratio < 1))
-        going = ~(dead | ((term < tail_tol) & (tail < tail_tol)))
-        if not going.all():
-            total[live[dead]] = np.inf
-            if not going.any():
-                return total
-            xs, live, term = [x[going] for x in xs], live[going], term[going]
-        prev = term
-        xs = _rk4(sys, xs, dt)
-    # Hitting the cap without contracting means the level's cost supremum
-    # is not finite as far as we can tell.
-    total[live[prev >= tail_tol]] = np.inf
-    return total
+    return _sq_norm_series(sys, X, dt, eta.scale, tail_tol, COST_STEP_CAP)[0]
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def cmd_report(args) -> int:
 
 def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
     est, coords = _lyapunov_grid(cfg, model, out / "lyapunov_grid.csv")
-    oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, coords, cfg.sampling.dt, tail_tol=1e-10)
+    oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, coords, cfg.sampling.dt)
     write_grid(coords, oracle, out / "lyapunov_oracle_grid.csv")
     res = cfg.output.grid_resolution
     _say(args, f"wrote lyapunov grids ({res}x{res}, horizon {est.horizon})")

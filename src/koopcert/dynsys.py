@@ -31,9 +31,9 @@ Proof: on the ball |g(x)| <= (a + c |x|^2) |x| <= q |x|, so
 e_{s+1} = A e_s + N(x_{T+s}), so |e_s| <= c |x_T|^3 sum_{j<s} a^(s-1-j) q^(3j)
 <= c |x_T|^3 a^(s-1) / (1 - q^3 / a); and
 ||x_{T+s}|^2 - |A^s x_T|^2| <= |e_s| 2 q^s |x_T|, whose sum over s >= 1 is
-C |x_T|^4. `oracle_lyapunov_batch` ends its orbits with that tail where
-its term is exactly |x|^2 and the bound applies (a < 1 and q^3 < a), and
-keeps its geometric-ratio stop otherwise.
+C |x_T|^4. `_sq_norm_series` ends every orbit of the Lyapunov oracle and
+of the DOA cost table with that tail, and refuses where the bound does not
+apply (a >= 1 or q^3 >= a).
 """
 
 from __future__ import annotations
@@ -222,6 +222,9 @@ def _settle(xs: list, dead: np.ndarray) -> np.ndarray:
     """Squared norms, after adding escaped orbits to dead and parking dead ones at the origin."""
     with np.errstate(over="ignore", invalid="ignore"):
         sq = _sq_norm(xs)
+    # sqrt is monotone and sqrt(GUARD_RADIUS^2) = GUARD_RADIUS exactly; a nan makes the max nan.
+    if np.max(sq) <= GUARD_RADIUS * GUARD_RADIUS and not dead.any():
+        return sq
     dead |= _escaped(sq)
     for x in xs + [sq]:
         np.copyto(x, 0.0, where=dead)
@@ -408,63 +411,80 @@ def _mirror_pairs(xs: list) -> tuple[list, np.ndarray]:
     return [reps[:, i].copy() for i in range(X.shape[1])], inverse
 
 
+def _sq_norm_series(
+    sys: SystemSpec, X: np.ndarray, dt: float, scale: float, tail_tol: float, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """scale sum_t |x_t|^2 along the orbit of each row of X, within tail_tol of the series.
+
+    Each orbit retires at its own first step T with |x_T| <= rho and
+    scale C |x_T|^4 <= tail_tol (one threshold on |x_T|^2, so up to the
+    rounding of a square root), with the value scale (sum_{t<T} |x_t|^2 +
+    x_T' P x_T), P, C and rho from _linear_tail (the bound is in the module
+    docstring); so a row's value does not depend on its batch. An orbit that
+    escapes (_settle) or does not retire within cap steps gets +inf; the
+    second array marks the rows whose orbit escaped. Refuses where
+    _linear_tail gives no bound. One orbit is simulated per {x, -x} pair of
+    rows (_mirror_pairs): the step is odd bit for bit, and the terms, the
+    escape test, the stop and the tail are even in x.
+    """
+    xs, inverse = _mirror_pairs(_orbit_start(sys, X, dt))
+    tail = _linear_tail(sys, dt)
+    if tail is None:
+        raise InvalidInputError(f"{sys.kind} at dt = {dt:g} has no bounded linear tail: a >= 1 or q^3 >= a")
+    P, C, rho = tail
+    stop = min(rho * rho, np.sqrt(tail_tol / (scale * C))) if scale * C > 0 else rho * rho
+    total = np.full(len(xs[0]), np.inf)
+    escaped = np.zeros(len(total), dtype=bool)
+    live = np.arange(len(total))  # the orbits in the batch, in batch order,
+    acc = np.zeros(len(total))  # their sums of squared norms
+    summing = np.ones(len(total), dtype=bool)  # and which of them have neither retired nor escaped
+    for _ in range(cap):
+        dead = np.zeros(len(live), dtype=bool)
+        sq = _settle(xs, dead)
+        done = summing & (sq <= stop)
+        ended = dead.any()
+        if ended:
+            escaped[live[dead]] = True
+            summing &= ~dead
+            done &= ~dead
+        if done.any():
+            i = np.flatnonzero(done)
+            total[live[i]] = scale * (acc[i] + _quad_form(P, [x[i] for x in xs]))
+            summing[i] = False
+            ended = True
+        # Finished orbits step on, unread, until they are an eighth of the
+        # batch: dropping one or two at a time costs more than stepping them.
+        if ended and np.count_nonzero(summing) * 8 <= 7 * len(summing):
+            if not summing.any():
+                break
+            xs, live, acc, sq = [x[summing] for x in xs], live[summing], acc[summing], sq[summing]
+            summing = summing[summing]
+        acc += sq
+        xs = _rk4(sys, xs, dt)
+    return total[inverse], escaped[inverse]
+
+
 def oracle_lyapunov_batch(
     sys: SystemSpec, kw: WeightedKernelSpec, X: np.ndarray, dt: float, tail_tol: float = 1e-10
 ) -> np.ndarray:
     """True Lyapunov value sum_t k_w(x_t, x_t) at each row of X by direct simulation.
 
-    Where the term k_w(x, x) is exactly |x|^2 (weight norm-power with
-    exponent 1) and _linear_tail gives a bound (a = |A|_2 < 1 and
-    q^3 < a, q = a + c rho^2, for linearization's A, c and rho), each value
-    is sum_{t<T} |x_t|^2 + x_T' P x_T, with P = A'PA + I. T is the first
-    step at which every orbit lies in the ball |x| <= rho and
-    C max_i |x_T,i|^4 <= tail_tol, C = 2 c q / ((1 - q a)(1 - q^3 / a)), so
-    each value is within tail_tol of the series (proof in the module
-    docstring). Otherwise, for any other weight or linearization, the series
-    is truncated once the largest running term and its geometric tail
-    estimate both fall below tail_tol; the tail factor is the largest
-    observed one-step ratio over the rows, which is an estimate, not a
-    bound. Identity observable matrix assumed, matching the estimator side.
-    An orbit whose weight overflows or that reaches a non-finite state
-    raises IntegrationBlowupError.
-
-    One orbit is simulated per {x, -x} pair of rows (_mirror_pairs). That
-    is exact because every system kind steps -x to exactly -step(x) (the
-    field is odd and negation commutes with rounding), the terms read x only
-    through its sum of squares, the tail x' P x is even in x bit for bit,
-    and both stopping rules take maxima over the same set of terms: each
-    value is bit-identical to the full batch's.
+    The weight must be |x| (norm-power, exponent 1), so that the term
+    k_w(x, x) is |x|^2; any other weight is refused, since only that series
+    has a bounded tail. Each value is _sq_norm_series's: sum_{t<T} |x_t|^2
+    + x_T' P x_T, within tail_tol of the series, with T the orbit's own
+    stop step. Identity observable matrix assumed, matching the estimator
+    side. An orbit that escapes raises IntegrationBlowupError, and one that
+    does not reach the bound within STEP_CAP steps raises DivergenceError.
     """
-    xs, inverse = _mirror_pairs(_orbit_start(sys, _check_points(X, "X"), dt))
-    exact_sq = kw.weight.kind == "norm-power" and kw.weight.exponent == 1
-    tail = _linear_tail(sys, dt) if exact_sq else None
-    total = np.zeros(len(xs[0]))
-    prev = np.zeros(len(total))
-    alpha = 0.0
-    for t in range(STEP_CAP):
-        try:
-            with np.errstate(over="raise"):
-                sq = _sq_norm(xs)
-                if not np.all(np.isfinite(sq)):
-                    raise IntegrationBlowupError("a grid trajectory produced non-finite state")
-                term = sq if tail is not None else kw.weight.of_sq_norm(sq) ** 2
-        except FloatingPointError as exc:
-            raise IntegrationBlowupError("a grid trajectory overflowed the weight") from exc
-        worst = float(np.max(term))
-        if tail is not None:
-            P, C, rho = tail
-            if worst <= rho * rho and C * worst * worst <= tail_tol:
-                return (total + _quad_form(P, xs))[inverse]
-            total += term
-        else:
-            total += term
-            ratio = np.divide(term, prev, out=np.zeros(len(term)), where=prev > 0)
-            alpha = max(alpha, float(np.sqrt(np.max(ratio))))
-            if worst == 0.0 or (worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol):
-                return total[inverse]
-            prev = term
-        xs = _rk4(sys, xs, dt)
-    raise DivergenceError("weight did not decay within the step cap")
+    if not (kw.weight.kind == "norm-power" and kw.weight.exponent == 1):
+        raise InvalidInputError("the Lyapunov oracle bounds its tail only for the weight |x|")
+    vals, escaped = _sq_norm_series(sys, _check_points(X, "X"), dt, 1.0, tail_tol, STEP_CAP)
+    if escaped.any():
+        raise IntegrationBlowupError(f"a Lyapunov oracle orbit escaped the guard radius {GUARD_RADIUS:g}")
+    if not np.all(np.isfinite(vals)):
+        raise DivergenceError(f"a Lyapunov oracle orbit hit the step cap {STEP_CAP} before its tail bound")
+    return vals
 
 
 def oracle_zubov_batch(
@@ -483,7 +503,7 @@ def oracle_zubov_batch(
     Trajectories that escape the guard radius contribute zero: the
     accumulated cost has already driven the damping factor below double
     precision by then. Rows are simulated independently, one orbit per
-    {x, -x} pair of rows; as in oracle_lyapunov_batch, the odd step and the
+    {x, -x} pair of rows; as in _sq_norm_series, the odd step and the
     sum-of-squares cost, weight and escape test make that bit-exact.
     """
     if steps < 0:

@@ -16,10 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from koopcert import (
-    DivergenceError,
     DomainSpec,
     EtaSpec,
-    IntegrationBlowupError,
     KernelSpec,
     RRRConfig,
     SystemSpec,
@@ -32,8 +30,7 @@ from koopcert import (
     step,
     weight_values,
 )
-from koopcert.certificates import COST_STEP_CAP
-from koopcert.dynsys import GUARD_RADIUS, STEP_CAP, _linear_tail, saturating
+from koopcert.dynsys import GUARD_RADIUS, _linear_tail, saturating
 from koopcert.eigsolve import input_factor, pivoted_cholesky, reduced_rank_eig
 
 
@@ -350,57 +347,6 @@ def stacked_step(sys: SystemSpec, x: np.ndarray, dt: float) -> np.ndarray:
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def stacked_oracle_lyapunov(sys: SystemSpec, kw, X: np.ndarray, dt: float, tail_tol: float = 1e-10):
-    """The Lyapunov oracle loop on the stacked state: weight_values, stacked_step and
-    gathered one-step ratios each step. Where the weight is |x| and _linear_tail gives
-    a bound, each row ends with the linear tail x_T' P x_T, summed in index order,
-    at the first step where every row is within rho and C max |x_T|^4 <= tail_tol."""
-    state = np.asarray(X, dtype=float).copy()
-    total = np.zeros(len(state))
-    tail = None
-    if kw.weight.kind == "norm-power" and kw.weight.exponent == 1:
-        tail = _linear_tail(sys, dt)
-    prev = None
-    alpha = 0.0
-    for _ in range(STEP_CAP):
-        try:
-            with np.errstate(over="raise"):
-                if tail is not None:
-                    term = np.sum(state * state, axis=-1)
-                else:
-                    term = weight_values(kw.weight, state) ** 2
-        except FloatingPointError as exc:
-            raise IntegrationBlowupError("a grid trajectory overflowed the weight") from exc
-        worst = float(np.max(term))
-        if tail is not None:
-            P, C, rho = tail
-            if worst <= rho * rho and C * worst * worst <= tail_tol:
-                n = state.shape[1]
-                quad = 0
-                for i in range(n):
-                    acc = 0
-                    for j in range(n):
-                        acc = acc + P[j, i] * state[:, j]
-                    quad = quad + state[:, i] * acc
-                return total + quad
-            total += term
-        else:
-            total += term
-            if prev is not None:
-                pos = prev > 0
-                if np.any(pos):
-                    alpha = max(alpha, float(np.sqrt(np.max(term[pos] / prev[pos]))))
-            if worst < tail_tol and alpha < 1 and worst / (1.0 - alpha**2) < tail_tol:
-                return total
-            if worst == 0.0:
-                return total
-            prev = term
-        state = stacked_step(sys, state, dt)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationBlowupError("a grid trajectory produced non-finite state")
-    raise DivergenceError("weight did not decay within the step cap")
-
-
 def _park_escaped(state: np.ndarray, dead: np.ndarray) -> None:
     """Add rows that are non-finite or past GUARD_RADIUS to dead and move every dead row to the origin."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -408,31 +354,36 @@ def _park_escaped(state: np.ndarray, dead: np.ndarray) -> None:
     state[dead] = 0.0
 
 
-def stacked_accumulated_costs(sys: SystemSpec, eta, X: np.ndarray, dt: float, tail_tol: float = 1e-6):
-    """The cost accumulation loop on the stacked state: escaped rows parked at the
-    origin, eta.values, per-row one-step ratios and stacked_step each step. A row
-    whose own term and geometric tail are below tail_tol is done: it is parked at
-    the origin too, where it adds zero terms."""
+def stacked_sq_norm_series(sys: SystemSpec, X: np.ndarray, dt: float, scale: float, tail_tol: float, cap: int):
+    """The tail-bounded orbit sum on the stacked state, every row simulated: escaped
+    rows parked at the origin, squared norms by np.sum and stacked_step each step. A
+    row is done at its first step with |x|^2 <= min(rho^2, sqrt(tail_tol / (scale C))),
+    where its value is scale (sum of its earlier |x|^2 + x' P x), the quadratic form
+    summed in index order. Escaped rows and rows not done within cap steps get +inf."""
+    P, C, rho = _linear_tail(sys, dt)
+    stop = min(rho * rho, math.sqrt(tail_tol / (scale * C))) if scale * C > 0 else rho * rho
     state = np.asarray(X, dtype=float).copy()
-    total = np.zeros(len(state))
+    total = np.full(len(state), np.inf)
+    acc = np.zeros(len(state))
     dead = np.zeros(len(state), dtype=bool)
     done = np.zeros(len(state), dtype=bool)
-    prev = np.zeros(len(state))
-    for _ in range(COST_STEP_CAP):
+    for _ in range(cap):
         _park_escaped(state, dead)
+        sq = np.sum(state * state, axis=-1)
+        now = ~dead & ~done & (sq <= stop)
+        quad = 0
+        for i in range(state.shape[1]):
+            inner = 0
+            for j in range(state.shape[1]):
+                inner = inner + P[j, i] * state[:, j]
+            quad = quad + state[:, i] * inner
+        total[now] = scale * (acc[now] + quad[now])
+        done |= now
         if np.all(dead | done):
             break
-        term = eta.values(state)
-        total += term
-        for i in np.flatnonzero(~dead & ~done):
-            ratio = term[i] / prev[i] if prev[i] > 0 else 0.0
-            tail = term[i] * ratio / (1.0 - ratio) if 0 < ratio < 1 else (0.0 if term[i] == 0.0 else np.inf)
-            done[i] = term[i] < tail_tol and tail < tail_tol
-        state[done] = 0.0
-        prev = term
+        acc += sq
         state = stacked_step(sys, state, dt)
     total[dead] = np.inf
-    total[~done & (prev >= tail_tol)] = np.inf
     return total
 
 

@@ -333,7 +333,8 @@ def test_accumulated_costs_linear_closed_form():
     pts = np.array([[1.0, 0.0], [0.5, -0.5]])
     costs = accumulated_costs(sys, eta, pts, dt=1.0, tail_tol=1e-12)
     truth = 0.25 * np.sum(pts * pts, axis=1) / (1.0 - 0.36)
-    np.testing.assert_allclose(costs, truth, rtol=1e-9)
+    # c = 0 for the linear map, so its tail is exact from the first step.
+    np.testing.assert_allclose(costs, truth, rtol=1e-13)
 
 
 def test_accumulated_costs_divergent_orbit_is_infinite():
@@ -342,6 +343,9 @@ def test_accumulated_costs_divergent_orbit_is_infinite():
     pts = np.array([[1.9, 1.9], [0.1, 0.1]])
     costs = accumulated_costs(sys, eta, pts, dt=0.025)
     assert math.isinf(costs[0]) and math.isfinite(costs[1])
+    # At zero cost an orbit still retires only inside the tail ball, so escape still shows.
+    costs = accumulated_costs(sys, EtaSpec(kind="quadratic-norm", scale=0.0), pts, dt=0.025)
+    assert math.isinf(costs[0]) and costs[1] == 0.0
 
 
 def test_estimate_mu_table_monotone_and_bounded():

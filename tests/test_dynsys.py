@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from koopcert import (
     DomainSpec,
     EtaSpec,
     IntegrationBlowupError,
+    InvalidInputError,
     SystemSpec,
     WeightSpec,
     accumulated_costs,
@@ -26,7 +28,9 @@ from koopcert import (
     step,
     trajectory,
 )
+from koopcert.certificates import COST_STEP_CAP
 from koopcert.dynsys import (
+    STEP_CAP,
     SYSTEM_KINDS,
     _field,
     _linear_tail,
@@ -34,7 +38,7 @@ from koopcert.dynsys import (
     _orbit_start,
     _quad_form,
     _rk4,
-    _sq_norm,
+    _settle,
     linearization,
 )
 
@@ -42,9 +46,8 @@ from helpers import (
     fine_step,
     kw_gaussian,
     linear_lyapunov_truth,
-    stacked_accumulated_costs,
-    stacked_oracle_lyapunov,
     stacked_oracle_zubov,
+    stacked_sq_norm_series,
     stacked_step,
 )
 
@@ -174,8 +177,8 @@ def test_oracle_lyapunov_batch_matches_scalar_on_example1():
     pts = np.array([[0.9, 0.4], [-1.1, 0.7]])
     batch = oracle_lyapunov_batch(sys, kw, pts, 0.05, tail_tol=1e-10)
     for i, p in enumerate(pts):
-        single = oracle_lyapunov_batch(sys, kw, p[None, :], 0.05, tail_tol=1e-10)[0]
-        np.testing.assert_allclose(single, batch[i], rtol=1e-10)
+        # Each orbit stops on its own bound, so a row's value does not depend on its batch.
+        assert oracle_lyapunov_batch(sys, kw, p[None, :], 0.05, tail_tol=1e-10)[0] == batch[i]
 
 
 def test_oracle_zubov_linear_closed_form():
@@ -208,13 +211,12 @@ def test_oracle_zubov_escaping_orbit_scores_zero():
         assert rows == list(batch)
         if steps == 400:
             assert np.any(batch == 0.0) and np.any(batch > 0.0)
-    # The second start's weight overflows while its state is still finite;
-    # it must raise the same error without a RuntimeWarning on the way.
+    # Both starts escape; the oracle must say so without a RuntimeWarning on the way.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for x0, power in (([1.9, 1.9], 1.0), ([1.62000904, 0.90343163], 0.5)):
-            with pytest.raises(IntegrationBlowupError):
-                oracle_lyapunov_batch(sys, kw_gaussian(power=power), np.array([x0]), 0.025)
+        for x0 in ([1.9, 1.9], [1.62000904, 0.90343163]):
+            with pytest.raises(IntegrationBlowupError, match="escaped"):
+                oracle_lyapunov_batch(sys, kw_gaussian(), np.array([x0]), 0.025)
 
 
 @pytest.mark.parametrize(
@@ -263,20 +265,20 @@ def test_oracle_lyapunov_bit_identical_to_stacked_loop():
     kw = kw_gaussian()
     coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 21)
     new = oracle_lyapunov_batch(SystemSpec(kind="example1"), kw, coords, 0.05, tail_tol=1e-10)
-    assert np.array_equal(new, stacked_oracle_lyapunov(SystemSpec(kind="example1"), kw, coords, 0.05))
+    assert np.array_equal(new, stacked_sq_norm_series(SystemSpec(kind="example1"), coords, 0.05, 1.0, 1e-10, STEP_CAP))
     # Squared norms keep np.sum's order: sequential below 8 components, pairwise from 8.
     for dim in (3, 9):
         sys = SystemSpec(kind="linear-contraction", dim=dim, a=0.8)
         X = np.random.default_rng(dim).uniform(-2.0, 2.0, (50, dim))
         new = oracle_lyapunov_batch(sys, kw, X, 1.0, tail_tol=1e-10)
-        assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, 1.0))
+        assert np.array_equal(new, stacked_sq_norm_series(sys, X, 1.0, 1.0, 1e-10, STEP_CAP))
     # Mirrored, duplicate and signed-zero rows share one orbit per pair.
     X = np.array(MIRROR_BATCH)
     for sys in (SystemSpec(kind="example1"), SystemSpec(kind="example2"),
                 SystemSpec(kind="linear-contraction", a=0.7)):
         for dt in (0.025, 0.25):
             new = oracle_lyapunov_batch(sys, kw, X, dt, tail_tol=1e-10)
-            assert np.array_equal(new, stacked_oracle_lyapunov(sys, kw, X, dt))
+            assert np.array_equal(new, stacked_sq_norm_series(sys, X, dt, 1.0, 1e-10, STEP_CAP))
 
 
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
@@ -317,11 +319,12 @@ def _ball_states(dim: int, radius: float, count: int, seed: int) -> np.ndarray:
 
 
 def _long_sum(sys: SystemSpec, xs: list, dt: float, steps: int = 2000) -> np.ndarray:
-    """sum_{t<steps} |x_t|^2 of each orbit, from component arrays."""
-    total = np.zeros(len(xs[0]))
+    """sum_{t<steps} |x_t|^2 of each orbit, from component arrays; +inf where the orbit escapes."""
+    total, dead = np.zeros(len(xs[0])), np.zeros(len(xs[0]), dtype=bool)
     for _ in range(steps):
-        total += _sq_norm(xs)
+        total += _settle(xs, dead)
         xs = _rk4(sys, xs, dt)
+    total[dead] = np.inf
     return total
 
 
@@ -368,26 +371,29 @@ def test_oracle_lyapunov_within_tail_tol_of_a_long_sum_on_the_example1_grid():
     assert np.max(np.abs(vals - _long_sum(sys, xs, 0.05)[inverse])) <= 1e-10
 
 
-def test_oracle_lyapunov_keeps_the_ratio_stop_for_another_weight():
-    # w = |x|^0.5 makes the term |x|, not |x|^2, so no linear tail applies.
-    # The hex values are what the ratio-stopped oracle gave before the linear
-    # tail existed; example1's go through libm sin, whose last bits may vary by
-    # platform, so they are held to the unchanged stacked loop instead.
-    kw = kw_gaussian(power=0.5)
-    pts = np.array([[1.5, -1.0], [-0.3, 0.8], [0.02, 0.0], [-1.5, 1.0]])
-    before = {
-        "example2": ["0x1.17f8d55473d5ap+6", "0x1.ccd147959f687p+4", "0x1.9ebdc818902c4p-1"],
-        "linear-contraction": ["0x1.8097963a56c23p+2", "0x1.6c8b4e0e71fdcp+1", "0x1.1111111105494p-4"],
-    }
-    for sys, dt in ((SystemSpec(kind="example2"), 0.025), (SystemSpec(kind="linear-contraction", a=0.7), 1.0)):
-        got = oracle_lyapunov_batch(sys, kw, pts, dt)
-        assert [float(v).hex() for v in got] == before[sys.kind] + before[sys.kind][:1]
-    sys = SystemSpec(kind="example1")
-    assert np.array_equal(oracle_lyapunov_batch(sys, kw, pts, 0.05), stacked_oracle_lyapunov(sys, kw, pts, 0.05))
-    # A weight of |x| where the linearization gives no bound takes the ratio stop too.
-    assert np.array_equal(
-        oracle_lyapunov_batch(sys, kw_gaussian(), pts, 0.8), stacked_oracle_lyapunov(sys, kw_gaussian(), pts, 0.8)
-    )
+def test_oracle_and_costs_refuse_where_no_tail_bound_exists():
+    # w = |x|^0.5 makes the oracle's term |x|, not |x|^2: no tail bound applies.
+    pts = np.array([[1.5, -1.0], [-0.3, 0.8]])
+    for kw in (kw_gaussian(power=0.5), replace(kw_gaussian(), weight=WeightSpec(kind="exp-norm-power"))):
+        with pytest.raises(InvalidInputError, match="weight"):
+            oracle_lyapunov_batch(SystemSpec(kind="linear-contraction", a=0.7), kw, pts, 1.0)
+    # example1 at dt = 0.8 has q^3 >= |A|_2 (test_linear_tail_refused_where_the_bound_fails).
+    sys, eta = SystemSpec(kind="example1"), EtaSpec(kind="quadratic-norm", scale=0.5)
+    with pytest.raises(InvalidInputError, match="no bounded linear tail"):
+        oracle_lyapunov_batch(sys, kw_gaussian(), pts, 0.8)
+    with pytest.raises(InvalidInputError, match="no bounded linear tail"):
+        accumulated_costs(sys, eta, pts, 0.8)
+
+
+def test_accumulated_costs_within_tail_tol_of_a_long_sum_on_an_example2_pool():
+    sys, eta, dt = SystemSpec(kind="example2"), EtaSpec(kind="quadratic-norm", scale=0.5), 0.025
+    pool = sample_uniform(DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0)), 2000, 44)
+    costs = accumulated_costs(sys, eta, pool, dt)
+    ref = eta.scale * _long_sum(sys, [pool[:, i].copy() for i in range(2)], dt, 4000)
+    assert np.array_equal(np.isfinite(costs), np.isfinite(ref))
+    assert np.any(np.isinf(costs)) and np.any(np.isfinite(costs))
+    fin = np.isfinite(ref)
+    assert np.max(np.abs(costs[fin] - ref[fin])) <= 1e-6
 
 
 @pytest.mark.parametrize("dt", [0.025, 0.25])
@@ -400,7 +406,7 @@ def test_cost_and_zubov_loops_bit_identical_to_stacked_loops(dt):
     X = np.array([[0.5, -0.3], [3.0, 3.0], [-1.2, 0.8], [0.0, -4.0], [1.9, 1.9], [0.0, 0.0]]
                  + MIRROR_BATCH + [[-3.0, -3.0], [-0.0, 4.0]])
     costs = accumulated_costs(sys, eta, X, dt)
-    assert np.array_equal(costs, stacked_accumulated_costs(sys, eta, X, dt))
+    assert np.array_equal(costs, stacked_sq_norm_series(sys, X, dt, eta.scale, 1e-6, COST_STEP_CAP))
     assert np.isinf(costs[1]) and np.all(np.isfinite(costs[[0, 2, 5]]))
     weight = WeightSpec(kind="norm-power", exponent=0.5)
     for steps in (0, 1, 6, 40):

@@ -643,6 +643,15 @@ def test_cli_contraction_violated_exits_3(tmp_path):
     assert main(["lyapunov", "--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
+@pytest.mark.parametrize("name, value, text", [("STEP_CAP", 5, "hit the step cap 5"), ("GUARD_RADIUS", 1.0, "escaped")])
+def test_cli_lyapunov_oracle_failure_exits_3_and_says_why(tmp_path, capsys, monkeypatch, name, value, text):
+    monkeypatch.setattr(koopcert.dynsys, name, value)
+    assert main(["reproduce", "example1", "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert lines[-1].startswith("error: ") and text in lines[-1], lines
+    assert not (tmp_path / "o" / "lyapunov_oracle_grid.csv").exists()
+
+
 def _edited_model(edit, m=10):
     """Report on the reference model file after a text edit."""
 
