@@ -10,6 +10,7 @@ bounds for all of them.
 from .certificates import (
     BoundReport,
     DoaEstimate,
+    Grid,
     LyapunovEstimate,
     ZubovEstimate,
     accumulated_costs,
@@ -22,11 +23,13 @@ from .certificates import (
     doa_levels,
     estimate_doa,
     generalization_bound,
-    grid_eval,
     lyapunov_error_bound,
+    lyapunov_grid_values,
     lyapunov_values,
+    regular_grid,
     truncation_horizon,
     zubov_error_bound,
+    zubov_grid_values,
     zubov_values,
 )
 from .config import CertificateConfig, OutputConfig, RunConfig, SamplingConfig, load_config
@@ -66,6 +69,7 @@ from .estimator import (
 )
 from .io import (
     fmt,
+    grid_text,
     read_dataset,
     read_model,
     write_dataset,

@@ -25,11 +25,13 @@ from .dynsys import (
     step,
 )
 from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
-from .estimator import GRID_BLOCK_ROWS, EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
-from .kernels import WeightSpec, gram, weight_values
+from .estimator import EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
+from .kernels import WeightSpec, axis_factors, gram, grid_weight_values, weight_values
 
 HORIZON_CAP = 100_000
 COST_STEP_CAP = 10_000
+# Entries of a grid slab's lead factor (see _grid_values): 2 MB.
+GRID_SLAB_ENTRIES = 1 << 18
 
 
 def truncation_horizon(alpha: float, c_max: float, tol: float) -> int:
@@ -119,13 +121,20 @@ def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None =
     )
 
 
+def _lyapunov_value(est: LyapunovEstimate, wx: np.ndarray, products) -> np.ndarray:
+    """The series value w(x)^2 + z'Pz at points of weight wx, where
+    z = U' k_w(anchors_x, x) is products(U), r along axis -2."""
+    Z = products(est.model.U)
+    return wx * wx + np.sum(Z * (est.P @ Z), axis=-2)
+
+
 def lyapunov_values(est: LyapunovEstimate, X: np.ndarray) -> np.ndarray:
     """Series value at each row of X through the precomputed r x r form."""
     model = est.model
     X = np.asarray(X, dtype=float)
-    w2 = weight_values(model.kw.weight, X) ** 2
-    Z = model.U.T @ gram(model.kw, model.anchors_x, X)
-    return w2 + np.sum(Z * (est.P @ Z), axis=0)
+    return _lyapunov_value(
+        est, weight_values(model.kw.weight, X), lambda C: C.T @ gram(model.kw, model.anchors_x, X)
+    )
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,22 @@ def build_zubov(model: KoopmanModel, steps: int, nu: float = 1.0, varsigma: floa
     return ZubovEstimate(model=model, steps=steps, nu=nu, varsigma=varsigma, g0=g0, coeffs=coeffs)
 
 
+def _zubov_value(est: ZubovEstimate, wx: np.ndarray, products) -> np.ndarray:
+    """The t-step value at points of weight wx: c' k_w(anchors_x, x), which
+    products(c) gives for c as one column, or the saturating observable
+    itself at steps = 0."""
+    if est.steps == 0:
+        return saturating(wx, est.nu, est.varsigma)
+    return products(est.coeffs[:, None])[..., 0, :]
+
+
 def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
     """Estimated t-step damped stability value at each row of X."""
+    model = est.model
     X = np.asarray(X, dtype=float)
-    if est.steps == 0:
-        return saturating(weight_values(est.model.kw.weight, X), est.nu, est.varsigma)
-    Kx = gram(est.model.kw, est.model.anchors_x, X)
-    return est.coeffs @ Kx
+    return _zubov_value(
+        est, weight_values(model.kw.weight, X), lambda C: C.T @ gram(model.kw, model.anchors_x, X)
+    )
 
 
 def c_nu(nu: float, varsigma: float) -> float:
@@ -392,18 +410,27 @@ def bound_report(
     )
 
 
-def grid_eval(fn, dom: DomainSpec, resolution: int = 101) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a batch function on a regular grid over the domain box.
+@dataclass(frozen=True)
+class Grid:
+    """A regular tensor grid, one array of values per axis. Its points are
+    in row-major order (first axis slowest); a grid row is the line of
+    points along the last axis."""
 
-    fn maps an (N, n) array of states to an (N,) array of values. Returns
-    (coords, values) with coords in row-major order (first axis slowest),
-    covering the bounding box of the domain. fn sees blocks of at most
-    GRID_BLOCK_ROWS states, so its m x rows Gram does not grow with the grid.
+    axes: tuple[np.ndarray, ...]
+
+    def coords(self) -> np.ndarray:
+        """The (N, n) array of the grid's points."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def regular_grid(dom: DomainSpec, resolution: int = 101) -> Grid:
+    """The resolution^n grid over the bounding box of the domain.
 
     Each axis is c + h*t with c = (lo + hi)/2, h = (hi - lo)/2 and
     t = (2i - (res-1))/(res-1), its ends set to exactly lo and hi. So on a box
-    symmetric about the origin (any ball's box) row N-1-p of coords is
-    exactly -(row p), and the oracles simulate one orbit per such pair.
+    symmetric about the origin (any ball's box) point N-1-p of the grid is
+    exactly -(point p), and the oracles simulate one orbit per such pair.
     """
     if resolution < 2:
         raise InvalidInputError("grid resolution must be >= 2")
@@ -411,13 +438,56 @@ def grid_eval(fn, dom: DomainSpec, resolution: int = 101) -> tuple[np.ndarray, n
     t = np.arange(1 - resolution, resolution, 2) / (resolution - 1)
     axes = ((lo + hi) / 2)[:, None] + ((hi - lo) / 2)[:, None] * t
     axes[:, 0], axes[:, -1] = lo, hi
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = np.empty(len(coords))
-    for start in range(0, len(coords), GRID_BLOCK_ROWS):
-        block = coords[start : start + GRID_BLOCK_ROWS]
-        vals = np.asarray(fn(block), dtype=float)
-        if vals.shape != (len(block),):
-            raise InvalidInputError("grid function must return one value per state")
-        values[start : start + len(block)] = vals
-    return coords, values
+    return Grid(tuple(axes))
+
+
+def grid_slab_rows(m: int, width: int) -> int:
+    """Grid rows per slab for m anchors and a coefficient matrix of width columns."""
+    return max(1, GRID_SLAB_ENTRIES // (m * width))
+
+
+def _grid_values(value, est, grid: Grid, width: int) -> np.ndarray:
+    """value(est, wx, products) at every point of the grid, in row-major order.
+
+    No Gram of the anchors with the grid is built. The grid rows are taken
+    in slabs of grid_slab_rows(m, width). For C of width columns, products(C)
+    gives C' K_w(anchors_x, x) at the slab's points, (rows, width, points per
+    row), as one GEMM F' E_last scaled by w(x): E_d are the axis factors and
+    F[a, (row, j)] = w(a) C[a, j] prod_(d < n-1) E_d[a, i_d(row)] is the
+    slab's lead factor. F and the product live in two buffers that every slab
+    reuses, so the stage allocates no array per slab above m x rows.
+    """
+    model = est.model
+    *lead, last = axis_factors(model.kw.kernel, model.anchors_x, grid.axes)
+    wa = weight_values(model.kw.weight, model.anchors_x)
+    wx = grid_weight_values(model.kw.weight, grid.axes).reshape(-1, last.shape[1])
+    values = np.empty_like(wx)
+    step = grid_slab_rows(len(wa), width)
+    F_buf, G_buf = np.empty(len(wa) * step * width), np.empty(step * width * last.shape[1])
+    for start in range(0, len(wx), step):
+        rows = np.arange(start, min(start + step, len(wx)))
+        lead_w = np.repeat(wa[:, None], len(rows), axis=1)
+        if lead:
+            for E, i in zip(lead, np.unravel_index(rows, [len(t) for t in grid.axes[:-1]])):
+                lead_w *= E[:, i]
+
+        def products(C, lead_w=lead_w, rows=rows):
+            F = F_buf[: lead_w.size * width].reshape(lead_w.shape + (width,))
+            np.multiply(lead_w[:, :, None], C[:, None, :], out=F)
+            G = G_buf[: len(rows) * width * last.shape[1]].reshape(len(rows), width, -1)
+            np.matmul(F.reshape(len(C), -1).T, last, out=G.reshape(-1, last.shape[1]))
+            G *= wx[rows, None, :]
+            return G
+
+        values[rows] = value(est, wx[rows], products)
+    return values.ravel()
+
+
+def lyapunov_grid_values(est: LyapunovEstimate, grid: Grid) -> np.ndarray:
+    """lyapunov_values at the grid's points, from the axis factors."""
+    return _grid_values(_lyapunov_value, est, grid, est.model.rank)
+
+
+def zubov_grid_values(est: ZubovEstimate, grid: Grid) -> np.ndarray:
+    """zubov_values at the grid's points, from the axis factors."""
+    return _grid_values(_zubov_value, est, grid, 1)

@@ -19,10 +19,10 @@ from .certificates import (
     build_zubov,
     doa_levels,
     estimate_doa,
-    grid_eval,
-    lyapunov_values,
+    lyapunov_grid_values,
+    regular_grid,
     zubov_error_bound,
-    zubov_values,
+    zubov_grid_values,
 )
 from .config import EXAMPLE1_CONFIG, EXAMPLE2_CONFIG, RunConfig, load_config
 from .dynsys import (
@@ -43,6 +43,7 @@ from .errors import (
 from .estimator import fit_koopman, fit_zubov_koopman, predict_observables
 from .io import (
     fmt,
+    grid_text,
     read_dataset,
     read_model,
     write_dataset,
@@ -152,31 +153,32 @@ def _report(cfg: RunConfig, model, path: Path, heldout: bool = False):
     return report
 
 
-def _lyapunov_grid(cfg: RunConfig, model, path: Path):
-    """Build the series certificate and write its grid; returns it and the grid points."""
+def _write_grids(grid, files: dict) -> None:
+    """Write each path's values on the grid; the files share one grid text."""
+    text = grid_text(grid.axes)
+    for path, values in files.items():
+        write_grid(text, values, path)
+
+
+def _lyapunov_grid(cfg: RunConfig, model):
+    """Build the series certificate; returns it, the run's grid and its values there."""
     est = build_lyapunov(model, tol=cfg.certificate.tol, horizon=cfg.certificate.horizon)
     if est.alpha_source != "op_norm":
         _warn(
             f"fitted operator norm {fmt(model.diagnostics.op_norm)} >= 1; horizon "
             f"chosen from the observed decay ratio {fmt(est.alpha)} instead"
         )
-    coords, vals = grid_eval(
-        lambda pts: lyapunov_values(est, pts), cfg.domain, cfg.output.grid_resolution
-    )
-    write_grid(coords, vals, path)
-    return est, coords
+    grid = regular_grid(cfg.domain, cfg.output.grid_resolution)
+    return est, grid, lyapunov_grid_values(est, grid)
 
 
-def _zubov_grid(cfg: RunConfig, model, path: Path):
-    """Build the t-step indicator and write its grid; returns t and the grid points."""
+def _zubov_grid(cfg: RunConfig, model):
+    """Build the t-step indicator; returns t, the run's grid and its values there."""
     cert = cfg.certificate
     steps = cert.zubov_steps(cfg.sampling.dt)
     est = build_zubov(model, steps, nu=cert.nu, varsigma=cert.varsigma)
-    coords, vals = grid_eval(
-        lambda pts: zubov_values(est, pts), cfg.domain, cfg.output.grid_resolution
-    )
-    write_grid(coords, vals, path)
-    return steps, coords
+    grid = regular_grid(cfg.domain, cfg.output.grid_resolution)
+    return steps, grid, zubov_grid_values(est, grid)
 
 
 def cmd_lyapunov(args) -> int:
@@ -184,7 +186,8 @@ def cmd_lyapunov(args) -> int:
     out = _outdir(args, cfg)
     model = _read_model(args, out)
     grid_path, report_path = out / "lyapunov_grid.csv", out / "report.txt"
-    est, _ = _lyapunov_grid(cfg, model, grid_path)
+    est, grid, values = _lyapunov_grid(cfg, model)
+    _write_grids(grid, {grid_path: values})
     _report(cfg, model, report_path)
     _say(args, f"wrote {grid_path} and {report_path}")
     _say(args, f"series horizon = {est.horizon}, tail bound = {fmt(est.tail_bound)}")
@@ -196,7 +199,8 @@ def cmd_zubov(args) -> int:
     out = _outdir(args, cfg)
     model = _read_model(args, out)
     grid_path, report_path = out / "zubov_grid.csv", out / "report.txt"
-    steps, _ = _zubov_grid(cfg, model, grid_path)
+    steps, grid, values = _zubov_grid(cfg, model)
+    _write_grids(grid, {grid_path: values})
     report = _report(cfg, model, report_path)
     cert = cfg.certificate
     err = zubov_error_bound(
@@ -221,9 +225,9 @@ def cmd_report(args) -> int:
 
 
 def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
-    est, coords = _lyapunov_grid(cfg, model, out / "lyapunov_grid.csv")
-    oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, coords, cfg.sampling.dt)
-    write_grid(coords, oracle, out / "lyapunov_oracle_grid.csv")
+    est, grid, values = _lyapunov_grid(cfg, model)
+    oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, grid.coords(), cfg.sampling.dt)
+    _write_grids(grid, {out / "lyapunov_grid.csv": values, out / "lyapunov_oracle_grid.csv": oracle})
     res = cfg.output.grid_resolution
     _say(args, f"wrote lyapunov grids ({res}x{res}, horizon {est.horizon})")
 
@@ -252,11 +256,11 @@ def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
 
 def _reproduce_zubov(args, cfg: RunConfig, model, out: Path) -> None:
     cert = cfg.certificate
-    steps, coords = _zubov_grid(cfg, model, out / "zubov_grid.csv")
+    steps, grid, values = _zubov_grid(cfg, model)
     oracle = oracle_zubov_batch(
-        cfg.system, cfg.kw.weight, cfg.eta, coords, cfg.sampling.dt, steps, cert.nu, cert.varsigma
+        cfg.system, cfg.kw.weight, cfg.eta, grid.coords(), cfg.sampling.dt, steps, cert.nu, cert.varsigma
     )
-    write_grid(coords, oracle, out / "zubov_oracle_grid.csv")
+    _write_grids(grid, {out / "zubov_grid.csv": values, out / "zubov_oracle_grid.csv": oracle})
     res = cfg.output.grid_resolution
     _say(args, f"wrote zubov grids ({res}x{res}, {steps} steps)")
 

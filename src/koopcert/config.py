@@ -5,17 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .certificates import HORIZON_CAP
+from .certificates import HORIZON_CAP, grid_slab_rows
 from .dynsys import DomainSpec, SystemSpec
 from .errors import InvalidInputError
-from .estimator import GRID_BLOCK_ROWS, EtaSpec, RRRConfig
+from .estimator import EtaSpec, RRRConfig
 from .io import build_section, read_ini
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
 # Largest dense float64 array a run may ask for: an m x m Gram of the fit,
-# the m x GRID_BLOCK_ROWS Gram of a grid block, or the grid's coordinates
-# and values (see README, "Work-size cap").
+# a kernel factor of a grid axis, a grid slab's lead factor or product, or
+# the grid's coordinates and values (see README, "Work-size cap").
 WORK_BYTES_CAP = 512 * 2**20
 
 
@@ -111,14 +111,20 @@ SECTIONS = {
 }
 
 
-def _check_work_size(dim: int, sampling: SamplingConfig, cert: CertificateConfig, res: int) -> None:
+def _check_work_size(
+    dim: int, sampling: SamplingConfig, rank: int, cert: CertificateConfig, res: int
+) -> None:
     """Refuse an array above WORK_BYTES_CAP bytes, a horizon outside [0, HORIZON_CAP] steps,
     or a zubov horizon that rounds to no step."""
     m, points = sampling.m, res ** min(dim, 32)  # 2^32 grid points already pass the cap
-    block = min(points, GRID_BLOCK_ROWS)
+    # the certificate's coefficients: U (m x rank) for the series, one column for zubov
+    width = rank if cert.mode == "lyapunov" else 1
+    slab = min(points // res, grid_slab_rows(m, width)) * width
     arrays = {
         f"the {m} x {m} Gram of the fit": 8 * m * m,
-        f"the {m} x {block} Gram of a grid block": 8 * m * block,
+        f"the {m} x {res} kernel factor of a grid axis": 8 * m * res,
+        f"the {m} x {slab} lead factor of a grid slab": 8 * m * slab,
+        f"the {slab} x {res} product of a grid slab": 8 * slab * res,
         f"the {points} x {dim + 1} coordinates and values of the {res}^{dim} grid": 8 * points * (dim + 1),
     }
     for name, need in arrays.items():
@@ -159,7 +165,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         if name != "eta" or name in ini
     }
     system, sampling = spec["system"], spec["sampling"]
-    _check_work_size(system.dim, sampling, spec["certificate"], spec["output"].grid_resolution)
+    _check_work_size(
+        system.dim, sampling, spec["rrr"].rank, spec["certificate"], spec["output"].grid_resolution
+    )
     if spec["domain"].kind == "ball":
         spec["domain"] = DomainSpec.ball(spec["domain"].radius, dim=system.dim)
     cfg = RunConfig(kw=WeightedKernelSpec(spec.pop("kernel"), spec.pop("weight")), **spec)

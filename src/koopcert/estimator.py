@@ -35,10 +35,9 @@ from .eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_
 from .errors import EtaMismatchError, InvalidInputError
 from .kernels import WeightedKernelSpec, gram, weight_values
 
-# Fresh states per Gram against the anchors, for certificate grids and
-# held-out pairs: the m x rows Gram of a block is 8 MB at the examples'
-# m = 500 anchors (8 * 500 * 2048 bytes).
-GRID_BLOCK_ROWS = 2048
+# Held-out pairs per Gram against the anchors: the m x rows Gram of a
+# block is 8 MB at the examples' m = 500 anchors (8 * 500 * 2048 bytes).
+HELDOUT_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -318,13 +317,13 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs.
 
-    The pairs are taken GRID_BLOCK_ROWS at a time, so an m x rows Gram of
+    The pairs are taken HELDOUT_BLOCK_ROWS at a time, so an m x rows Gram of
     a block, not an m x m_h one, is the largest array built.
     """
     dh = _checked_damping(ds, model.eta)
     losses = []
-    for start in range(0, len(ds), GRID_BLOCK_ROWS):
-        part = slice(start, start + GRID_BLOCK_ROWS)
+    for start in range(0, len(ds), HELDOUT_BLOCK_ROWS):
+        part = slice(start, start + HELDOUT_BLOCK_ROWS)
         X, Y, d = ds.X[part], ds.Y[part], None if dh is None else dh[part]
         # each Gram lives only for its product, so one block's is held at a time
         Z = model.U.T @ gram(model.kw, model.anchors_x, X)

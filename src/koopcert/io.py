@@ -303,10 +303,26 @@ def read_model(path: str | Path) -> KoopmanModel:
     return model
 
 
-def write_grid(coords: np.ndarray, values: np.ndarray, path: str | Path) -> None:
-    """CSV with one row per grid point: coordinates then the value."""
-    header = ",".join([f"x{i+1}" for i in range(coords.shape[1])] + ["value"])
-    _write_rows(path, header, np.column_stack([coords, values]))
+def grid_text(axes) -> str:
+    """The text of a grid CSV with a %.17g slot for each value: the header
+    x1, ..., xn, value, then one line per point of the tensor grid of axes,
+    in row-major order, its coordinates then the slot.
+
+    Each axis value is formatted once, and a grid's text is built once
+    however many value grids are written on it.
+    """
+    lines = [""]
+    for t in axes:
+        cells = ["%.17g," % v for v in t.tolist()]
+        lines = [line + cell for line in lines for cell in cells]
+    header = ",".join([f"x{i+1}" for i in range(len(axes))] + ["value"])
+    return header + "\n" + "%.17g\n".join(lines) + "%.17g\n"
+
+
+def write_grid(text: str, values: np.ndarray, path: str | Path) -> None:
+    """A grid CSV: grid_text's text with its slots filled by the values,
+    in the text of _write_rows."""
+    Path(path).write_text(text % tuple(values.tolist()))
 
 
 def write_report(report: BoundReport, path: str | Path) -> None:

@@ -13,6 +13,11 @@ are blocked, so the Gram of a set with itself is exactly symmetric. It runs
 in the calling thread, under the caller's numpy error state, so an
 ``np.errstate(over="raise")`` around a call turns an overflow into a
 FloatingPointError.
+
+On a tensor grid no Gram is built: the Gaussian is a product over
+coordinates, so ``axis_factors`` gives one small factor per axis, and the
+Gram of the anchors with the grid is their row-wise Kronecker
+(Khatri-Rao) product, which the certificates contract axis by axis.
 """
 
 from __future__ import annotations
@@ -104,6 +109,36 @@ def weight_values(w: WeightSpec, X: np.ndarray, scale: np.ndarray | None = None)
     if scale is not None and np.shape(scale) != wx.shape:
         raise InvalidInputError("a scale must hold one value per point")
     return wx if scale is None else wx * scale
+
+
+def grid_weight_values(w: WeightSpec, axes) -> np.ndarray:
+    """The weight at every point of the tensor grid of axes, shape (len(axes[0]), ...).
+
+    Squared norms are summed one coordinate at a time, in order, which is
+    np.sum's order below 8 coordinates; so there each value equals
+    weight_values at the grid point bit for bit.
+    """
+    sq = axes[0] * axes[0]
+    for t in axes[1:]:
+        sq = np.add.outer(sq, t * t)
+    return w.of_sq_norm(sq)
+
+
+def axis_factors(k: KernelSpec, A: np.ndarray, axes) -> list[np.ndarray]:
+    """Per-axis factors E_d = [exp(-gamma (a_d - t_i)^2)], len(A) x len(t), for
+    each axis t = axes[d] of a tensor grid.
+
+    At the grid point (axes[0][i_0], ..., axes[n-1][i_(n-1)]) the base kernel
+    is prod_d E_d[a, i_d]: n arrays of len(A) x len(t) entries stand in for
+    the len(A) x N Gram of the N-point grid.
+    """
+    factors = []
+    for d, t in enumerate(axes):
+        e = np.subtract(A[:, d, None], t)
+        e *= e
+        e *= -k.gamma
+        factors.append(np.exp(e, out=e))
+    return factors
 
 
 def base_gram(

@@ -22,11 +22,12 @@ from koopcert import (
     fit_koopman,
     generalization_bound,
     gram,
-    grid_eval,
     heldout_risk,
     lyapunov_error_bound,
+    lyapunov_grid_values,
     lyapunov_values,
     make_dataset,
+    regular_grid,
     step,
     zubov_error_bound,
     zubov_values,
@@ -178,9 +179,8 @@ def test_criterion_07_sinusoidal_system_certificate(acceptance):
     t0 = time.perf_counter()
     _, _, model = example1_model()
     est = build_lyapunov(model, tol=1e-6)
-    coords, vals = grid_eval(
-        lambda pts: lyapunov_values(est, pts), DomainSpec.ball(2.0), 101
-    )
+    grid = regular_grid(DomainSpec.ball(2.0), 101)
+    coords, vals = grid.coords(), lyapunov_grid_values(est, grid)
     rad = np.linalg.norm(coords, axis=1)
     positive = bool(np.all(vals[rad > 0.25] > 0.0))
     mapped = step(SystemSpec(kind="example1"), coords, 0.05)

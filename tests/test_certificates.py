@@ -12,6 +12,7 @@ from koopcert import (
     DomainSpec,
     EtaSpec,
     InvalidInputError,
+    RRRConfig,
     SystemSpec,
     WeightSpec,
     accumulated_costs,
@@ -23,15 +24,20 @@ from koopcert import (
     doa_level_threshold,
     doa_levels,
     estimate_doa,
+    fit_koopman,
+    fit_zubov_koopman,
     generalization_bound,
-    grid_eval,
     lyapunov_error_bound,
+    lyapunov_grid_values,
     lyapunov_values,
+    make_dataset,
+    regular_grid,
     sample_uniform,
     step,
     truncation_horizon,
     weight_values,
     zubov_error_bound,
+    zubov_grid_values,
     zubov_values,
 )
 
@@ -46,6 +52,7 @@ from helpers import (
     linear_model,
     mp_generalization_bound,
     ring_points,
+    traced_peak,
 )
 
 
@@ -418,47 +425,69 @@ def test_bound_report_fields():
     np.testing.assert_allclose(zrep.zubov_const, c_nu(1.0, 0.1) / 0.1, rtol=1e-15)
 
 
-def test_grid_eval_row_major_coords():
+def test_regular_grid_row_major_coords():
     dom = DomainSpec(kind="box", lo=(0.0, 0.0), hi=(1.0, 2.0))
-    coords, vals = grid_eval(lambda pts: pts[:, 0] + pts[:, 1], dom, resolution=3)
+    coords = regular_grid(dom, resolution=3).coords()
     assert coords.shape == (9, 2)
     np.testing.assert_allclose(coords[0], [0.0, 0.0])
     np.testing.assert_allclose(coords[1], [0.0, 1.0])
     np.testing.assert_allclose(coords[3], [0.5, 0.0])
-    np.testing.assert_allclose(vals, coords[:, 0] + coords[:, 1], rtol=1e-15)
     with pytest.raises(InvalidInputError):
-        grid_eval(lambda pts: pts[:, 0], dom, resolution=1)
-    with pytest.raises(InvalidInputError):
-        grid_eval(lambda pts: np.zeros((3, 3)), dom, resolution=2)
+        regular_grid(dom, resolution=1)
 
 
-def test_grid_eval_axes_are_exactly_symmetric_with_exact_ends():
+def test_regular_grid_axes_are_exactly_symmetric_with_exact_ends():
     square = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     for dom in (square, DomainSpec.ball(2.0), DomainSpec.ball(1.7, dim=3)):
         for res in (100, 101):
-            coords, _ = grid_eval(lambda pts: pts[:, 0], dom, res)
+            coords = regular_grid(dom, res).coords()
             lo, hi = dom.bounding_box()
             assert np.array_equal(coords[::-1], -coords)
             assert np.array_equal(coords[0], lo) and np.array_equal(coords[-1], hi)
     off = DomainSpec(kind="box", lo=(0.0, 0.0), hi=(1.0, 2.0))
-    coords, _ = grid_eval(lambda pts: pts[:, 0], off, 101)
+    coords = regular_grid(off, 101).coords()
     assert np.array_equal(coords[0], [0.0, 0.0]) and np.array_equal(coords[-1], [1.0, 2.0])
     assert np.array_equal(coords[100], [0.0, 2.0]) and np.array_equal(coords[-101], [1.0, 0.0])
     np.testing.assert_allclose(coords[::101, 0], np.linspace(0.0, 1.0, 101), rtol=0, atol=2.3e-16)
 
 
-def test_grid_eval_blocks_match_one_call():
-    dom = DomainSpec.ball(2.0)
-    seen = []
+def _linear_fits(dim: int):
+    """A plain and a damped fit of x -> 0.6 x on the radius-1.5 ball in dim dimensions."""
+    kw, eta = kw_gaussian(), EtaSpec(kind="quadratic-norm", scale=0.5)
+    sys, dom = SystemSpec(kind="linear-contraction", dim=dim, a=0.6), DomainSpec.ball(1.5, dim=dim)
+    plain = fit_koopman(make_dataset(sys, dom, 80, 1.0, 5, kw.weight), kw, RRRConfig(rank=8))
+    damped = make_dataset(sys, dom, 80, 1.0, 5, kw.weight, eta=eta)
+    return plain, fit_zubov_koopman(damped, kw, eta, RRRConfig(rank=8))
 
-    def fn(pts):
-        seen.append(len(pts))
-        return np.sin(pts[:, 0]) * pts[:, 1]
 
-    coords, vals = grid_eval(fn, dom, resolution=101)
-    assert len(coords) == 101**2 > certificates.GRID_BLOCK_ROWS
-    assert max(seen) <= certificates.GRID_BLOCK_ROWS and sum(seen) == len(coords)
-    assert np.array_equal(vals, fn(coords))
-    est = build_lyapunov(example1_model()[2], tol=1e-6)
-    _, lyap = grid_eval(lambda pts: lyapunov_values(est, pts), dom, resolution=101)
-    np.testing.assert_allclose(lyap, lyapunov_values(est, coords), rtol=1e-12)
+def test_certificate_grids_match_the_point_path(monkeypatch):
+    # The grid path contracts per-axis kernel factors instead of building the
+    # m x N Gram, so it rounds differently: normwise within 1e-13 of the point path.
+    def close(grid_vals, point_vals):
+        assert np.max(np.abs(grid_vals - point_vals)) <= 1e-13 * np.max(np.abs(point_vals))
+
+    _, _, model1 = example1_model()
+    lyap = build_lyapunov(model1, tol=1e-6)
+    grid = regular_grid(DomainSpec.ball(2.0), 101)
+    close(lyapunov_grid_values(lyap, grid), lyapunov_values(lyap, grid.coords()))
+    # the slabs hold one 2 MB lead factor, not the 500 x 2048 Gram of a block (9.5 MB traced)
+    assert traced_peak(lambda: lyapunov_grid_values(lyap, grid)) < 5e6
+    _, _, _, model2 = example2_model()
+    box = regular_grid(DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0)), 101)
+    for steps in (1, 6):
+        est = build_zubov(model2, steps)
+        close(zubov_grid_values(est, box), zubov_values(est, box.coords()))
+    # at steps = 0 both paths are the saturating observable of the same weights
+    est = build_zubov(model2, 0)
+    assert np.array_equal(zubov_grid_values(est, box), zubov_values(est, box.coords()))
+    for dim, res in ((1, 301), (3, 17)):
+        plain, damped = _linear_fits(dim)
+        # an off-centre box, so no axis is the mirror of itself
+        grid = regular_grid(DomainSpec(kind="box", lo=(-1.5, -0.5, -1.0)[:dim], hi=(1.0, 1.5, 0.5)[:dim]), res)
+        lyap, est = build_lyapunov(plain, tol=1e-8), build_zubov(damped, 2)
+        # one slab for the whole grid, then one grid row per slab
+        for entries in (certificates.GRID_SLAB_ENTRIES, 1):
+            monkeypatch.setattr(certificates, "GRID_SLAB_ENTRIES", entries)
+            close(lyapunov_grid_values(lyap, grid), lyapunov_values(lyap, grid.coords()))
+            close(zubov_grid_values(est, grid), zubov_values(est, grid.coords()))
+

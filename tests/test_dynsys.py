@@ -20,10 +20,10 @@ from koopcert import (
     WeightSpec,
     accumulated_costs,
     check_decay_ratio,
-    grid_eval,
     make_dataset,
     oracle_lyapunov_batch,
     oracle_zubov_batch,
+    regular_grid,
     sample_uniform,
     step,
     trajectory,
@@ -263,7 +263,7 @@ def test_mirror_pairs_keep_one_start_per_pair():
 
 def test_oracle_lyapunov_bit_identical_to_stacked_loop():
     kw = kw_gaussian()
-    coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 21)
+    coords = regular_grid(DomainSpec.ball(2.0), 21).coords()
     new = oracle_lyapunov_batch(SystemSpec(kind="example1"), kw, coords, 0.05, tail_tol=1e-10)
     assert np.array_equal(new, stacked_sq_norm_series(SystemSpec(kind="example1"), coords, 0.05, 1.0, 1e-10, STEP_CAP))
     # Squared norms keep np.sum's order: sequential below 8 components, pairwise from 8.
@@ -286,7 +286,7 @@ def test_every_system_steps_odd_bit_for_bit(kind):
     # The oracles simulate one orbit per {x, -x} pair of states, which is exact
     # only while step(-x) == -step(x) bit for bit; a kind that breaks it fails here.
     sys = SystemSpec(kind=kind, a=0.7 if kind == "linear-contraction" else None)
-    coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 101)
+    coords = regular_grid(DomainSpec.ball(2.0), 101).coords()
     # example2 sends [3, 3] to x2 = inf and, at dt = 0.25, [0, -4] to nan
     X0 = np.concatenate([coords, [[3.0, 3.0], [0.0, -4.0]]])
     for dt in (0.025, 0.25):
@@ -365,7 +365,7 @@ def test_linear_tail_refused_where_the_bound_fails():
 
 def test_oracle_lyapunov_within_tail_tol_of_a_long_sum_on_the_example1_grid():
     sys = SystemSpec(kind="example1")
-    coords, _ = grid_eval(lambda pts: pts[:, 0], DomainSpec.ball(2.0), 101)
+    coords = regular_grid(DomainSpec.ball(2.0), 101).coords()
     vals = oracle_lyapunov_batch(sys, kw_gaussian(), coords, 0.05, tail_tol=1e-10)
     xs, inverse = _mirror_pairs(_orbit_start(sys, coords, 0.05))
     assert np.max(np.abs(vals - _long_sum(sys, xs, 0.05)[inverse])) <= 1e-10

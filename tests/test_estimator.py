@@ -26,7 +26,7 @@ from koopcert import (
 )
 from koopcert import DomainSpec, SystemSpec
 from koopcert.eigsolve import pivoted_cholesky
-from koopcert.estimator import GRID_BLOCK_ROWS
+from koopcert.estimator import HELDOUT_BLOCK_ROWS
 
 from helpers import (
     dense_diagnostics,
@@ -293,7 +293,7 @@ def test_heldout_risk_on_training_data_is_empirical_risk():
 
 
 def test_heldout_risk_walks_the_pairs_in_blocks():
-    # 4500 fresh pairs span three blocks of GRID_BLOCK_ROWS; the risk is one
+    # 4500 fresh pairs span three blocks of HELDOUT_BLOCK_ROWS; the risk is one
     # mean over every pair, and no m x 4500 Gram is built whole
     ds1, _, model1 = example1_model()
     ds2, _, eta, model2 = example2_model()
@@ -303,7 +303,7 @@ def test_heldout_risk_walks_the_pairs_in_blocks():
         (model2, make_dataset(SystemSpec(kind="example2"), box, 4500, 0.025, 43, model2.kw.weight, eta=eta)),
     )
     for model, fresh in cases:
-        assert len(fresh) > 2 * GRID_BLOCK_ROWS
+        assert len(fresh) > 2 * HELDOUT_BLOCK_ROWS
         np.testing.assert_allclose(heldout_risk(model, fresh), dense_heldout_risk(model, fresh), rtol=1e-12)
         peak = traced_peak(lambda: heldout_risk(model, fresh))
         assert peak < 8 * len(model) * len(fresh), f"peak {peak / (8 * len(model) * len(fresh)):.2f} Grams"

@@ -31,10 +31,12 @@ from koopcert import (
     fit_zubov_koopman,
     fmt,
     gram,
+    grid_text,
     load_config,
     make_dataset,
     read_dataset,
     read_model,
+    regular_grid,
     write_dataset,
     write_grid,
     write_model,
@@ -207,14 +209,30 @@ def test_read_model_missing_section(tmp_path):
 
 
 def test_write_grid_layout(tmp_path):
-    coords = np.array([[0.0, 1.0], [2.0, 3.0]])
-    vals = np.array([0.5, 0.25])
+    axes = (np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+    vals = np.array([0.5, 0.25, -1.0, 0.1])
     path = tmp_path / "grid.csv"
-    write_grid(coords, vals, path)
+    write_grid(grid_text(axes), vals, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x1,x2,value"
-    row = lines[1].split(",")
-    assert float(row[0]) == 0.0 and float(row[2]) == 0.5
+    assert lines[1:] == ["0,1,0.5", "0,3,0.25", "2,1,-1", "2,3,0.10000000000000001"]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, res",
+    [((-1.0,), (2.5,), 7), ((0.3, -2.0), (1.7, 0.1), 11), ((0.3, -2.0), (1.7, 0.1), 12),
+     ((-1.0, 0.0, -0.5), (1.0, 1e-3, 2.0), 5)],
+    ids=["1d", "2d-off-centre-odd", "2d-off-centre-even", "3d"],
+)
+def test_write_grid_bytes_equal_the_row_writer(tmp_path, lo, hi, res):
+    # each axis value is formatted once, yet the file is the row writer's text
+    grid = regular_grid(DomainSpec(kind="box", lo=lo, hi=hi), res)
+    rng = np.random.default_rng(res)
+    vals = rng.normal(size=res ** len(lo)) * 10.0 ** rng.integers(-12, 12, size=res ** len(lo))
+    write_grid(grid_text(grid.axes), vals, tmp_path / "grid.csv")
+    header = ",".join([f"x{i + 1}" for i in range(len(lo))] + ["value"])
+    _write_rows(tmp_path / "rows.csv", header, np.column_stack([grid.coords(), vals]))
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_report_round_trip(tmp_path):
@@ -424,8 +442,8 @@ def test_config_work_size_caps(tmp_path):
     assert 8 * cfg.sampling.m**2 == WORK_BYTES_CAP and cfg.certificate.horizon == HORIZON_CAP
     path.write_text(at_cap.replace("resolution = 90", "resolution = 4729"))
     assert 24 * load_config(path).output.grid_resolution ** 2 <= WORK_BYTES_CAP
-    # the certificate sees GRID_BLOCK_ROWS states at a time, so m = 500 with a
-    # 400 x 400 grid holds an 8 MB Gram block, not a 640 MB m x 160000 Gram
+    # the grid path contracts two 500 x 400 axis factors slab by slab, so m = 500
+    # with a 400 x 400 grid holds no 640 MB m x 160000 Gram
     path.write_text(LINEAR_CONFIG.replace("m = 60", "m = 500").replace("resolution = 5", "resolution = 400"))
     assert 8 * load_config(path).sampling.m * 400**2 > WORK_BYTES_CAP
     for over, array in (
