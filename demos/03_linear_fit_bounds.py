@@ -38,7 +38,7 @@ print(f"empirical risk {d.risk:.6f}, operator norm {d.op_norm:.6f}")
 print(f"operator norm bound lambda_max(L)/(beta m) = {d.norm_bound:.3f}")
 
 est = build_lyapunov(model)
-print(f"series horizon {est.horizon}, tail bound {est.tail_bound:.3e}")
+print(f"full series: {est.horizon} terms, tail bound {est.tail_bound:.3e} per unit |z|^2")
 
 rng = np.random.default_rng(123)
 radius = rng.uniform(0.5, 1.5, 100)

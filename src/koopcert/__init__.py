@@ -27,7 +27,6 @@ from .certificates import (
     lyapunov_grid_values,
     lyapunov_values,
     regular_grid,
-    truncation_horizon,
     zubov_error_bound,
     zubov_grid_values,
     zubov_values,

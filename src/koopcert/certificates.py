@@ -1,9 +1,9 @@
 """Lyapunov and stability-boundary estimates with computable error bounds.
 
-A fitted contractive operator yields a Lyapunov function as a truncated
-operator series evaluated through adjoint coefficient recursions, and a
-damped fit yields the t-step Zubov-style value whose sublevel sets bound
-the domain of attraction. The closed-form finite-sample bounds collected
+A fitted operator of spectral radius below one yields a Lyapunov function
+as the full sum of its operator series, the solution of a Stein equation
+in rank space, and a damped fit yields the t-step Zubov-style value whose
+sublevel sets bound the domain of attraction. The closed-form finite-sample bounds collected
 here turn the fitted diagnostics into certified error radii.
 """
 
@@ -24,55 +24,32 @@ from .dynsys import (
     saturating,
     step,
 )
-from .errors import ContractionViolatedError, DivergenceError, InvalidInputError
+from .eigsolve import stein_solve
+from .errors import ContractionViolatedError, InvalidInputError, SolverFailureError
 from .estimator import EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
 from .kernels import WeightSpec, axis_factors, gram, grid_weight_values, weight_values
 
+# Largest certificate horizon a run may configure, in steps
 HORIZON_CAP = 100_000
 COST_STEP_CAP = 10_000
 # Entries of a grid slab's lead factor (see _grid_values): 2 MB.
 GRID_SLAB_ENTRIES = 1 << 18
 
 
-def truncation_horizon(alpha: float, c_max: float, tol: float) -> int:
-    """Smallest T with alpha^(2(T+1)) c_max / (1 - alpha^2) <= tol."""
-    if not 0 <= alpha < 1:
-        raise InvalidInputError("alpha must lie in [0, 1)")
-    if c_max < 0 or tol <= 0:
-        raise InvalidInputError("need c_max >= 0 and tol > 0")
-    if alpha == 0.0 or c_max == 0.0:
-        return 0
-    a2 = alpha * alpha
-    tail = a2 * c_max / (1.0 - a2)
-    T = 0
-    while tail > tol:
-        tail *= a2
-        T += 1
-        if T > HORIZON_CAP:
-            raise DivergenceError(
-                f"truncation horizon exceeds {HORIZON_CAP}; alpha={alpha} is too close to 1"
-            )
-    return T
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Truncated-series Lyapunov function built from a fitted operator.
+    """The Lyapunov series of a fitted operator, summed in rank space.
 
-    alpha is the geometric factor that chose the horizon; alpha_source is
-    "op_norm" when the fitted norm certified it and "decay_ratio" when the
-    observed per-step weight decay on the anchors stood in for a fitted
-    norm at or above one. P is the r x r series form
-    sum_{t < horizon} (H')^t Q H^t, so v(x) = k_w(x, x) + z' P z with
-    z = U' k_w(anchors_x, x).
+    P is the r x r form sum_{t < horizon} (H')^t Q H^t, so the value is
+    v(x) = k_w(x, x) + z' P z with z = U' k_w(anchors_x, x). tail_bound is
+    lambda_max((H^T)' P_inf H^T) at T = horizon, where P_inf is the model's
+    full series: the value the horizon leaves out is at most tail_bound |z|^2.
     """
 
     model: KoopmanModel
     horizon: int
     tail_bound: float
     P: np.ndarray = field(repr=False)
-    alpha: float = 0.0
-    alpha_source: str = "op_norm"
 
 
 def _anchor_decay_ratio(model: KoopmanModel) -> float:
@@ -80,45 +57,41 @@ def _anchor_decay_ratio(model: KoopmanModel) -> float:
     return check_decay_ratio(model.anchors_x, model.anchors_y, model.kw.weight, eta=model.eta)
 
 
-def build_lyapunov(model: KoopmanModel, tol: float = 1e-6, horizon: int | None = None) -> LyapunovEstimate:
-    """Choose the truncation horizon from a contraction factor and sum the series.
+def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovEstimate:
+    """The model's Lyapunov series: its full sum, or its first horizon terms.
 
-    The factor is the fitted operator norm when that is below one. A norm
-    at or above one does not by itself make the series diverge (the series
-    terms decay at the spectral rate, which the norm only upper-bounds),
-    so the observed per-step weight decay on the training anchors stands
-    in, recorded via alpha_source. Refuses only when both factors are at
-    or above one; then raise beta or enlarge the sample.
+    The full sum P_inf solves P = H'PH + Q (eigsolve.stein_solve), and with
+    no horizon P = P_inf, whose horizon is the 2^k terms the doubling
+    summed. An explicit horizon T gives the exact finite sum P_inf -
+    (H^T)' P_inf H^T. Refuses (ContractionViolatedError) when the fitted
+    operator norm and the anchors' observed decay ratio are both >= 1,
+    where the data expand whatever the fitted spectrum says, and when
+    rho(H) >= 1, where the series diverges; then raise beta or enlarge the
+    sample.
     """
-    alpha = model.diagnostics.op_norm
-    source = "op_norm"
-    if alpha >= 1.0:
-        alpha = _anchor_decay_ratio(model)
-        source = "decay_ratio"
-        if alpha >= 1.0:
+    if horizon is not None and (not isinstance(horizon, (int, np.integer)) or horizon < 0):
+        raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
+    op_norm = model.diagnostics.op_norm
+    if op_norm >= 1.0:
+        decay = _anchor_decay_ratio(model)
+        if decay >= 1.0:
             raise ContractionViolatedError(
-                f"fitted operator norm {model.diagnostics.op_norm:.6g} and observed "
-                f"decay ratio {alpha:.6g} are both >= 1; raise beta or enlarge the sample"
+                f"fitted operator norm {op_norm:.6g} and observed decay ratio "
+                f"{decay:.6g} are both >= 1; raise beta or enlarge the sample"
             )
-    c_max = float(np.max(weight_values(model.kw.weight, model.anchors_y) ** 2))
-    if horizon is None:
-        horizon = truncation_horizon(alpha, c_max, tol)
-    a2 = alpha * alpha
-    tail = a2 ** (horizon + 1) * c_max / (1.0 - a2) if alpha > 0 else 0.0
-    # The t-th term is b_t' L b_t with b_t = W H^(t-1) z, i.e. z' (H')^(t-1) Q H^(t-1) z.
-    P = np.zeros_like(model.Q)
-    S = model.Q
-    for _ in range(horizon):
-        P = P + S
-        S = model.H.T @ S @ model.H
-    return LyapunovEstimate(
-        model=model,
-        horizon=horizon,
-        tail_bound=tail,
-        P=P,
-        alpha=alpha,
-        alpha_source=source,
-    )
+    try:
+        P, terms = stein_solve(model.H, model.Q)
+    except SolverFailureError as exc:
+        rho = float(np.max(np.abs(np.linalg.eigvals(model.H))))
+        raise ContractionViolatedError(
+            f"the Lyapunov series does not converge: fitted operator spectral radius rho(H) = {rho:.6g}"
+        ) from exc
+    T = terms if horizon is None else int(horizon)
+    HT = np.linalg.matrix_power(model.H, T)
+    tail = HT.T @ P @ HT
+    if horizon is not None:
+        P = P - tail
+    return LyapunovEstimate(model=model, horizon=T, tail_bound=float(np.linalg.eigvalsh(tail)[-1]), P=P)
 
 
 def _lyapunov_value(est: LyapunovEstimate, wx: np.ndarray, products) -> np.ndarray:

@@ -162,14 +162,16 @@ def _write_grids(grid, files: dict) -> None:
 
 def _lyapunov_grid(cfg: RunConfig, model):
     """Build the series certificate; returns it, the run's grid and its values there."""
-    est = build_lyapunov(model, tol=cfg.certificate.tol, horizon=cfg.certificate.horizon)
-    if est.alpha_source != "op_norm":
-        _warn(
-            f"fitted operator norm {fmt(model.diagnostics.op_norm)} >= 1; horizon "
-            f"chosen from the observed decay ratio {fmt(est.alpha)} instead"
-        )
+    est = build_lyapunov(model, horizon=cfg.certificate.horizon)
     grid = regular_grid(cfg.domain, cfg.output.grid_resolution)
     return est, grid, lyapunov_grid_values(est, grid)
+
+
+def _series(cfg: RunConfig, est) -> str:
+    """What the certificate sums: the full series, or the configured horizon."""
+    if cfg.certificate.horizon is None:
+        return f"full series ({est.horizon} terms)"
+    return f"series truncated at {est.horizon} terms"
 
 
 def _zubov_grid(cfg: RunConfig, model):
@@ -190,7 +192,7 @@ def cmd_lyapunov(args) -> int:
     _write_grids(grid, {grid_path: values})
     _report(cfg, model, report_path)
     _say(args, f"wrote {grid_path} and {report_path}")
-    _say(args, f"series horizon = {est.horizon}, tail bound = {fmt(est.tail_bound)}")
+    _say(args, f"{_series(cfg, est)}, tail bound = {fmt(est.tail_bound)}")
     return 0
 
 
@@ -229,7 +231,7 @@ def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
     oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, grid.coords(), cfg.sampling.dt)
     _write_grids(grid, {out / "lyapunov_grid.csv": values, out / "lyapunov_oracle_grid.csv": oracle})
     res = cfg.output.grid_resolution
-    _say(args, f"wrote lyapunov grids ({res}x{res}, horizon {est.horizon})")
+    _say(args, f"wrote lyapunov grids ({res}x{res}, {_series(cfg, est)})")
 
     # Observable tracking from one seeded start: truth w(x_t) q(x_t) against
     # the model's t-step prediction, for two quadratics.

@@ -37,7 +37,6 @@ class SamplingConfig:
 @dataclass(frozen=True)
 class CertificateConfig:
     mode: str = "lyapunov"
-    tol: float = 1e-6
     horizon: int | None = None
     time: float | None = None
     nu: float = 1.0
@@ -47,8 +46,8 @@ class CertificateConfig:
     def __post_init__(self) -> None:
         if self.mode not in CERTIFICATE_MODES:
             raise InvalidInputError(f"certificate mode must be one of {CERTIFICATE_MODES}")
-        if self.tol <= 0 or self.delta <= 0 or self.delta >= 1:
-            raise InvalidInputError("tol must be positive and delta in (0, 1)")
+        if self.delta <= 0 or self.delta >= 1:
+            raise InvalidInputError("delta must lie in (0, 1)")
         if self.nu < 1 or self.varsigma <= 0:
             raise InvalidInputError("nu must be >= 1 and varsigma > 0")
         if self.mode == "lyapunov" and self.time is not None:
@@ -203,7 +202,6 @@ beta_scale = 0.01
 
 [certificate]
 mode = lyapunov
-tol = 1e-6
 
 [output]
 dir = out-example1

@@ -295,7 +295,7 @@ def _linear_tail(sys: SystemSpec, dt: float) -> tuple[np.ndarray, float, float] 
     q = a if c == 0 else a + c * rho * rho
     if not (a < 1 and q**3 < a):
         return None
-    return stein_solve(A, np.eye(len(A))), float(2.0 * c * q / ((1.0 - q * a) * (1.0 - q**3 / a))), rho
+    return stein_solve(A, np.eye(len(A)))[0], float(2.0 * c * q / ((1.0 - q * a) * (1.0 - q**3 / a))), rho
 
 
 def _quad_form(P: np.ndarray, xs: list) -> np.ndarray:

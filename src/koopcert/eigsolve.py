@@ -104,13 +104,15 @@ def perron_root(S: np.ndarray) -> float:
         basis.append(w / b)
 
 
-def stein_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The solution P = sum_{t>=0} (A^t)' Q A^t of the Stein equation P = A'PA + Q.
+def stein_solve(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
+    """The solution P = sum_{t>=0} (A^t)' Q A^t of the Stein equation P = A'PA + Q,
+    with the number of terms summed.
 
     The doubling iteration P <- P + A_k' P A_k, A_k <- A_k^2 from P = Q and
     A_0 = A: after k doublings P holds the first 2^k terms, and what is left
     is A_k' P_inf A_k, at most |A_k|_2^2 |P_inf|_2 in norm. It stops once
-    |A_k|_F^2 <= eps, so the rest is below rounding in P. Raises
+    |A_k|_F^2 <= eps, so the rest is below rounding in P, and returns P with
+    the count 2^k. Raises
     SolverFailureError when that does not happen within STEIN_DOUBLINGS
     doublings, as for a spectral radius of A not below 1.
     """
@@ -119,12 +121,12 @@ def stein_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if P.shape != A.shape:
         raise InvalidInputError("stein_solve needs A and Q of one shape")
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(STEIN_DOUBLINGS):
+        for k in range(1, STEIN_DOUBLINGS + 1):
             P += A.T @ P @ A
             A = A @ A
             # a non-finite A fails the test and the cap, since nan <= eps is false
             if np.sum(A * A) <= np.finfo(float).eps:
-                return P
+                return P, 2**k
     raise SolverFailureError("the Stein iteration did not converge: A is not stable")
 
 

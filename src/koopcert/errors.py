@@ -32,7 +32,9 @@ class DivergenceError(KoopcertError):
 
 
 class ContractionViolatedError(KoopcertError):
-    """Fitted operator norm is >= 1, so the Lyapunov series diverges."""
+    """The Lyapunov series of a fit is refused: its spectral radius rho(H) is
+    not below one, so the series diverges, or the fitted operator norm and the
+    anchors' observed decay ratio are both >= 1, so the data expand."""
 
 
 class EtaMismatchError(KoopcertError):

@@ -178,7 +178,7 @@ def test_criterion_06_lyapunov_oracle_agreement(acceptance):
 def test_criterion_07_sinusoidal_system_certificate(acceptance):
     t0 = time.perf_counter()
     _, _, model = example1_model()
-    est = build_lyapunov(model, tol=1e-6)
+    est = build_lyapunov(model)
     grid = regular_grid(DomainSpec.ball(2.0), 101)
     coords, vals = grid.coords(), lyapunov_grid_values(est, grid)
     rad = np.linalg.norm(coords, axis=1)
@@ -291,8 +291,8 @@ def _dir_bytes(path):
 def test_criterion_11_truncation_tail_and_determinism(acceptance, tmp_path):
     worst_excess = -np.inf
     for model in (example1_model()[2], linear_model(a=0.5, m=200, rank=20, seed=6)[2]):
-        est = build_lyapunov(model, tol=1e-6)
-        longer = build_lyapunov(model, tol=1e-6, horizon=est.horizon + 10)
+        est = build_lyapunov(model)
+        longer = build_lyapunov(model, horizon=est.horizon + 10)
         rng = np.random.default_rng(555)
         pts = rng.uniform(-1.0, 1.0, (50, 2)) * 2.0
         gap = np.abs(lyapunov_values(est, pts) - lyapunov_values(longer, pts))

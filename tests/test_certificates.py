@@ -1,14 +1,15 @@
 """Series certificates, closed-form bounds, and basin thresholds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from koopcert import certificates
+from koopcert.eigsolve import stein_solve
 from koopcert import (
     ContractionViolatedError,
-    DivergenceError,
     DomainSpec,
     EtaSpec,
     InvalidInputError,
@@ -34,7 +35,6 @@ from koopcert import (
     regular_grid,
     sample_uniform,
     step,
-    truncation_horizon,
     weight_values,
     zubov_error_bound,
     zubov_grid_values,
@@ -56,52 +56,61 @@ from helpers import (
 )
 
 
-def test_truncation_horizon_frozen_case():
-    assert truncation_horizon(0.5, 1.0, 1e-8) == 13
-    assert truncation_horizon(0.0, 5.0, 1e-8) == 0
-    assert truncation_horizon(0.9, 0.0, 1e-8) == 0
-
-
-def test_truncation_horizon_is_minimal():
-    alpha, c_max, tol = 0.8, 2.5, 1e-7
-    T = truncation_horizon(alpha, c_max, tol)
-    a2 = alpha * alpha
-    assert a2 ** (T + 1) * c_max / (1.0 - a2) <= tol
-    assert a2**T * c_max / (1.0 - a2) > tol
-
-
-def test_truncation_horizon_invalid_inputs():
-    with pytest.raises(InvalidInputError):
-        truncation_horizon(1.0, 1.0, 1e-8)
-    with pytest.raises(InvalidInputError):
-        truncation_horizon(0.5, -1.0, 1e-8)
-    with pytest.raises(InvalidInputError):
-        truncation_horizon(0.5, 1.0, 0.0)
-    with pytest.raises(DivergenceError):
-        truncation_horizon(1.0 - 1e-12, 1.0, 1e-8)
+def _series_sum(model, horizon):
+    """sum_{t < horizon} (H')^t Q H^t, term by term."""
+    P, S = np.zeros_like(model.Q), model.Q
+    for _ in range(horizon):
+        P = P + S
+        S = model.H.T @ S @ model.H
+    return P
 
 
 def test_build_lyapunov_contractive_fit():
+    # an explicit horizon is the finite sum, and its tail bound the largest
+    # eigenvalue of the exact rest (H^T)' P_inf H^T
     _, _, model = linear_model(0.5, 200, 20, 11)
-    est = build_lyapunov(model, tol=1e-6)
-    assert est.alpha_source == "op_norm"
-    assert est.alpha == model.diagnostics.op_norm < 1.0
-    a2 = est.alpha**2
-    c_max = float(np.max(weight_values(model.kw.weight, model.anchors_y) ** 2))
-    expect_tail = a2 ** (est.horizon + 1) * c_max / (1.0 - a2)
-    np.testing.assert_allclose(est.tail_bound, expect_tail, rtol=1e-12)
-    assert est.tail_bound <= 1e-6
-    est50 = build_lyapunov(model, horizon=50)
-    assert est50.horizon == 50
+    assert model.diagnostics.op_norm < 1.0
+    full = build_lyapunov(model)
+    for horizon in (0, 3, 50):
+        est = build_lyapunov(model, horizon=horizon)
+        assert est.horizon == horizon
+        S = _series_sum(model, horizon)
+        assert np.linalg.norm(est.P - S, 2) <= 1e-13 * np.linalg.norm(full.P, 2)
+        rest = np.linalg.eigvalsh(full.P - S)[-1]
+        assert abs(est.tail_bound - rest) <= 1e-13 * np.linalg.norm(full.P, 2)
+    # the doubling stops once |H^T|_F^2 <= eps, so the rest is below rounding in P
+    assert full.tail_bound <= np.finfo(float).eps * np.linalg.norm(full.P, 2)
 
 
-def test_build_lyapunov_decay_ratio_fallback():
+def test_build_lyapunov_is_the_full_stein_sum():
+    # example1's fitted norm is 1.025 but rho(H) = 0.930, so the series
+    # converges; 430 terms (where a geometric horizon stopped) already reach it
     _, _, model = example1_model()
-    assert model.diagnostics.op_norm >= 1.0
-    est = build_lyapunov(model, tol=1e-6)
-    assert est.alpha_source == "decay_ratio"
-    assert est.alpha < 1.0
-    assert est.tail_bound <= 1e-6
+    assert model.diagnostics.op_norm > 1.0
+    est = build_lyapunov(model)
+    P, terms = stein_solve(model.H, model.Q)
+    assert np.array_equal(est.P, P) and est.horizon == terms
+    loop = dataclasses.replace(est, P=_series_sum(model, 430))
+    pts = ring_points(40, 0.3, 1.8, seed=4)
+    np.testing.assert_allclose(lyapunov_values(est, pts), lyapunov_values(loop, pts), rtol=1e-12)
+    assert est.tail_bound <= np.finfo(float).eps * np.linalg.norm(est.P, 2)
+
+
+def test_build_lyapunov_refuses_a_spectral_radius_of_one_or_more():
+    _, _, model = linear_model(0.5, 200, 20, 11)
+    rho = np.max(np.abs(np.linalg.eigvals(model.H)))
+    planted = dataclasses.replace(model, H=model.H * (1.05 / rho))
+    with pytest.raises(ContractionViolatedError, match=r"rho\(H\) = 1\.05"):
+        build_lyapunov(planted)
+
+
+@pytest.mark.parametrize(
+    "horizon", [-3, -1, 2.5, 12.0, "12"], ids=["negative", "minus-one", "fractional", "float", "string"]
+)
+def test_build_lyapunov_refuses_a_bad_horizon(horizon):
+    _, _, model = linear_model(0.5, 200, 20, 11)
+    with pytest.raises(InvalidInputError, match="horizon"):
+        build_lyapunov(model, horizon=horizon)
 
 
 def test_build_lyapunov_refuses_expanding_anchors():
@@ -122,7 +131,7 @@ def test_build_lyapunov_refuses_expanding_anchors():
 
 def test_lyapunov_batch_matches_scalar():
     _, _, model = linear_model(0.5, 200, 20, 11)
-    est = build_lyapunov(model, tol=1e-6)
+    est = build_lyapunov(model)
     pts = ring_points(7, 0.4, 1.6, seed=2)
     batch = lyapunov_values(est, pts)
     for i, p in enumerate(pts):
@@ -150,7 +159,7 @@ def test_lyapunov_series_matches_term_recursion():
 
 def test_lyapunov_close_to_linear_truth():
     _, _, model = linear_model(0.5, 200, 20, 11)
-    est = build_lyapunov(model, tol=1e-6)
+    est = build_lyapunov(model)
     pts = ring_points(50, 0.5, 1.5, seed=5)
     vals = lyapunov_values(est, pts)
     truth = linear_lyapunov_truth(pts, 0.5)
@@ -467,7 +476,7 @@ def test_certificate_grids_match_the_point_path(monkeypatch):
         assert np.max(np.abs(grid_vals - point_vals)) <= 1e-13 * np.max(np.abs(point_vals))
 
     _, _, model1 = example1_model()
-    lyap = build_lyapunov(model1, tol=1e-6)
+    lyap = build_lyapunov(model1)
     grid = regular_grid(DomainSpec.ball(2.0), 101)
     close(lyapunov_grid_values(lyap, grid), lyapunov_values(lyap, grid.coords()))
     # the slabs hold one 2 MB lead factor, not the 500 x 2048 Gram of a block (9.5 MB traced)
@@ -484,7 +493,7 @@ def test_certificate_grids_match_the_point_path(monkeypatch):
         plain, damped = _linear_fits(dim)
         # an off-centre box, so no axis is the mirror of itself
         grid = regular_grid(DomainSpec(kind="box", lo=(-1.5, -0.5, -1.0)[:dim], hi=(1.0, 1.5, 0.5)[:dim]), res)
-        lyap, est = build_lyapunov(plain, tol=1e-8), build_zubov(damped, 2)
+        lyap, est = build_lyapunov(plain), build_zubov(damped, 2)
         # one slab for the whole grid, then one grid row per slab
         for entries in (certificates.GRID_SLAB_ENTRIES, 1):
             monkeypatch.setattr(certificates, "GRID_SLAB_ENTRIES", entries)

@@ -238,7 +238,10 @@ def test_stein_solve_matches_the_series():
     H = model.H.T
     assert np.max(np.abs(np.linalg.eigvals(H))) == pytest.approx(0.930, abs=5e-4)
     for A, Q in ((A, np.eye(2)), (H, model.Q)):
-        P = stein_solve(A, Q)
+        P, terms = stein_solve(A, Q)
+        # the count is the 2^k terms of k doublings, past which A^(2^k) is below rounding
+        assert terms & (terms - 1) == 0
+        assert np.sum(np.linalg.matrix_power(A, terms) ** 2) <= np.finfo(float).eps
         S = _stein_series(A, Q, 10_000)
         assert np.linalg.norm(P - S) <= 1e-12 * np.linalg.norm(S)
         assert np.linalg.norm(A.T @ P @ A + Q - P) <= 1e-12 * np.linalg.norm(P)

@@ -278,7 +278,6 @@ rank = 8
 
 [certificate]
 mode = lyapunov
-tol = 1e-6
 
 [output]
 grid_resolution = 5
@@ -341,7 +340,7 @@ def test_config_defaults_and_seed_override(tmp_path):
     ball = DomainSpec(kind="ball", radius=2.0, lo=(0.0, 0.0), hi=(0.0, 0.0))
     eta = EtaSpec(scale=0.5, kind="quadratic-norm")
     lyapunov = CertificateConfig(
-        mode="lyapunov", tol=1e-6, horizon=None, time=None, nu=1.0, varsigma=0.1, delta=0.05
+        mode="lyapunov", horizon=None, time=None, nu=1.0, varsigma=0.1, delta=0.05
     )
     parsed = {
         EXAMPLE1_CONFIG: _parsed(
@@ -436,7 +435,7 @@ def test_config_work_size_caps(tmp_path):
     path = tmp_path / "run.ini"
     at_cap = LINEAR_CONFIG.replace("m = 60", "m = 8192")
     at_cap = at_cap.replace("resolution = 5", "resolution = 90")
-    at_cap = at_cap.replace("tol = 1e-6", f"tol = 1e-6\nhorizon = {HORIZON_CAP}")
+    at_cap = at_cap.replace("mode = lyapunov", f"mode = lyapunov\nhorizon = {HORIZON_CAP}")
     path.write_text(at_cap)
     cfg = load_config(path)
     assert 8 * cfg.sampling.m**2 == WORK_BYTES_CAP and cfg.certificate.horizon == HORIZON_CAP
@@ -496,7 +495,7 @@ def test_cli_zubov_of_no_step_exits_1_before_writing(tmp_path, capsys, edit):
     assert sorted(out.iterdir()) == written
     # a Lyapunov run of horizon 0 is still valid
     path = tmp_path / "lyapunov.ini"
-    path.write_text(LINEAR_CONFIG.replace("tol = 1e-6", "tol = 1e-6\nhorizon = 0"))
+    path.write_text(LINEAR_CONFIG.replace("mode = lyapunov", "mode = lyapunov\nhorizon = 0"))
     assert load_config(path).certificate.horizon == 0
 
 
@@ -507,7 +506,7 @@ def test_cli_lyapunov_with_time_exits_1_before_writing(tmp_path, capsys):
     for command in ("sample", "fit"):
         assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
     written = sorted(out.iterdir())
-    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("tol = 1e-6", "tol = 1e-6\ntime = 2.0"))
+    cfg = _write_config(tmp_path, LINEAR_CONFIG.replace("mode = lyapunov", "mode = lyapunov\ntime = 2.0"))
     assert main(["lyapunov", "--config", cfg, "--out", str(out), "--quiet"]) == 1
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error: [certificate] time"), lines
@@ -522,6 +521,8 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
         load_config(path)
     for edit, named in (
         (("beta_scale = 0.01", "beta_sclae = 0.5"), "'beta_sclae' in [rrr]"),
+        # the series is the model's full sum, so there is no tolerance to set
+        (("mode = lyapunov", "mode = lyapunov\ntol = 1e-6"), "'tol' in [certificate]"),
         (("[certificate]", "[certficate]"), "[certficate]"),
         (("[sampling]", "[DEFAULT]\nm = 60\n\n[sampling]"), "[DEFAULT]"),
     ):
@@ -537,11 +538,15 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
         (["sample"], ("seed = 3", "seed = -3"), "seed must be nonnegative, got -3"),
         (["reproduce", "example1", "--seed", "-1"], None, "seed must be nonnegative, got -1"),
         (["sample"], ("rank = 8", "rank = 8\nbeta_sclae = 0.5"), "unknown key 'beta_sclae' in [rrr]"),
-        (["sample"], ("tol = 1e-6", "tol = nan"), "'tol' in [certificate]: 'nan' is not a finite"),
-        (["sample"], ("tol = 1e-6", "tol = 1e-6\nnu = nan"), "'nu' in [certificate]: 'nan' is not"),
         (
             ["sample"],
-            ("tol = 1e-6", "tol = 1e-6\nvarsigma = inf"),
+            ("mode = lyapunov", "mode = lyapunov\ndelta = nan"),
+            "'delta' in [certificate]: 'nan' is not a finite",
+        ),
+        (["sample"], ("mode = lyapunov", "mode = lyapunov\nnu = nan"), "'nu' in [certificate]: 'nan' is not"),
+        (
+            ["sample"],
+            ("mode = lyapunov", "mode = lyapunov\nvarsigma = inf"),
             "'varsigma' in [certificate]: 'inf' is not a finite",
         ),
         (["sample"], ("dt = 1.0", "dt = nan"), "'dt' in [sampling]: 'nan' is not a finite"),
@@ -553,7 +558,7 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
         "config-seed",
         "reproduce-seed",
         "config-key-misspelled",
-        "tol-nan",
+        "delta-nan",
         "nu-nan",
         "varsigma-inf",
         "dt-nan",
