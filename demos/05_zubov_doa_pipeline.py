@@ -52,4 +52,4 @@ print(f"mean indicator near the equilibrium:         {zubov_values(est, inside).
 doa = estimate_doa(sys, dom, kw.weight, eta, doa_levels(dom, kw.weight), 500, dt, 44, 0.1)
 print(f"eta floor off the basin {doa.eta_lower:.4f}, weight decay floor {doa.alpha_lower:.4f}")
 print(f"certified weight level a* = {doa.a_star}")
-print(f"largest simulated cost inside that level: {doa.table[doa.a_star]:.4f}")
+print(f"largest simulated cost inside that level: {doa.mu_table[doa.a_star]:.4f}")

@@ -72,6 +72,7 @@ from .io import (
     read_dataset,
     read_model,
     write_dataset,
+    write_doa,
     write_grid,
     write_model,
     write_report,

@@ -35,6 +35,19 @@ COST_STEP_CAP = 10_000
 # Entries of a grid slab's lead factor (see _grid_values): 2 MB.
 GRID_SLAB_ENTRIES = 1 << 18
 
+# Where a reported number comes from (see reported).
+RUN_INPUT = "run input"
+CLOSED_FORM = "closed form on the fit"
+PLUG_IN = "plug-in"
+HELDOUT = "held-out sample"
+SIMULATION = "simulation of the known system"
+
+
+def reported(source: str, *uses: str):
+    """A certificate record's field whose number comes from source and is computed from the
+    reported numbers named in uses, delta among them wherever it holds only with probability."""
+    return field(metadata={"source": source, "uses": uses})
+
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -47,8 +60,8 @@ class LyapunovEstimate:
     """
 
     model: KoopmanModel
-    horizon: int
-    tail_bound: float
+    horizon: int = reported(CLOSED_FORM)
+    tail_bound: float = reported(CLOSED_FORM, "horizon")
     P: np.ndarray = field(repr=False)
 
 
@@ -66,8 +79,7 @@ def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovE
     (H^T)' P_inf H^T. Refuses (ContractionViolatedError) when the fitted
     operator norm and the anchors' observed decay ratio are both >= 1,
     where the data expand whatever the fitted spectrum says, and when
-    rho(H) >= 1, where the series diverges; then raise beta or enlarge the
-    sample.
+    rho(H) >= 1, where the series diverges; then raise beta.
     """
     if horizon is not None and (not isinstance(horizon, (int, np.integer)) or horizon < 0):
         raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
@@ -77,7 +89,7 @@ def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovE
         if decay >= 1.0:
             raise ContractionViolatedError(
                 f"fitted operator norm {op_norm:.6g} and observed decay ratio "
-                f"{decay:.6g} are both >= 1; raise beta or enlarge the sample"
+                f"{decay:.6g} are both >= 1; raise beta"
             )
     try:
         P, terms = stein_solve(model.H, model.Q)
@@ -255,10 +267,10 @@ def doa_levels(dom: DomainSpec, weight: WeightSpec) -> np.ndarray:
 class DoaEstimate:
     """Simulated cost table, escape and decay floors, and certified level a*."""
 
-    table: dict[float, float]
-    eta_lower: float
-    alpha_lower: float
-    a_star: float | None
+    mu_table: dict[float, float] = reported(SIMULATION)
+    eta_lower: float = reported(SIMULATION)
+    alpha_lower: float = reported(SIMULATION)
+    a_star: float | None = reported(SIMULATION, "eta_lower", "alpha_lower", "mu_table")
 
 
 def estimate_doa(
@@ -280,9 +292,8 @@ def estimate_doa(
     the running maximum over levels up to a of a level's largest cost (a
     capped level need not hold a smaller level's states). eta_lower is the
     least state cost off the basin, alpha_lower the least one-step weight
-    ratio on it, capped at 1; a_star, the table's highest feasible level
-    (doa_level_threshold), is certified by simulation of the known system,
-    not by the fit.
+    ratio on it, capped at 1; a_star is the table's highest feasible level
+    (doa_level_threshold).
     """
     levels = _check_levels(levels)
     pool = sample_uniform(dom, samples * 4, seed)
@@ -320,28 +331,26 @@ def accumulated_costs(sys, eta, X, dt, tail_tol: float = 1e-6) -> np.ndarray:
 class BoundReport:
     """Closed-form certificate inputs and outputs for a fitted model.
 
-    alpha_plug is max(op_norm, decay_ratio), the fitted operator norm and
-    the observed one-step weight decay on the anchors, and is flagged as a
-    plug-in: the true operator norm is not observable, so the certified
-    radii are honest only up to this substitution. lyapunov_const is inf
-    when alpha_plug >= 1; op_norm and decay_ratio show which factor did it.
+    alpha_plug is max(op_norm, decay_ratio) and stands in for the true
+    operator norm, which is not observable. lyapunov_const is inf when
+    alpha_plug >= 1; op_norm and decay_ratio show which factor did it.
     """
 
-    m: int
-    gamma: float
-    rank: int
-    delta: float
-    eps_x: float
-    eps_y: float
-    excess_risk: float
-    empirical_risk: float
-    heldout_risk: float | None
-    op_norm: float
-    norm_bound: float
-    decay_ratio: float
-    alpha_plug: float
-    lyapunov_const: float
-    zubov_const: float | None
+    m: int = reported(RUN_INPUT)
+    rank: int = reported(RUN_INPUT)
+    delta: float = reported(RUN_INPUT)
+    gamma: float = reported(CLOSED_FORM)
+    eps_x: float = reported(CLOSED_FORM, "m", "delta")
+    eps_y: float = reported(CLOSED_FORM, "m", "delta")
+    excess_risk: float = reported(CLOSED_FORM, "m", "gamma", "rank", "delta")
+    empirical_risk: float = reported(CLOSED_FORM)
+    op_norm: float = reported(CLOSED_FORM)
+    norm_bound: float = reported(CLOSED_FORM)
+    decay_ratio: float = reported(PLUG_IN)
+    alpha_plug: float = reported(PLUG_IN, "op_norm", "decay_ratio")
+    lyapunov_const: float = reported(PLUG_IN, "alpha_plug")
+    heldout_risk: float | None = reported(HELDOUT)
+    zubov_const: float | None = reported(PLUG_IN, "alpha_plug")
 
 
 def bound_report(

@@ -42,11 +42,13 @@ from .errors import (
 )
 from .estimator import fit_koopman, fit_zubov_koopman, predict_observables
 from .io import (
+    _write_rows,
     fmt,
     grid_text,
     read_dataset,
     read_model,
     write_dataset,
+    write_doa,
     write_grid,
     write_model,
     write_report,
@@ -68,10 +70,6 @@ class _Parser(argparse.ArgumentParser):
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _outdir(args, cfg: RunConfig | None = None) -> Path:
@@ -106,7 +104,7 @@ def cmd_sample(args) -> int:
     _say(args, f"wrote {path} ({len(ds)} pairs, {ds.rejected_count} rejected)")
     _say(args, f"decay ratio alpha_hat = {fmt(alpha)}")
     if alpha >= 1:
-        _warn("alpha_hat >= 1: the weight does not contract on this sample")
+        print("warning: alpha_hat >= 1: the weight does not contract on this sample", file=sys.stderr)
     return 0
 
 
@@ -133,8 +131,6 @@ def cmd_fit(args) -> int:
     _say(args, f"norm bound       = {fmt(d.norm_bound)}")
     head = ", ".join(fmt(v) for v in d.sigma_sq[:5])
     _say(args, f"sigma^2 head     = {head}")
-    if d.op_norm >= 1:
-        _warn("operator norm >= 1: raise beta (rrr.beta_scale) or enlarge the sample")
     return 0
 
 
@@ -142,14 +138,12 @@ def _read_model(args, out: Path):
     return read_model(Path(args.model) if args.model else out / "model.txt")
 
 
-def _report(cfg: RunConfig, model, path: Path, heldout: bool = False):
+def _report(cfg: RunConfig, model, path: Path, heldout: bool = False, series=None):
     """Write the bound report, with the held-out risk on a fresh draw if asked."""
     cert = cfg.certificate
     sample = _draw(cfg, cfg.sampling.seed + 1, model.eta) if heldout else None
-    report = bound_report(
-        model, delta=cert.delta, heldout=sample, nu=cert.nu, varsigma=cert.varsigma
-    )
-    write_report(report, path)
+    report = bound_report(model, delta=cert.delta, heldout=sample, nu=cert.nu, varsigma=cert.varsigma)
+    write_report(report, path, series)
     return report
 
 
@@ -190,7 +184,7 @@ def cmd_lyapunov(args) -> int:
     grid_path, report_path = out / "lyapunov_grid.csv", out / "report.txt"
     est, grid, values = _lyapunov_grid(cfg, model)
     _write_grids(grid, {grid_path: values})
-    _report(cfg, model, report_path)
+    _report(cfg, model, report_path, series=est)
     _say(args, f"wrote {grid_path} and {report_path}")
     _say(args, f"{_series(cfg, est)}, tail bound = {fmt(est.tail_bound)}")
     return 0
@@ -226,7 +220,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
+def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path):
+    """Write the Lyapunov grids and observables.csv; returns the series."""
     est, grid, values = _lyapunov_grid(cfg, model)
     oracle = oracle_lyapunov_batch(cfg.system, cfg.kw, grid.coords(), cfg.sampling.dt)
     _write_grids(grid, {out / "lyapunov_grid.csv": values, out / "lyapunov_oracle_grid.csv": oracle})
@@ -244,16 +239,14 @@ def _reproduce_lyapunov(args, cfg: RunConfig, model, out: Path) -> None:
         "q2": lambda pts: (pts[..., 0] - pts[..., 1]) ** 2,
     }
     w_traj = weight_values(cfg.kw.weight, traj)
-    preds = {name: predict_observables(model, q, x0, horizon) for name, q in quads.items()}
-    lines = ["step,time," + ",".join(f"truth_{n},pred_{n}" for n in quads)]
-    for t in range(horizon + 1):
-        cells = [str(t), fmt(t * cfg.sampling.dt)]
-        for name, q in quads.items():
-            truth = float(w_traj[t] * q(traj[t]))
-            cells.extend([fmt(truth), fmt(preds[name][t])])
-        lines.append(",".join(cells))
-    (out / "observables.csv").write_text("\n".join(lines) + "\n")
+    steps = np.arange(horizon + 1)
+    cols = [steps, steps * cfg.sampling.dt]
+    for q in quads.values():
+        cols += [w_traj * q(traj), predict_observables(model, q, x0, horizon)]
+    header = "step,time," + ",".join(f"truth_{n},pred_{n}" for n in quads)
+    _write_rows(out / "observables.csv", header, np.column_stack(cols))
     _say(args, f"wrote observables.csv (start {fmt(x0[0])}, {fmt(x0[1])})")
+    return est
 
 
 def _reproduce_zubov(args, cfg: RunConfig, model, out: Path) -> None:
@@ -272,15 +265,7 @@ def _reproduce_zubov(args, cfg: RunConfig, model, out: Path) -> None:
         cfg.system, cfg.domain, cfg.kw.weight, cfg.eta, doa_levels(cfg.domain, cfg.kw.weight), 500,
         cfg.sampling.dt, cfg.sampling.seed + 2, cert.varsigma,
     )
-    lines = ["[doa]"]
-    lines.append(f"eta_lower={fmt(doa.eta_lower)}")
-    lines.append(f"alpha_lower={fmt(doa.alpha_lower)}")
-    lines.append(f"a_star={'none' if doa.a_star is None else fmt(doa.a_star)}")
-    lines.append("a_star_certified_by=simulation of the known system")
-    lines.append("[mu_table]")
-    for a, mu in doa.table.items():
-        lines.append(f"{fmt(a)}={fmt(mu)}")
-    (out / "doa.txt").write_text("\n".join(lines) + "\n")
+    write_doa(doa, out / "doa.txt")
     if doa.a_star is None:
         _say(args, "doa: no level in the bracket certified")
     else:
@@ -299,12 +284,10 @@ def cmd_reproduce(args) -> int:
     _say(args, f"sampled {len(ds)} pairs, alpha_hat = {fmt(alpha)}")
     model = _fit(cfg, ds, out / "model.txt")
     _say(args, f"fit: risk = {fmt(model.diagnostics.risk)}, op norm = {fmt(model.diagnostics.op_norm)}")
-    _report(cfg, model, out / "report.txt", heldout=True)
 
-    if args.example == "example1":
-        _reproduce_lyapunov(args, cfg, model, out)
-    else:
-        _reproduce_zubov(args, cfg, model, out)
+    reproduce = _reproduce_lyapunov if args.example == "example1" else _reproduce_zubov
+    series = reproduce(args, cfg, model, out)
+    _report(cfg, model, out / "report.txt", heldout=True, series=series)
     _say(args, f"artifacts in {out}")
     return 0
 
@@ -357,7 +340,7 @@ def main(argv=None) -> int:
         return 2
     except ContractionViolatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: raise beta (rrr.beta_scale) or enlarge the sample", file=sys.stderr)
+        print("hint: raise beta (rrr.beta_scale)", file=sys.stderr)
         return 3
     except (KoopcertError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

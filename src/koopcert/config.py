@@ -54,6 +54,8 @@ class CertificateConfig:
             raise InvalidInputError(
                 "[certificate] time is a zubov horizon; a Lyapunov run takes horizon (in steps)"
             )
+        if self.horizon is not None and self.time is not None:
+            raise InvalidInputError("[certificate] sets both horizon and time; give one of them")
 
     def zubov_steps(self, dt: float) -> int:
         """Horizon in steps; a physical time is rounded via the sampling dt."""

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import BoundReport
+from .certificates import RUN_INPUT, BoundReport, DoaEstimate, LyapunovEstimate
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
 from .estimator import EtaSpec, KoopmanModel, factor_model
@@ -32,6 +32,36 @@ DIAGNOSTICS_RTOL = 1e-10
 def fmt(x: float) -> str:
     """17-significant-digit decimal rendering; round-trips float64 exactly."""
     return format(float(x), ".17g")
+
+
+def _text(value) -> str:
+    """A value as written: strings and ints as they are, floats by fmt, arrays as comma-joined fmt."""
+    if isinstance(value, np.ndarray):
+        return ",".join(fmt(v) for v in value)
+    return str(value) if isinstance(value, (str, int, np.integer)) else fmt(value)
+
+
+def ini_text(sections: dict, head: str | None = None) -> str:
+    """The text of {section: {key: value}} as [section] and key=value lines
+    (values by _text), after the comment line head if given. A None section
+    or value is left out."""
+    lines = [] if head is None else [head]
+    for name, items in sections.items():
+        if items is not None:
+            lines.append(f"[{name}]")
+            lines.extend(f"{key}={_text(value)}" for key, value in items.items() if value is not None)
+    return "\n".join(lines) + "\n"
+
+
+def _reported(record) -> dict[str, tuple]:
+    """name -> (value, source) of each reported field of a certificate record
+    (certificates.reported), the source as 'source' or 'source; uses a, b'."""
+    out = {}
+    for f in dataclasses.fields(record):
+        if f.metadata:
+            uses = ", ".join(f.metadata["uses"])
+            out[f.name] = (getattr(record, f.name), f.metadata["source"] + (uses and f"; uses {uses}"))
+    return out
 
 
 def _write_rows(target, header: str, rows: np.ndarray) -> None:
@@ -55,17 +85,8 @@ def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
         cols.append("eta")
         data.append(ds.eta_x[:, None])
     _write_rows(path, ",".join(cols), np.hstack(data))
-
-    meta = configparser.ConfigParser()
-    meta["dataset"] = {
-        "m": str(len(ds)),
-        "dim": str(n),
-        "seed": str(ds.seed),
-        "dt": fmt(ds.dt),
-        "rejected_count": str(ds.rejected_count),
-    }
-    with open(path.with_suffix(path.suffix + ".meta"), "w") as fh:
-        meta.write(fh)
+    meta = {"m": len(ds), "dim": n, "seed": ds.seed, "dt": ds.dt, "rejected_count": ds.rejected_count}
+    path.with_suffix(path.suffix + ".meta").write_text(ini_text({"dataset": meta}))
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -174,29 +195,16 @@ def write_model(model: KoopmanModel, path: str | Path) -> None:
     The Grams, W, H and Q are not stored; read_model rebuilds them from the
     anchors and U.
     """
-    out = ["# koopcert model v2", "[meta]"]
-    out.append(f"mode={model.mode}")
-    out.append(f"m={len(model)}")
-    out.append(f"dim={model.anchors_x.shape[1]}")
-    out.append(f"rank={model.rank}")
-    out.append(f"beta={fmt(model.beta)}")
-    out.append("[kernel]")
-    out.append(f"kind={model.kw.kernel.kind}")
-    out.append(f"gamma={fmt(model.kw.kernel.gamma)}")
-    out.append("[weight]")
-    out.append(f"kind={model.kw.weight.kind}")
-    out.append(f"exponent={fmt(model.kw.weight.exponent)}")
-    out.append(f"floor={fmt(model.kw.weight.floor)}")
-    if model.eta is not None:
-        out.append("[eta]")
-        out.append(f"kind={model.eta.kind}")
-        out.append(f"scale={fmt(model.eta.scale)}")
-    out.append("[diagnostics]")
-    for name in CHECKED_DIAGNOSTICS:
-        out.append(f"{name}={fmt(getattr(model.diagnostics, name))}")
-    out.append("sigma_sq=" + ",".join(fmt(v) for v in model.diagnostics.sigma_sq))
+    d, dim = model.diagnostics, model.anchors_x.shape[1]
+    head = {
+        "meta": dict(mode=model.mode, m=len(model), dim=dim, rank=model.rank, beta=model.beta),
+        "kernel": dataclasses.asdict(model.kw.kernel),
+        "weight": dataclasses.asdict(model.kw.weight),
+        "eta": None if model.eta is None else dataclasses.asdict(model.eta),
+        "diagnostics": {name: getattr(d, name) for name in (*CHECKED_DIAGNOSTICS, "sigma_sq")},
+    }
     buf = _io.StringIO()
-    buf.write("\n".join(out) + "\n")
+    buf.write(ini_text(head, "# koopcert model v2"))
     for name in ("anchors_x", "anchors_y", "U"):
         _write_rows(buf, f"[{name}]", getattr(model, name))
     Path(path).write_text(buf.getvalue())
@@ -325,32 +333,27 @@ def write_grid(text: str, values: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(text % tuple(values.tolist()))
 
 
-def write_report(report: BoundReport, path: str | Path) -> None:
-    """Bound report as a sectioned key=value file."""
-    cp = configparser.ConfigParser()
-    cp["inputs"] = {
-        "m": str(report.m),
-        "gamma": fmt(report.gamma),
-        "rank": str(report.rank),
-        "delta": fmt(report.delta),
+def write_report(report: BoundReport, path: str | Path, series: LyapunovEstimate | None = None) -> None:
+    """The bound report: [inputs] holds the run's inputs, [bounds] its other numbers, [series]
+    those of the Lyapunov series if given, and [certified_by] the source of each."""
+    numbers = {name: vs for name, vs in _reported(report).items() if vs[0] is not None}
+    summed = {} if series is None else _reported(series)
+    sections = {
+        "inputs": {name: v for name, (v, src) in numbers.items() if src == RUN_INPUT},
+        "bounds": {name: v for name, (v, src) in numbers.items() if src != RUN_INPUT},
+        "series": {name: v for name, (v, _) in summed.items()} or None,
+        "certified_by": {name: src for name, (_, src) in {**numbers, **summed}.items()},
     }
-    bounds = {
-        "eps_x": fmt(report.eps_x),
-        "eps_y": fmt(report.eps_y),
-        "excess_risk": fmt(report.excess_risk),
-        "empirical_risk": fmt(report.empirical_risk),
-        "op_norm": fmt(report.op_norm),
-        "norm_bound": fmt(report.norm_bound),
-        "decay_ratio": fmt(report.decay_ratio),
-        "alpha_plug": fmt(report.alpha_plug),
-        "lyapunov_const": fmt(report.lyapunov_const),
-    }
-    if report.heldout_risk is not None:
-        bounds["heldout_risk"] = fmt(report.heldout_risk)
-    if report.zubov_const is not None:
-        bounds["zubov_const"] = fmt(report.zubov_const)
-    cp["bounds"] = bounds
-    buf = _io.StringIO()
-    cp.write(buf)
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(ini_text(sections, "# koopcert report v1"))
 
+
+def write_doa(doa: DoaEstimate, path: str | Path) -> None:
+    """The attraction-level certificate: the floors and a* (none if no level is certified)
+    in [doa], the cost table level=mu in [mu_table], and the source of each in [certified_by]."""
+    numbers = _reported(doa)
+    sections = {
+        "doa": {name: "none" if v is None else v for name, (v, _) in numbers.items() if name != "mu_table"},
+        "mu_table": {fmt(a): mu for a, mu in doa.mu_table.items()},
+        "certified_by": {name: src for name, (_, src) in numbers.items()},
+    }
+    Path(path).write_text(ini_text(sections, "# koopcert doa v1"))

@@ -321,9 +321,9 @@ def test_example2_doa_level_lies_between_one_and_the_invariant_region():
     # {w <= a} = {|x| <= a^2} first touches the invariant region x1 x2 >= 2
     # at a = sqrt(2); the old grid stopped at 1.0 and reported its top.
     doa = _example2_doa(None)
-    assert doa.a_star in doa.table and 1.0 < doa.a_star < math.sqrt(2.0)
+    assert doa.a_star in doa.mu_table and 1.0 < doa.a_star < math.sqrt(2.0)
     # a* is the highest feasible level: no level above it is feasible
-    above = {a: mu for a, mu in doa.table.items() if a > doa.a_star}
+    above = {a: mu for a, mu in doa.mu_table.items() if a > doa.a_star}
     assert above and doa_level_threshold(doa.eta_lower, above, doa.alpha_lower, 0.1) is None
 
 
@@ -338,7 +338,7 @@ def test_widening_the_doa_level_grid_never_lowers_a_star():
 def test_doa_table_entries_do_not_depend_on_the_level_grid():
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     full = doa_levels(box, WeightSpec(kind="norm-power", exponent=0.5))
-    part, whole = (_example2_doa(full[:top]).table for top in (10, len(full)))
+    part, whole = (_example2_doa(full[:top]).mu_table for top in (10, len(full)))
     assert len(part) == 10 < len(whole)
     assert all(whole[a] == mu for a, mu in part.items()), (part, whole)
 
@@ -369,7 +369,7 @@ def test_estimate_mu_table_monotone_and_bounded():
     weight = kw_gaussian().weight
     eta = EtaSpec(kind="quadratic-norm", scale=0.25)
     levels = np.linspace(0.25, 1.0, 4)
-    table = estimate_doa(sys, DomainSpec.ball(1.0), weight, eta, levels, 50, 1.0, 3, 0.1).table
+    table = estimate_doa(sys, DomainSpec.ball(1.0), weight, eta, levels, 50, 1.0, 3, 0.1).mu_table
     vals = [table[a] for a in sorted(table)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     # sup over the sublevel set w <= a is 0.25 a^2 / (1 - 0.36)
@@ -409,7 +409,7 @@ def test_estimate_doa_one_simulation_matches_per_level_runs(monkeypatch):
         if len(pts):
             mu = max(mu, float(np.max(accumulated_costs(sys, eta, pts, dt))))
         ref.append(mu)
-    got = [doa.table[a] for a in levels.tolist()]
+    got = [doa.mu_table[a] for a in levels.tolist()]
     assert got == ref
     assert doa.a_star == doa_level_threshold(
         doa.eta_lower, dict(zip(levels.tolist(), ref)), doa.alpha_lower, 0.1

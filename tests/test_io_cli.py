@@ -550,6 +550,11 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
             "'varsigma' in [certificate]: 'inf' is not a finite",
         ),
         (["sample"], ("dt = 1.0", "dt = nan"), "'dt' in [sampling]: 'nan' is not a finite"),
+        (
+            ["sample"],
+            ("mode = lyapunov", "mode = zubov\nhorizon = 40\ntime = 0.15"),
+            "sets both horizon and time; give one of them",
+        ),
         (["sample"], None, "the following arguments are required: --config"),
         (["sample", "--config", "x", "--seed", "abc"], None, "argument --seed: invalid int value: 'abc'"),
         (["frobnicate"], None, "invalid choice: 'frobnicate'"),
@@ -562,6 +567,7 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
         "nu-nan",
         "varsigma-inf",
         "dt-nan",
+        "zubov-horizon-and-time",
         "usage-config-missing",
         "usage-seed-not-an-int",
         "usage-unknown-command",
@@ -577,7 +583,8 @@ def test_cli_refused_setting_exits_1_with_one_error_line(tmp_path, argv, edit, t
 
 def test_zubov_steps_resolution():
     assert CertificateConfig(mode="zubov", time=0.15).zubov_steps(0.025) == 6
-    assert CertificateConfig(mode="zubov", horizon=4, time=0.15).zubov_steps(0.025) == 4
+    with pytest.raises(InvalidInputError, match="both horizon"):
+        CertificateConfig(mode="zubov", horizon=4, time=0.15)
     with pytest.raises(InvalidInputError):
         CertificateConfig(mode="zubov").zubov_steps(0.025)
 
@@ -588,7 +595,47 @@ def _write_config(tmp_path, text):
     return str(path)
 
 
-def test_cli_lyapunov_pipeline(tmp_path, capsys):
+def _spy_reports(monkeypatch) -> list:
+    """The BoundReports that the CLI writes from now on, in order."""
+    written = []
+
+    def spy(report, path, series=None):
+        written.append(report)
+        write_report(report, path, series)
+
+    monkeypatch.setattr(koopcert.cli, "write_report", spy)
+    return written
+
+
+# The sources a [certified_by] entry may name (README, "Report files")
+SOURCES = {"run input", "closed form on the fit", "plug-in", "held-out sample", "simulation of the known system"}
+
+
+def _assert_ledger(path, report=None) -> configparser.ConfigParser:
+    """A report or doa file as a stock ConfigParser reads it, after checking
+    that [certified_by] names a declared source for exactly its numbers,
+    that each number a source uses is in the file, and that each [bounds]
+    value is fmt of report's field, every number of report being in the file."""
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    numbers = {"mu_table"} if cp.has_section("mu_table") else set()
+    for section in set(cp.sections()) - {"certified_by", "mu_table"}:
+        numbers.update(cp[section])
+    assert set(cp["certified_by"]) == numbers
+    for entry in cp["certified_by"].values():
+        source, _, uses = entry.partition("; uses ")
+        assert source in SOURCES
+        assert set(uses.split(", ")) - {""} <= numbers, entry
+    if report is not None:
+        reported = {f.name for f in dataclasses.fields(report) if getattr(report, f.name) is not None}
+        assert set(cp["inputs"]) | set(cp["bounds"]) == reported
+        for key, value in cp["bounds"].items():
+            assert value == fmt(getattr(report, key))
+    return cp
+
+
+def test_cli_lyapunov_pipeline(tmp_path, capsys, monkeypatch):
+    reports = _spy_reports(monkeypatch)
     cfg = _write_config(tmp_path, LINEAR_CONFIG)
     out = str(tmp_path / "out")
     assert main(["sample", "--config", cfg, "--out", out]) == 0
@@ -600,19 +647,24 @@ def test_cli_lyapunov_pipeline(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["lyapunov", "--config", cfg, "--out", out]) == 0
     assert (tmp_path / "out" / "lyapunov_grid.csv").exists()
-    assert (tmp_path / "out" / "report.txt").exists()
+    report = _assert_ledger(tmp_path / "out" / "report.txt", reports[-1])
+    assert set(report["series"]) == {"horizon", "tail_bound"}
     assert main(["report", "--config", cfg, "--out", out]) == 0
+    report = _assert_ledger(tmp_path / "out" / "report.txt", reports[-1])
+    assert report.has_option("bounds", "heldout_risk") and not report.has_section("series")
     grid = (tmp_path / "out" / "lyapunov_grid.csv").read_text().strip().split("\n")
     assert len(grid) == 1 + 5 * 5
 
 
-def test_cli_zubov_pipeline(tmp_path):
+def test_cli_zubov_pipeline(tmp_path, monkeypatch):
+    reports = _spy_reports(monkeypatch)
     cfg = _write_config(tmp_path, ZUBOV_CONFIG)
     out = str(tmp_path / "out")
     assert main(["sample", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert main(["fit", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert main(["zubov", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert (tmp_path / "out" / "zubov_grid.csv").exists()
+    assert _assert_ledger(tmp_path / "out" / "report.txt", reports[-1]).has_option("bounds", "zubov_const")
 
 
 def test_cli_fit_refuses_a_nan_eta_cell(tmp_path, capsys):
@@ -878,19 +930,35 @@ def test_cli_fit_rank_contract(tmp_path, targets, rank, code, text):
     assert text in _cli_error_line(code, *argv)
 
 
-def test_cli_reproduce_smoke(tmp_path):
+@pytest.mark.parametrize(
+    "example, written",
+    [
+        ("example1", ("lyapunov_grid.csv", "lyapunov_oracle_grid.csv", "observables.csv")),
+        ("example2", ("zubov_grid.csv", "zubov_oracle_grid.csv", "doa.txt")),
+    ],
+    ids=["example1", "example2"],
+)
+def test_cli_reproduce_smoke(tmp_path, monkeypatch, example, written):
+    reports = _spy_reports(monkeypatch)
     out = tmp_path / "repro"
-    assert main(["reproduce", "example1", "--out", str(out), "--quiet"]) == 0
-    for name in (
-        "config.ini",
-        "dataset.csv",
-        "model.txt",
-        "report.txt",
-        "lyapunov_grid.csv",
-        "lyapunov_oracle_grid.csv",
-        "observables.csv",
-    ):
+    assert main(["reproduce", example, "--out", str(out), "--quiet"]) == 0
+    for name in ("config.ini", "dataset.csv", "dataset.csv.meta", "model.txt", "report.txt", *written):
         assert (out / name).exists()
+    assert (out / "report.txt").read_text().startswith("# koopcert report v1\n")
+    report = _assert_ledger(out / "report.txt", reports[-1])
+    assert report.has_section("series") == (example == "example1")
+    if example == "example2":
+        assert (out / "doa.txt").read_text().startswith("# koopcert doa v1\n")
+        assert _assert_ledger(out / "doa.txt")["certified_by"]["a_star"].startswith("simulation")
+
+
+def test_cli_fit_of_example1_writes_no_stderr(tmp_path, capsys):
+    # the fitted op norm is 1.025 while the series certifies (rho(H) = 0.930)
+    cfg = _write_config(tmp_path, EXAMPLE1_CONFIG)
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["fit", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_write_rows_matches_savetxt(tmp_path):
