@@ -27,7 +27,7 @@ from .dynsys import (
 from .eigsolve import stein_solve
 from .errors import ContractionViolatedError, InvalidInputError, SolverFailureError
 from .estimator import EtaSpec, KoopmanModel, forward_coeffs, heldout_risk
-from .kernels import WeightSpec, axis_factors, gram, grid_weight_values, weight_values
+from .kernels import WeightSpec, axis_factors, gram_product, grid_weight_values, weight_values
 
 # Largest certificate horizon a run may configure, in steps
 HORIZON_CAP = 100_000
@@ -43,9 +43,10 @@ HELDOUT = "held-out sample"
 SIMULATION = "simulation of the known system"
 
 
-def reported(source: str, *uses: str):
+def reported(source, *uses: str):
     """A certificate record's field whose number comes from source and is computed from the
-    reported numbers named in uses, delta among them wherever it holds only with probability."""
+    reported numbers named in uses, delta among them wherever it holds only with probability.
+    A source that depends on the run is a function of the record that returns one."""
     return field(metadata={"source": source, "uses": uses})
 
 
@@ -57,12 +58,15 @@ class LyapunovEstimate:
     v(x) = k_w(x, x) + z' P z with z = U' k_w(anchors_x, x). tail_bound is
     lambda_max((H^T)' P_inf H^T) at T = horizon, where P_inf is the model's
     full series: the value the horizon leaves out is at most tail_bound |z|^2.
+    horizon is the run's input when configured, and otherwise the 2^k terms
+    in which the doubling summed the full series.
     """
 
     model: KoopmanModel
-    horizon: int = reported(CLOSED_FORM)
+    horizon: int = reported(lambda est: RUN_INPUT if est.configured else CLOSED_FORM)
     tail_bound: float = reported(CLOSED_FORM, "horizon")
     P: np.ndarray = field(repr=False)
+    configured: bool = False
 
 
 def _anchor_decay_ratio(model: KoopmanModel) -> float:
@@ -103,7 +107,9 @@ def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovE
     tail = HT.T @ P @ HT
     if horizon is not None:
         P = P - tail
-    return LyapunovEstimate(model=model, horizon=T, tail_bound=float(np.linalg.eigvalsh(tail)[-1]), P=P)
+    return LyapunovEstimate(
+        model=model, horizon=T, tail_bound=float(np.linalg.eigvalsh(tail)[-1]), P=P, configured=horizon is not None
+    )
 
 
 def _lyapunov_value(est: LyapunovEstimate, wx: np.ndarray, products) -> np.ndarray:
@@ -118,7 +124,7 @@ def lyapunov_values(est: LyapunovEstimate, X: np.ndarray) -> np.ndarray:
     model = est.model
     X = np.asarray(X, dtype=float)
     return _lyapunov_value(
-        est, weight_values(model.kw.weight, X), lambda C: C.T @ gram(model.kw, model.anchors_x, X)
+        est, weight_values(model.kw.weight, X), lambda C: gram_product(model.kw, X, model.anchors_x, C).T
     )
 
 
@@ -165,7 +171,7 @@ def zubov_values(est: ZubovEstimate, X: np.ndarray) -> np.ndarray:
     model = est.model
     X = np.asarray(X, dtype=float)
     return _zubov_value(
-        est, weight_values(model.kw.weight, X), lambda C: C.T @ gram(model.kw, model.anchors_x, X)
+        est, weight_values(model.kw.weight, X), lambda C: gram_product(model.kw, X, model.anchors_x, C).T
     )
 
 

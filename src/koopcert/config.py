@@ -13,9 +13,11 @@ from .io import build_section, read_ini
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
-# Largest dense float64 array a run may ask for: an m x m Gram of the fit,
-# a kernel factor of a grid axis, a grid slab's lead factor or product, or
-# the grid's coordinates and values (see README, "Work-size cap").
+# Largest dense float64 array a run may ask for: the m x m target Gram that a
+# fit and a reload hold, a kernel factor of a grid axis, a grid slab's lead
+# factor or product, or the grid's coordinates and values (see README,
+# "Work-size cap"). Every other Gram product is streamed in blocks of
+# kernels.PRODUCT_BLOCK_ENTRIES entries, whatever the run's size.
 WORK_BYTES_CAP = 512 * 2**20
 
 
@@ -122,7 +124,7 @@ def _check_work_size(
     width = rank if cert.mode == "lyapunov" else 1
     slab = min(points // res, grid_slab_rows(m, width)) * width
     arrays = {
-        f"the {m} x {m} Gram of the fit": 8 * m * m,
+        f"the {m} x {m} target Gram of the fit and reload": 8 * m * m,
         f"the {m} x {res} kernel factor of a grid axis": 8 * m * res,
         f"the {m} x {slab} lead factor of a grid slab": 8 * m * slab,
         f"the {slab} x {res} product of a grid slab": 8 * slab * res,

@@ -8,14 +8,17 @@ low-rank factor of K: the pivoted Cholesky factor K = Psi Psi', with k
 columns for the numerical rank k of K (well below m for the smooth
 Gaussian Grams at large m), turns it into a k x k symmetric matrix whose
 top eigenpairs give s and, in closed form from the same factor, u. No
-m x m matrix is eigendecomposed or Cholesky-factored.
+m x m matrix is eigendecomposed or Cholesky-factored, and K is never
+held: pivoted_cholesky reads K's diagonal and asks for the rows it pivots
+on, and the solve reads L only through the product L J.
 
-perron_root gives lam_max of a Gram, for the default ridge and the
-a-priori norm bound, without a dense eigensolve: the Gram is entrywise
-nonnegative, so by Perron-Frobenius its top eigenvector is nonnegative
-and Lanczos from the all-ones vector finds lam_max in a few dozen
-matrix-vector products. Every product and factorization runs in numpy's
-own BLAS and LAPACK.
+perron_root gives the largest eigenvalue of a symmetric matrix by Lanczos
+from a start vector that overlaps its top eigenvector, in a few dozen
+matrix-vector products. It serves the a-priori norm bound, on the
+entrywise nonnegative L from the all-ones vector (by Perron-Frobenius the
+top eigenvector is nonnegative), and the default ridge, on the k x k
+Psi'Psi, whose top eigenvalue is K's. Every product and factorization runs
+in numpy's own BLAS and LAPACK.
 
 stein_solve gives the Gramian P = sum_t (A^t)' Q A^t of a stable linear
 map by the doubling iteration, for the Lyapunov oracle's exact linear tail.
@@ -42,11 +45,15 @@ STEIN_DOUBLINGS = 64
 
 
 def _finite_square(S: np.ndarray, who: str) -> np.ndarray:
-    """S as a float array once it is checked to be square and finite."""
+    """S as a float array once it is checked to be square and finite.
+
+    The check reads S's least and largest entries, which are non-finite
+    when any entry is (a NaN propagates), so it allocates no mask of S.
+    """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"{who} needs a square matrix")
-    if not np.all(np.isfinite(S)):
+    if S.size and not (np.isfinite(S.min()) and np.isfinite(S.max())):
         raise InvalidInputError(f"{who} input contains non-finite entries")
     return S
 
@@ -69,22 +76,27 @@ def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np
     return vals[::-1][:top].copy(), vecs[:, ::-1][:, :top].copy()
 
 
-def perron_root(S: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric, entrywise nonnegative matrix S.
+def perron_root(S: np.ndarray, start: np.ndarray | None = None) -> float:
+    """Largest eigenvalue of a symmetric S that is positive semidefinite or
+    entrywise nonnegative.
 
-    Lanczos from the all-ones vector, which overlaps the nonnegative
-    Perron eigenvector, with full reorthogonalization (twice) each step.
-    It stops once the Ritz residual |b_k y_k| is at most 1e-15 theta, on
-    breakdown (b_k = 0), or when the Krylov space reaches dimension m,
-    where theta is exact. The basis grows one vector per matrix product.
+    Lanczos from start, which must overlap the top eigenvector, with full
+    reorthogonalization (twice) each step. Omitted, start is the all-ones
+    vector, and then S must be entrywise nonnegative: its Perron eigenvector
+    is nonnegative and overlaps it. It stops once the Ritz residual
+    |b_k y_k| is at most 1e-15 theta, on breakdown (b_k = 0), or when the
+    Krylov space reaches dimension m, where theta is exact. The basis grows
+    one vector per matrix product.
     """
     S = _finite_square(S, "perron_root")
     if S.shape[0] == 0:
         raise InvalidInputError("perron_root needs a nonempty matrix")
-    if np.any(S < 0):
-        raise InvalidInputError("perron_root needs an entrywise nonnegative matrix")
+    if start is None:
+        if S.min() < 0:
+            raise InvalidInputError("perron_root needs an entrywise nonnegative matrix")
+        start = np.ones(len(S))
     m = len(S)
-    basis = [np.full(m, 1.0 / np.sqrt(m))]
+    basis = [start / np.linalg.norm(start)]
     diag, offdiag = [], []
     while True:
         w = S @ basis[-1]
@@ -97,7 +109,8 @@ def perron_root(S: np.ndarray) -> float:
         w -= (B @ w) @ B
         w -= (B @ w) @ B
         b = float(np.linalg.norm(w))
-        # theta >= 1' S 1 / m >= 0, so breakdown (b = 0) also stops here.
+        # theta >= 0 under the precondition (theta >= 1' S 1 / m for a
+        # nonnegative S), so breakdown (b = 0) also stops here.
         if b * abs(y_last) <= 1e-15 * theta or len(basis) == m:
             return float(theta)
         offdiag.append(b)
@@ -130,28 +143,38 @@ def stein_solve(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     raise SolverFailureError("the Stein iteration did not converge: A is not stable")
 
 
-def pivoted_cholesky(K: np.ndarray) -> np.ndarray:
-    """The m x k factor Psi of the symmetric positive semidefinite K = Psi Psi'.
+def pivoted_cholesky(d: np.ndarray, rows=None) -> np.ndarray:
+    """The m x k factor Psi of a symmetric positive semidefinite K = Psi Psi'.
 
-    The greedy pivoted Cholesky of Harbrecht, Peters & Schneider (2012),
-    stopped as LAPACK's dpstrf is at its default tolerance, once every
-    residual diagonal entry is at most m eps max diag(K), so k is the
-    numerical rank of K. As in the block pivoting of Chen, Epperly, Tropp &
-    Webber (arXiv:2207.06503), one product gives the residual rows of the
-    PIVOT_BLOCK largest residual diagonals; they are then taken largest
-    first while the residual is at least PIVOT_RATIO times the largest one.
-    Psi is the transpose of a row-major k x m array grown by doubling.
+    K is read through its diagonal d and rows(idx), which returns the rows
+    idx of K as a len(idx) x m array, so it need never be held; with rows
+    omitted, d is K itself. The greedy pivoted Cholesky of Harbrecht, Peters
+    & Schneider (2012), stopped as LAPACK's dpstrf is at its default
+    tolerance, once every residual diagonal entry is at most m eps max d, so
+    k is the numerical rank of K. As in the block pivoting of Chen, Epperly,
+    Tropp & Webber (arXiv:2207.06503), one product gives the residual rows
+    of the PIVOT_BLOCK largest residual diagonals; they are then taken
+    largest first while the residual is at least PIVOT_RATIO times the
+    largest one. A candidate a block rejects is fetched again if a later
+    block takes it: on the example Grams at m = 2000 at most 2 of ~840
+    return in the next block, and keeping rejected rows over several blocks
+    costs more in updates than the rows it saves. Psi is the transpose of a
+    row-major k x m array grown by doubling.
     """
-    K = _finite_square(K, "pivoted_cholesky")
-    m = len(K)
-    d = K.diagonal().copy()
+    if rows is None:
+        K = _finite_square(d, "pivoted_cholesky")
+        d, rows = K.diagonal(), K.__getitem__
+    d = np.array(d, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise InvalidInputError("pivoted_cholesky input contains non-finite entries")
+    m = len(d)
     tol = m * np.finfo(float).eps * d.max(initial=0.0)
     F = np.empty((min(2 * PIVOT_BLOCK, m), m))
     k = 0
     while k < m and d.max() > tol:
         b = min(PIVOT_BLOCK, m - k)
         cand = np.argpartition(d, m - b)[m - b :]
-        rows = K[cand] - F[:k, cand].T @ F[:k]
+        res = rows(cand) - F[:k, cand].T @ F[:k]
         if k + b > len(F):
             # no view of F is alive here, so F may move
             F.resize((min(2 * len(F), m), m), refcheck=False)
@@ -161,7 +184,7 @@ def pivoted_cholesky(K: np.ndarray) -> np.ndarray:
             c, piv = cand[i], d[cand[i]]
             if not (piv > tol and piv >= PIVOT_RATIO * d.max()):
                 break
-            F[k] = (rows[i] - F[start:k, c] @ F[start:k]) / np.sqrt(piv)
+            F[k] = (res[i] - F[start:k, c] @ F[start:k]) / np.sqrt(piv)
             d -= F[k] * F[k]
             d[c] = 0.0
             k += 1
@@ -169,17 +192,19 @@ def pivoted_cholesky(K: np.ndarray) -> np.ndarray:
     return F.T
 
 
-def input_factor(Psi: np.ndarray, beta: float) -> np.ndarray:
+def input_factor(Psi: np.ndarray, beta: float, PtP: np.ndarray | None = None) -> np.ndarray:
     """The m x k J = Psi R^-1 of reduced_rank_eig, where K = Psi Psi' and
-    Psi' Psi / m + beta I = R'R.
+    Psi' Psi / m + beta I = R'R; PtP is Psi' Psi when the caller has formed it.
 
     J' solves R' J' = Psi' by blocked forward substitution, in Psi's memory
     when Psi is column-major, as pivoted_cholesky returns it.
     """
     m, k = Psi.shape
     F = np.ascontiguousarray(Psi.T)
+    if PtP is None:
+        PtP = F @ F.T
     try:
-        Rt = np.linalg.cholesky(F @ F.T / m + beta * np.eye(k))
+        Rt = np.linalg.cholesky(PtP / m + beta * np.eye(k))
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(str(exc)) from exc
     for start in range(0, k, SOLVE_BLOCK):

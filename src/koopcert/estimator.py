@@ -9,19 +9,21 @@ of U are the top eigenvectors of the pencil (L K / m^2) u =
 s (K / m + beta I) u over the Gram matrices, found as a symmetric top-r
 eigenproblem in a pivoted Cholesky factor of K, with U in closed form
 from the same factor, so no m x m matrix is eigendecomposed or
-Cholesky-factored; the default beta comes from the Lanczos Perron root of
-K. The model keeps only these factors and two r x r matrices,
-H = U' E W and Q = W' L W, so the coefficient recursions that push kernel
-sections through powers of A and its adjoint run in rank-r coordinates.
+Cholesky-factored; the default beta comes from lam_max(K), the Lanczos
+top eigenvalue of the factor's k x k Gram Psi'Psi. The model keeps only
+these factors and two r x r matrices, H = U' E W and Q = W' L W, so the
+coefficient recursions that push kernel sections through powers of A and
+its adjoint run in rank-r coordinates.
 
-Each m x m Gram is built where it is read and dropped after its last
-read. The fit builds K, factors it into the m x k Psi and drops it, turns
-Psi into J in Psi's own memory, then builds L only for the m x k product
-L J; factor_model, where the fit and read_model both end, builds K for
-Z = U' K, then L, then E, one at a time. So a fit holds at most one m x m
-array at a time, beside the m x k factor and L J, and read_model one; the
-price is one more build each of K and L per fit than one each of K, L
-and E.
+Neither K nor the cross Gram E is ever held. The fit reads K's diagonal,
+(w(x_i))^2 since the base kernel is 1 at zero distance, and the rows
+pivoted_cholesky asks for; it turns the m x k factor Psi into J in Psi's
+own memory, and L J, like every other product with a Gram (K U, E W, and
+the held-out products), is streamed: kernels.gram_product builds the
+Gram's rows a 2 MB block at a time and drops each block after its
+product. The one m x m array is the damped target Gram L, which
+factor_model, where the fit and read_model both end, builds once for
+W' L and its Perron root in the a-priori bound.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import numpy as np
 from .dynsys import SnapshotDataset
 from .eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError
-from .kernels import WeightedKernelSpec, gram, weight_values
+from .kernels import WeightedKernelSpec, gram, gram_product, weight_values
 
-# Held-out pairs per Gram against the anchors: the m x rows Gram of a
-# block is 8 MB at the examples' m = 500 anchors (8 * 500 * 2048 bytes).
+# Held-out pairs per block of heldout_risk: its r x rows rank-space arrays
+# are 800 KB each at rank 50.
 HELDOUT_BLOCK_ROWS = 2048
 
 
@@ -160,18 +162,18 @@ def factor_model(
 ) -> KoopmanModel:
     """Model from the anchors and normalized eigenvectors U.
 
-    Builds W, H and Q and every fit diagnostic. K, for Z = U' K, the damped
-    target Gram L and then the cross Gram E, damped in its target (column)
-    index, are each built here and dropped after their last product, so at
-    most one m x m array is held at a time. The fit and read_model both end
-    in this call with the same arguments, so a reloaded model is
-    bit-identical to the fitted one. There is no m x m eigensolve:
+    Builds W, H and Q and every fit diagnostic. K U and E W, with E the
+    cross Gram damped in its target (column) index, are streamed
+    (kernels.gram_product), so the damped target Gram L, built once for
+    W' L and its Perron root, is the one m x m array held. The fit and
+    read_model both end in this call with the same arguments, so a reloaded
+    model is bit-identical to the fitted one. There is no m x m eigensolve:
     lam_max(L) in the a-priori bound is the Lanczos Perron root of the
     nonnegative L, and the operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with
     M = U' K U, an r x r solve.
     """
     m = len(X)
-    Z = U.T @ gram(kw, X)
+    Z = gram_product(kw, X, None, U).T
     W = Z.T / m
     damping = None if eta is None else eta.damping(X)
     L = gram(kw, Y, scale_a=damping)
@@ -179,9 +181,7 @@ def factor_model(
     Q = WL @ W
     norm_bound = perron_root(L) / (beta * m)
     del L
-    E = gram(kw, X, Y, scale_b=damping)
-    H = U.T @ E @ W
-    del E
+    H = U.T @ gram_product(kw, X, Y, W, scale_b=damping)
     M = Z @ U
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
     Mh = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
@@ -233,16 +233,21 @@ def _fit(
     if cfg.rank > m:
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
     damping = _checked_damping(ds, eta)
-    K = gram(kw, X)
-    if float(K.max()) == 0.0:
+    # K's diagonal, w(x_i)^2: the base kernel is 1 at zero distance
+    w = weight_values(kw.weight, X)
+    diag = w * w
+    if float(diag.max()) == 0.0:
         raise InvalidInputError("all-zero Gram matrix; weight floor is misconfigured")
-    # K is entrywise nonnegative, like L, so lam_max(K) is its Perron root
-    beta = cfg.beta if cfg.beta is not None else cfg.beta_scale * perron_root(K) / m
-    Psi = pivoted_cholesky(K)
-    del K
-    # J takes over Psi's memory; L lives only for the product
-    J = input_factor(Psi, beta)
-    sigma_sq, U = reduced_rank_eig(J, gram(kw, Y, scale_a=damping) @ J, beta, cfg.rank)
+    Psi = pivoted_cholesky(diag, lambda idx: gram(kw, X[idx], X))
+    PtP = Psi.T @ Psi
+    # lam_max(K) = lam_max(Psi'Psi); Lanczos starts from Psi'1, which overlaps
+    # the top eigenvector Psi'u / |Psi'u|, since (Psi'1)'(Psi'u) = 1'Ku = lam 1'u > 0
+    # for the nonnegative Perron vector u of K
+    beta = cfg.beta if cfg.beta is not None else cfg.beta_scale * perron_root(PtP, Psi.sum(axis=0)) / m
+    # J takes over Psi's memory
+    J = input_factor(Psi, beta, PtP)
+    del PtP
+    sigma_sq, U = reduced_rank_eig(J, gram_product(kw, Y, None, J, scale_a=damping), beta, cfg.rank)
     del Psi, J
     return factor_model(kw, X, Y, eta, beta, U, sigma_sq)
 
@@ -309,7 +314,7 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
     out[0] = weight_values(model.kw.weight, x)[0] * g(x)[0]
     if horizon >= 1:
         g0 = weight_values(model.kw.weight, model.anchors_y) * g(model.anchors_y)
-        z = model.U.T @ gram(model.kw, model.anchors_x, x)[:, 0]
+        z = gram_product(model.kw, x, model.anchors_x, model.U)[0]
         out[1:] = _forward_rank_coeffs(model, g0, horizon) @ z
     return out
 
@@ -317,16 +322,17 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs.
 
-    The pairs are taken HELDOUT_BLOCK_ROWS at a time, so an m x rows Gram of
-    a block, not an m x m_h one, is the largest array built.
+    The pairs are taken HELDOUT_BLOCK_ROWS at a time, and their products
+    with the Grams against the anchors are streamed (kernels.gram_product),
+    so no Gram of the anchors with the pairs is held: the largest arrays are
+    a 2 MB Gram block and the r x rows rank-space ones.
     """
     dh = _checked_damping(ds, model.eta)
-    losses = []
+    kw, losses = model.kw, []
     for start in range(0, len(ds), HELDOUT_BLOCK_ROWS):
         part = slice(start, start + HELDOUT_BLOCK_ROWS)
         X, Y, d = ds.X[part], ds.Y[part], None if dh is None else dh[part]
-        # each Gram lives only for its product, so one block's is held at a time
-        Z = model.U.T @ gram(model.kw, model.anchors_x, X)
-        WG = model.W.T @ gram(model.kw, model.anchors_y, Y, scale_a=model.damping, scale_b=d)
-        losses.append(_section_losses(model.kw, Y, d, Z, model.Q, WG))
+        Z = gram_product(kw, X, model.anchors_x, model.U).T
+        WG = gram_product(kw, Y, model.anchors_y, model.W, scale_a=d, scale_b=model.damping).T
+        losses.append(_section_losses(kw, Y, d, Z, model.Q, WG))
     return max(float(np.mean(np.concatenate(losses))), 0.0)

@@ -59,8 +59,9 @@ def _reported(record) -> dict[str, tuple]:
     out = {}
     for f in dataclasses.fields(record):
         if f.metadata:
-            uses = ", ".join(f.metadata["uses"])
-            out[f.name] = (getattr(record, f.name), f.metadata["source"] + (uses and f"; uses {uses}"))
+            source, uses = f.metadata["source"], ", ".join(f.metadata["uses"])
+            source = source(record) if callable(source) else source
+            out[f.name] = (getattr(record, f.name), source + (uses and f"; uses {uses}"))
     return out
 
 
@@ -243,11 +244,12 @@ def read_model(path: str | Path) -> KoopmanModel:
     """Rebuild a fitted model from its file.
 
     The factors and diagnostics are recomputed from the anchors and U by
-    the call the fit ends in, factor_model, with the same arguments, so one
-    m x m Gram is held at a time and the model is bit-identical to the
-    fitted one. A file whose stored diagnostics differ from the recomputed ones
-    by more than DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays
-    and a v1 file, which held the dense theta instead of U.
+    the call the fit ends in, factor_model, with the same arguments, so the
+    model is bit-identical to the fitted one. The parsed text is dropped
+    first, so the target Gram L is the one m x m array held. A file whose
+    stored diagnostics differ from the recomputed ones by more than
+    DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays and a v1
+    file, which held the dense theta instead of U.
     """
     path = Path(path)
     sections = _parse_sections(_read_text(path, "model file"))
@@ -282,6 +284,7 @@ def read_model(path: str | Path) -> KoopmanModel:
         if isinstance(exc, InvalidInputError):
             raise
         raise InvalidInputError(f"malformed model file {path}: {exc}") from exc
+    del sections
     shapes = (X.shape, Y.shape, U.shape, sigma_sq.shape)
     if shapes != ((m, dim), (m, dim), (m, rank), (rank,)):
         raise InvalidInputError(f"{where} arrays disagree with the declared sizes")

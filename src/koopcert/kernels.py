@@ -4,15 +4,20 @@ A weight ``w`` vanishes at the origin and scales a base kernel into
 ``k_w(x, y) = w(x) w(y) k(x, y)``, which is the reproducing kernel of the
 weighted space in which the transfer operator is learned.
 
-``gram`` assembles every weighted Gram of the package, damped ones too (a
-per-point scale multiplies the weight). It walks the rows of its first
-argument in blocks of at most GRAM_BLOCK_ENTRIES entries, so a block and
-its one scratch array stay in cache and no second full-size array is
+``gram`` assembles every weighted Gram entry of the package, damped ones
+too (a per-point scale multiplies the weight). It walks the rows of its
+first argument in blocks of at most GRAM_BLOCK_ENTRIES entries, so a block
+and its one scratch array stay in cache and no second full-size array is
 built. Each entry goes through the same ufunc sequence however the rows
 are blocked, so the Gram of a set with itself is exactly symmetric. It runs
 in the calling thread, under the caller's numpy error state, so an
 ``np.errstate(over="raise")`` around a call turns an overflow into a
 FloatingPointError.
+
+A product G V with a Gram never needs G whole: ``gram_product`` has ``gram``
+build G's rows PRODUCT_BLOCK_ENTRIES entries at a time, multiplies each
+block by V and drops it, so each product holds one 2 MB block however large
+G is, and its entries are gram's bit for bit.
 
 On a tensor grid no Gram is built: the Gaussian is a product over
 coordinates, so ``axis_factors`` gives one small factor per axis, and the
@@ -33,6 +38,9 @@ KERNEL_KINDS = ("gaussian",)
 
 # Entries per Gram block: 32 rows at 2048 columns, 512 KB per array.
 GRAM_BLOCK_ENTRIES = 1 << 16
+# Entries per block of a streamed Gram product (gram_product): 2 MB, 131 rows
+# at 2000 columns; a Gram of up to 512 x 512 is one block.
+PRODUCT_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -199,4 +207,31 @@ def gram(
         block = base_gram(kw.kernel, A[i:j], B, s, out=out[i:j])
         # k (wa wb); (k wa) wb would round differently
         block *= np.multiply(wa[i:j, None], wb[None, :], out=s)
+    return out
+
+
+def gram_product(
+    kw: WeightedKernelSpec, A: np.ndarray, B: np.ndarray | None, V: np.ndarray,
+    scale_a: np.ndarray | None = None, scale_b: np.ndarray | None = None,
+) -> np.ndarray:
+    """The product G V of the Gram G = gram(kw, A, B, scale_a, scale_b) with the
+    len(B) x c matrix V, without G.
+
+    The rows of A are taken PRODUCT_BLOCK_ENTRIES / len(B) at a time (at
+    least one); gram builds each block, whose entries equal G's bit for bit,
+    and the block is multiplied by V and dropped.
+    """
+    A = _check_points(A, "A")
+    if B is None and scale_b is not None:
+        raise InvalidInputError("a Gram of A with itself takes one scale, scale_a")
+    B, scale_b = (A, scale_a) if B is None else (_check_points(B, "B"), scale_b)
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or len(V) != len(B):
+        raise InvalidInputError("a Gram product needs one row of V per column of the Gram")
+    out = np.empty((len(A), V.shape[1]))
+    step = max(1, PRODUCT_BLOCK_ENTRIES // len(B))
+    for i in range(0, len(A), step):
+        rows = slice(i, i + step)
+        block = gram(kw, A[rows], B, None if scale_a is None else scale_a[rows], scale_b)
+        np.matmul(block, V, out=out[rows])
     return out

@@ -25,8 +25,10 @@ from koopcert import (
     weight_values,
 )
 from koopcert import DomainSpec, SystemSpec
+from koopcert import estimator, kernels
 from koopcert.eigsolve import pivoted_cholesky
 from koopcert.estimator import HELDOUT_BLOCK_ROWS
+from koopcert.io import read_model, write_model
 
 from helpers import (
     dense_diagnostics,
@@ -294,7 +296,9 @@ def test_heldout_risk_on_training_data_is_empirical_risk():
 
 def test_heldout_risk_walks_the_pairs_in_blocks():
     # 4500 fresh pairs span three blocks of HELDOUT_BLOCK_ROWS; the risk is one
-    # mean over every pair, and no m x 4500 Gram is built whole
+    # mean over every pair, and the Grams against the anchors are streamed, so
+    # the peak (about 0.41 m x 4500 Grams) is a 2 MB Gram block and the r x 2048
+    # rank-space arrays, not an m x 4500 or m x 2048 Gram
     ds1, _, model1 = example1_model()
     ds2, _, eta, model2 = example2_model()
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
@@ -306,7 +310,7 @@ def test_heldout_risk_walks_the_pairs_in_blocks():
         assert len(fresh) > 2 * HELDOUT_BLOCK_ROWS
         np.testing.assert_allclose(heldout_risk(model, fresh), dense_heldout_risk(model, fresh), rtol=1e-12)
         peak = traced_peak(lambda: heldout_risk(model, fresh))
-        assert peak < 8 * len(model) * len(fresh), f"peak {peak / (8 * len(model) * len(fresh)):.2f} Grams"
+        assert peak < 0.5 * 8 * len(model) * len(fresh), f"peak {peak / (8 * len(model) * len(fresh)):.2f} Grams"
 
 
 def test_predict_observable_linear_one_step():
@@ -346,31 +350,69 @@ def test_predict_observable_linear_one_step():
 
 
 def test_fit_holds_no_cross_gram_through_the_pencil_solve():
-    # Each Gram lives from its build to its last read, so the fit peaks at
-    # about 2.35 m x m arrays at m = 1000, holding L with the m x k J and L J
-    # (k = 674 columns of the factor of K). Holding K through the solve
-    # as well would make it 3.35, and a cross Gram E too 4.35. At m = 2000
-    # (k = 730) the same stage is about 1.73; building K again for
-    # K / m + beta I, as the solve did before its closed form, made it 2.06.
+    # K is never built and L J, K U and E W are streamed, so the one m x m
+    # array is L in factor_model. At m = 1000 the fit peaks at about 2.24
+    # m x m arrays in the pencil solve, holding the m x k J and L J with the
+    # k x k J'LJ and its eigenvectors (k = 674); at m = 2000 (k = 716) L sets
+    # the peak, about 1.14 (1.72 while K and L were each built whole twice).
+    # The held-out risk at m = 2000 peaks at about 0.20 (1.05 with m x 2048
+    # held-out Grams).
     kw = kw_gaussian()
-    for m, bound in ((1000, 2.6), (2000, 1.8)):
+    models = []
+    for m, bound in ((1000, 2.4), (2000, 1.3)):
         ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
-        peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50)))
+        peak = traced_peak(lambda: models.append(fit_koopman(ds, kw, RRRConfig(rank=50))))
         assert peak < bound * 8 * m * m, f"m = {m}: peak {peak / (8 * m * m):.2f} m x m arrays"
+    fresh = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 2, kw.weight)
+    peak = traced_peak(lambda: heldout_risk(models[-1], fresh))
+    assert peak < 0.3 * 8 * m * m, f"held-out risk: peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_damped_fit_holds_at_most_two_grams():
     # the damped target Gram is scaled in row blocks, without an m x m
-    # outer product, and the eigenvectors come from the factor of K in
-    # closed form, without K / m + beta I; the fit peaks at about 1.90 m x m
-    # arrays, holding L with the m x k J and L J (k = 902)
+    # outer product, and L J is streamed, so the fit peaks at about 1.28
+    # m x m arrays in the pencil solve, holding the m x k J and L J with the
+    # k x k J'LJ and its eigenvectors (k = 882); holding L beside J and L J
+    # made it 1.88
     m = 2000
     kw = kw_gaussian(power=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight, eta=eta)
     peak = traced_peak(lambda: fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)))
-    assert peak < 2.0 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+    assert peak < 1.4 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+
+
+def test_fit_and_reload_build_no_gram_but_the_target_gram(monkeypatch, tmp_path):
+    # K and the cross Gram E are never built, and every product with a Gram
+    # is streamed in blocks of PRODUCT_BLOCK_ENTRIES, so the one array above
+    # a block that gram returns is the damped target Gram L, once per
+    # factor_model call: once in the fit and once in the reload
+    m = 1200
+    kw = kw_gaussian(power=0.5)
+    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight, eta=eta)
+    L = gram(kw, ds.Y, scale_a=eta.damping(ds.X))
+    built = []
+
+    def spy(*args, **kwargs):
+        G = gram(*args, **kwargs)
+        built.append(G if G.size > kernels.PRODUCT_BLOCK_ENTRIES else G.shape)
+        return G
+
+    monkeypatch.setattr(kernels, "gram", spy)
+    monkeypatch.setattr(estimator, "gram", spy)
+    for run in (
+        lambda: write_model(fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)), tmp_path / "model.txt"),
+        lambda: read_model(tmp_path / "model.txt"),
+    ):
+        built.clear()
+        run()
+        large = [G for G in built if isinstance(G, np.ndarray)]
+        assert len(large) == 1 and large[0].tobytes() == L.tobytes()
+        # the streamed blocks and the factor's rows, several per product
+        assert len(built) > 10
 
 
 def test_beta_resolution_from_scale():

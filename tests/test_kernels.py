@@ -17,7 +17,7 @@ from koopcert import (
     gram,
     weight_values,
 )
-from koopcert.kernels import GRAM_BLOCK_ENTRIES, WEIGHT_KINDS
+from koopcert.kernels import GRAM_BLOCK_ENTRIES, PRODUCT_BLOCK_ENTRIES, WEIGHT_KINDS, gram_product
 
 from helpers import einsum_sq_dists, kw_gaussian, scalar_weighted_kernel
 
@@ -176,6 +176,34 @@ def test_gram_is_bit_identical_to_one_unblocked_product(kind, n):
     assert np.array_equal(L, L.T)
     assert L.tobytes() == _reference_gram(kw, X, X, d, d).tobytes()
     assert gram(kw, X, scale_a=np.ones(len(X))).tobytes() == K.tobytes()
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_gram_product_is_the_gram_times_v(kind):
+    kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
+    rng = np.random.default_rng(11)
+    cols = 600
+    step = PRODUCT_BLOCK_ENTRIES // cols
+    # three blocks of rows and a short last one
+    A, B = rng.normal(size=(3 * step + 17, 2)), rng.normal(size=(cols, 2))
+    s, t = np.exp(-rng.uniform(0.0, 5.0, len(A))), np.exp(-rng.uniform(0.0, 5.0, cols))
+    V = rng.normal(size=(cols, 5))
+    for scale_a, scale_b in ((None, None), (s, t), (None, t), (s, None)):
+        G = gram(kw, A, B, scale_a, scale_b)
+        GV = gram_product(kw, A, B, V, scale_a, scale_b)
+        np.testing.assert_allclose(GV, G @ V, rtol=0, atol=1e-13 * np.max(np.abs(G @ V)))
+        # against the identity each block gives gram's entries bit for bit
+        assert gram_product(kw, A, B, np.eye(cols), scale_a, scale_b).tobytes() == G.tobytes()
+    # the Gram of A with itself, scaled on both sides by scale_a
+    V = rng.normal(size=(len(A), 4))
+    for scale in (None, s):
+        G = gram(kw, A, scale_a=scale)
+        GV = gram_product(kw, A, None, V, scale_a=scale)
+        np.testing.assert_allclose(GV, G @ V, rtol=0, atol=1e-13 * np.max(np.abs(G @ V)))
+    with pytest.raises(InvalidInputError):
+        gram_product(kw, A, None, V, scale_b=s)
+    with pytest.raises(InvalidInputError):
+        gram_product(kw, A, B, V)
 
 
 def test_gram_rejects_a_scale_of_the_wrong_length():
