@@ -20,7 +20,7 @@ from koopcert import (
     build_zubov,
     doa_levels,
     estimate_doa,
-    fit_zubov_koopman,
+    fit_koopman,
     make_dataset,
     zubov_values,
 )
@@ -35,7 +35,7 @@ dom = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
 dt = 0.025
 
 ds = make_dataset(sys, dom, 500, dt, 42, kw.weight, eta=eta)
-model = fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50))
+model = fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta)
 print(f"damped fit: risk {model.diagnostics.risk:.6f}")
 
 est = build_zubov(model, 6, nu=1.0, varsigma=0.1)

@@ -61,7 +61,6 @@ from .estimator import (
     KoopmanModel,
     RRRConfig,
     fit_koopman,
-    fit_zubov_koopman,
     forward_coeffs,
     heldout_risk,
     predict_observables,

@@ -80,11 +80,14 @@ def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovE
     The full sum P_inf solves P = H'PH + Q (eigsolve.stein_solve), and with
     no horizon P = P_inf, whose horizon is the 2^k terms the doubling
     summed. An explicit horizon T gives the exact finite sum P_inf -
-    (H^T)' P_inf H^T. Refuses (ContractionViolatedError) when the fitted
-    operator norm and the anchors' observed decay ratio are both >= 1,
-    where the data expand whatever the fitted spectrum says, and when
-    rho(H) >= 1, where the series diverges; then raise beta.
+    (H^T)' P_inf H^T. Refuses (InvalidInputError) a damped model, whose
+    series is not the flow's, and (ContractionViolatedError) a fit whose
+    operator norm and anchors' observed decay ratio are both >= 1, where
+    the data expand whatever the fitted spectrum says, or whose rho(H) >= 1,
+    where the series diverges; then raise beta.
     """
+    if model.mode != "koopman":
+        raise InvalidInputError(f"the Lyapunov series needs a plain fit, not a {model.mode}-mode one")
     if horizon is not None and (not isinstance(horizon, (int, np.integer)) or horizon < 0):
         raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
     op_norm = model.diagnostics.op_norm

@@ -40,7 +40,7 @@ from .errors import (
     InvalidInputError,
     KoopcertError,
 )
-from .estimator import fit_koopman, fit_zubov_koopman, predict_observables
+from .estimator import fit_koopman, predict_observables
 from .io import (
     _write_rows,
     fmt,
@@ -89,9 +89,14 @@ def _draw(cfg: RunConfig, seed: int, eta):
     )
 
 
+def _eta(cfg: RunConfig):
+    """The run's damping: the configured eta for a zubov run, None otherwise."""
+    return cfg.eta if cfg.certificate.mode == "zubov" else None
+
+
 def _sample(cfg: RunConfig, path: Path):
     """Draw the training pairs, write them, and return them with their decay ratio."""
-    eta = cfg.eta if cfg.certificate.mode == "zubov" else None
+    eta = _eta(cfg)
     ds = _draw(cfg, cfg.sampling.seed, eta)
     write_dataset(ds, path)
     return ds, check_decay_ratio(ds.X, ds.Y, cfg.kw.weight, eta=eta)
@@ -109,10 +114,7 @@ def cmd_sample(args) -> int:
 
 
 def _fit(cfg: RunConfig, ds, path: Path):
-    if cfg.certificate.mode == "zubov":
-        model = fit_zubov_koopman(ds, cfg.kw, cfg.eta, cfg.rrr)
-    else:
-        model = fit_koopman(ds, cfg.kw, cfg.rrr)
+    model = fit_koopman(ds, cfg.kw, cfg.rrr, eta=_eta(cfg))
     write_model(model, path)
     return model
 

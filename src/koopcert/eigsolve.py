@@ -10,7 +10,8 @@ Gaussian Grams at large m), turns it into a k x k symmetric matrix whose
 top eigenpairs give s and, in closed form from the same factor, u. No
 m x m matrix is eigendecomposed or Cholesky-factored, and K is never
 held: pivoted_cholesky reads K's diagonal and asks for the rows it pivots
-on, and the solve reads L only through the product L J.
+on, input_factor reuses the fit's Psi'Psi, and the solve reads L only
+through the product L J.
 
 perron_root gives the largest eigenvalue of a symmetric matrix by Lanczos
 from a start vector that overlaps its top eigenvector, in a few dozen
@@ -143,27 +144,24 @@ def stein_solve(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     raise SolverFailureError("the Stein iteration did not converge: A is not stable")
 
 
-def pivoted_cholesky(d: np.ndarray, rows=None) -> np.ndarray:
+def pivoted_cholesky(d: np.ndarray, rows) -> np.ndarray:
     """The m x k factor Psi of a symmetric positive semidefinite K = Psi Psi'.
 
     K is read through its diagonal d and rows(idx), which returns the rows
-    idx of K as a len(idx) x m array, so it need never be held; with rows
-    omitted, d is K itself. The greedy pivoted Cholesky of Harbrecht, Peters
-    & Schneider (2012), stopped as LAPACK's dpstrf is at its default
-    tolerance, once every residual diagonal entry is at most m eps max d, so
-    k is the numerical rank of K. As in the block pivoting of Chen, Epperly,
-    Tropp & Webber (arXiv:2207.06503), one product gives the residual rows
-    of the PIVOT_BLOCK largest residual diagonals; they are then taken
-    largest first while the residual is at least PIVOT_RATIO times the
-    largest one. A candidate a block rejects is fetched again if a later
-    block takes it: on the example Grams at m = 2000 at most 2 of ~840
-    return in the next block, and keeping rejected rows over several blocks
-    costs more in updates than the rows it saves. Psi is the transpose of a
-    row-major k x m array grown by doubling.
+    idx of K as a len(idx) x m array, so it need never be held. The greedy
+    pivoted Cholesky of Harbrecht, Peters & Schneider (2012), stopped as
+    LAPACK's dpstrf is at its default tolerance, once every residual
+    diagonal entry is at most m eps max d, so k is the numerical rank of K.
+    As in the block pivoting of Chen, Epperly, Tropp & Webber
+    (arXiv:2207.06503), one product gives the residual rows of the
+    PIVOT_BLOCK largest residual diagonals; they are then taken largest
+    first while the residual is at least PIVOT_RATIO times the largest one.
+    A candidate a block rejects is fetched again if a later block takes it:
+    on the example Grams at m = 2000 at most 2 of ~840 return in the next
+    block, and keeping rejected rows over several blocks costs more in
+    updates than the rows it saves. Psi is the transpose of a row-major k x
+    m array grown by doubling.
     """
-    if rows is None:
-        K = _finite_square(d, "pivoted_cholesky")
-        d, rows = K.diagonal(), K.__getitem__
     d = np.array(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise InvalidInputError("pivoted_cholesky input contains non-finite entries")
@@ -192,17 +190,15 @@ def pivoted_cholesky(d: np.ndarray, rows=None) -> np.ndarray:
     return F.T
 
 
-def input_factor(Psi: np.ndarray, beta: float, PtP: np.ndarray | None = None) -> np.ndarray:
-    """The m x k J = Psi R^-1 of reduced_rank_eig, where K = Psi Psi' and
-    Psi' Psi / m + beta I = R'R; PtP is Psi' Psi when the caller has formed it.
+def input_factor(Psi: np.ndarray, beta: float, PtP: np.ndarray) -> np.ndarray:
+    """The m x k J = Psi R^-1 of reduced_rank_eig, where K = Psi Psi',
+    PtP = Psi' Psi and PtP / m + beta I = R'R.
 
     J' solves R' J' = Psi' by blocked forward substitution, in Psi's memory
     when Psi is column-major, as pivoted_cholesky returns it.
     """
     m, k = Psi.shape
     F = np.ascontiguousarray(Psi.T)
-    if PtP is None:
-        PtP = F @ F.T
     try:
         Rt = np.linalg.cholesky(PtP / m + beta * np.eye(k))
     except np.linalg.LinAlgError as exc:
@@ -219,7 +215,7 @@ def reduced_rank_eig(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
 
-    J = input_factor(Psi, beta) for the factor Psi of the symmetric input
+    J = input_factor(Psi, beta, Psi'Psi) for the factor Psi of the symmetric input
     Gram K, LJ is the m x k product L J with the symmetric target Gram L,
     and beta > 0 the ridge. With K = Psi Psi' and J = Psi R^-1,
     K (K / m + beta I)^-1 = J J' and (K / m + beta I)^-1 = (I - J J' / m) / beta,

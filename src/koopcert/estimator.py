@@ -13,7 +13,8 @@ Cholesky-factored; the default beta comes from lam_max(K), the Lanczos
 top eigenvalue of the factor's k x k Gram Psi'Psi. The model keeps only
 these factors and two r x r matrices, H = U' E W and Q = W' L W, so the
 coefficient recursions that push kernel sections through powers of A and
-its adjoint run in rank-r coordinates.
+its adjoint run in rank-r coordinates. fit_koopman makes both fits, the
+damped one when it is given an eta.
 
 Neither K nor the cross Gram E is ever held. The fit reads K's diagonal,
 (w(x_i))^2 since the base kernel is 1 at zero distance, and the rows
@@ -36,10 +37,6 @@ from .dynsys import SnapshotDataset
 from .eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
 from .errors import EtaMismatchError, InvalidInputError
 from .kernels import WeightedKernelSpec, gram, gram_product, weight_values
-
-# Held-out pairs per block of heldout_risk: its r x rows rank-space arrays
-# are 800 KB each at rank 50.
-HELDOUT_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -222,12 +219,15 @@ def _checked_damping(ds: SnapshotDataset, eta: EtaSpec | None) -> np.ndarray | N
     return eta.damping(ds.X)
 
 
-def _fit(
-    ds: SnapshotDataset,
-    kw: WeightedKernelSpec,
-    cfg: RRRConfig,
-    eta: EtaSpec | None,
+def fit_koopman(
+    ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig, *, eta: EtaSpec | None = None
 ) -> KoopmanModel:
+    """Reduced-rank fit of the one-step operator from snapshot pairs.
+
+    With eta given, the fit is of the cost-damped operator: only the target
+    Gram changes, section j becoming exp(-eta(x_j)) k_w(y_j, .), and with
+    eta identically zero the result matches the plain fit bit for bit.
+    """
     X, Y = ds.X, ds.Y
     m = len(X)
     if cfg.rank > m:
@@ -250,25 +250,6 @@ def _fit(
     sigma_sq, U = reduced_rank_eig(J, gram_product(kw, Y, None, J, scale_a=damping), beta, cfg.rank)
     del Psi, J
     return factor_model(kw, X, Y, eta, beta, U, sigma_sq)
-
-
-def fit_koopman(ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig) -> KoopmanModel:
-    """Reduced-rank fit of the one-step operator from snapshot pairs."""
-    return _fit(ds, kw, cfg, eta=None)
-
-
-def fit_zubov_koopman(
-    ds: SnapshotDataset, kw: WeightedKernelSpec, eta: EtaSpec, cfg: RRRConfig
-) -> KoopmanModel:
-    """Reduced-rank fit of the cost-damped operator from snapshot pairs.
-
-    Only the target Gram changes relative to the plain fit: section j
-    becomes exp(-eta(x_j)) k_w(y_j, .). With eta identically zero the
-    result matches fit_koopman bit for bit.
-    """
-    if eta is None:
-        raise InvalidInputError("damped fit needs an eta spec")
-    return _fit(ds, kw, cfg, eta=eta)
 
 
 def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:
@@ -322,17 +303,13 @@ def predict_observables(model: KoopmanModel, g, x: np.ndarray, horizon: int) -> 
 def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     """Mean squared section error of the fitted operator on fresh pairs.
 
-    The pairs are taken HELDOUT_BLOCK_ROWS at a time, and their products
-    with the Grams against the anchors are streamed (kernels.gram_product),
-    so no Gram of the anchors with the pairs is held: the largest arrays are
-    a 2 MB Gram block and the r x rows rank-space ones.
+    The pairs' products with the Grams against the anchors are streamed
+    (kernels.gram_product), so no Gram of the anchors with the pairs is
+    held: the largest arrays are a 2 MB Gram block and the r x m_h
+    rank-space ones, the size of U for the CLI's m_h = m held-out pairs.
     """
-    dh = _checked_damping(ds, model.eta)
-    kw, losses = model.kw, []
-    for start in range(0, len(ds), HELDOUT_BLOCK_ROWS):
-        part = slice(start, start + HELDOUT_BLOCK_ROWS)
-        X, Y, d = ds.X[part], ds.Y[part], None if dh is None else dh[part]
-        Z = gram_product(kw, X, model.anchors_x, model.U).T
-        WG = gram_product(kw, Y, model.anchors_y, model.W, scale_a=d, scale_b=model.damping).T
-        losses.append(_section_losses(kw, Y, d, Z, model.Q, WG))
-    return max(float(np.mean(np.concatenate(losses))), 0.0)
+    d = _checked_damping(ds, model.eta)
+    kw, Y = model.kw, ds.Y
+    Z = gram_product(kw, ds.X, model.anchors_x, model.U).T
+    WG = gram_product(kw, Y, model.anchors_y, model.W, scale_a=d, scale_b=model.damping).T
+    return max(float(np.mean(_section_losses(kw, Y, d, Z, model.Q, WG))), 0.0)

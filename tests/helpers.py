@@ -24,7 +24,6 @@ from koopcert import (
     WeightSpec,
     WeightedKernelSpec,
     fit_koopman,
-    fit_zubov_koopman,
     gram,
     make_dataset,
     step,
@@ -64,7 +63,7 @@ def example2_model():
         kw.weight,
         eta=eta,
     )
-    model = fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50))
+    model = fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta)
     return ds, kw, eta, model
 
 
@@ -165,7 +164,8 @@ def fit_pencil_eig(M: np.ndarray, B: np.ndarray, r: int):
     """Top-r eigenvalues of M v = s B v from the fit's solve on
     as_fit_pencil(M, B), with its eigenvectors U and the pencil's V = K U."""
     K, L, beta = as_fit_pencil(M, B)
-    J = input_factor(pivoted_cholesky(K), beta)
+    Psi = pivoted_cholesky(K.diagonal(), K.__getitem__)
+    J = input_factor(Psi, beta, Psi.T @ Psi)
     vals, U = reduced_rank_eig(J, L @ J, beta, r)
     return vals, U, K @ U
 

@@ -26,7 +26,6 @@ from koopcert import (
     doa_levels,
     estimate_doa,
     fit_koopman,
-    fit_zubov_koopman,
     generalization_bound,
     lyapunov_error_bound,
     lyapunov_grid_values,
@@ -44,7 +43,6 @@ from koopcert import (
 from helpers import (
     dense_forward_coeffs,
     dense_lyapunov_value,
-    dense_reference_fits,
     example1_model,
     example2_model,
     kw_gaussian,
@@ -145,8 +143,9 @@ def test_lyapunov_series_matches_term_recursion():
     np.testing.assert_allclose(
         lyapunov_values(est, x[None, :])[0], dense_lyapunov_value(model, x, 12), rtol=1e-10
     )
-    # the r x r series form against the dense theta recursion
-    for ref in dense_reference_fits():
+    # the r x r series form against the dense theta recursion, on the plain
+    # reference fits (build_lyapunov refuses a damped one)
+    for ref in (linear_model(0.5, 40, 6, 3)[2], example1_model()[2]):
         for horizon in (1, 12, 60):
             est = build_lyapunov(ref, horizon=horizon)
             for p in ring_points(3, 0.3, 1.8, seed=horizon):
@@ -171,6 +170,14 @@ def test_build_zubov_requires_damped_fit():
     _, _, model = linear_model(0.5, 200, 20, 11)
     with pytest.raises(InvalidInputError):
         build_zubov(model, steps=3)
+
+
+def test_build_lyapunov_refuses_a_damped_fit():
+    # the series of the damped operator is not the flow's Lyapunov function
+    _, _, _, model = example2_model()
+    for horizon in (None, 5):
+        with pytest.raises(InvalidInputError, match="needs a plain fit, not a zubov-mode one"):
+            build_lyapunov(model, horizon=horizon)
 
 
 def test_zubov_steps_zero_is_observable():
@@ -466,7 +473,7 @@ def _linear_fits(dim: int):
     sys, dom = SystemSpec(kind="linear-contraction", dim=dim, a=0.6), DomainSpec.ball(1.5, dim=dim)
     plain = fit_koopman(make_dataset(sys, dom, 80, 1.0, 5, kw.weight), kw, RRRConfig(rank=8))
     damped = make_dataset(sys, dom, 80, 1.0, 5, kw.weight, eta=eta)
-    return plain, fit_zubov_koopman(damped, kw, eta, RRRConfig(rank=8))
+    return plain, fit_koopman(damped, kw, RRRConfig(rank=8), eta=eta)
 
 
 def test_certificate_grids_match_the_point_path(monkeypatch):

@@ -16,7 +16,6 @@ from koopcert import (
     SnapshotDataset,
     SolverFailureError,
     fit_koopman,
-    fit_zubov_koopman,
     forward_coeffs,
     gram,
     heldout_risk,
@@ -27,7 +26,6 @@ from koopcert import (
 from koopcert import DomainSpec, SystemSpec
 from koopcert import estimator, kernels
 from koopcert.eigsolve import pivoted_cholesky
-from koopcert.estimator import HELDOUT_BLOCK_ROWS
 from koopcert.io import read_model, write_model
 
 from helpers import (
@@ -129,7 +127,7 @@ def test_fit_matches_general_pencil_solver():
     for rank in (3, 8):
         for beta in (None, 0.02):
             cfg = RRRConfig(rank=rank, beta=beta)
-            models += [fit_koopman(plain, kw, cfg), fit_zubov_koopman(ds, kw, eta, cfg)]
+            models += [fit_koopman(plain, kw, cfg), fit_koopman(ds, kw, cfg, eta=eta)]
     for model in models:
         sigma_sq, theta = general_pencil_fit(model)
         np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
@@ -147,16 +145,17 @@ def test_fit_on_repeated_anchors_truncates_the_input_gram():
     X, Y, eta_x = np.tile(base.X, (5, 1)), np.tile(base.Y, (5, 1)), np.tile(base.eta_x, 5)
     damped = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed, eta_x=eta_x)
     plain = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed)
-    assert pivoted_cholesky(gram(kw, X, X)).shape[1] == 6
+    K = gram(kw, X, X)
+    assert pivoted_cholesky(K.diagonal(), K.__getitem__).shape[1] == 6
     for rank in (3, 6):
         for beta in (None, 0.02):
             cfg = RRRConfig(rank=rank, beta=beta)
-            for model in (fit_koopman(plain, kw, cfg), fit_zubov_koopman(damped, kw, eta, cfg)):
+            for model in (fit_koopman(plain, kw, cfg), fit_koopman(damped, kw, cfg, eta=eta)):
                 sigma_sq, theta = general_pencil_fit(model)
                 np.testing.assert_allclose(model.diagnostics.sigma_sq, sigma_sq, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(dense_theta(model), theta, rtol=0, atol=1e-10)
     cfg = RRRConfig(rank=7)
-    for fit in (lambda: fit_koopman(plain, kw, cfg), lambda: fit_zubov_koopman(damped, kw, eta, cfg)):
+    for fit in (lambda: fit_koopman(plain, kw, cfg), lambda: fit_koopman(damped, kw, cfg, eta=eta)):
         with pytest.raises(SolverFailureError, match="effective rank"):
             fit()
 
@@ -229,12 +228,12 @@ def test_eta_mismatch_raises():
     )
     other = EtaSpec(kind="quadratic-norm", scale=0.25)
     with pytest.raises(EtaMismatchError):
-        fit_zubov_koopman(ds, kw, other, RRRConfig(rank=5))
+        fit_koopman(ds, kw, RRRConfig(rank=5), eta=other)
     # a NaN cell compares False against any tolerance, so it must not pass
     eta_x = ds.eta_x.copy()
     eta_x[3] = np.nan
     with pytest.raises(EtaMismatchError):
-        fit_zubov_koopman(dataclasses.replace(ds, eta_x=eta_x), kw, eta, RRRConfig(rank=5))
+        fit_koopman(dataclasses.replace(ds, eta_x=eta_x), kw, RRRConfig(rank=5), eta=eta)
 
 
 def test_zero_scale_damping_matches_plain_fit():
@@ -244,7 +243,7 @@ def test_zero_scale_damping_matches_plain_fit():
         SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 30, 1.0, 6, kw.weight, eta=eta
     )
     plain = SnapshotDataset(X=ds.X, Y=ds.Y, dt=ds.dt, seed=ds.seed)
-    damped = fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=8))
+    damped = fit_koopman(ds, kw, RRRConfig(rank=8), eta=eta)
     reference = fit_koopman(plain, kw, RRRConfig(rank=8))
     np.testing.assert_array_equal(dense_theta(damped), dense_theta(reference))
     for name in ("U", "W", "H", "Q"):
@@ -294,11 +293,11 @@ def test_heldout_risk_on_training_data_is_empirical_risk():
     )
 
 
-def test_heldout_risk_walks_the_pairs_in_blocks():
-    # 4500 fresh pairs span three blocks of HELDOUT_BLOCK_ROWS; the risk is one
-    # mean over every pair, and the Grams against the anchors are streamed, so
-    # the peak (about 0.41 m x 4500 Grams) is a 2 MB Gram block and the r x 2048
-    # rank-space arrays, not an m x 4500 or m x 2048 Gram
+def test_heldout_risk_takes_every_pair_in_one_pass(monkeypatch):
+    # 4500 fresh pairs, more than the 500 anchors; the risk is one mean over
+    # every pair, from one streamed product per Gram against the anchors, so
+    # the peak (about 0.47 m x 4500 Grams) is 2 MB Gram blocks and the
+    # r x 4500 rank-space arrays (1.8 MB each at rank 50), not an m x 4500 Gram
     ds1, _, model1 = example1_model()
     ds2, _, eta, model2 = example2_model()
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
@@ -306,9 +305,17 @@ def test_heldout_risk_walks_the_pairs_in_blocks():
         (model1, make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), 4500, 0.05, 43, model1.kw.weight)),
         (model2, make_dataset(SystemSpec(kind="example2"), box, 4500, 0.025, 43, model2.kw.weight, eta=eta)),
     )
+    rows = []
+
+    def spy(kw, A, *args, **kwargs):
+        rows.append(len(A))
+        return kernels.gram_product(kw, A, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "gram_product", spy)
     for model, fresh in cases:
-        assert len(fresh) > 2 * HELDOUT_BLOCK_ROWS
+        rows.clear()
         np.testing.assert_allclose(heldout_risk(model, fresh), dense_heldout_risk(model, fresh), rtol=1e-12)
+        assert rows == [4500, 4500]
         peak = traced_peak(lambda: heldout_risk(model, fresh))
         assert peak < 0.5 * 8 * len(model) * len(fresh), f"peak {peak / (8 * len(model) * len(fresh)):.2f} Grams"
 
@@ -379,7 +386,7 @@ def test_damped_fit_holds_at_most_two_grams():
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight, eta=eta)
-    peak = traced_peak(lambda: fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)))
+    peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta))
     assert peak < 1.4 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
@@ -404,7 +411,7 @@ def test_fit_and_reload_build_no_gram_but_the_target_gram(monkeypatch, tmp_path)
     monkeypatch.setattr(kernels, "gram", spy)
     monkeypatch.setattr(estimator, "gram", spy)
     for run in (
-        lambda: write_model(fit_zubov_koopman(ds, kw, eta, RRRConfig(rank=50)), tmp_path / "model.txt"),
+        lambda: write_model(fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta), tmp_path / "model.txt"),
         lambda: read_model(tmp_path / "model.txt"),
     ):
         built.clear()

@@ -22,7 +22,7 @@ from koopcert import (
     KoopcertError,
     RRRConfig,
     SystemSpec,
-    fit_zubov_koopman,
+    fit_koopman,
     load_config,
     make_dataset,
     read_dataset,
@@ -54,7 +54,7 @@ def originals(tmp_path_factory):
     kw, eta = kw_gaussian(power=0.5), EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-1, -1), hi=(1, 1))
     zds = make_dataset(SystemSpec(kind="example2"), box, 10, 0.025, 5, kw.weight, eta=eta)
-    write_model(fit_zubov_koopman(zds, kw, eta, RRRConfig(rank=3)), scratch / "zubov-model.txt")
+    write_model(fit_koopman(zds, kw, RRRConfig(rank=3), eta=eta), scratch / "zubov-model.txt")
     texts = {
         "config": LINEAR_CONFIG,
         "zubov-config": ZUBOV_CONFIG,

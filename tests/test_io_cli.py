@@ -28,7 +28,6 @@ from koopcert import (
     WeightSpec,
     bound_report,
     fit_koopman,
-    fit_zubov_koopman,
     fmt,
     gram,
     grid_text,
@@ -155,11 +154,12 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
     )
     X, Y, eta_x = np.tile(base.X, (2, 1)), np.tile(base.Y, (2, 1)), np.tile(base.eta_x, 2)
     ds = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed, eta_x=eta_x)
-    m, k, r = 80, pivoted_cholesky(gram(kw, X)).shape[1], 6
+    K = gram(kw, X)
+    m, k, r = 80, pivoted_cholesky(K.diagonal(), K.__getitem__).shape[1], 6
     assert k == 40
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cfg = RRRConfig(rank=r)
-    for fit in (lambda: fit_koopman(ds, kw, cfg), lambda: fit_zubov_koopman(ds, kw, eta, cfg)):
+    for fit in (lambda: fit_koopman(ds, kw, cfg), lambda: fit_koopman(ds, kw, cfg, eta=eta)):
         calls.clear()
         model = fit()
         assert len(model) == m
@@ -511,6 +511,18 @@ def test_cli_lyapunov_with_time_exits_1_before_writing(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error: [certificate] time"), lines
     assert "Lyapunov run takes horizon" in lines[0]
+    assert sorted(out.iterdir()) == written
+
+
+def test_cli_lyapunov_of_a_damped_model_exits_1_before_writing(tmp_path):
+    # the series of a zubov run's damped fit is not the flow's Lyapunov function
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, ZUBOV_CONFIG)
+    for command in ("sample", "fit"):
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    written = sorted(out.iterdir())
+    line = _cli_error_line(1, "lyapunov", "--config", cfg, "--out", str(out), "--quiet")
+    assert line == "error: the Lyapunov series needs a plain fit, not a zubov-mode one"
     assert sorted(out.iterdir()) == written
 
 
