@@ -49,7 +49,6 @@ from .errors import (
     ContractionViolatedError,
     DegenerateDomainError,
     DivergenceError,
-    EtaMismatchError,
     IntegrationBlowupError,
     InvalidInputError,
     KoopcertError,

@@ -36,7 +36,6 @@ from .dynsys import (
 from .errors import (
     ContractionViolatedError,
     DegenerateDomainError,
-    EtaMismatchError,
     InvalidInputError,
     KoopcertError,
 )
@@ -83,10 +82,8 @@ def _load(args) -> RunConfig:
     return load_config(args.config, seed_override=args.seed)
 
 
-def _draw(cfg: RunConfig, seed: int, eta):
-    return make_dataset(
-        cfg.system, cfg.domain, cfg.sampling.m, cfg.sampling.dt, seed, cfg.kw.weight, eta=eta
-    )
+def _draw(cfg: RunConfig, seed: int):
+    return make_dataset(cfg.system, cfg.domain, cfg.sampling.m, cfg.sampling.dt, seed, cfg.kw.weight)
 
 
 def _eta(cfg: RunConfig):
@@ -96,10 +93,9 @@ def _eta(cfg: RunConfig):
 
 def _sample(cfg: RunConfig, path: Path):
     """Draw the training pairs, write them, and return them with their decay ratio."""
-    eta = _eta(cfg)
-    ds = _draw(cfg, cfg.sampling.seed, eta)
+    ds = _draw(cfg, cfg.sampling.seed)
     write_dataset(ds, path)
-    return ds, check_decay_ratio(ds.X, ds.Y, cfg.kw.weight, eta=eta)
+    return ds, check_decay_ratio(ds.X, ds.Y, cfg.kw.weight, eta=_eta(cfg))
 
 
 def cmd_sample(args) -> int:
@@ -143,7 +139,7 @@ def _read_model(args, out: Path):
 def _report(cfg: RunConfig, model, path: Path, heldout: bool = False, series=None):
     """Write the bound report, with the held-out risk on a fresh draw if asked."""
     cert = cfg.certificate
-    sample = _draw(cfg, cfg.sampling.seed + 1, model.eta) if heldout else None
+    sample = _draw(cfg, cfg.sampling.seed + 1) if heldout else None
     report = bound_report(model, delta=cert.delta, heldout=sample, nu=cert.nu, varsigma=cert.varsigma)
     write_report(report, path, series)
     return report
@@ -330,7 +326,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise"):
             return args.func(args)
-    except (InvalidInputError, EtaMismatchError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

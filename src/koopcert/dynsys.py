@@ -38,7 +38,7 @@ apply (a >= 1 or q^3 >= a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,20 +131,17 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SnapshotDataset:
-    """Paired snapshots (x_i, y_i = f(x_i)) plus optional state-cost values."""
+    """Paired snapshots (x_i, y_i = f(x_i)) and the settings they were drawn with."""
 
     X: np.ndarray
     Y: np.ndarray
     dt: float
     seed: int
     rejected_count: int = 0
-    eta_x: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.X.shape != self.Y.shape or self.X.ndim != 2 or len(self.X) == 0:
             raise InvalidInputError("X and Y must be matching nonempty (m, n) arrays")
-        if self.eta_x is not None and self.eta_x.shape != (len(self.X),):
-            raise InvalidInputError("eta_x must be one value per snapshot pair")
 
     def __len__(self) -> int:
         return len(self.X)
@@ -354,7 +351,6 @@ def make_dataset(
     dt: float,
     seed: int,
     weight: WeightSpec,
-    eta=None,
 ) -> SnapshotDataset:
     """Draw snapshot pairs, dropping candidates below the weight floor.
 
@@ -371,10 +367,7 @@ def make_dataset(
             f"weight floor {weight.floor:g} rejected {rejected} of {m} samples"
         )
     Y = step(sys, X, dt)
-    eta_x = None
-    if eta is not None:
-        eta_x = eta.values(X)
-    return SnapshotDataset(X=X, Y=Y, dt=float(dt), seed=int(seed), rejected_count=rejected, eta_x=eta_x)
+    return SnapshotDataset(X=X, Y=Y, dt=float(dt), seed=int(seed), rejected_count=rejected)
 
 
 def check_decay_ratio(X: np.ndarray, Y: np.ndarray, weight: WeightSpec, eta=None) -> float:

@@ -35,7 +35,3 @@ class ContractionViolatedError(KoopcertError):
     """The Lyapunov series of a fit is refused: its spectral radius rho(H) is
     not below one, so the series diverges, or the fitted operator norm and the
     anchors' observed decay ratio are both >= 1, so the data expand."""
-
-
-class EtaMismatchError(KoopcertError):
-    """Stored state-cost samples disagree with the declared cost function."""

@@ -14,7 +14,8 @@ top eigenvalue of the factor's k x k Gram Psi'Psi. The model keeps only
 these factors and two r x r matrices, H = U' E W and Q = W' L W, so the
 coefficient recursions that push kernel sections through powers of A and
 its adjoint run in rank-r coordinates. fit_koopman makes both fits, the
-damped one when it is given an eta.
+damped one when it is given an eta, from which it computes d at the pairs'
+states: a dataset holds only its pairs.
 
 Neither K nor the cross Gram E is ever held. The fit reads K's diagonal,
 (w(x_i))^2 since the base kernel is 1 at zero distance, and the rows
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dynsys import SnapshotDataset
 from .eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
-from .errors import EtaMismatchError, InvalidInputError
+from .errors import InvalidInputError
 from .kernels import WeightedKernelSpec, gram, gram_product, weight_values
 
 
@@ -206,19 +207,6 @@ def factor_model(
     )
 
 
-def _checked_damping(ds: SnapshotDataset, eta: EtaSpec | None) -> np.ndarray | None:
-    """The damping of the dataset's states (None in plain mode), once its
-    stored eta values are checked against the spec."""
-    if eta is None:
-        return None
-    if ds.eta_x is None:
-        raise InvalidInputError("damped mode needs eta values stored in the dataset")
-    # written so that a NaN fails it: a NaN compares False either way
-    if not np.max(np.abs(ds.eta_x - eta.values(ds.X))) <= 1e-12:
-        raise EtaMismatchError("dataset eta values disagree with the eta spec")
-    return eta.damping(ds.X)
-
-
 def fit_koopman(
     ds: SnapshotDataset, kw: WeightedKernelSpec, cfg: RRRConfig, *, eta: EtaSpec | None = None
 ) -> KoopmanModel:
@@ -226,13 +214,14 @@ def fit_koopman(
 
     With eta given, the fit is of the cost-damped operator: only the target
     Gram changes, section j becoming exp(-eta(x_j)) k_w(y_j, .), and with
-    eta identically zero the result matches the plain fit bit for bit.
+    eta identically zero the result matches the plain fit bit for bit. The
+    same pairs serve both fits: sampling does not depend on eta.
     """
     X, Y = ds.X, ds.Y
     m = len(X)
     if cfg.rank > m:
         raise InvalidInputError(f"rank {cfg.rank} exceeds sample count {m}")
-    damping = _checked_damping(ds, eta)
+    damping = None if eta is None else eta.damping(X)
     # K's diagonal, w(x_i)^2: the base kernel is 1 at zero distance
     w = weight_values(kw.weight, X)
     diag = w * w
@@ -307,8 +296,9 @@ def heldout_risk(model: KoopmanModel, ds: SnapshotDataset) -> float:
     (kernels.gram_product), so no Gram of the anchors with the pairs is
     held: the largest arrays are a 2 MB Gram block and the r x m_h
     rank-space ones, the size of U for the CLI's m_h = m held-out pairs.
+    A damped model damps the pairs by its own eta.
     """
-    d = _checked_damping(ds, model.eta)
+    d = None if model.eta is None else model.eta.damping(ds.X)
     kw, Y = model.kw, ds.Y
     Z = gram_product(kw, ds.X, model.anchors_x, model.U).T
     WG = gram_product(kw, Y, model.anchors_y, model.W, scale_a=d, scale_b=model.damping).T

@@ -76,16 +76,16 @@ def _write_rows(target, header: str, rows: np.ndarray) -> None:
         target.write(text)
 
 
+def _dataset_header(n: int) -> str:
+    return ",".join([f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)])
+
+
 def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
-    """CSV of snapshot pairs plus a .meta sidecar with the draw settings."""
+    """CSV of snapshot pairs, header x1..xn,y1..yn, plus a .meta sidecar with
+    the draw settings."""
     path = Path(path)
     n = ds.X.shape[1]
-    cols = [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)]
-    data = [ds.X, ds.Y]
-    if ds.eta_x is not None:
-        cols.append("eta")
-        data.append(ds.eta_x[:, None])
-    _write_rows(path, ",".join(cols), np.hstack(data))
+    _write_rows(path, _dataset_header(n), np.hstack([ds.X, ds.Y]))
     meta = {"m": len(ds), "dim": n, "seed": ds.seed, "dt": ds.dt, "rejected_count": ds.rejected_count}
     path.with_suffix(path.suffix + ".meta").write_text(ini_text({"dataset": meta}))
 
@@ -161,14 +161,17 @@ def build_section(cls, section: str, items: dict[str, str], where: str):
 def read_dataset(path: str | Path) -> SnapshotDataset:
     path = Path(path)
     text = _read_text(path, "dataset file").strip().split("\n")
-    header = text[0].split(",")
-    has_eta = header[-1] == "eta"
-    n = (len(header) - (1 if has_eta else 0)) // 2
+    header = text[0].strip()
+    n = max(1, (header.count(",") + 1) // 2)
+    if header != _dataset_header(n):
+        raise InvalidInputError(
+            f"dataset file {path} has the header {header[:80]!r}; expected {_dataset_header(n)!r}"
+        )
     try:
         rows = _matrix(text[1:])
     except ValueError as exc:
         raise InvalidInputError(f"malformed dataset file {path}: {exc}") from exc
-    if rows.ndim != 2 or rows.shape[1] != 2 * n + (1 if has_eta else 0):
+    if rows.ndim != 2 or rows.shape[1] != 2 * n:
         raise InvalidInputError(f"malformed dataset file {path}")
     meta_path = path.with_suffix(path.suffix + ".meta")
     seed, dt, rejected = 0, 0.0, 0
@@ -186,7 +189,6 @@ def read_dataset(path: str | Path) -> SnapshotDataset:
         dt=dt,
         seed=seed,
         rejected_count=rejected,
-        eta_x=rows[:, -1] if has_eta else None,
     )
 
 
@@ -211,7 +213,9 @@ def write_model(model: KoopmanModel, path: str | Path) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-def _parse_sections(text: str) -> dict[str, list[str]]:
+def _parse_sections(text: str, where: str) -> dict[str, list[str]]:
+    """The lines of each [section], blank and # lines dropped. A line before
+    the first section and a repeated section are refused."""
     sections: dict[str, list[str]] = {}
     current = None
     for line in text.split("\n"):
@@ -220,19 +224,26 @@ def _parse_sections(text: str) -> dict[str, list[str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise InvalidInputError(f"malformed {where}: repeated section [{current}]")
             sections[current] = []
-        elif current is not None:
+        elif current is None:
+            raise InvalidInputError(f"malformed {where}: {line[:80]!r} comes before the first section")
+        else:
             sections[current].append(line)
     return sections
 
 
 def _kv(lines: list[str], where: str) -> dict[str, str]:
+    """The key=value lines of a section; a repeated key is refused."""
     out = {}
     for line in lines:
         if "=" not in line:
-            raise InvalidInputError(f"{where}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+            raise InvalidInputError(f"malformed {where}: expected key=value, got {line!r}")
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in out:
+            raise InvalidInputError(f"malformed {where}: repeated key {k!r}")
+        out[k] = v
     return out
 
 
@@ -248,16 +259,17 @@ def read_model(path: str | Path) -> KoopmanModel:
     model is bit-identical to the fitted one. The parsed text is dropped
     first, so the target Gram L is the one m x m array held. A file whose
     stored diagnostics differ from the recomputed ones by more than
-    DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays and a v1
-    file, which held the dense theta instead of U.
+    DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays, a line
+    outside every section, a repeated section or key, and a v1 file, which
+    held the dense theta instead of U.
     """
     path = Path(path)
-    sections = _parse_sections(_read_text(path, "model file"))
+    where = f"model file {path}"
+    sections = _parse_sections(_read_text(path, "model file"), where)
     if "theta" in sections and "U" not in sections:
         raise InvalidInputError(
             f"{path} is a v1 model file (dense theta); refit it with this version"
         )
-    where = f"model file {path}"
     for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "U"):
         if needed not in sections:
             raise InvalidInputError(f"{where} is missing the [{needed}] section")

@@ -234,4 +234,6 @@ def gram_product(
         rows = slice(i, i + step)
         block = gram(kw, A[rows], B, None if scale_a is None else scale_a[rows], scale_b)
         np.matmul(block, V, out=out[rows])
+        # else this block lives on while gram builds the next
+        del block
     return out

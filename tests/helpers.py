@@ -61,7 +61,6 @@ def example2_model():
         0.025,
         42,
         kw.weight,
-        eta=eta,
     )
     model = fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta)
     return ds, kw, eta, model

@@ -265,7 +265,6 @@ def test_criterion_10_damped_value_error_within_bound(acceptance):
         0.025,
         43,
         kw.weight,
-        eta=eta,
     )
     report = bound_report(model, delta=0.05, heldout=heldout, nu=1.0, varsigma=0.1)
     details = []

@@ -471,9 +471,8 @@ def _linear_fits(dim: int):
     """A plain and a damped fit of x -> 0.6 x on the radius-1.5 ball in dim dimensions."""
     kw, eta = kw_gaussian(), EtaSpec(kind="quadratic-norm", scale=0.5)
     sys, dom = SystemSpec(kind="linear-contraction", dim=dim, a=0.6), DomainSpec.ball(1.5, dim=dim)
-    plain = fit_koopman(make_dataset(sys, dom, 80, 1.0, 5, kw.weight), kw, RRRConfig(rank=8))
-    damped = make_dataset(sys, dom, 80, 1.0, 5, kw.weight, eta=eta)
-    return plain, fit_koopman(damped, kw, RRRConfig(rank=8), eta=eta)
+    ds = make_dataset(sys, dom, 80, 1.0, 5, kw.weight)
+    return fit_koopman(ds, kw, RRRConfig(rank=8)), fit_koopman(ds, kw, RRRConfig(rank=8), eta=eta)
 
 
 def test_certificate_grids_match_the_point_path(monkeypatch):

@@ -134,13 +134,6 @@ def test_make_dataset_pairs_are_one_step():
         np.testing.assert_allclose(ds.Y[i], step(sys, ds.X[i], 0.05), atol=1e-14)
 
 
-def test_make_dataset_attaches_eta():
-    eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
-    ds = make_dataset(SystemSpec(kind="example2"), box, 30, 0.025, 4, W1, eta=eta)
-    np.testing.assert_allclose(ds.eta_x, 0.5 * np.sum(ds.X * ds.X, axis=1), rtol=1e-15)
-
-
 def test_make_dataset_degenerate_domain():
     tiny = DomainSpec(kind="box", lo=(-1e-12, -1e-12), hi=(1e-12, 1e-12))
     with pytest.raises(DegenerateDomainError):
@@ -156,8 +149,8 @@ def test_check_decay_ratio_linear_exact():
 def test_check_decay_ratio_with_damping():
     sys = SystemSpec(kind="linear-contraction", a=0.6)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
-    ds = make_dataset(sys, DomainSpec.ball(2.0), 100, 1.0, 2, W1, eta=eta)
-    expect = float(np.max(np.exp(-ds.eta_x) * 0.6))
+    ds = make_dataset(sys, DomainSpec.ball(2.0), 100, 1.0, 2, W1)
+    expect = float(np.max(np.exp(-0.5 * np.sum(ds.X * ds.X, axis=1)) * 0.6))
     np.testing.assert_allclose(check_decay_ratio(ds.X, ds.Y, W1, eta=eta), expect, rtol=1e-12)
 
 

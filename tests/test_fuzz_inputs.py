@@ -53,7 +53,7 @@ def originals(tmp_path_factory):
     write_model(model, scratch / "model.txt")
     kw, eta = kw_gaussian(power=0.5), EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-1, -1), hi=(1, 1))
-    zds = make_dataset(SystemSpec(kind="example2"), box, 10, 0.025, 5, kw.weight, eta=eta)
+    zds = make_dataset(SystemSpec(kind="example2"), box, 10, 0.025, 5, kw.weight)
     write_model(fit_koopman(zds, kw, RRRConfig(rank=3), eta=eta), scratch / "zubov-model.txt")
     texts = {
         "config": LINEAR_CONFIG,

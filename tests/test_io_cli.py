@@ -65,21 +65,9 @@ def test_dataset_round_trip_with_meta(tmp_path):
     back = read_dataset(path)
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.Y, ds.Y)
-    assert back.eta_x is None
     assert back.seed == ds.seed
     assert back.dt == ds.dt
     assert back.rejected_count == ds.rejected_count
-
-
-def test_dataset_round_trip_with_eta(tmp_path):
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-1, 1, (12, 2))
-    ds = SnapshotDataset(X=X, Y=0.5 * X, dt=0.1, seed=11, eta_x=0.5 * np.sum(X * X, axis=1))
-    path = tmp_path / "damped.csv"
-    write_dataset(ds, path)
-    back = read_dataset(path)
-    np.testing.assert_array_equal(back.eta_x, ds.eta_x)
-    np.testing.assert_array_equal(back.X, ds.X)
 
 
 def test_read_dataset_rejects_malformed(tmp_path):
@@ -150,10 +138,10 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
     kw = kw_gaussian()
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     base = make_dataset(
-        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 40, 1.0, 7, kw.weight, eta=eta
+        SystemSpec(kind="linear-contraction", a=0.5), DomainSpec.ball(2.0), 40, 1.0, 7, kw.weight
     )
-    X, Y, eta_x = np.tile(base.X, (2, 1)), np.tile(base.Y, (2, 1)), np.tile(base.eta_x, 2)
-    ds = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed, eta_x=eta_x)
+    X, Y = np.tile(base.X, (2, 1)), np.tile(base.Y, (2, 1))
+    ds = SnapshotDataset(X=X, Y=Y, dt=base.dt, seed=base.seed)
     K = gram(kw, X)
     m, k, r = 80, pivoted_cholesky(K.diagonal(), K.__getitem__).shape[1], 6
     assert k == 40
@@ -694,22 +682,6 @@ def test_cli_zubov_pipeline(tmp_path, monkeypatch):
     assert _assert_ledger(tmp_path / "out" / "report.txt", reports[-1]).has_option("bounds", "zubov_const")
 
 
-def test_cli_fit_refuses_a_nan_eta_cell(tmp_path, capsys):
-    # a NaN compares False against the 1e-12 tolerance; it must not pass as a match
-    cfg = _write_config(tmp_path, ZUBOV_CONFIG.replace("rank = 8", "rank = 5"))
-    out = tmp_path / "out"
-    assert main(["sample", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    path = out / "dataset.csv"
-    ds = read_dataset(path)
-    ds.eta_x[7] = np.nan
-    write_dataset(ds, path)
-    capsys.readouterr()
-    assert main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert lines == ["error: dataset eta values disagree with the eta spec"], lines
-    assert not (out / "model.txt").exists()
-
-
 def test_cli_missing_config_is_usage_error(tmp_path):
     # reproduce writes its built-in config, so it takes no --config at all.
     for argv in (["fit"], ["reproduce", "example2", "--config", str(tmp_path / "absent.ini")]):
@@ -799,6 +771,14 @@ def _out_blocked(under_file):
     return prepare
 
 
+def _dataset_with_eta_column(tmp_path):
+    """Fit a dataset in the old format, with an eta column after the pairs."""
+    ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
+    eta = 0.5 * np.sum(ds.X * ds.X, axis=1)
+    _write_rows(tmp_path / "dataset.csv", "x1,x2,y1,y2,eta", np.column_stack([ds.X, ds.Y, eta]))
+    return ["fit", str(tmp_path / "dataset.csv")]
+
+
 def _dataset_with_meta(meta):
     """Fit a reference dataset whose .meta sidecar is the given text."""
 
@@ -855,7 +835,7 @@ def _config_bytes(data):
             _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
             "has non-finite U entries",
         ),
-        (_report_on_dataset, "is missing the [meta] section"),
+        (_report_on_dataset, "malformed model file"),
         (
             _edited_model(lambda text: re.sub(r"^m=.*$", "m=11", text, flags=re.M)),
             "arrays disagree with the declared sizes",
@@ -876,11 +856,21 @@ def _config_bytes(data):
             _edited_model(lambda text: text.replace("[kernel]\n", "[kernel]\ngamma\n")),
             "expected key=value, got 'gamma'",
         ),
+        (
+            _edited_model(lambda text: text.replace("# koopcert model v2\n", "# koopcert model v2\nstray\n")),
+            "malformed model file",
+        ),
+        (_edited_model(lambda text: text + "[meta]\nm=10\n"), "malformed model file"),
+        (
+            _edited_model(lambda text: re.sub(r"^(beta=.*)$", r"\1\n\1", text, flags=re.M)),
+            "malformed model file",
+        ),
         # 300 anchors, so the Grams span more than one block
         (
             _edited_model(_overflowing_weight, m=300),
             "does not rebuild: overflow encountered in multiply",
         ),
+        (_dataset_with_eta_column, "has the header 'x1,x2,y1,y2,eta'"),
         (_dataset_with_meta("[dataset]\nseed = abc\n"), "malformed dataset metadata"),
         (_dataset_with_meta("seed = 4\n"), "malformed dataset metadata"),
         (_dataset_with_meta("[dataset]\nseed\n"), "malformed dataset metadata"),
@@ -905,7 +895,11 @@ def _config_bytes(data):
         "model-beta-negative",
         "model-meta-line-not-key-value",
         "model-kernel-line-not-key-value",
+        "model-line-before-first-section",
+        "model-section-repeated",
+        "model-key-repeated",
         "model-weight-overflows",
+        "dataset-with-eta-column",
         "dataset-meta-malformed",
         "dataset-meta-no-section-header",
         "dataset-meta-parsing-error",
@@ -977,6 +971,22 @@ def test_cli_reproduce_smoke(tmp_path, monkeypatch, example, written):
     if example == "example2":
         assert (out / "doa.txt").read_text().startswith("# koopcert doa v1\n")
         assert _assert_ledger(out / "doa.txt")["certified_by"]["a_star"].startswith("simulation")
+
+
+def test_cli_zubov_fit_of_a_plain_sample_equals_reproduce(tmp_path):
+    # sampling does not read eta: pairs drawn under a plain copy of example2's
+    # config fit under the zubov config to reproduce's model, byte for byte
+    plain = re.sub(r"\[eta\]\n.*?\n\n", "", EXAMPLE2_CONFIG, flags=re.S)
+    plain = plain.replace("mode = zubov", "mode = lyapunov").replace("time = 0.15\n", "")
+    assert "[eta]" not in plain and "zubov" not in plain and "time" not in plain
+    (tmp_path / "plain.ini").write_text(plain)
+    (tmp_path / "zubov.ini").write_text(EXAMPLE2_CONFIG)
+    staged, repro = str(tmp_path / "staged"), tmp_path / "repro"
+    assert main(["sample", "--config", str(tmp_path / "plain.ini"), "--out", staged, "--quiet"]) == 0
+    assert main(["fit", "--config", str(tmp_path / "zubov.ini"), "--out", staged, "--quiet"]) == 0
+    assert main(["reproduce", "example2", "--out", str(repro), "--quiet"]) == 0
+    for name in ("dataset.csv", "model.txt"):
+        assert (tmp_path / "staged" / name).read_bytes() == (repro / name).read_bytes(), name
 
 
 def test_cli_fit_of_example1_writes_no_stderr(tmp_path, capsys):
