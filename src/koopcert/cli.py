@@ -86,16 +86,11 @@ def _draw(cfg: RunConfig, seed: int):
     return make_dataset(cfg.system, cfg.domain, cfg.sampling.m, cfg.sampling.dt, seed, cfg.kw.weight)
 
 
-def _eta(cfg: RunConfig):
-    """The run's damping: the configured eta for a zubov run, None otherwise."""
-    return cfg.eta if cfg.certificate.mode == "zubov" else None
-
-
 def _sample(cfg: RunConfig, path: Path):
     """Draw the training pairs, write them, and return them with their decay ratio."""
     ds = _draw(cfg, cfg.sampling.seed)
     write_dataset(ds, path)
-    return ds, check_decay_ratio(ds.X, ds.Y, cfg.kw.weight, eta=_eta(cfg))
+    return ds, check_decay_ratio(ds.X, ds.Y, cfg.kw.weight, eta=cfg.eta)
 
 
 def cmd_sample(args) -> int:
@@ -110,7 +105,7 @@ def cmd_sample(args) -> int:
 
 
 def _fit(cfg: RunConfig, ds, path: Path):
-    model = fit_koopman(ds, cfg.kw, cfg.rrr, eta=_eta(cfg))
+    model = fit_koopman(ds, cfg.kw, cfg.rrr, eta=cfg.eta)
     write_model(model, path)
     return model
 
@@ -118,7 +113,12 @@ def _fit(cfg: RunConfig, ds, path: Path):
 def cmd_fit(args) -> int:
     cfg = _load(args)
     out = _outdir(args, cfg)
-    ds = read_dataset(Path(args.dataset) if args.dataset else out / "dataset.csv")
+    data = Path(args.dataset) if args.dataset else out / "dataset.csv"
+    ds = read_dataset(data)
+    if ds.dt is not None and ds.dt != cfg.sampling.dt:
+        raise InvalidInputError(
+            f"dataset {data} was sampled at dt={ds.dt!r}, but the config has dt={cfg.sampling.dt!r}"
+        )
     path = out / "model.txt"
     model = _fit(cfg, ds, path)
     d = model.diagnostics

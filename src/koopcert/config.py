@@ -9,7 +9,7 @@ from .certificates import HORIZON_CAP, grid_slab_rows
 from .dynsys import DomainSpec, SystemSpec
 from .errors import InvalidInputError
 from .estimator import EtaSpec, RRRConfig
-from .io import build_section, read_ini
+from .io import read_ini
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
@@ -92,8 +92,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.domain.dim != self.system.dim:
             raise InvalidInputError("domain and system dimensions disagree")
-        if self.certificate.mode == "zubov" and self.eta is None:
-            raise InvalidInputError("zubov certificate mode requires an [eta] section")
+        if (self.certificate.mode == "zubov") != (self.eta is not None):
+            raise InvalidInputError("a zubov run needs an [eta] section and a Lyapunov run takes none")
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, sampling=replace(self.sampling, seed=seed))
@@ -153,20 +153,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"config file not found: {path}")
-    where = f"config {path}"
-    ini = read_ini(path, "config")
-    for name in ini:
-        if name not in SECTIONS:
-            raise InvalidInputError(
-                f"{where} has an unknown section [{name}]; expected one of {', '.join(SECTIONS)}"
-            )
-    # An absent section is built from its class's defaults, except [eta],
-    # whose absence means a run without a state cost.
-    spec = {
-        name: build_section(cls, name, ini.get(name, {}), where)
-        for name, cls in SECTIONS.items()
-        if name != "eta" or name in ini
-    }
+    spec = read_ini(path, "config", SECTIONS)
     system, sampling = spec["system"], spec["sampling"]
     _check_work_size(
         system.dim, sampling, spec["rrr"].rank, spec["certificate"], spec["output"].grid_resolution

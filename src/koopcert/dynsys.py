@@ -135,7 +135,7 @@ class SnapshotDataset:
 
     X: np.ndarray
     Y: np.ndarray
-    dt: float
+    dt: float | None  # None for pairs read without their .meta sidecar
     seed: int
     rejected_count: int = 0
 

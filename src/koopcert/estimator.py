@@ -95,14 +95,14 @@ class RRRConfig:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Retained pencil eigenvalues, empirical risk, HS and operator norms of
-    the fitted operator, and the a-priori norm bound lam_max(L) / (beta m)."""
+    """Empirical risk, HS and operator norms of the fitted operator, the a-priori
+    norm bound lam_max(L) / (beta m), and last the retained pencil eigenvalues."""
 
-    sigma_sq: np.ndarray
     risk: float
     hs_norm: float
     op_norm: float
     norm_bound: float
+    sigma_sq: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,6 @@ diagnostics exactly.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import io as _io
 import math
@@ -19,7 +18,7 @@ import numpy as np
 from .certificates import RUN_INPUT, BoundReport, DoaEstimate, LyapunovEstimate
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
-from .estimator import EtaSpec, KoopmanModel, factor_model
+from .estimator import EtaSpec, FitDiagnostics, KoopmanModel, factor_model
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
@@ -80,14 +79,25 @@ def _dataset_header(n: int) -> str:
     return ",".join([f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)])
 
 
+@dataclasses.dataclass(frozen=True)
+class DatasetMeta:
+    """The [dataset] section of a dataset's .meta sidecar."""
+
+    m: int
+    dim: int
+    seed: int
+    dt: float
+    rejected_count: int
+
+
 def write_dataset(ds: SnapshotDataset, path: str | Path) -> None:
     """CSV of snapshot pairs, header x1..xn,y1..yn, plus a .meta sidecar with
     the draw settings."""
     path = Path(path)
     n = ds.X.shape[1]
     _write_rows(path, _dataset_header(n), np.hstack([ds.X, ds.Y]))
-    meta = {"m": len(ds), "dim": n, "seed": ds.seed, "dt": ds.dt, "rejected_count": ds.rejected_count}
-    path.with_suffix(path.suffix + ".meta").write_text(ini_text({"dataset": meta}))
+    meta = DatasetMeta(len(ds), n, ds.seed, ds.dt, ds.rejected_count)
+    path.with_suffix(path.suffix + ".meta").write_text(ini_text({"dataset": dataclasses.asdict(meta)}))
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -97,21 +107,17 @@ def _read_text(path: Path, what: str) -> str:
         raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_ini(path: Path, what: str) -> dict[str, dict[str, str]]:
-    """The sections of an INI file as plain dicts of raw values.
-
-    A file that cannot be read or parsed, or that has a [DEFAULT] section,
-    raises InvalidInputError with a one-line message.
-    """
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(_read_text(path, what), source=str(path))
-        sections = {name: dict(cp[name]) for name in cp.sections()}
-    except configparser.Error as exc:
-        raise InvalidInputError(f"malformed {what} {path}: {' '.join(str(exc).split())}") from exc
-    if cp.defaults():
-        raise InvalidInputError(f"{what} {path} has an unknown section [DEFAULT]")
-    return sections
+def read_ini(path: Path, what: str, table: dict) -> dict:
+    """The records of a key=value file by build_sections; a section outside
+    table is refused, and what (say "config") names the file."""
+    where = f"{what} {path}"
+    sections = _parse_sections(_read_text(path, what), where)
+    for name in sections:
+        if name not in table:
+            raise InvalidInputError(
+                f"{where} has an unknown section [{name}]; expected one of {', '.join(table)}"
+            )
+    return build_sections(sections, table, where)
 
 
 def _finite(raw: str) -> float:
@@ -129,6 +135,7 @@ CONVERTERS = {
     "tuple": lambda raw: tuple(_finite(v) for v in raw.split(",")),
     "int | None": lambda raw: int(raw) if raw else None,
     "float | None": lambda raw: _finite(raw) if raw else None,
+    "np.ndarray": lambda raw: np.array([_finite(v) for v in raw.split(",")]),
 }
 
 
@@ -158,7 +165,20 @@ def build_section(cls, section: str, items: dict[str, str], where: str):
     return cls(**values)
 
 
+def build_sections(sections: dict[str, list[str]], table: dict, where: str) -> dict:
+    """The record of each section of table, built by build_section from its
+    key=value lines. An absent [eta] is left out, as a run or fit without a
+    state cost; any other absent section is built from no keys."""
+    return {
+        name: build_section(cls, name, _kv(sections.get(name, []), where), where)
+        for name, cls in table.items()
+        if name in sections or name != "eta"
+    }
+
+
 def read_dataset(path: str | Path) -> SnapshotDataset:
+    """The pairs of a dataset CSV and the draw settings of its .meta sidecar, whose
+    m and dim must match the CSV; without a sidecar, dt is None and seed 0."""
     path = Path(path)
     text = _read_text(path, "dataset file").strip().split("\n")
     header = text[0].strip()
@@ -167,45 +187,52 @@ def read_dataset(path: str | Path) -> SnapshotDataset:
         raise InvalidInputError(
             f"dataset file {path} has the header {header[:80]!r}; expected {_dataset_header(n)!r}"
         )
-    try:
-        rows = _matrix(text[1:])
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed dataset file {path}: {exc}") from exc
+    rows = _matrix(text[1:], f"dataset file {path}")
     if rows.ndim != 2 or rows.shape[1] != 2 * n:
         raise InvalidInputError(f"malformed dataset file {path}")
+    X, Y = rows[:, :n], rows[:, n:]
     meta_path = path.with_suffix(path.suffix + ".meta")
-    seed, dt, rejected = 0, 0.0, 0
-    if meta_path.exists():
-        meta = read_ini(meta_path, "dataset metadata").get("dataset", {})
-        try:
-            seed = int(meta.get("seed", 0))
-            dt = float(meta.get("dt", 0.0))
-            rejected = int(meta.get("rejected_count", 0))
-        except ValueError as exc:
-            raise InvalidInputError(f"malformed dataset metadata {meta_path}: {exc}") from exc
-    return SnapshotDataset(
-        X=rows[:, :n],
-        Y=rows[:, n : 2 * n],
-        dt=dt,
-        seed=seed,
-        rejected_count=rejected,
-    )
+    if not meta_path.exists():
+        return SnapshotDataset(X=X, Y=Y, dt=None, seed=0)
+    meta = read_ini(meta_path, "dataset metadata", {"dataset": DatasetMeta})["dataset"]
+    if (meta.m, meta.dim) != (len(rows), n):
+        raise InvalidInputError(
+            f"dataset metadata {meta_path} says m={meta.m}, dim={meta.dim}, "
+            f"but {path} holds {len(rows)} pairs of dimension {n}"
+        )
+    return SnapshotDataset(X=X, Y=Y, dt=meta.dt, seed=meta.seed, rejected_count=meta.rejected_count)
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelMeta:
+    """The [meta] section of a model file."""
+
+    mode: str
+    m: int
+    dim: int
+    rank: int
+    beta: float
+
+
+# The key=value sections of a model file and the records they hold.
+MODEL_HEAD = {
+    "meta": ModelMeta,
+    "kernel": KernelSpec,
+    "weight": WeightSpec,
+    "eta": EtaSpec,
+    "diagnostics": FitDiagnostics,
+}
 
 
 def write_model(model: KoopmanModel, path: str | Path) -> None:
-    """Sectioned text format: specs, diagnostics, anchors and the factor U.
+    """Sectioned text format: the MODEL_HEAD records, the anchors and the factor U.
 
     The Grams, W, H and Q are not stored; read_model rebuilds them from the
     anchors and U.
     """
-    d, dim = model.diagnostics, model.anchors_x.shape[1]
-    head = {
-        "meta": dict(mode=model.mode, m=len(model), dim=dim, rank=model.rank, beta=model.beta),
-        "kernel": dataclasses.asdict(model.kw.kernel),
-        "weight": dataclasses.asdict(model.kw.weight),
-        "eta": None if model.eta is None else dataclasses.asdict(model.eta),
-        "diagnostics": {name: getattr(d, name) for name in (*CHECKED_DIAGNOSTICS, "sigma_sq")},
-    }
+    meta = ModelMeta(model.mode, len(model), model.anchors_x.shape[1], model.rank, model.beta)
+    records = (meta, model.kw.kernel, model.kw.weight, model.eta, model.diagnostics)
+    head = {name: None if r is None else dataclasses.asdict(r) for name, r in zip(MODEL_HEAD, records)}
     buf = _io.StringIO()
     buf.write(ini_text(head, "# koopcert model v2"))
     for name in ("anchors_x", "anchors_y", "U"):
@@ -214,13 +241,14 @@ def write_model(model: KoopmanModel, path: str | Path) -> None:
 
 
 def _parse_sections(text: str, where: str) -> dict[str, list[str]]:
-    """The lines of each [section], blank and # lines dropped. A line before
-    the first section and a repeated section are refused."""
+    """The lines of each [section], stripped, with blank lines and # or ;
+    comment lines dropped. A line before the first section and a repeated
+    section are refused."""
     sections: dict[str, list[str]] = {}
     current = None
     for line in text.split("\n"):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
@@ -247,8 +275,11 @@ def _kv(lines: list[str], where: str) -> dict[str, str]:
     return out
 
 
-def _matrix(lines: list[str]) -> np.ndarray:
-    return np.array([[float(v) for v in line.split(",")] for line in lines])
+def _matrix(lines: list[str], where: str) -> np.ndarray:
+    try:
+        return np.array([[float(v) for v in line.split(",")] for line in lines])
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed {where}: {exc}") from exc
 
 
 def read_model(path: str | Path) -> KoopmanModel:
@@ -261,7 +292,7 @@ def read_model(path: str | Path) -> KoopmanModel:
     stored diagnostics differ from the recomputed ones by more than
     DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays, a line
     outside every section, a repeated section or key, and a v1 file, which
-    held the dense theta instead of U.
+    held the dense theta instead of U. The head is built by build_section.
     """
     path = Path(path)
     where = f"model file {path}"
@@ -273,51 +304,32 @@ def read_model(path: str | Path) -> KoopmanModel:
     for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "U"):
         if needed not in sections:
             raise InvalidInputError(f"{where} is missing the [{needed}] section")
-    spec = {
-        name: build_section(cls, name, _kv(sections[name], where), where)
-        for name, cls in (("kernel", KernelSpec), ("weight", WeightSpec), ("eta", EtaSpec))
-        if name in sections
-    }
-    kw, eta = WeightedKernelSpec(spec["kernel"], spec["weight"]), spec.get("eta")
-    try:
-        meta = _kv(sections["meta"], where)
-        diag = _kv(sections["diagnostics"], where)
-        X = _matrix(sections["anchors_x"])
-        Y = _matrix(sections["anchors_y"])
-        U = _matrix(sections["U"])
-        m, dim, rank = int(meta["m"]), int(meta["dim"]), int(meta["rank"])
-        beta = float(meta["beta"])
-        mode = meta["mode"]
-        sigma_sq = np.array([float(v) for v in diag["sigma_sq"].split(",")])
-        stored = {name: float(diag[name]) for name in CHECKED_DIAGNOSTICS}
-    except KeyError as exc:
-        raise InvalidInputError(f"{where} lacks the {exc.args[0]}= entry") from exc
-    except ValueError as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed model file {path}: {exc}") from exc
+    head = build_sections(sections, MODEL_HEAD, where)
+    X, Y, U = (_matrix(sections[name], where) for name in ("anchors_x", "anchors_y", "U"))
     del sections
-    shapes = (X.shape, Y.shape, U.shape, sigma_sq.shape)
-    if shapes != ((m, dim), (m, dim), (m, rank), (rank,)):
+    meta, diag, eta = head["meta"], head["diagnostics"], head.get("eta")
+    kw = WeightedKernelSpec(head["kernel"], head["weight"])
+    shapes = (X.shape, Y.shape, U.shape, diag.sigma_sq.shape)
+    if shapes != ((meta.m, meta.dim), (meta.m, meta.dim), (meta.m, meta.rank), (meta.rank,)):
         raise InvalidInputError(f"{where} arrays disagree with the declared sizes")
-    for name, A in (("anchors_x", X), ("anchors_y", Y), ("U", U), ("sigma_sq", sigma_sq)):
+    for name, A in (("anchors_x", X), ("anchors_y", Y), ("U", U)):
         if not np.all(np.isfinite(A)):
             raise InvalidInputError(f"{where} has non-finite {name} entries")
-    if mode != ("koopman" if eta is None else "zubov"):
+    if meta.mode != ("koopman" if eta is None else "zubov"):
         raise InvalidInputError(
-            f"{where} has mode {mode!r}, which does not match its [eta] section"
+            f"{where} has mode {meta.mode!r}, which does not match its [eta] section"
         )
-    if not (np.isfinite(beta) and beta > 0):
-        raise InvalidInputError(f"{where} has beta={fmt(beta)}; beta must be positive")
+    if not meta.beta > 0:
+        raise InvalidInputError(f"{where} has beta={fmt(meta.beta)}; beta must be positive")
     # A genuine fit rebuilds without overflow; one that overflows cannot
     # reproduce its stored diagnostics, so refuse it here without the warnings.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            model = factor_model(kw, X, Y, eta, beta, U, sigma_sq)
+            model = factor_model(kw, X, Y, eta, meta.beta, U, diag.sigma_sq)
     except FloatingPointError as exc:
         raise InvalidInputError(f"{where} does not rebuild: {exc}") from exc
-    for name, value in stored.items():
-        recomputed = getattr(model.diagnostics, name)
+    for name in CHECKED_DIAGNOSTICS:
+        value, recomputed = getattr(diag, name), getattr(model.diagnostics, name)
         if not abs(recomputed - value) <= DIAGNOSTICS_RTOL * abs(recomputed):
             raise InvalidInputError(
                 f"{where} stores {name}={fmt(value)} "

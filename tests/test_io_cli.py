@@ -68,6 +68,9 @@ def test_dataset_round_trip_with_meta(tmp_path):
     assert back.seed == ds.seed
     assert back.dt == ds.dt
     assert back.rejected_count == ds.rejected_count
+    # pairs without their sidecar load with no dt, so fit does not compare it
+    path.with_suffix(".csv.meta").unlink()
+    assert read_dataset(path).dt is None
 
 
 def test_read_dataset_rejects_malformed(tmp_path):
@@ -392,6 +395,16 @@ def _without_key(text, section, key):
     return "\n".join(lines)
 
 
+def test_readme_config_sample_is_example1(tmp_path):
+    # the sample is read verbatim, its ; comment lines included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sample,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert "\n; " in sample
+    (tmp_path / "readme.ini").write_text(sample)
+    (tmp_path / "example1.ini").write_text(EXAMPLE1_CONFIG)
+    assert load_config(tmp_path / "readme.ini") == load_config(tmp_path / "example1.ini")
+
+
 def test_config_validation_errors(tmp_path):
     path = tmp_path / "run.ini"
     for text, section, key in (
@@ -555,6 +568,15 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
             ("mode = lyapunov", "mode = zubov\nhorizon = 40\ntime = 0.15"),
             "sets both horizon and time; give one of them",
         ),
+        # the reader takes key=value lines as written: no case folding, no ':' and no continuation
+        (["sample"], ("m = 60", "M = 60"), "unknown key 'M' in [sampling]"),
+        (["sample"], ("m = 60", "m: 60"), "expected key=value, got 'm: 60'"),
+        (["sample"], ("gamma = 4.0", "gamma =\n    4.0"), "expected key=value, got '4.0'"),
+        (
+            ["sample"],
+            ("[rrr]", "[eta]\nscale = 0.5\n\n[rrr]"),
+            "a zubov run needs an [eta] section and a Lyapunov run takes none",
+        ),
         (["sample"], None, "the following arguments are required: --config"),
         (["sample", "--config", "x", "--seed", "abc"], None, "argument --seed: invalid int value: 'abc'"),
         (["frobnicate"], None, "invalid choice: 'frobnicate'"),
@@ -568,6 +590,10 @@ def test_config_refuses_unknown_sections_and_keys(tmp_path):
         "varsigma-inf",
         "dt-nan",
         "zubov-horizon-and-time",
+        "key-uppercase",
+        "key-colon",
+        "value-continuation-line",
+        "lyapunov-with-eta",
         "usage-config-missing",
         "usage-seed-not-an-int",
         "usage-unknown-command",
@@ -779,13 +805,14 @@ def _dataset_with_eta_column(tmp_path):
     return ["fit", str(tmp_path / "dataset.csv")]
 
 
-def _dataset_with_meta(meta):
-    """Fit a reference dataset whose .meta sidecar is the given text."""
+def _dataset_with_meta(edit):
+    """Fit a reference dataset (m=10, dim=2, dt=1) after a text edit of its .meta sidecar."""
 
     def prepare(tmp_path):
         ds, _, _ = linear_model(a=0.5, m=10, rank=3, seed=4)
         write_dataset(ds, tmp_path / "dataset.csv")
-        (tmp_path / "dataset.csv.meta").write_text(meta)
+        meta = tmp_path / "dataset.csv.meta"
+        meta.write_text(edit(meta.read_text()))
         return ["fit", str(tmp_path / "dataset.csv")]
 
     return prepare
@@ -807,9 +834,12 @@ def _config_bytes(data):
     [
         (
             _edited_model(lambda text: re.sub(r"^beta=.*$", "beta=abc", text, flags=re.M)),
-            "malformed model file",
+            "has a bad 'beta' in [meta]",
         ),
-        (_edited_model(lambda text: re.sub(r"^rank=.*\n", "", text, flags=re.M)), "lacks the rank="),
+        (
+            _edited_model(lambda text: re.sub(r"^rank=.*\n", "", text, flags=re.M)),
+            "lacks the required key 'rank' in [meta]",
+        ),
         (lambda tmp_path: ["report", str(tmp_path / "absent.txt")], "cannot read model file"),
         (lambda tmp_path: ["fit", str(tmp_path / "absent.csv")], "cannot read dataset file"),
         (
@@ -871,9 +901,17 @@ def _config_bytes(data):
             "does not rebuild: overflow encountered in multiply",
         ),
         (_dataset_with_eta_column, "has the header 'x1,x2,y1,y2,eta'"),
-        (_dataset_with_meta("[dataset]\nseed = abc\n"), "malformed dataset metadata"),
-        (_dataset_with_meta("seed = 4\n"), "malformed dataset metadata"),
-        (_dataset_with_meta("[dataset]\nseed\n"), "malformed dataset metadata"),
+        (_dataset_with_meta(lambda _: "[dataset]\nseed = abc\n"), "has a bad 'seed' in [dataset]"),
+        (_dataset_with_meta(lambda _: "seed = 4\n"), "malformed dataset metadata"),
+        (_dataset_with_meta(lambda _: "[dataset]\nseed\n"), "malformed dataset metadata"),
+        (_dataset_with_meta(lambda text: text.replace("m=10", "m=7")), "says m=7, dim=2, but"),
+        (_dataset_with_meta(lambda text: text.replace("dim=2", "dim=5")), "says m=10, dim=5, but"),
+        (_dataset_with_meta(lambda text: text + "bogus=1\n"), "unknown key 'bogus' in [dataset]"),
+        (_dataset_with_meta(lambda text: text + "[other]\nm=10\n"), "unknown section [other]"),
+        (
+            _dataset_with_meta(lambda text: text.replace("dt=1\n", "dt=0.5\n")),
+            "was sampled at dt=0.5, but the config has dt=1.0",
+        ),
         (_config_bytes(b"[system]\nkind = ex\xff\xfe\n"), "cannot read config"),
         (_config_bytes(b"kind = example1\n"), "malformed config"),
         (_config_bytes(b"[system]\nkind\n"), "malformed config"),
@@ -903,6 +941,11 @@ def _config_bytes(data):
         "dataset-meta-malformed",
         "dataset-meta-no-section-header",
         "dataset-meta-parsing-error",
+        "dataset-meta-m-disagrees",
+        "dataset-meta-dim-disagrees",
+        "dataset-meta-unknown-key",
+        "dataset-meta-extra-section",
+        "dataset-sampled-at-another-dt",
         "config-not-utf8",
         "config-no-section-header",
         "config-parsing-error",
