@@ -431,6 +431,9 @@ def _sq_norm_series(
     live = np.arange(len(total))  # the orbits in the batch, in batch order,
     acc = np.zeros(len(total))  # their sums of squared norms
     summing = np.ones(len(total), dtype=bool)  # and which of them have neither retired nor escaped
+    # each retired orbit's x_T and sum before T, whose tails take one quadratic form at the end
+    retired = np.zeros(len(total), dtype=bool)
+    acc_T, x_T = np.empty(len(total)), [np.empty(len(total)) for _ in xs]
     for _ in range(cap):
         dead = np.zeros(len(live), dtype=bool)
         sq = _settle(xs, dead)
@@ -442,7 +445,10 @@ def _sq_norm_series(
             done &= ~dead
         if done.any():
             i = np.flatnonzero(done)
-            total[live[i]] = scale * (acc[i] + _quad_form(P, [x[i] for x in xs]))
+            j = live[i]
+            retired[j], acc_T[j] = True, acc[i]
+            for c, x in zip(x_T, xs):
+                c[j] = x[i]
             summing[i] = False
             ended = True
         # Finished orbits step on, unread, until they are an eighth of the
@@ -454,6 +460,7 @@ def _sq_norm_series(
             summing = summing[summing]
         acc += sq
         xs = _rk4(sys, xs, dt)
+    total[retired] = scale * (acc_T[retired] + _quad_form(P, [c[retired] for c in x_T]))
     return total[inverse], escaped[inverse]
 
 

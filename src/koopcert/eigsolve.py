@@ -7,19 +7,22 @@ input_factor and reduced_rank_eig solve it as a symmetric problem in a
 low-rank factor of K: the pivoted Cholesky factor K = Psi Psi', with k
 columns for the numerical rank k of K (well below m for the smooth
 Gaussian Grams at large m), turns it into a k x k symmetric matrix whose
-top eigenpairs give s and, in closed form from the same factor, u. No
-m x m matrix is eigendecomposed or Cholesky-factored, and K is never
-held: pivoted_cholesky reads K's diagonal and asks for the rows it pivots
-on, input_factor reuses the fit's Psi'Psi, and the solve reads L only
-through the product L J.
+top eigenpairs give s (reduced_rank_eig) and, in closed form from the
+same factor, u (pencil_vectors). No m x m matrix is eigendecomposed or
+Cholesky-factored, and K is never held: pivoted_cholesky reads K's
+diagonal and asks for the rows it pivots on, input_factor reuses the
+fit's Psi'Psi, the k x k matrix is J' L J / m^2, and the eigenvectors read
+L only through the product L (J Y) with the m x r J Y, so J is dropped
+before L is built.
 
 perron_root gives the largest eigenvalue of a symmetric matrix by Lanczos
 from a start vector that overlaps its top eigenvector, in a few dozen
-matrix-vector products. It serves the a-priori norm bound, on the
-entrywise nonnegative L from the all-ones vector (by Perron-Frobenius the
-top eigenvector is nonnegative), and the default ridge, on the k x k
-Psi'Psi, whose top eigenvalue is K's. Every product and factorization runs
-in numpy's own BLAS and LAPACK.
+matrix-vector products, and reads the matrix only through them, so it
+takes an array or the lower block triangle kernels.GramPanels. It serves
+the a-priori norm bound, on the entrywise nonnegative L from the all-ones
+vector (by Perron-Frobenius the top eigenvector is nonnegative), and the
+default ridge, on the k x k Psi'Psi, whose top eigenvalue is K's. Every
+product and factorization runs in numpy's own BLAS and LAPACK.
 
 stein_solve gives the Gramian P = sum_t (A^t)' Q A^t of a stable linear
 map by the doubling iteration, for the Lyapunov oracle's exact linear tail.
@@ -32,6 +35,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidInputError, SolverFailureError
+from .kernels import GramPanels
 
 TIE_TOL = 1e-12
 NULL_TOL = 1e-12
@@ -45,16 +49,18 @@ SOLVE_BLOCK = 128
 STEIN_DOUBLINGS = 64
 
 
-def _finite_square(S: np.ndarray, who: str) -> np.ndarray:
-    """S as a float array once it is checked to be square and finite.
+def _finite_square(S, who: str):
+    """S as a float array, or the GramPanels S, once it is checked to be
+    square and finite.
 
     The check reads S's least and largest entries, which are non-finite
     when any entry is (a NaN propagates), so it allocates no mask of S.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise InvalidInputError(f"{who} needs a square matrix")
-    if S.size and not (np.isfinite(S.min()) and np.isfinite(S.max())):
+    if not isinstance(S, GramPanels):
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise InvalidInputError(f"{who} needs a square matrix")
+    if len(S) and not (np.isfinite(S.min()) and np.isfinite(S.max())):
         raise InvalidInputError(f"{who} input contains non-finite entries")
     return S
 
@@ -77,9 +83,9 @@ def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np
     return vals[::-1][:top].copy(), vecs[:, ::-1][:, :top].copy()
 
 
-def perron_root(S: np.ndarray, start: np.ndarray | None = None) -> float:
+def perron_root(S, start: np.ndarray | None = None) -> float:
     """Largest eigenvalue of a symmetric S that is positive semidefinite or
-    entrywise nonnegative.
+    entrywise nonnegative, given as an array or as kernels.GramPanels.
 
     Lanczos from start, which must overlap the top eigenvector, with full
     reorthogonalization (twice) each step. Omitted, start is the all-ones
@@ -87,10 +93,11 @@ def perron_root(S: np.ndarray, start: np.ndarray | None = None) -> float:
     is nonnegative and overlaps it. It stops once the Ritz residual
     |b_k y_k| is at most 1e-15 theta, on breakdown (b_k = 0), or when the
     Krylov space reaches dimension m, where theta is exact. The basis grows
-    one vector per matrix product.
+    one vector per matrix product S @ v, the only way S is read besides its
+    least and largest entries.
     """
     S = _finite_square(S, "perron_root")
-    if S.shape[0] == 0:
+    if len(S) == 0:
         raise InvalidInputError("perron_root needs a nonempty matrix")
     if start is None:
         if S.min() < 0:
@@ -210,53 +217,31 @@ def input_factor(Psi: np.ndarray, beta: float, PtP: np.ndarray) -> np.ndarray:
     return F.T
 
 
-def reduced_rank_eig(
-    J: np.ndarray, LJ: np.ndarray, beta: float, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-r eigenpairs of (L K / m^2) u = s (K / m + beta I) u, 1 <= r <= m.
+def reduced_rank_eig(T: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-r eigenvalues s of the pencil (L K / m^2) u = s (K / m + beta I) u
+    and the eigenvectors Y of T that give its u, for r >= 1.
 
-    J = input_factor(Psi, beta, Psi'Psi) for the factor Psi of the symmetric input
-    Gram K, LJ is the m x k product L J with the symmetric target Gram L,
-    and beta > 0 the ridge. With K = Psi Psi' and J = Psi R^-1,
+    T = J' L J / m^2 is k x k, for J = input_factor(Psi, beta, Psi'Psi), the
+    factor Psi of the symmetric input Gram K, the symmetric target Gram L
+    and the ridge beta > 0. With K = Psi Psi' and J = Psi R^-1,
     K (K / m + beta I)^-1 = J J' and (K / m + beta I)^-1 = (I - J J' / m) / beta,
-    so the pencil's nonzero eigenvalues s are those of the k x k symmetric
-    T = J' L J / m^2, and an eigenpair (s, y) of T, where J' L J y = m^2 s y,
-    gives the eigenvector
+    so the pencil's nonzero eigenvalues are those of T, and an eigenpair
+    (s, y) of T gives the pencil's u from J y (pencil_vectors).
 
-        u = (L J y / s - m J y) / (beta m^2),
-
-    scaled so that u' K (K / m + beta I) u = |J' L J y|^2 / (m^4 s^2) = 1,
-    the scaling that makes theta = U U' K / m the minimizer of the
-    regularized empirical risk. The closed form subtracts two nearly equal
-    terms, so its relative error grows like 1 / beta.
-
-    The solve needs L only through L J, so it takes that product and holds
-    no m x m array: a caller that forms it from a Gram it does not keep
-    holds that Gram only for the product. numpy has no solver for a subset
-    of the eigenpairs, so T is solved in full and the top r + 1 are kept.
-    Returns s descending and the m x r eigenvectors, each signed so that its
-    largest-magnitude entry is positive. Raises SolverFailureError when r
-    exceeds k or a retained s is numerically zero: r exceeds the effective
-    rank of the data.
+    numpy has no solver for a subset of the eigenpairs, so T is solved in
+    full and the top r + 1 are kept. Returns s descending and the k x r Y.
+    Raises SolverFailureError when r exceeds k or a retained s is
+    numerically zero: r exceeds the effective rank of the data.
     """
-    m = len(J)
-    if not 1 <= r <= m:
-        raise InvalidInputError(f"rank {r} must lie in [1, {m}]")
-    if not (np.isfinite(beta) and beta > 0):
-        raise InvalidInputError(f"reduced_rank_eig needs a positive ridge, got beta={beta}")
-    if np.shape(LJ) != J.shape:
-        raise InvalidInputError("reduced_rank_eig needs L J of the shape of J")
-    T = J.T @ LJ
-    T /= m * m
-    k = len(T)
+    if r < 1:
+        raise InvalidInputError(f"rank {r} must be at least 1")
+    k = len(_finite_square(T, "reduced_rank_eig"))
     if k < r:
         raise SolverFailureError(
             f"rank {r} exceeds the effective rank of the data: the input Gram "
             f"has numerical rank {k}"
         )
-    # symmetric_eig refuses a non-finite T, so a non-finite L J
     s, Y = symmetric_eig(T, top=min(r + 1, k))
-    del T
     if not s[r - 1] > NULL_TOL * s[0]:
         raise SolverFailureError(
             f"rank {r} exceeds the effective rank of the data: retained "
@@ -269,11 +254,28 @@ def reduced_rank_eig(
             RuntimeWarning,
             stacklevel=2,
         )
-    s, Y = s[:r], Y[:, :r]
-    U = LJ @ Y
-    U /= s
-    U -= m * (J @ Y)
+    return s[:r], Y[:, :r]
+
+
+def pencil_vectors(LJY: np.ndarray, JY: np.ndarray, s: np.ndarray, beta: float) -> np.ndarray:
+    """The pencil's eigenvectors U from reduced_rank_eig's s and Y, given the
+    m x r products J Y and L J Y.
+
+    Column i is u = (L J y / s - m J y) / (beta m^2), scaled so that
+    u' K (K / m + beta I) u = |J' L J y|^2 / (m^4 s^2) = 1, the scaling that
+    makes theta = U U' K / m the minimizer of the regularized empirical
+    risk, and signed so that its largest-magnitude entry is positive. The
+    closed form subtracts two nearly equal terms, so its relative error
+    grows like 1 / beta.
+    """
+    if not (np.isfinite(beta) and beta > 0):
+        raise InvalidInputError(f"pencil_vectors needs a positive ridge, got beta={beta}")
+    if np.shape(LJY) != np.shape(JY) or np.shape(JY)[1:] != np.shape(s):
+        raise InvalidInputError("pencil_vectors needs L J Y and J Y of one shape, one column per s")
+    m, r = JY.shape
+    U = LJY / s
+    U -= m * JY
     U /= beta * m * m
     # the eigensolver's sign choice is arbitrary: fix it by the largest entry
     U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(r)])
-    return s, U
+    return U

@@ -17,15 +17,18 @@ its adjoint run in rank-r coordinates. fit_koopman makes both fits, the
 damped one when it is given an eta, from which it computes d at the pairs'
 states: a dataset holds only its pairs.
 
-Neither K nor the cross Gram E is ever held. The fit reads K's diagonal,
-(w(x_i))^2 since the base kernel is 1 at zero distance, and the rows
+No m x m array is ever held. The fit reads K's diagonal, (w(x_i))^2
+since the base kernel is 1 at zero distance, and the rows
 pivoted_cholesky asks for; it turns the m x k factor Psi into J in Psi's
-own memory, and L J, like every other product with a Gram (K U, E W, and
-the held-out products), is streamed: kernels.gram_product builds the
+own memory, sums J' L J over L's streamed row blocks
+(kernels.gram_quadratic), and after the k x k eigensolve keeps only the
+m x r J Y. Every product with K and the cross Gram E (K U, E W, and the
+held-out products) is streamed too: kernels.gram_product builds the
 Gram's rows a 2 MB block at a time and drops each block after its
-product. The one m x m array is the damped target Gram L, which
-factor_model, where the fit and read_model both end, builds once for
-W' L and its Perron root in the a-priori bound.
+product. The damped target Gram L is then built once, as its lower block
+triangle (kernels.gram_panels), for L J Y in the closed form of U; the
+fit hands it to factor_model, and read_model builds its own with the
+same call, for W' L and the Perron root of the a-priori bound.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import SnapshotDataset
-from .eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
+from .eigsolve import input_factor, pencil_vectors, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
 from .errors import InvalidInputError
-from .kernels import WeightedKernelSpec, gram, gram_product, weight_values
+from .kernels import GramPanels, WeightedKernelSpec, gram, gram_panels, gram_product, gram_quadratic, weight_values
 
 
 @dataclass(frozen=True)
@@ -157,28 +160,28 @@ def factor_model(
     beta: float,
     U: np.ndarray,
     sigma_sq: np.ndarray,
+    L: GramPanels,
 ) -> KoopmanModel:
-    """Model from the anchors and normalized eigenvectors U.
+    """Model from the anchors, normalized eigenvectors U and the damped
+    target Gram L, as kernels.gram_panels gives it.
 
     Builds W, H and Q and every fit diagnostic. K U and E W, with E the
     cross Gram damped in its target (column) index, are streamed
-    (kernels.gram_product), so the damped target Gram L, built once for
-    W' L and its Perron root, is the one m x m array held. The fit and
-    read_model both end in this call with the same arguments, so a reloaded
-    model is bit-identical to the fitted one. There is no m x m eigensolve:
-    lam_max(L) in the a-priori bound is the Lanczos Perron root of the
-    nonnegative L, and the operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with
-    M = U' K U, an r x r solve.
+    (kernels.gram_product), and L is read only through one product, L W,
+    whose transpose is W' L, and the products of its Perron root. The fit
+    and read_model both end in this call with the same arguments, so a
+    reloaded model is bit-identical to the fitted one. There is no m x m
+    eigensolve: lam_max(L) in the a-priori bound is the Lanczos Perron root
+    of the nonnegative L, and the operator norm is
+    lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
     """
     m = len(X)
     Z = gram_product(kw, X, None, U).T
     W = Z.T / m
     damping = None if eta is None else eta.damping(X)
-    L = gram(kw, Y, scale_a=damping)
-    WL = W.T @ L
+    WL = (L @ W).T
     Q = WL @ W
     norm_bound = perron_root(L) / (beta * m)
-    del L
     H = U.T @ gram_product(kw, X, Y, W, scale_b=damping)
     M = Z @ U
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
@@ -235,10 +238,16 @@ def fit_koopman(
     beta = cfg.beta if cfg.beta is not None else cfg.beta_scale * perron_root(PtP, Psi.sum(axis=0)) / m
     # J takes over Psi's memory
     J = input_factor(Psi, beta, PtP)
-    del PtP
-    sigma_sq, U = reduced_rank_eig(J, gram_product(kw, Y, None, J, scale_a=damping), beta, cfg.rank)
-    del Psi, J
-    return factor_model(kw, X, Y, eta, beta, U, sigma_sq)
+    del PtP, Psi
+    T = gram_quadratic(kw, Y, J, damping)
+    T /= m * m
+    sigma_sq, vecs = reduced_rank_eig(T, cfg.rank)
+    del T
+    JY = J @ vecs
+    del J
+    L = gram_panels(kw, Y, damping)
+    U = pencil_vectors(L @ JY, JY, sigma_sq, beta)
+    return factor_model(kw, X, Y, eta, beta, U, sigma_sq, L)
 
 
 def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .certificates import RUN_INPUT, BoundReport, DoaEstimate, LyapunovEstimate
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
 from .estimator import EtaSpec, FitDiagnostics, KoopmanModel, factor_model
-from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
+from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec, gram_panels
 
 CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
 # Stored and recomputed diagnostics must agree to this relative error. The
@@ -112,12 +112,17 @@ def read_ini(path: Path, what: str, table: dict) -> dict:
     table is refused, and what (say "config") names the file."""
     where = f"{what} {path}"
     sections = _parse_sections(_read_text(path, what), where)
-    for name in sections:
-        if name not in table:
-            raise InvalidInputError(
-                f"{where} has an unknown section [{name}]; expected one of {', '.join(table)}"
-            )
+    _known_sections(sections, table, where)
     return build_sections(sections, table, where)
+
+
+def _known_sections(sections: dict, names, where: str) -> None:
+    """Refuse a section that is not among names."""
+    for name in sections:
+        if name not in names:
+            raise InvalidInputError(
+                f"{where} has an unknown section [{name}]; expected one of {', '.join(names)}"
+            )
 
 
 def _finite(raw: str) -> float:
@@ -222,6 +227,8 @@ MODEL_HEAD = {
     "eta": EtaSpec,
     "diagnostics": FitDiagnostics,
 }
+# The sections of a model file after its head, one row of numbers per line.
+MODEL_ARRAYS = ("anchors_x", "anchors_y", "U")
 
 
 def write_model(model: KoopmanModel, path: str | Path) -> None:
@@ -235,7 +242,7 @@ def write_model(model: KoopmanModel, path: str | Path) -> None:
     head = {name: None if r is None else dataclasses.asdict(r) for name, r in zip(MODEL_HEAD, records)}
     buf = _io.StringIO()
     buf.write(ini_text(head, "# koopcert model v2"))
-    for name in ("anchors_x", "anchors_y", "U"):
+    for name in MODEL_ARRAYS:
         _write_rows(buf, f"[{name}]", getattr(model, name))
     Path(path).write_text(buf.getvalue())
 
@@ -286,13 +293,15 @@ def read_model(path: str | Path) -> KoopmanModel:
     """Rebuild a fitted model from its file.
 
     The factors and diagnostics are recomputed from the anchors and U by
-    the call the fit ends in, factor_model, with the same arguments, so the
-    model is bit-identical to the fitted one. The parsed text is dropped
-    first, so the target Gram L is the one m x m array held. A file whose
-    stored diagnostics differ from the recomputed ones by more than
+    the call the fit ends in, factor_model, with the same arguments: the
+    target Gram comes from the fit's builder, kernels.gram_panels, as its
+    lower block triangle, so the model is bit-identical to the fitted one.
+    The parsed text is dropped first, and no m x m array is held. A file
+    whose stored diagnostics differ from the recomputed ones by more than
     DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays, a line
-    outside every section, a repeated section or key, and a v1 file, which
-    held the dense theta instead of U. The head is built by build_section.
+    outside every section, a repeated section or key, a section outside
+    MODEL_HEAD and MODEL_ARRAYS, and a v1 file, which held the dense theta
+    instead of U. The head is built by build_section.
     """
     path = Path(path)
     where = f"model file {path}"
@@ -301,11 +310,12 @@ def read_model(path: str | Path) -> KoopmanModel:
         raise InvalidInputError(
             f"{path} is a v1 model file (dense theta); refit it with this version"
         )
-    for needed in ("meta", "kernel", "weight", "diagnostics", "anchors_x", "anchors_y", "U"):
+    _known_sections(sections, (*MODEL_HEAD, *MODEL_ARRAYS), where)
+    for needed in ("meta", "kernel", "weight", "diagnostics", *MODEL_ARRAYS):
         if needed not in sections:
             raise InvalidInputError(f"{where} is missing the [{needed}] section")
     head = build_sections(sections, MODEL_HEAD, where)
-    X, Y, U = (_matrix(sections[name], where) for name in ("anchors_x", "anchors_y", "U"))
+    X, Y, U = (_matrix(sections[name], where) for name in MODEL_ARRAYS)
     del sections
     meta, diag, eta = head["meta"], head["diagnostics"], head.get("eta")
     kw = WeightedKernelSpec(head["kernel"], head["weight"])
@@ -325,7 +335,8 @@ def read_model(path: str | Path) -> KoopmanModel:
     # reproduce its stored diagnostics, so refuse it here without the warnings.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            model = factor_model(kw, X, Y, eta, meta.beta, U, diag.sigma_sq)
+            L = gram_panels(kw, Y, None if eta is None else eta.damping(X))
+            model = factor_model(kw, X, Y, eta, meta.beta, U, diag.sigma_sq, L)
     except FloatingPointError as exc:
         raise InvalidInputError(f"{where} does not rebuild: {exc}") from exc
     for name in CHECKED_DIAGNOSTICS:

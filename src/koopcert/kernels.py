@@ -17,7 +17,12 @@ FloatingPointError.
 A product G V with a Gram never needs G whole: ``gram_product`` has ``gram``
 build G's rows PRODUCT_BLOCK_ENTRIES entries at a time, multiplies each
 block by V and drops it, so each product holds one 2 MB block however large
-G is, and its entries are gram's bit for bit.
+G is, and its entries are gram's bit for bit; ``gram_quadratic`` sums
+V' G V over the same blocks, so G V is not held either. A symmetric Gram
+that is read more than once is held as its lower block triangle,
+``gram_panels``: row panels of PANEL_ROWS rows that stop at the diagonal,
+62 % of a 2000 x 2000 Gram's entries, again gram's bit for bit, and read
+through the product G V.
 
 On a tensor grid no Gram is built: the Gaussian is a product over
 coordinates, so ``axis_factors`` gives one small factor per axis, and the
@@ -41,6 +46,10 @@ GRAM_BLOCK_ENTRIES = 1 << 16
 # Entries per block of a streamed Gram product (gram_product): 2 MB, 131 rows
 # at 2000 columns; a Gram of up to 512 x 512 is one block.
 PRODUCT_BLOCK_ENTRIES = 1 << 18
+# Rows per panel of a Gram held as its lower block triangle (gram_panels): at
+# 2000 x 2000, four panels, 512 x 512 to 464 x 2000, hold 62 % of the
+# entries; a Gram of up to 512 x 512 is one panel.
+PANEL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -237,3 +246,82 @@ def gram_product(
         # else this block lives on while gram builds the next
         del block
     return out
+
+
+def gram_quadratic(
+    kw: WeightedKernelSpec, A: np.ndarray, V: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """V' G V for the Gram G = gram(kw, A, scale_a=scale) of A with itself,
+    without G or G V.
+
+    G's rows are taken in gram_product's blocks, and each block b adds
+    V[b]' (G[b] V), formed in one reused buffer, so one block, its product
+    with V and two c x c arrays are held. A G of one block (at most
+    512 x 512) gives V' (G V), the same two products.
+    """
+    A = _check_points(A, "A")
+    step = max(1, PRODUCT_BLOCK_ENTRIES // len(A))
+    out = part = None
+    for i in range(0, len(A), step):
+        rows = slice(i, i + step)
+        GV = gram_product(kw, A[rows], A, V, None if scale is None else scale[rows], scale)
+        if out is None:
+            out = V[rows].T @ GV
+        else:
+            part = np.matmul(V[rows].T, GV, out=part)
+            out += part
+        # else this product lives on while gram_product forms the next
+        del GV
+    return out
+
+
+class GramPanels:
+    """A symmetric Gram G held as its lower block triangle.
+
+    Panel p is G[i:j, :j] for the rows i:j = p PANEL_ROWS : (p + 1)
+    PANEL_ROWS (the last one shorter), so each diagonal block is held
+    whole and nothing right of it. G is read through G @ V. A plain class,
+    not a dataclass: that would add its build time to every import.
+    """
+
+    def __init__(self, panels: tuple[np.ndarray, ...]):
+        self.panels = panels
+
+    def __len__(self) -> int:
+        return self.panels[-1].shape[1]
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        """G V for a vector or a len(G) x c matrix V.
+
+        Panel G[i:j, :j] gives rows i:j as G[i:j, :j] V[:j], and its part
+        left of the diagonal block gives rows :i the term G[i:j, :i]' V[i:j].
+        A G of one panel gives G V, one product.
+        """
+        out = np.empty(np.shape(V))
+        i = 0
+        for P in self.panels:
+            j = P.shape[1]
+            np.matmul(P, V[:j], out=out[i:j])
+            if i:
+                out[:i] += P[:, :i].T @ V[i:j]
+            i = j
+        return out
+
+    def min(self) -> float:
+        return min(float(P.min()) for P in self.panels)
+
+    def max(self) -> float:
+        return max(float(P.max()) for P in self.panels)
+
+
+def gram_panels(kw: WeightedKernelSpec, A: np.ndarray, scale: np.ndarray | None = None) -> GramPanels:
+    """The Gram gram(kw, A, scale_a=scale) of A with itself as its lower block
+    triangle: panel p is gram(kw, A[i:j], A[:j]) with the scales cut alike,
+    whose entries equal the whole Gram's bit for bit."""
+    A = _check_points(A, "A")
+    panels = []
+    for i in range(0, len(A), PANEL_ROWS):
+        j = min(i + PANEL_ROWS, len(A))
+        s_rows, s_cols = (None, None) if scale is None else (scale[i:j], scale[:j])
+        panels.append(gram(kw, A[i:j], A[:j], s_rows, s_cols))
+    return GramPanels(tuple(panels))

@@ -30,7 +30,7 @@ from koopcert import (
     weight_values,
 )
 from koopcert.dynsys import GUARD_RADIUS, _linear_tail, saturating
-from koopcert.eigsolve import input_factor, pivoted_cholesky, reduced_rank_eig
+from koopcert.eigsolve import input_factor, pencil_vectors, pivoted_cholesky, reduced_rank_eig
 
 
 def kw_gaussian(gamma: float = 4.0, power: float = 1.0) -> WeightedKernelSpec:
@@ -165,7 +165,10 @@ def fit_pencil_eig(M: np.ndarray, B: np.ndarray, r: int):
     K, L, beta = as_fit_pencil(M, B)
     Psi = pivoted_cholesky(K.diagonal(), K.__getitem__)
     J = input_factor(Psi, beta, Psi.T @ Psi)
-    vals, U = reduced_rank_eig(J, L @ J, beta, r)
+    m = len(K)
+    vals, Y = reduced_rank_eig(J.T @ L @ J / (m * m), r)
+    JY = J @ Y
+    U = pencil_vectors(L @ JY, JY, vals, beta)
     return vals, U, K @ U
 
 

@@ -14,11 +14,28 @@ import pytest
 import scipy.linalg
 
 import koopcert
-from koopcert import InvalidInputError, SolverFailureError, SystemSpec, symmetric_eig
+from koopcert import (
+    DomainSpec,
+    EtaSpec,
+    InvalidInputError,
+    SolverFailureError,
+    SystemSpec,
+    gram,
+    make_dataset,
+    symmetric_eig,
+)
 from koopcert.dynsys import linearization
-from koopcert.eigsolve import input_factor, perron_root, pivoted_cholesky, reduced_rank_eig, stein_solve
+from koopcert.eigsolve import (
+    input_factor,
+    pencil_vectors,
+    perron_root,
+    pivoted_cholesky,
+    reduced_rank_eig,
+    stein_solve,
+)
+from koopcert.kernels import gram_panels
 
-from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig
+from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig, kw_gaussian
 
 
 def random_spd(rng, m, cond_lo=0.5, cond_hi=2.0):
@@ -80,14 +97,20 @@ def test_reduced_rank_eig_refuses_bad_input():
         pivoted_cholesky(np.array([1.0, 1.0, np.nan, 1.0]), K.__getitem__)
     Psi = pivoted_cholesky(K.diagonal(), K.__getitem__)
     J = input_factor(Psi, 0.1, Psi.T @ Psi)
-    # L J for a non-finite L, L J of the wrong shapes, and a ridge that is not positive
-    inputs = ((bad @ J, 0.1), (J[:, :3], 0.1), (J[:3], 0.1), (np.ones(4), 0.1), (J, 0.0), (J, -0.1))
-    for LJ, beta in inputs:
+    # J' L J for a non-finite L, a T that is not square, and a rank below 1
+    for T, r in ((J.T @ bad @ J, 1), (J[:3], 1), (np.ones(4), 1), (J.T @ J, 0)):
         with pytest.raises(InvalidInputError):
-            reduced_rank_eig(J, LJ, beta, 1)
-    for r in (0, 5):
+            reduced_rank_eig(T, r)
+    # a rank above the k = 4 columns of J
+    with pytest.raises(SolverFailureError, match="effective rank"):
+        reduced_rank_eig(J.T @ J, 5)
+    s, Y = reduced_rank_eig(np.diag([4.0, 3.0, 2.0, 1.0]), 2)
+    JY = J @ Y
+    # L J Y of the wrong shapes, one s too many, and a ridge that is not positive
+    inputs = ((JY[:, :1], s, 0.1), (JY[:3], s, 0.1), (JY, np.ones(3), 0.1), (JY, s, 0.0), (JY, s, -0.1))
+    for LJY, vals, beta in inputs:
         with pytest.raises(InvalidInputError):
-            reduced_rank_eig(J, J, 0.1, r)
+            pencil_vectors(LJY, JY, vals, beta)
 
 
 def test_pivoted_cholesky_stops_at_lapack_tolerance():
@@ -112,6 +135,23 @@ def test_perron_root_matches_dense_eigh_on_fitted_target_grams():
     for model in (example1_model()[2], example2_model()[3]):
         L = dense_grams(model)[1]
         top = scipy.linalg.eigh(L, eigvals_only=True)[-1]
+        np.testing.assert_allclose(perron_root(L), top, rtol=1e-13)
+
+
+def test_perron_root_on_gram_panels_matches_eigvalsh():
+    # the target Grams of both example configs at m = 1200, three panels
+    # each, read through the lower block triangle's product only
+    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
+    cases = (
+        (kw_gaussian(), SystemSpec(kind="example1"), DomainSpec.ball(2.0), 0.05, None),
+        (kw_gaussian(power=0.5), SystemSpec(kind="example2"), box, 0.025, EtaSpec(scale=0.5)),
+    )
+    for kw, system, domain, dt, eta in cases:
+        ds = make_dataset(system, domain, 1200, dt, 1, kw.weight)
+        d = None if eta is None else eta.damping(ds.X)
+        L = gram_panels(kw, ds.Y, d)
+        assert len(L.panels) == 3
+        top = np.linalg.eigvalsh(gram(kw, ds.Y, scale_a=d))[-1]
         np.testing.assert_allclose(perron_root(L), top, rtol=1e-13)
 
 

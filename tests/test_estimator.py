@@ -22,7 +22,7 @@ from koopcert import (
     weight_values,
 )
 from koopcert import DomainSpec, SystemSpec
-from koopcert import estimator, kernels
+from koopcert import estimator, io, kernels
 from koopcert.eigsolve import pivoted_cholesky
 from koopcert.io import read_model, write_model
 
@@ -337,69 +337,96 @@ def test_predict_observable_linear_one_step():
 
 
 def test_fit_holds_no_cross_gram_through_the_pencil_solve():
-    # K is never built and L J, K U and E W are streamed, so the one m x m
-    # array is L in factor_model. At m = 1000 the fit peaks at about 2.24
-    # m x m arrays in the pencil solve, holding the m x k J and L J with the
-    # k x k J'LJ and its eigenvectors (k = 674); at m = 2000 (k = 716) L sets
-    # the peak, about 1.14 (1.72 while K and L were each built whole twice).
-    # The held-out risk at m = 2000 peaks at about 0.20 (1.05 with m x 2048
+    # K is never built, J' L J is summed over L's streamed row blocks, and
+    # K U and E W are streamed, so no m x m array is held. At m = 1000 the
+    # fit peaks at about 2.06 m x m arrays in the pass that sums J' L J,
+    # holding the m x k J with the k x k sum and one block's share of it
+    # (k = 674; 2.24 while L J was held through the eigensolve). At m = 2000
+    # (k = 716) it peaks at about 0.87 in factor_model, with L's lower block
+    # triangle (0.63 of L's entries) beside the m x r factors (1.14 while L
+    # was built whole, 1.72 while K and L were each built whole twice). The
+    # held-out risk at m = 2000 peaks at about 0.14 (1.05 with m x 2048
     # held-out Grams).
     kw = kw_gaussian()
     models = []
-    for m, bound in ((1000, 2.4), (2000, 1.3)):
+    for m, bound in ((1000, 2.2), (2000, 0.95)):
         ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
         peak = traced_peak(lambda: models.append(fit_koopman(ds, kw, RRRConfig(rank=50))))
         assert peak < bound * 8 * m * m, f"m = {m}: peak {peak / (8 * m * m):.2f} m x m arrays"
     fresh = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 2, kw.weight)
     peak = traced_peak(lambda: heldout_risk(models[-1], fresh))
-    assert peak < 0.3 * 8 * m * m, f"held-out risk: peak {peak / (8 * m * m):.2f} m x m arrays"
+    assert peak < 0.2 * 8 * m * m, f"held-out risk: peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_damped_fit_holds_at_most_two_grams():
     # the damped target Gram is scaled in row blocks, without an m x m
-    # outer product, and L J is streamed, so the fit peaks at about 1.28
-    # m x m arrays in the pencil solve, holding the m x k J and L J with the
-    # k x k J'LJ and its eigenvectors (k = 882); holding L beside J and L J
-    # made it 1.88
+    # outer product, and J' L J is summed over L's streamed row blocks, so
+    # the fit peaks at about 1.03 m x m arrays in input_factor, where the
+    # m x k factor sits beside k x k Psi'Psi and its Cholesky factor
+    # (k = 882); the pencil solve, which held L J beside J, J'LJ and its
+    # eigenvectors, set the peak at 1.28, and L beside J and L J at 1.88
     m = 2000
     kw = kw_gaussian(power=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight)
     peak = traced_peak(lambda: fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta))
-    assert peak < 1.4 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+    assert peak < 1.1 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_fit_and_reload_build_no_gram_but_the_target_gram(monkeypatch, tmp_path):
     # K and the cross Gram E are never built, and every product with a Gram
-    # is streamed in blocks of PRODUCT_BLOCK_ENTRIES, so the one array above
-    # a block that gram returns is the damped target Gram L, once per
-    # factor_model call: once in the fit and once in the reload
+    # is streamed in blocks of PRODUCT_BLOCK_ENTRIES, so the largest arrays
+    # that gram returns are the panels of the damped target Gram L's lower
+    # block triangle, built once by the fit and once by the reload; the
+    # panels reassemble L's lower triangle bit for bit, and the reload's
+    # factors and diagnostics equal the fit's bit for bit
     m = 1200
     kw = kw_gaussian(power=0.5)
     eta = EtaSpec(kind="quadratic-norm", scale=0.5)
     box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
     ds = make_dataset(SystemSpec(kind="example2"), box, m, 0.025, 1, kw.weight)
     L = gram(kw, ds.Y, scale_a=eta.damping(ds.X))
-    built = []
+    built, triangles = [], []
 
-    def spy(*args, **kwargs):
+    def spy_gram(*args, **kwargs):
         G = gram(*args, **kwargs)
-        built.append(G if G.size > kernels.PRODUCT_BLOCK_ENTRIES else G.shape)
+        built.append(G.size)
         return G
 
-    monkeypatch.setattr(kernels, "gram", spy)
-    monkeypatch.setattr(estimator, "gram", spy)
-    for run in (
-        lambda: write_model(fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta), tmp_path / "model.txt"),
-        lambda: read_model(tmp_path / "model.txt"),
-    ):
+    def spy_panels(*args, **kwargs):
+        triangles.append(kernels.gram_panels(*args, **kwargs))
+        return triangles[-1]
+
+    monkeypatch.setattr(kernels, "gram", spy_gram)
+    monkeypatch.setattr(estimator, "gram", spy_gram)
+    monkeypatch.setattr(estimator, "gram_panels", spy_panels)
+    monkeypatch.setattr(io, "gram_panels", spy_panels)
+    models = []
+
+    def fit():
+        models.append(fit_koopman(ds, kw, RRRConfig(rank=50), eta=eta))
+        write_model(models[-1], tmp_path / "model.txt")
+
+    for run in (fit, lambda: models.append(read_model(tmp_path / "model.txt"))):
         built.clear()
+        triangles.clear()
         run()
-        large = [G for G in built if isinstance(G, np.ndarray)]
-        assert len(large) == 1 and large[0].tobytes() == L.tobytes()
+        assert len(triangles) == 1
+        tri, i = np.zeros((m, m)), 0
+        for P in triangles[0].panels:
+            tri[i : i + len(P), : P.shape[1]] = P
+            i += len(P)
+        assert i == m and len(triangles[0].panels) == 3
+        assert np.tril(tri).tobytes() == np.tril(L).tobytes()
+        assert max(built) <= kernels.PANEL_ROWS * m
         # the streamed blocks and the factor's rows, several per product
         assert len(built) > 10
+    fitted, back = models
+    for name in ("U", "W", "H", "Q"):
+        assert getattr(back, name).tobytes() == getattr(fitted, name).tobytes()
+    for name in ("risk", "hs_norm", "op_norm", "norm_bound", "sigma_sq"):
+        assert np.array_equal(getattr(back.diagnostics, name), getattr(fitted.diagnostics, name))
 
 
 def test_beta_resolution_from_scale():

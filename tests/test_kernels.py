@@ -17,7 +17,15 @@ from koopcert import (
     gram,
     weight_values,
 )
-from koopcert.kernels import GRAM_BLOCK_ENTRIES, PRODUCT_BLOCK_ENTRIES, WEIGHT_KINDS, gram_product
+from koopcert.kernels import (
+    GRAM_BLOCK_ENTRIES,
+    PANEL_ROWS,
+    PRODUCT_BLOCK_ENTRIES,
+    WEIGHT_KINDS,
+    gram_panels,
+    gram_product,
+    gram_quadratic,
+)
 
 from helpers import einsum_sq_dists, kw_gaussian, scalar_weighted_kernel
 
@@ -204,6 +212,47 @@ def test_gram_product_is_the_gram_times_v(kind):
         gram_product(kw, A, None, V, scale_b=s)
     with pytest.raises(InvalidInputError):
         gram_product(kw, A, B, V)
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_gram_panels_hold_the_grams_lower_block_triangle(kind):
+    kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
+    rng = np.random.default_rng(12)
+    # two full panels and a short last one, and a Gram of one panel
+    for m in (2 * PANEL_ROWS + 37, PANEL_ROWS - 12):
+        A = rng.normal(size=(m, 2))
+        s = np.exp(-rng.uniform(0.0, 5.0, m))
+        V = rng.normal(size=(m, 5))
+        for scale in (None, s):
+            G = gram(kw, A, scale_a=scale)
+            L = gram_panels(kw, A, scale)
+            assert len(L) == m and len(L.panels) == -(-m // PANEL_ROWS)
+            for p, P in enumerate(L.panels):
+                i, j = p * PANEL_ROWS, min((p + 1) * PANEL_ROWS, m)
+                assert P.tobytes() == np.ascontiguousarray(G[i:j, :j]).tobytes()
+            assert (L.min(), L.max()) == (G.min(), G.max())
+            for W in (V, V[:, 0]):
+                np.testing.assert_allclose(L @ W, G @ W, rtol=0, atol=1e-13 * np.max(np.abs(G @ W)))
+            if len(L.panels) == 1:
+                # one panel is the whole Gram, and its product is G V itself
+                assert (L @ V).tobytes() == (G @ V).tobytes()
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_gram_quadratic_is_v_transpose_g_v(kind):
+    kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
+    rng = np.random.default_rng(13)
+    # several product blocks, and a Gram of one block
+    for m in (1100, 400):
+        A = rng.normal(size=(m, 2))
+        s = np.exp(-rng.uniform(0.0, 5.0, m))
+        V = rng.normal(size=(m, 7))
+        for scale in (None, s):
+            G = gram(kw, A, scale_a=scale)
+            T = gram_quadratic(kw, A, V, scale)
+            np.testing.assert_allclose(T, V.T @ G @ V, rtol=0, atol=1e-13 * np.max(np.abs(V.T @ G @ V)))
+            if m * m <= PRODUCT_BLOCK_ENTRIES:
+                assert T.tobytes() == (V.T @ (G @ V)).tobytes()
 
 
 def test_gram_rejects_a_scale_of_the_wrong_length():
