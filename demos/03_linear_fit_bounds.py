@@ -35,7 +35,7 @@ ds = make_dataset(sys, dom, 200, 1.0, 6, kw.weight)
 model = fit_koopman(ds, kw, RRRConfig(rank=20))
 d = model.diagnostics
 print(f"empirical risk {d.risk:.6f}, operator norm {d.op_norm:.6f}")
-print(f"operator norm bound lambda_max(L)/(beta m) = {d.norm_bound:.3f}")
+print(f"operator norm bound max_i (L 1)_i/(beta m) >= lambda_max(L)/(beta m): {d.norm_bound:.3f}")
 
 est = build_lyapunov(model)
 print(f"full series: {est.horizon} terms, tail bound {est.tail_bound:.3e} per unit |z|^2")

@@ -83,8 +83,9 @@ def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovE
     (H^T)' P_inf H^T. Refuses (InvalidInputError) a damped model, whose
     series is not the flow's, and (ContractionViolatedError) a fit whose
     operator norm and anchors' observed decay ratio are both >= 1, where
-    the data expand whatever the fitted spectrum says, or whose rho(H) >= 1,
-    where the series diverges; then raise beta.
+    the sampled map expands the weight, so no ridge makes the fit contract,
+    or whose rho(H) >= 1, where the series diverges and a larger ridge may
+    help.
     """
     if model.mode != "koopman":
         raise InvalidInputError(f"the Lyapunov series needs a plain fit, not a {model.mode}-mode one")
@@ -95,15 +96,16 @@ def build_lyapunov(model: KoopmanModel, horizon: int | None = None) -> LyapunovE
         decay = _anchor_decay_ratio(model)
         if decay >= 1.0:
             raise ContractionViolatedError(
-                f"fitted operator norm {op_norm:.6g} and observed decay ratio "
-                f"{decay:.6g} are both >= 1; raise beta"
+                f"the sampled map expands the weight: observed decay ratio {decay:.6g} "
+                f"and fitted operator norm {op_norm:.6g} are both >= 1"
             )
     try:
         P, terms = stein_solve(model.H, model.Q)
     except SolverFailureError as exc:
         rho = float(np.max(np.abs(np.linalg.eigvals(model.H))))
         raise ContractionViolatedError(
-            f"the Lyapunov series does not converge: fitted operator spectral radius rho(H) = {rho:.6g}"
+            f"the Lyapunov series does not converge: fitted operator spectral radius rho(H) = {rho:.6g}; "
+            "raise beta (rrr.beta_scale)"
         ) from exc
     T = terms if horizon is None else int(horizon)
     HT = np.linalg.matrix_power(model.H, T)

@@ -33,12 +33,7 @@ from .dynsys import (
     sample_uniform,
     trajectory,
 )
-from .errors import (
-    ContractionViolatedError,
-    DegenerateDomainError,
-    InvalidInputError,
-    KoopcertError,
-)
+from .errors import DegenerateDomainError, InvalidInputError, KoopcertError
 from .estimator import fit_koopman, predict_observables
 from .io import (
     _write_rows,
@@ -336,10 +331,6 @@ def main(argv=None) -> int:
     except DegenerateDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ContractionViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: raise beta (rrr.beta_scale)", file=sys.stderr)
-        return 3
     except (KoopcertError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,13 +13,12 @@ from .io import read_ini
 from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec
 
 CERTIFICATE_MODES = ("lyapunov", "zubov")
-# Largest dense float64 array a run may ask for: the m x m target Gram, a
-# kernel factor of a grid axis, a grid slab's lead factor or product, or the
-# grid's coordinates and values (see README, "Work-size cap"). A fit and a
-# reload hold the target Gram as its lower block triangle (kernels.gram_panels,
-# at most m^2 entries and 62 % of them at m = 2000), so its 8 m^2 bytes are a
-# conservative count. Every other Gram product is streamed in blocks of
-# kernels.PRODUCT_BLOCK_ENTRIES entries, whatever the run's size.
+# Largest dense float64 array a run may ask for: a kernel factor of a grid
+# axis, a grid slab's lead factor or product, or the grid's coordinates and
+# values (see README, "Work-size cap"). No m x m array is held: every Gram
+# product is streamed in blocks of kernels.PRODUCT_BLOCK_ENTRIES entries.
+# The 8 m^2 bytes of an m x m Gram stand as the cap on m for a fit, whose
+# work grows like m^2 (m = 8,192 at this cap).
 WORK_BYTES_CAP = 512 * 2**20
 
 

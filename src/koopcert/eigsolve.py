@@ -10,19 +10,16 @@ Gaussian Grams at large m), turns it into a k x k symmetric matrix whose
 top eigenpairs give s (reduced_rank_eig) and, in closed form from the
 same factor, u (pencil_vectors). No m x m matrix is eigendecomposed or
 Cholesky-factored, and K is never held: pivoted_cholesky reads K's
-diagonal and asks for the rows it pivots on, input_factor reuses the
-fit's Psi'Psi, the k x k matrix is J' L J / m^2, and the eigenvectors read
-L only through the product L (J Y) with the m x r J Y, so J is dropped
-before L is built.
+diagonal and asks for the rows it pivots on, input_factor shifts the
+fit's Psi'Psi in place to the matrix it factors, the k x k matrix is
+J' L J / m^2, and the eigenvectors read L only through the product L (J Y)
+with the m x r J Y, so J is dropped before that product.
 
 perron_root gives the largest eigenvalue of a symmetric matrix by Lanczos
 from a start vector that overlaps its top eigenvector, in a few dozen
-matrix-vector products, and reads the matrix only through them, so it
-takes an array or the lower block triangle kernels.GramPanels. It serves
-the a-priori norm bound, on the entrywise nonnegative L from the all-ones
-vector (by Perron-Frobenius the top eigenvector is nonnegative), and the
-default ridge, on the k x k Psi'Psi, whose top eigenvalue is K's. Every
-product and factorization runs in numpy's own BLAS and LAPACK.
+matrix-vector products. It serves the default ridge, on the k x k Psi'Psi,
+whose top eigenvalue is K's. Every product and factorization runs in
+numpy's own BLAS and LAPACK.
 
 stein_solve gives the Gramian P = sum_t (A^t)' Q A^t of a stable linear
 map by the doubling iteration, for the Lyapunov oracle's exact linear tail.
@@ -35,7 +32,6 @@ import warnings
 import numpy as np
 
 from .errors import InvalidInputError, SolverFailureError
-from .kernels import GramPanels
 
 TIE_TOL = 1e-12
 NULL_TOL = 1e-12
@@ -49,17 +45,15 @@ SOLVE_BLOCK = 128
 STEIN_DOUBLINGS = 64
 
 
-def _finite_square(S, who: str):
-    """S as a float array, or the GramPanels S, once it is checked to be
-    square and finite.
+def _finite_square(S, who: str) -> np.ndarray:
+    """S as a float array, once it is checked to be square and finite.
 
     The check reads S's least and largest entries, which are non-finite
     when any entry is (a NaN propagates), so it allocates no mask of S.
     """
-    if not isinstance(S, GramPanels):
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise InvalidInputError(f"{who} needs a square matrix")
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InvalidInputError(f"{who} needs a square matrix")
     if len(S) and not (np.isfinite(S.min()) and np.isfinite(S.max())):
         raise InvalidInputError(f"{who} input contains non-finite entries")
     return S
@@ -83,26 +77,18 @@ def symmetric_eig(S: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np
     return vals[::-1][:top].copy(), vecs[:, ::-1][:, :top].copy()
 
 
-def perron_root(S, start: np.ndarray | None = None) -> float:
-    """Largest eigenvalue of a symmetric S that is positive semidefinite or
-    entrywise nonnegative, given as an array or as kernels.GramPanels.
+def perron_root(S: np.ndarray, start: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite S.
 
     Lanczos from start, which must overlap the top eigenvector, with full
-    reorthogonalization (twice) each step. Omitted, start is the all-ones
-    vector, and then S must be entrywise nonnegative: its Perron eigenvector
-    is nonnegative and overlaps it. It stops once the Ritz residual
+    reorthogonalization (twice) each step. It stops once the Ritz residual
     |b_k y_k| is at most 1e-15 theta, on breakdown (b_k = 0), or when the
     Krylov space reaches dimension m, where theta is exact. The basis grows
-    one vector per matrix product S @ v, the only way S is read besides its
-    least and largest entries.
+    one vector per matrix product S @ v.
     """
     S = _finite_square(S, "perron_root")
     if len(S) == 0:
         raise InvalidInputError("perron_root needs a nonempty matrix")
-    if start is None:
-        if S.min() < 0:
-            raise InvalidInputError("perron_root needs an entrywise nonnegative matrix")
-        start = np.ones(len(S))
     m = len(S)
     basis = [start / np.linalg.norm(start)]
     diag, offdiag = [], []
@@ -117,8 +103,7 @@ def perron_root(S, start: np.ndarray | None = None) -> float:
         w -= (B @ w) @ B
         w -= (B @ w) @ B
         b = float(np.linalg.norm(w))
-        # theta >= 0 under the precondition (theta >= 1' S 1 / m for a
-        # nonnegative S), so breakdown (b = 0) also stops here.
+        # theta >= 0 for a semidefinite S, so breakdown (b = 0) also stops here.
         if b * abs(y_last) <= 1e-15 * theta or len(basis) == m:
             return float(theta)
         offdiag.append(b)
@@ -201,13 +186,17 @@ def input_factor(Psi: np.ndarray, beta: float, PtP: np.ndarray) -> np.ndarray:
     """The m x k J = Psi R^-1 of reduced_rank_eig, where K = Psi Psi',
     PtP = Psi' Psi and PtP / m + beta I = R'R.
 
-    J' solves R' J' = Psi' by blocked forward substitution, in Psi's memory
-    when Psi is column-major, as pivoted_cholesky returns it.
+    PtP is consumed: it is overwritten by PtP / m + beta I, so R is the only
+    other k x k array. J' solves R' J' = Psi' by blocked forward
+    substitution, in Psi's memory when Psi is column-major, as
+    pivoted_cholesky returns it.
     """
     m, k = Psi.shape
     F = np.ascontiguousarray(Psi.T)
+    PtP /= m
+    PtP.flat[:: k + 1] += beta
     try:
-        Rt = np.linalg.cholesky(PtP / m + beta * np.eye(k))
+        Rt = np.linalg.cholesky(PtP)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(str(exc)) from exc
     for start in range(0, k, SOLVE_BLOCK):

@@ -13,22 +13,24 @@ Cholesky-factored; the default beta comes from lam_max(K), the Lanczos
 top eigenvalue of the factor's k x k Gram Psi'Psi. The model keeps only
 these factors and two r x r matrices, H = U' E W and Q = W' L W, so the
 coefficient recursions that push kernel sections through powers of A and
-its adjoint run in rank-r coordinates. fit_koopman makes both fits, the
-damped one when it is given an eta, from which it computes d at the pairs'
-states: a dataset holds only its pairs.
+its adjoint run in rank-r coordinates. U is orthonormal in
+K (K / m + beta I), which makes Q = diag(sigma^2) exactly, and with it the
+training risk a sum in rank space that reads no product with L.
+fit_koopman makes both fits, the damped one when it is given an eta, from
+which it computes d at the pairs' states: a dataset holds only its pairs.
 
 No m x m array is ever held. The fit reads K's diagonal, (w(x_i))^2
 since the base kernel is 1 at zero distance, and the rows
 pivoted_cholesky asks for; it turns the m x k factor Psi into J in Psi's
 own memory, sums J' L J over L's streamed row blocks
 (kernels.gram_quadratic), and after the k x k eigensolve keeps only the
-m x r J Y. Every product with K and the cross Gram E (K U, E W, and the
-held-out products) is streamed too: kernels.gram_product builds the
-Gram's rows a 2 MB block at a time and drops each block after its
-product. The damped target Gram L is then built once, as its lower block
-triangle (kernels.gram_panels), for L J Y in the closed form of U; the
-fit hands it to factor_model, and read_model builds its own with the
-same call, for W' L and the Perron root of the a-priori bound.
+m x r J Y. Every product with a Gram is streamed too: kernels.gram_product
+builds the Gram's rows a 2 MB block at a time and drops each block after
+its product, and of K and L, the Grams of a set with itself, it builds
+only the blocks' parts up to the diagonal. The damped target Gram L is read
+twice, in the J' L J pass and in one product L [J Y, 1], which gives L J Y
+for the closed form of U and L's row sums for the a-priori norm bound. The
+reload reads no L: the bound, like sigma^2, is stored in the model file.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .dynsys import SnapshotDataset
 from .eigsolve import input_factor, pencil_vectors, perron_root, pivoted_cholesky, reduced_rank_eig, symmetric_eig
 from .errors import InvalidInputError
-from .kernels import GramPanels, WeightedKernelSpec, gram, gram_panels, gram_product, gram_quadratic, weight_values
+from .kernels import WeightedKernelSpec, gram, gram_product, gram_quadratic, weight_values
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,12 @@ class RRRConfig:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """Empirical risk, HS and operator norms of the fitted operator, the a-priori
-    norm bound lam_max(L) / (beta m), and last the retained pencil eigenvalues."""
+    norm bound, and last the retained pencil eigenvalues.
+
+    The bound is max_i (L 1)_i / (beta m), L's largest row sum over beta m:
+    L is entrywise nonnegative, so by Collatz-Wielandt its largest row sum
+    bounds its Perron root lam_max(L) from above, and the operator norm is
+    at most lam_max(L) / (beta m)."""
 
     risk: float
     hs_norm: float
@@ -112,10 +119,10 @@ class FitDiagnostics:
 class KoopmanModel:
     """Fitted finite-rank transfer operator held as its rank-r factors.
 
-    U and W = K U / m are m x r; H = U' E W and Q = W' L W are r x r, where
-    K is the input Gram, E the damped cross Gram and L the damped target
-    Gram. damping holds exp(-eta(x_i)) in zubov mode and is None otherwise.
-    Models compare and hash by identity.
+    U and W = K U / m are m x r; H = U' E W and Q = W' L W = diag(sigma^2)
+    are r x r, where K is the input Gram, E the damped cross Gram and L the
+    damped target Gram. damping holds exp(-eta(x_i)) in zubov mode and is
+    None otherwise. Models compare and hash by identity.
     """
 
     anchors_x: np.ndarray
@@ -160,36 +167,38 @@ def factor_model(
     beta: float,
     U: np.ndarray,
     sigma_sq: np.ndarray,
-    L: GramPanels,
+    norm_bound: float,
 ) -> KoopmanModel:
-    """Model from the anchors, normalized eigenvectors U and the damped
-    target Gram L, as kernels.gram_panels gives it.
+    """Model from the anchors, normalized eigenvectors U, their pencil
+    eigenvalues sigma_sq and the a-priori norm bound.
 
-    Builds W, H and Q and every fit diagnostic. K U and E W, with E the
+    Builds W, H and Q and the fit diagnostics. K U and E W, with E the
     cross Gram damped in its target (column) index, are streamed
-    (kernels.gram_product), and L is read only through one product, L W,
-    whose transpose is W' L, and the products of its Perron root. The fit
-    and read_model both end in this call with the same arguments, so a
-    reloaded model is bit-identical to the fitted one. There is no m x m
-    eigensolve: lam_max(L) in the a-priori bound is the Lanczos Perron root
-    of the nonnegative L, and the operator norm is
-    lam_max(M^1/2 Q M^1/2)^1/2 with M = U' K U, an r x r solve.
+    (kernels.gram_product), and L is not read: U'K (K / m + beta I) U = I
+    makes Q = W' L W = diag(sigma^2), so with Z = U'K = m W' the risk is
+    m sum_a sigma^2_a |W_a|^2 - 2 sum_a sigma^2_a + mean_i (w(y_i) d_i)^2.
+    The fit and read_model both end in this call with the same arguments,
+    so a reloaded model is bit-identical to the fitted one. There is no
+    m x m eigensolve: the operator norm is lam_max(M^1/2 Q M^1/2)^1/2 with
+    M = U' K U, an r x r solve.
     """
     m = len(X)
     Z = gram_product(kw, X, None, U).T
     W = Z.T / m
     damping = None if eta is None else eta.damping(X)
-    WL = (L @ W).T
-    Q = WL @ W
-    norm_bound = perron_root(L) / (beta * m)
+    Q = np.diag(sigma_sq)
     H = U.T @ gram_product(kw, X, Y, W, scale_b=damping)
     M = Z @ U
     vals, vecs = symmetric_eig((M + M.T) / 2.0)
     Mh = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
     S = Mh @ Q @ Mh
+    # the targets' squared norms, the diagonal of L: the base kernel is 1 there
+    s = weight_values(kw.weight, Y, damping)
+    risk = m * float(sigma_sq @ np.sum(W * W, axis=0)) - 2.0 * float(np.sum(sigma_sq))
+    risk += float(np.mean(s * s))
     diagnostics = FitDiagnostics(
         sigma_sq=sigma_sq,
-        risk=max(float(np.mean(_section_losses(kw, Y, damping, Z, Q, WL))), 0.0),
+        risk=max(risk, 0.0),
         hs_norm=float(np.sqrt(max(np.sum(M * Q), 0.0))),
         op_norm=float(np.sqrt(max(symmetric_eig((S + S.T) / 2.0)[0][0], 0.0))),
         norm_bound=norm_bound,
@@ -236,18 +245,24 @@ def fit_koopman(
     # the top eigenvector Psi'u / |Psi'u|, since (Psi'1)'(Psi'u) = 1'Ku = lam 1'u > 0
     # for the nonnegative Perron vector u of K
     beta = cfg.beta if cfg.beta is not None else cfg.beta_scale * perron_root(PtP, Psi.sum(axis=0)) / m
-    # J takes over Psi's memory
+    # J takes over Psi's memory, and PtP becomes PtP / m + beta I
     J = input_factor(Psi, beta, PtP)
     del PtP, Psi
     T = gram_quadratic(kw, Y, J, damping)
     T /= m * m
     sigma_sq, vecs = reduced_rank_eig(T, cfg.rank)
     del T
-    JY = J @ vecs
+    r = cfg.rank
+    # [J Y, 1], so one pass over L gives L J Y and L's row sums
+    JY1 = np.empty((m, r + 1))
+    np.matmul(J, vecs, out=JY1[:, :r])
+    JY1[:, r] = 1.0
     del J
-    L = gram_panels(kw, Y, damping)
-    U = pencil_vectors(L @ JY, JY, sigma_sq, beta)
-    return factor_model(kw, X, Y, eta, beta, U, sigma_sq, L)
+    LJY1 = gram_product(kw, Y, None, JY1, damping)
+    norm_bound = float(LJY1[:, r].max()) / (beta * m)
+    U = pencil_vectors(LJY1[:, :r], JY1[:, :r], sigma_sq, beta)
+    del LJY1, JY1
+    return factor_model(kw, X, Y, eta, beta, U, sigma_sq, norm_bound)
 
 
 def _forward_rank_coeffs(model: KoopmanModel, g0: np.ndarray, t: int) -> np.ndarray:

@@ -19,9 +19,9 @@ from .certificates import RUN_INPUT, BoundReport, DoaEstimate, LyapunovEstimate
 from .dynsys import SnapshotDataset
 from .errors import InvalidInputError
 from .estimator import EtaSpec, FitDiagnostics, KoopmanModel, factor_model
-from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec, gram_panels
+from .kernels import KernelSpec, WeightedKernelSpec, WeightSpec, weight_values
 
-CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm", "norm_bound")
+CHECKED_DIAGNOSTICS = ("risk", "hs_norm", "op_norm")
 # Stored and recomputed diagnostics must agree to this relative error. The
 # risk is a difference of nearly equal terms, so its last digits move with
 # the BLAS build and summation order.
@@ -283,25 +283,40 @@ def _kv(lines: list[str], where: str) -> dict[str, str]:
 
 
 def _matrix(lines: list[str], where: str) -> np.ndarray:
-    try:
-        return np.array([[float(v) for v in line.split(",")] for line in lines])
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed {where}: {exc}") from exc
+    """The rows of comma-separated numbers, one per line, filled in row by
+    row, so no Python float of the whole is held; a row whose count of
+    values differs from the first row's is refused."""
+    width = lines[0].count(",") + 1 if lines else 0
+    out = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise InvalidInputError(f"malformed {where}: a row holds {len(cells)} values, not {width}")
+        try:
+            out[i] = [float(v) for v in cells]
+        except ValueError as exc:
+            raise InvalidInputError(f"malformed {where}: {exc}") from exc
+    return out
 
 
 def read_model(path: str | Path) -> KoopmanModel:
     """Rebuild a fitted model from its file.
 
-    The factors and diagnostics are recomputed from the anchors and U by
-    the call the fit ends in, factor_model, with the same arguments: the
-    target Gram comes from the fit's builder, kernels.gram_panels, as its
-    lower block triangle, so the model is bit-identical to the fitted one.
-    The parsed text is dropped first, and no m x m array is held. A file
-    whose stored diagnostics differ from the recomputed ones by more than
-    DIAGNOSTICS_RTOL is rejected, and so are non-finite arrays, a line
-    outside every section, a repeated section or key, a section outside
-    MODEL_HEAD and MODEL_ARRAYS, and a v1 file, which held the dense theta
-    instead of U. The head is built by build_section.
+    The factors and diagnostics are recomputed from the anchors, U and the
+    stored sigma^2 and norm bound by the call the fit ends in, factor_model,
+    with the same arguments, so the model is bit-identical to the fitted
+    one. The parsed text is dropped first, no m x m array is held, and the
+    target Gram is not read. A file whose stored CHECKED_DIAGNOSTICS differ
+    from the recomputed ones by more than DIAGNOSTICS_RTOL is rejected, and
+    so is a norm bound, which is not recomputed, below the operator norm or
+    below max_i (w(y_i) d_i)^2 / (beta m), L's largest diagonal entry over
+    beta m, which no bound on lam_max(L) / (beta m) can be. A stored bound
+    above both floors is not verified: a looser one, and a tighter one that
+    is not a bound, load as stored. Also refused are non-finite numbers, a
+    line outside every section, a repeated section or key, a section outside
+    MODEL_HEAD and MODEL_ARRAYS, an array row of the wrong length, and a v1
+    file, which held the dense theta instead of U. The head is built by
+    build_section.
     """
     path = Path(path)
     where = f"model file {path}"
@@ -335,8 +350,10 @@ def read_model(path: str | Path) -> KoopmanModel:
     # reproduce its stored diagnostics, so refuse it here without the warnings.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            L = gram_panels(kw, Y, None if eta is None else eta.damping(X))
-            model = factor_model(kw, X, Y, eta, meta.beta, U, diag.sigma_sq, L)
+            model = factor_model(kw, X, Y, eta, meta.beta, U, diag.sigma_sq, diag.norm_bound)
+            # the targets' norms again, one O(m) pass beside factor_model's
+            target = weight_values(kw.weight, Y, model.damping)
+            top_diagonal = float(np.max(target * target)) / (meta.beta * meta.m)
     except FloatingPointError as exc:
         raise InvalidInputError(f"{where} does not rebuild: {exc}") from exc
     for name in CHECKED_DIAGNOSTICS:
@@ -345,6 +362,12 @@ def read_model(path: str | Path) -> KoopmanModel:
             raise InvalidInputError(
                 f"{where} stores {name}={fmt(value)} "
                 f"but its factors give {fmt(recomputed)}"
+            )
+    floors = {"its operator norm": model.diagnostics.op_norm, "max_i L_ii / (beta m)": top_diagonal}
+    for name, floor in floors.items():
+        if not diag.norm_bound >= floor:
+            raise InvalidInputError(
+                f"{where} stores norm_bound={fmt(diag.norm_bound)}, below {name} = {fmt(floor)}"
             )
     return model
 

@@ -17,12 +17,10 @@ FloatingPointError.
 A product G V with a Gram never needs G whole: ``gram_product`` has ``gram``
 build G's rows PRODUCT_BLOCK_ENTRIES entries at a time, multiplies each
 block by V and drops it, so each product holds one 2 MB block however large
-G is, and its entries are gram's bit for bit; ``gram_quadratic`` sums
-V' G V over the same blocks, so G V is not held either. A symmetric Gram
-that is read more than once is held as its lower block triangle,
-``gram_panels``: row panels of PANEL_ROWS rows that stop at the diagonal,
-62 % of a 2000 x 2000 Gram's entries, again gram's bit for bit, and read
-through the product G V.
+G is, and its entries are gram's bit for bit. Of the symmetric Gram of a set
+with itself it builds only each row block's part up to the diagonal, about
+half the entries, and takes the rest by symmetry. ``gram_quadratic`` sums
+V' G V over the same blocks, so G V is not held either.
 
 On a tensor grid no Gram is built: the Gaussian is a product over
 coordinates, so ``axis_factors`` gives one small factor per axis, and the
@@ -46,10 +44,6 @@ GRAM_BLOCK_ENTRIES = 1 << 16
 # Entries per block of a streamed Gram product (gram_product): 2 MB, 131 rows
 # at 2000 columns; a Gram of up to 512 x 512 is one block.
 PRODUCT_BLOCK_ENTRIES = 1 << 18
-# Rows per panel of a Gram held as its lower block triangle (gram_panels): at
-# 2000 x 2000, four panels, 512 x 512 to 464 x 2000, hold 62 % of the
-# entries; a Gram of up to 512 x 512 is one panel.
-PANEL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -228,21 +222,32 @@ def gram_product(
 
     The rows of A are taken PRODUCT_BLOCK_ENTRIES / len(B) at a time (at
     least one); gram builds each block, whose entries equal G's bit for bit,
-    and the block is multiplied by V and dropped.
+    and the block is multiplied by V and dropped. With B omitted, G is the
+    symmetric Gram of A with itself, and only the block's part G[i:j, :j]
+    up to the diagonal is built: it gives rows i:j as G[i:j, :j] V[:j], and
+    rows :i the term G[i:j, :i]' V[i:j] of the part above the diagonal. A G
+    of one block (at most 512 x 512) is built whole, one product.
     """
     A = _check_points(A, "A")
     if B is None and scale_b is not None:
         raise InvalidInputError("a Gram of A with itself takes one scale, scale_a")
-    B, scale_b = (A, scale_a) if B is None else (_check_points(B, "B"), scale_b)
+    symmetric = B is None
+    B, scale_b = (A, scale_a) if symmetric else (_check_points(B, "B"), scale_b)
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or len(V) != len(B):
         raise InvalidInputError("a Gram product needs one row of V per column of the Gram")
     out = np.empty((len(A), V.shape[1]))
     step = max(1, PRODUCT_BLOCK_ENTRIES // len(B))
     for i in range(0, len(A), step):
-        rows = slice(i, i + step)
-        block = gram(kw, A[rows], B, None if scale_a is None else scale_a[rows], scale_b)
-        np.matmul(block, V, out=out[rows])
+        j = min(i + step, len(A))
+        cols = slice(0, j if symmetric else len(B))
+        block = gram(
+            kw, A[i:j], B[cols],
+            None if scale_a is None else scale_a[i:j], None if scale_b is None else scale_b[cols],
+        )
+        np.matmul(block, V[cols], out=out[i:j])
+        if symmetric and i:
+            out[:i] += block[:, :i].T @ V[i:j]
         # else this block lives on while gram builds the next
         del block
     return out
@@ -273,55 +278,3 @@ def gram_quadratic(
         # else this product lives on while gram_product forms the next
         del GV
     return out
-
-
-class GramPanels:
-    """A symmetric Gram G held as its lower block triangle.
-
-    Panel p is G[i:j, :j] for the rows i:j = p PANEL_ROWS : (p + 1)
-    PANEL_ROWS (the last one shorter), so each diagonal block is held
-    whole and nothing right of it. G is read through G @ V. A plain class,
-    not a dataclass: that would add its build time to every import.
-    """
-
-    def __init__(self, panels: tuple[np.ndarray, ...]):
-        self.panels = panels
-
-    def __len__(self) -> int:
-        return self.panels[-1].shape[1]
-
-    def __matmul__(self, V: np.ndarray) -> np.ndarray:
-        """G V for a vector or a len(G) x c matrix V.
-
-        Panel G[i:j, :j] gives rows i:j as G[i:j, :j] V[:j], and its part
-        left of the diagonal block gives rows :i the term G[i:j, :i]' V[i:j].
-        A G of one panel gives G V, one product.
-        """
-        out = np.empty(np.shape(V))
-        i = 0
-        for P in self.panels:
-            j = P.shape[1]
-            np.matmul(P, V[:j], out=out[i:j])
-            if i:
-                out[:i] += P[:, :i].T @ V[i:j]
-            i = j
-        return out
-
-    def min(self) -> float:
-        return min(float(P.min()) for P in self.panels)
-
-    def max(self) -> float:
-        return max(float(P.max()) for P in self.panels)
-
-
-def gram_panels(kw: WeightedKernelSpec, A: np.ndarray, scale: np.ndarray | None = None) -> GramPanels:
-    """The Gram gram(kw, A, scale_a=scale) of A with itself as its lower block
-    triangle: panel p is gram(kw, A[i:j], A[:j]) with the scales cut alike,
-    whose entries equal the whole Gram's bit for bit."""
-    A = _check_points(A, "A")
-    panels = []
-    for i in range(0, len(A), PANEL_ROWS):
-        j = min(i + PANEL_ROWS, len(A))
-        s_rows, s_cols = (None, None) if scale is None else (scale[i:j], scale[:j])
-        panels.append(gram(kw, A[i:j], A[:j], s_rows, s_cols))
-    return GramPanels(tuple(panels))

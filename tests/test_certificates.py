@@ -98,7 +98,7 @@ def test_build_lyapunov_refuses_a_spectral_radius_of_one_or_more():
     _, _, model = linear_model(0.5, 200, 20, 11)
     rho = np.max(np.abs(np.linalg.eigvals(model.H)))
     planted = dataclasses.replace(model, H=model.H * (1.05 / rho))
-    with pytest.raises(ContractionViolatedError, match=r"rho\(H\) = 1\.05"):
+    with pytest.raises(ContractionViolatedError, match=r"rho\(H\) = 1\.05; raise beta \(rrr\.beta_scale\)"):
         build_lyapunov(planted)
 
 
@@ -123,7 +123,7 @@ def test_build_lyapunov_refuses_expanding_anchors():
     ds = SnapshotDataset(X=X, Y=2.0 * X, dt=1.0, seed=13)
     kw = kw_gaussian()
     model = fit_koopman(ds, kw, RRRConfig(rank=8))
-    with pytest.raises(ContractionViolatedError):
+    with pytest.raises(ContractionViolatedError, match="the sampled map expands the weight"):
         build_lyapunov(model)
 
 

@@ -14,16 +14,7 @@ import pytest
 import scipy.linalg
 
 import koopcert
-from koopcert import (
-    DomainSpec,
-    EtaSpec,
-    InvalidInputError,
-    SolverFailureError,
-    SystemSpec,
-    gram,
-    make_dataset,
-    symmetric_eig,
-)
+from koopcert import InvalidInputError, SolverFailureError, SystemSpec, symmetric_eig
 from koopcert.dynsys import linearization
 from koopcert.eigsolve import (
     input_factor,
@@ -33,9 +24,8 @@ from koopcert.eigsolve import (
     reduced_rank_eig,
     stein_solve,
 )
-from koopcert.kernels import gram_panels
 
-from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig, kw_gaussian
+from helpers import dense_grams, example1_model, example2_model, fit_pencil_eig
 
 
 def random_spd(rng, m, cond_lo=0.5, cond_hi=2.0):
@@ -113,6 +103,21 @@ def test_reduced_rank_eig_refuses_bad_input():
             pencil_vectors(LJY, JY, vals, beta)
 
 
+def test_input_factor_shifts_psi_psi_in_place():
+    # PtP becomes PtP / m + beta I, entry for entry as that sum, and J = Psi R^-1
+    # for its Cholesky factor R'R
+    rng = np.random.default_rng(6)
+    m, k, beta = 40, 7, 0.3
+    Psi = np.asfortranarray(rng.normal(size=(m, k)))
+    PtP = Psi.T @ Psi
+    shifted = PtP / m + beta * np.eye(k)
+    R = np.linalg.cholesky(shifted).T
+    want = np.linalg.solve(R.T, Psi.T).T
+    J = input_factor(Psi.copy(order="F"), beta, PtP)
+    assert PtP.tobytes() == shifted.tobytes()
+    np.testing.assert_allclose(J, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
 def test_pivoted_cholesky_stops_at_lapack_tolerance():
     # on the example Grams the factor reproduces K to LAPACK dpstrf's default
     # tolerance m eps max diag(K), within 5 % of dpstrf's column count
@@ -135,24 +140,7 @@ def test_perron_root_matches_dense_eigh_on_fitted_target_grams():
     for model in (example1_model()[2], example2_model()[3]):
         L = dense_grams(model)[1]
         top = scipy.linalg.eigh(L, eigvals_only=True)[-1]
-        np.testing.assert_allclose(perron_root(L), top, rtol=1e-13)
-
-
-def test_perron_root_on_gram_panels_matches_eigvalsh():
-    # the target Grams of both example configs at m = 1200, three panels
-    # each, read through the lower block triangle's product only
-    box = DomainSpec(kind="box", lo=(-2.0, -2.0), hi=(2.0, 2.0))
-    cases = (
-        (kw_gaussian(), SystemSpec(kind="example1"), DomainSpec.ball(2.0), 0.05, None),
-        (kw_gaussian(power=0.5), SystemSpec(kind="example2"), box, 0.025, EtaSpec(scale=0.5)),
-    )
-    for kw, system, domain, dt, eta in cases:
-        ds = make_dataset(system, domain, 1200, dt, 1, kw.weight)
-        d = None if eta is None else eta.damping(ds.X)
-        L = gram_panels(kw, ds.Y, d)
-        assert len(L.panels) == 3
-        top = np.linalg.eigvalsh(gram(kw, ds.Y, scale_a=d))[-1]
-        np.testing.assert_allclose(perron_root(L), top, rtol=1e-13)
+        np.testing.assert_allclose(perron_root(L, np.ones(len(L))), top, rtol=1e-13)
 
 
 def test_perron_root_on_reducible_matrix():
@@ -163,18 +151,18 @@ def test_perron_root_on_reducible_matrix():
         A = scale * rng.uniform(size=(6, 6))
         blocks.append(A + A.T)
     S = scipy.linalg.block_diag(*blocks)
-    np.testing.assert_allclose(perron_root(S), np.linalg.eigvalsh(S)[-1], rtol=1e-13)
+    np.testing.assert_allclose(perron_root(S, np.ones(12)), np.linalg.eigvalsh(S)[-1], rtol=1e-13)
 
 
 def test_perron_root_breakdown_zero_and_scalar():
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         # rank 1 along the start vector: the first residual is exactly zero
-        assert perron_root(np.full((4, 4), 2.0)) == 8.0
+        assert perron_root(np.full((4, 4), 2.0), np.ones(4)) == 8.0
         v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(perron_root(np.outer(v, v)), v @ v, rtol=1e-14)
-        assert perron_root(np.zeros((5, 5))) == 0.0
-        assert perron_root(np.array([[3.5]])) == 3.5
+        np.testing.assert_allclose(perron_root(np.outer(v, v), np.ones(3)), v @ v, rtol=1e-14)
+        assert perron_root(np.zeros((5, 5)), np.ones(5)) == 0.0
+        assert perron_root(np.array([[3.5]]), np.ones(1)) == 3.5
 
 
 def test_perron_root_refuses_outside_its_precondition():
@@ -182,11 +170,7 @@ def test_perron_root_refuses_outside_its_precondition():
     bad[1, 2] = np.inf
     for S in (bad, np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
         with pytest.raises(InvalidInputError):
-            perron_root(S)
-    # the all-ones start is the eigenvector of the smaller eigenvalue 1 here,
-    # so Lanczos would stop at once and return 1 instead of 2
-    with pytest.raises(InvalidInputError, match="nonnegative"):
-        perron_root(np.array([[1.5, -0.5], [-0.5, 1.5]]))
+            perron_root(S, np.ones(3))
 
 
 def _scipy_imports(tree: ast.AST) -> list[int]:

@@ -4,7 +4,7 @@ Config, dataset and model files cut at any byte, or with one token swapped
 for a hostile value, must either load or raise a KoopcertError, and must
 not leak a RuntimeWarning on the way. The command line, run on such files,
 must return one of its documented exit codes 0 to 3 and write at most one
-error: line, every stderr line opening with error:, warning: or hint:.
+error: line, every stderr line opening with error: or warning:.
 """
 
 import contextlib
@@ -141,7 +141,7 @@ FILE_NAMES = {
 
 def _assert_cli_contract(originals, command: str, target: int, damage) -> None:
     """Run command on its files with one of them damaged; expect a documented
-    exit code and stderr lines that each open with error:, warning: or hint:,
+    exit code and stderr lines that each open with error: or warning:,
     at most one of them an error."""
     texts, scratch = originals
     kinds = COMMANDS[command]
@@ -165,7 +165,7 @@ def _assert_cli_contract(originals, command: str, target: int, damage) -> None:
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) in (0, 1, 2, 3)
     lines = stderr.getvalue().splitlines()
-    assert all(line.startswith(("error:", "warning:", "hint:")) for line in lines), lines
+    assert all(line.startswith(("error:", "warning:")) for line in lines), lines
     assert sum(line.startswith("error:") for line in lines) <= 1, lines
 
 

@@ -81,6 +81,22 @@ def test_read_dataset_rejects_malformed(tmp_path):
     path.write_text("x1,x2,y1,y2\n1.0,2.0\n1.0\n")
     with pytest.raises(InvalidInputError):
         read_dataset(path)
+    # one value would fill the whole row
+    path.write_text("x1,x2,y1,y2\n1.0,2.0,3.0,4.0\n0.5\n")
+    with pytest.raises(InvalidInputError, match="a row holds 1 values, not 4"):
+        read_dataset(path)
+
+
+def test_read_model_rejects_a_row_of_one_value(tmp_path):
+    _, _, model = linear_model(a=0.5, m=10, rank=3, seed=4)
+    path = tmp_path / "model.txt"
+    write_model(model, path)
+    text = path.read_text()
+    for section, width in (("U", 3), ("anchors_x", 2), ("anchors_y", 2)):
+        # the section's second row cut to its first value, which would fill the row
+        path.write_text(re.sub(rf"(\[{section}\]\n[^\n]*\n[^,\n]*)[^\n]*", r"\g<1>", text))
+        with pytest.raises(InvalidInputError, match=f"malformed model file .*: a row holds 1 values, not {width}"):
+            read_model(path)
 
 
 def assert_same_factors(back, model):
@@ -108,10 +124,18 @@ def test_model_round_trip_koopman(tmp_path):
     assert_same_factors(back, model)
     # a stored diagnostic that differs from the recomputed one in its last
     # digit, as another BLAS build may round it, still loads
-    nudged = fmt(np.nextafter(model.diagnostics.norm_bound, np.inf))
-    text = re.sub(r"^norm_bound=.*$", f"norm_bound={nudged}", path.read_text(), flags=re.M)
+    nudged = fmt(np.nextafter(model.diagnostics.risk, np.inf))
+    text = re.sub(r"^risk=.*$", f"risk={nudged}", path.read_text(), flags=re.M)
     path.write_text(text)
     assert_same_factors(read_model(path), model)
+    # the norm bound is not recomputed: a looser one is still a bound, and it
+    # loads as stored
+    looser = 2.0 * model.diagnostics.norm_bound
+    path.write_text(re.sub(r"^norm_bound=.*$", f"norm_bound={fmt(looser)}", text, flags=re.M))
+    back = read_model(path)
+    assert back.diagnostics.norm_bound == looser
+    for name in ("U", "W", "H", "Q"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
 
 
 def test_model_round_trip_zubov(tmp_path):
@@ -162,17 +186,18 @@ def test_read_model_makes_no_m_by_m_eigensolve(tmp_path, monkeypatch):
 
 
 def test_read_model_holds_one_gram_at_a_time(tmp_path):
-    # factor_model streams K U and E W, the parsed text is dropped before L
-    # is built, and L is held as its lower block triangle (0.63 of its
-    # entries), so reading peaks at about 0.84 m x m arrays here; building L
-    # whole took 1.15, building K, L and E whole, one at a time, 1.31, and
-    # together 3.32
+    # factor_model streams K U and E W and reads no L, the model's numbers
+    # are parsed row by row, and the parsed text is dropped before
+    # factor_model, so reading peaks at about 0.19 m x m arrays here, with
+    # one Gram block beside the m x r factors; holding L's lower block
+    # triangle took 0.84, building L whole 1.15, building K, L and E whole,
+    # one at a time, 1.31, and together 3.32
     m = 2000
     kw = kw_gaussian()
     ds = make_dataset(SystemSpec(kind="example1"), DomainSpec.ball(2.0), m, 0.05, 1, kw.weight)
     write_model(fit_koopman(ds, kw, RRRConfig(rank=50)), tmp_path / "model.txt")
     peak = traced_peak(lambda: read_model(tmp_path / "model.txt"))
-    assert peak < 0.9 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
+    assert peak < 0.2 * 8 * m * m, f"peak {peak / (8 * m * m):.2f} m x m arrays"
 
 
 def test_read_model_loads_a_file_from_numpy_blas_products():
@@ -745,6 +770,20 @@ def test_cli_contraction_violated_exits_3(tmp_path):
     assert main(["lyapunov", "--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
+def test_cli_lyapunov_of_expanding_data_exits_3_with_one_error_line(tmp_path, capsys):
+    # at dt = 5 the example1 map expands the weight along the sampled pairs,
+    # which no ridge repairs: the refusal says so in one line and gives no advice
+    cfg = _write_config(tmp_path, EXAMPLE1_CONFIG.replace("dt = 0.05", "dt = 5"))
+    out = str(tmp_path / "out")
+    for command in ("sample", "fit"):
+        assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["lyapunov", "--config", cfg, "--out", out, "--quiet"]) == 3
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: the sampled map expands the weight"), lines
+    assert "observed decay ratio 3024.76" in lines[0] and "beta" not in lines[0], lines
+
+
 @pytest.mark.parametrize("name, value, text", [("STEP_CAP", 5, "hit the step cap 5"), ("GUARD_RADIUS", 1.0, "escaped")])
 def test_cli_lyapunov_oracle_failure_exits_3_and_says_why(tmp_path, capsys, monkeypatch, name, value, text):
     monkeypatch.setattr(koopcert.dynsys, name, value)
@@ -765,6 +804,16 @@ def _edited_model(edit, m=10):
         return ["report", str(path)]
 
     return prepare
+
+
+def _norm_bound(value_of):
+    """Store the norm bound value_of(the stored operator norm)."""
+
+    def edit(text):
+        op_norm = float(re.search(r"^op_norm=(.*)$", text, flags=re.M).group(1))
+        return re.sub(r"^norm_bound=.*$", f"norm_bound={fmt(value_of(op_norm))}", text, flags=re.M)
+
+    return edit
 
 
 def _overflowing_weight(text):
@@ -853,16 +902,11 @@ def _config_bytes(data):
             "stores risk=0.5 but its factors give",
         ),
         (
-            _edited_model(
-                lambda text: re.sub(
-                    r"^norm_bound=(.*)$",
-                    lambda mo: f"norm_bound={fmt(float(mo.group(1)) * (1 + 1e-9))}",
-                    text,
-                    flags=re.M,
-                )
-            ),
-            "stores norm_bound=",
+            _edited_model(_norm_bound(lambda op_norm: op_norm * (1 - 1e-9))),
+            "below its operator norm",
         ),
+        # above the operator norm 0.61, below max_i L_ii / (beta m) = 14.3
+        (_edited_model(_norm_bound(lambda op_norm: 1.0)), "below max_i L_ii / (beta m)"),
         (
             _edited_model(lambda text: re.sub(r"(\[U\]\n)[^,]*", r"\g<1>1e999", text)),
             "has non-finite U entries",
@@ -929,6 +973,7 @@ def _config_bytes(data):
         "model-v1",
         "model-risk-tampered",
         "model-norm-bound-off-1e-9",
+        "model-norm-bound-below-the-largest-diagonal",
         "model-U-infinite",
         "model-is-a-dataset",
         "model-sizes-disagree",

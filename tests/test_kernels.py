@@ -17,15 +17,8 @@ from koopcert import (
     gram,
     weight_values,
 )
-from koopcert.kernels import (
-    GRAM_BLOCK_ENTRIES,
-    PANEL_ROWS,
-    PRODUCT_BLOCK_ENTRIES,
-    WEIGHT_KINDS,
-    gram_panels,
-    gram_product,
-    gram_quadratic,
-)
+from koopcert import kernels
+from koopcert.kernels import GRAM_BLOCK_ENTRIES, PRODUCT_BLOCK_ENTRIES, WEIGHT_KINDS, gram_product, gram_quadratic
 
 from helpers import einsum_sq_dists, kw_gaussian, scalar_weighted_kernel
 
@@ -215,27 +208,34 @@ def test_gram_product_is_the_gram_times_v(kind):
 
 
 @pytest.mark.parametrize("kind", WEIGHT_KINDS)
-def test_gram_panels_hold_the_grams_lower_block_triangle(kind):
+def test_gram_product_of_a_gram_with_itself_builds_its_lower_blocks(kind, monkeypatch):
     kw = WeightedKernelSpec(KernelSpec(gamma=2.5), WeightSpec(kind=kind, exponent=1.5))
     rng = np.random.default_rng(12)
-    # two full panels and a short last one, and a Gram of one panel
-    for m in (2 * PANEL_ROWS + 37, PANEL_ROWS - 12):
+    built = []
+
+    def spy_gram(*args, **kwargs):
+        G = gram(*args, **kwargs)
+        built.append(G.shape)
+        return G
+
+    monkeypatch.setattr(kernels, "gram", spy_gram)
+    # five row blocks, the last one short, and a Gram of one block
+    for m in (2 * 512 + 37, 500):
         A = rng.normal(size=(m, 2))
         s = np.exp(-rng.uniform(0.0, 5.0, m))
         V = rng.normal(size=(m, 5))
+        step = PRODUCT_BLOCK_ENTRIES // m
         for scale in (None, s):
             G = gram(kw, A, scale_a=scale)
-            L = gram_panels(kw, A, scale)
-            assert len(L) == m and len(L.panels) == -(-m // PANEL_ROWS)
-            for p, P in enumerate(L.panels):
-                i, j = p * PANEL_ROWS, min((p + 1) * PANEL_ROWS, m)
-                assert P.tobytes() == np.ascontiguousarray(G[i:j, :j]).tobytes()
-            assert (L.min(), L.max()) == (G.min(), G.max())
-            for W in (V, V[:, 0]):
-                np.testing.assert_allclose(L @ W, G @ W, rtol=0, atol=1e-13 * np.max(np.abs(G @ W)))
-            if len(L.panels) == 1:
-                # one panel is the whole Gram, and its product is G V itself
-                assert (L @ V).tobytes() == (G @ V).tobytes()
+            built.clear()
+            GV = gram_product(kw, A, None, V, scale_a=scale)
+            np.testing.assert_allclose(GV, G @ V, rtol=0, atol=1e-13 * np.max(np.abs(G @ V)))
+            # row block i:j is built up to the diagonal only, G[i:j, :j]
+            starts = range(0, m, step)
+            assert built == [(min(i + step, m) - i, min(i + step, m)) for i in starts]
+            if m <= step:
+                # one block is the whole Gram, and its product is G V itself
+                assert GV.tobytes() == (G @ V).tobytes()
 
 
 @pytest.mark.parametrize("kind", WEIGHT_KINDS)
